@@ -18,8 +18,7 @@ or as a pytest smoke test (``-k hotpaths``); the smoke test uses
 reduced repeat counts but asserts the headline speedups hold.
 
 The JSON keeps the two kernel builds apart: the top-level figures are
-always from the **pure-Python reference** build (the perf-regression
-gate's target, see ``tests/tools/check_bench_regression.py``), and an
+always from the **pure-Python reference** build, and an
 ``accelerated`` sub-key holds the same figures measured with the
 compiled :mod:`repro.sim._ccore` live. A run merges into the existing
 file under its own key and leaves the other build's figures alone, so
@@ -100,10 +99,9 @@ def _time_per_call(fn, repeats: int, number: int) -> float:
 def bench_calibration() -> float:
     """Machine-speed proxy in microseconds: a fixed, deterministic mix
     of interpreter work (loop + arithmetic + bytes slicing) resembling
-    the simulator's host profile. The regression checker divides two
-    runs' calibrations to normalize absolute host-time metrics across
-    machines, so the committed baseline stops false-failing on slower
-    runners."""
+    the simulator's host profile. Recorded with every run so absolute
+    host-time figures can be read across machines; ``benchmarks/e2e``
+    samples it between cells to speed-normalise its host clocks."""
     rng = random.Random(123)
     data = bytes(rng.randrange(256) for _ in range(PAGE_SIZE))
 
@@ -322,8 +320,8 @@ def run_all(quick: bool = False) -> dict:
 def save(results: dict) -> None:
     """Merge this run into the results file under its build's key.
 
-    Pure-build figures live at the top level (the regression gate's
-    target); accelerated-build figures live under ``"accelerated"``.
+    Pure-build figures live at the top level; accelerated-build
+    figures live under ``"accelerated"``.
     Whichever half this run did not measure is preserved.
     """
     RESULTS_DIR.mkdir(exist_ok=True)

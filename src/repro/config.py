@@ -164,8 +164,6 @@ class ProtocolParams:
     #: "queueing" (distributed queue lock). Section 5.2 uses polling on
     #: both sides for fairness; we default to that.
     lock_algorithm: str = "polling"
-    #: FT only: replicate lock state to a secondary lock home.
-    replicate_locks: bool = True
     #: FT only: serialize concurrent releases within an SMP node
     #: (required by non-overlapping checkpointing, section 4.4).
     serialize_releases: bool = True

@@ -9,9 +9,9 @@ length of the integer microsecond value (bucket ``i`` holds values in
 histogram a fixed vector of 64 integer counters:
 
 * recording is two integer ops (``int(v).bit_length()`` + increment);
-* merging is elementwise addition -- associative and commutative, so
-  any worker partition of the sample stream merges to the identical
-  vector;
+* merging is elementwise addition (and ``max`` for the largest
+  sample) -- associative and commutative, so any worker partition of
+  the sample stream merges to the identical vector;
 * a percentile is the *bucket upper bound* at the cumulative-count
   crossing -- a pure function of the counts, never of sample order.
 
@@ -43,17 +43,22 @@ def bucket_upper_us(index: int) -> int:
 class Log2Histogram:
     """Fixed-bucket log2 histogram of microsecond latencies."""
 
-    __slots__ = ("counts", "count", "total_us")
+    __slots__ = ("counts", "count", "total_us", "max_us")
 
     def __init__(self) -> None:
         self.counts: List[int] = [0] * NUM_BUCKETS
         self.count = 0
         self.total_us = 0.0
+        #: Largest sample seen, exact (the percentiles are bucket
+        #: upper bounds).
+        self.max_us = 0.0
 
     def record(self, value_us: float) -> None:
         self.counts[bucket_index(value_us)] += 1
         self.count += 1
         self.total_us += value_us
+        if value_us > self.max_us:
+            self.max_us = value_us
 
     def merge(self, other: "Log2Histogram") -> None:
         mine, theirs = self.counts, other.counts
@@ -61,6 +66,8 @@ class Log2Histogram:
             mine[i] += theirs[i]
         self.count += other.count
         self.total_us += other.total_us
+        if other.max_us > self.max_us:
+            self.max_us = other.max_us
 
     def percentile_us(self, q: float) -> float:
         """Upper-bound estimate of the ``q`` quantile (``0 < q <= 1``).
@@ -95,6 +102,7 @@ class Log2Histogram:
         return {
             "count": self.count,
             "total_us": self.total_us,
+            "max_us": self.max_us,
             "buckets": {str(i): c for i, c in enumerate(self.counts) if c},
         }
 
@@ -103,6 +111,7 @@ class Log2Histogram:
         out = cls()
         out.count = int(data.get("count", 0))
         out.total_us = float(data.get("total_us", 0.0))
+        out.max_us = float(data.get("max_us", 0.0))
         for key, c in data.get("buckets", {}).items():
             out.counts[int(key)] = int(c)
         return out

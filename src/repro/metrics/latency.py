@@ -9,53 +9,9 @@ protocol layer so benchmarks can report them directly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.metrics.hist import Log2Histogram
-
-
-@dataclass
-class LatencyStats:
-    """Streaming summary of one operation's latency samples."""
-
-    count: int = 0
-    total_us: float = 0.0
-    min_us: float = math.inf
-    max_us: float = 0.0
-    #: Sum of squares for variance (Welford would be overkill here:
-    #: sample magnitudes are microseconds, runs are short).
-    sq_total: float = 0.0
-
-    def add(self, value_us: float) -> None:
-        self.count += 1
-        self.total_us += value_us
-        self.sq_total += value_us * value_us
-        if value_us < self.min_us:
-            self.min_us = value_us
-        if value_us > self.max_us:
-            self.max_us = value_us
-
-    @property
-    def mean_us(self) -> float:
-        return self.total_us / self.count if self.count else 0.0
-
-    @property
-    def stdev_us(self) -> float:
-        if self.count < 2:
-            return 0.0
-        mean = self.mean_us
-        var = max(self.sq_total / self.count - mean * mean, 0.0)
-        return math.sqrt(var)
-
-    def merge(self, other: "LatencyStats") -> None:
-        self.count += other.count
-        self.total_us += other.total_us
-        self.sq_total += other.sq_total
-        self.min_us = min(self.min_us, other.min_us)
-        self.max_us = max(self.max_us, other.max_us)
-
 
 #: Operation names tracked by the protocol agents.
 LOCK_WAIT = "lock_wait"
@@ -67,39 +23,32 @@ ALL_OPS = (LOCK_WAIT, PAGE_FAULT, RELEASE, BARRIER_WAIT)
 
 
 class LatencyBook:
-    """Per-node collection of operation latency statistics.
-
-    Each sample lands twice: in the streaming :class:`LatencyStats`
-    (mean/max, the paper's section 5.3 lens) and in a deterministic
-    :class:`~repro.metrics.hist.Log2Histogram` (p50/p99/p999, the SLO
-    lens). Histograms merge bit-identically across any worker
-    partition of the sample stream.
-    """
+    """Per-node collection of operation latency statistics: one
+    deterministic :class:`~repro.metrics.hist.Log2Histogram` per
+    operation class, serving both lenses -- count/mean/max (the
+    paper's section 5.3) and p50/p99/p999 (the SLO gate). Histograms
+    merge bit-identically across any worker partition of the sample
+    stream, and restore whole from a run summary."""
 
     def __init__(self) -> None:
-        self._stats: Dict[str, LatencyStats] = {
-            op: LatencyStats() for op in ALL_OPS}
         self._hists: Dict[str, Log2Histogram] = {
             op: Log2Histogram() for op in ALL_OPS}
 
     def record(self, op: str, value_us: float) -> None:
-        self._stats[op].add(value_us)
         self._hists[op].record(value_us)
-
-    def stats(self, op: str) -> LatencyStats:
-        return self._stats[op]
 
     def hist(self, op: str) -> Log2Histogram:
         return self._hists[op]
+
+    #: ``stats(op).count / .mean_us / .max_us`` -- the same object.
+    stats = hist
 
     def percentiles(self, op: str) -> Dict[str, float]:
         """p50/p99/p999 upper bounds (us) for one operation class."""
         return self._hists[op].percentiles()
 
     def to_dict(self) -> dict:
-        """Canonical JSON-portable form (histograms only -- the stats
-        are derivable views for tables, the histograms are the
-        mergeable ground truth shipped in run summaries)."""
+        """Canonical JSON-portable form, as shipped in run summaries."""
         return {op: self._hists[op].to_dict() for op in ALL_OPS
                 if self._hists[op].count}
 
@@ -107,14 +56,7 @@ class LatencyBook:
     def from_dict(cls, data) -> "LatencyBook":
         out = cls()
         for op, hist in (data or {}).items():
-            restored = Log2Histogram.from_dict(hist)
-            out._hists[op] = restored
-            # Rebuild the coarse stats view so .stats(op).mean_us keeps
-            # working on restored books (min/max/stdev are lost; the
-            # histogram is the authoritative record).
-            stats = out._stats.setdefault(op, LatencyStats())
-            stats.count = restored.count
-            stats.total_us = restored.total_us
+            out._hists[op] = Log2Histogram.from_dict(hist)
         return out
 
     @classmethod
@@ -122,7 +64,6 @@ class LatencyBook:
         out = cls()
         for book in books:
             for op in ALL_OPS:
-                out._stats[op].merge(book._stats[op])
                 out._hists[op].merge(book._hists[op])
         return out
 
@@ -130,9 +71,9 @@ class LatencyBook:
         lines = [f"{'operation':14s} {'count':>8s} {'mean_us':>10s} "
                  f"{'max_us':>10s}"]
         for op in ALL_OPS:
-            stats = self._stats[op]
-            if not stats.count:
+            hist = self._hists[op]
+            if not hist.count:
                 continue
-            lines.append(f"{op:14s} {stats.count:8d} "
-                         f"{stats.mean_us:10.2f} {stats.max_us:10.2f}")
+            lines.append(f"{op:14s} {hist.count:8d} "
+                         f"{hist.mean_us:10.2f} {hist.max_us:10.2f}")
         return "\n".join(lines)

@@ -20,7 +20,6 @@ propagation safe.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -53,6 +52,9 @@ DIFF_CHANNEL = "svm_diff"
 GET_INTERVALS_SERVICE = "svm_get_intervals"
 #: Service returning a page's current home copy (version-gated).
 FETCH_PAGE_SERVICE = "svm_fetch_page"
+#: Fetch-page reply telling the requester to retry: the home's version
+#: wait was aborted (the counterpart of the barrier's ``ABORTED``).
+RETRY_SENTINEL = "__retry__"
 
 #: Wire size of one write notice (page id + interval tag).
 WRITE_NOTICE_BYTES = 8
@@ -69,6 +71,9 @@ class SvmNodeAgent:
     #: reference oracle the equivalence tests compare against (same
     #: pattern as ``compute_diff_reference``).
     fast_path_enabled = True
+
+    #: Whether lock state is mirrored at a secondary lock home.
+    mirror_locks = False
 
     def __init__(self, cluster: Cluster, node_id: int, homes: HomeMap,
                  runtime) -> None:
@@ -141,10 +146,9 @@ class SvmNodeAgent:
         #: None check is all the disabled case may cost.
         self.write_observer = None
 
-        #: Instance switch for the batched fast path (class default,
-        #: overridable per run via REPRO_NO_FAST_PATH for A/B oracles).
-        self.fast_path = (self.fast_path_enabled
-                          and not os.environ.get("REPRO_NO_FAST_PATH"))
+        #: Instance switch for the batched fast path (class default
+        #: as of construction).
+        self.fast_path = self.fast_path_enabled
 
         # Services / notify handlers ---------------------------------------
         self._services: Dict[str, object] = {}
@@ -155,9 +159,7 @@ class SvmNodeAgent:
         self.register_notify(DIFF_CHANNEL, self._on_diff)
 
         self.locks = make_lock_manager(
-            self, self.config.protocol.lock_algorithm,
-            fault_tolerant=self.config.protocol.is_ft
-            and self.config.protocol.replicate_locks)
+            self, self.config.protocol.lock_algorithm)
 
     # ------------------------------------------------------------------
     # Communication helpers with same-node fast paths
@@ -220,6 +222,14 @@ class SvmNodeAgent:
         recovery, so this is a plain wait."""
         result = yield event
         return result
+
+    def _guarded(self, thread, factory):
+        """Run one step of a synchronization operation, given as a
+        generator factory. The FT subclass parks the thread at the
+        recovery rendezvous and re-runs the step when a failure
+        surfaces inside it; the base protocol has no failures to
+        survive, so the step simply runs."""
+        return (yield from factory())
 
     # ------------------------------------------------------------------
     # Application-facing memory access
@@ -435,25 +445,31 @@ class SvmNodeAgent:
                 ev.succeed(None)
 
     def _load_page(self, thread, page: int, op: Optional[int] = None):
-        """Bring an INVALID page up to date (base protocol)."""
+        """Bring an INVALID page up to date."""
         home = self.homes.primary_home(page)
         if home == self.node_id:
-            # The working copy *is* the home copy; it only needs to wait
-            # for any required remote diffs to be applied.
-            yield from self._wait_local_versions(page)
-            entry = self.page_table.entry(page)
-            if entry.dirty:
-                entry.access = Access.READ_WRITE
-            else:
-                entry.access = Access.READ_ONLY
-            self.counters.local_page_fetches += 1
+            yield from self._load_home_page(page)
             return
         required = dict(self.required_versions.get(page, {}))
         self.counters.remote_page_fetches += 1
         data = yield from self.call_service(
             home, FETCH_PAGE_SERVICE, (page, required), op=op)
+        if data == RETRY_SENTINEL:
+            raise RecoverySignal()
         yield from self.node.mem_copy(self.page_size)
         self._install_fetched(page, data)
+
+    def _load_home_page(self, page: int):
+        """Bring an INVALID page this node is primary home of up to
+        date. Base: the working copy *is* the home copy; it only needs
+        to wait for any required remote diffs to be applied."""
+        yield from self._wait_local_versions(page)
+        entry = self.page_table.entry(page)
+        if entry.dirty:
+            entry.access = Access.READ_WRITE
+        else:
+            entry.access = Access.READ_ONLY
+        self.counters.local_page_fetches += 1
 
     def _install_fetched(self, page: int, data: bytes) -> None:
         entry = self.page_table.entry(page)
@@ -527,31 +543,10 @@ class SvmNodeAgent:
             ev.succeed(None)
 
     def _wait_versions(self, page: int, required: Dict[int, int]):
-        from repro.sim import timeout_wait
-        manager = getattr(self.runtime, "recovery_manager", None)
+        """Hold until this node's copy of ``page`` has absorbed the
+        ``required`` writer intervals."""
         while not self._version_satisfied(page, required):
-            # Version waits are aborted (events failed) when a recovery
-            # begins, since the awaited diff may have died with the
-            # failed node; check before re-arming.
-            self.check_recovery_abort()
-            ev = self._version_event(page)
-            if manager is None:
-                yield ev
-                continue
-            # FT: a writer that dies mid-propagation would leave this
-            # wait hanging; probe unsatisfied writers on timeout.
-            ok, _value = yield from timeout_wait(
-                self.engine, ev, self.costs.heartbeat_timeout_us)
-            if ok:
-                continue
-            have = self.page_versions.get(page, {})
-            for writer, interval in required.items():
-                if have.get(writer, 0) >= interval or \
-                        writer == self.node_id:
-                    continue
-                alive = yield from self.vmmc.probe(writer)
-                if not alive:
-                    manager.report_failure(writer)
+            yield self._version_event(page)
 
     def _wait_local_versions(self, page: int):
         required = self.required_versions.get(page, {})
@@ -586,21 +581,16 @@ class SvmNodeAgent:
         NIC level so diffs from one writer apply in FIFO order."""
         writer, interval, diff = msg.payload[1]
         yield Delay(self.costs.diff_apply_us(max(diff.changed_bytes, 1)))
-        self._apply_home_diff(diff, writer)
+        apply_diff(self.working.page_view(diff.page_id), diff)
         self._bump_version(diff.page_id, writer, interval)
-
-    def _apply_home_diff(self, diff: Diff, writer: int) -> None:
-        """Where incoming diffs land (base: the working copy)."""
-        buf = self.working.page_view(diff.page_id)
-        for offset, data in diff.runs:
-            buf[offset:offset + len(data)] = data
 
     # ------------------------------------------------------------------
     # Interval commitment and diff propagation
     # ------------------------------------------------------------------
 
-    def _commit_interval(self, thread):
-        """End the current interval; returns the committed page list."""
+    def _close_interval(self) -> List[int]:
+        """End the open interval (pure state mutation, no yields);
+        returns its pages, ``[]`` when nothing was written."""
         if not self.update_list:
             return []
         self.interval_no += 1
@@ -608,6 +598,13 @@ class SvmNodeAgent:
         pages = list(self.update_list)
         self.update_list.clear()
         self.interval_log[self.node_id][self.interval_no] = pages
+        return pages
+
+    def _commit_interval(self, thread):
+        """End the current interval; returns the committed page list."""
+        pages = self._close_interval()
+        if not pages:
+            return pages
         yield Delay(self.costs.commit_per_page_us * len(pages))
         for page in pages:
             if self.homes.primary_home(page) == self.node_id:
@@ -634,8 +631,7 @@ class SvmNodeAgent:
             self._finish_page_release(page)
         return None
 
-    def _diff_and_send(self, page: int, entry, home: int, interval: int,
-                       op: Optional[int] = None):
+    def _compute_page_diff(self, page: int, entry):
         yield Delay(self.costs.diff_compute_us(self.page_size))
         if entry.twin is not None:
             twin, regions = entry.twin, entry.dirty_regions
@@ -647,10 +643,13 @@ class SvmNodeAgent:
         diff = compute_diff(page, twin, self.working.page_view(page),
                             regions=regions)
         self.counters.pages_diffed += 1
-        if home == self.node_id or (
-                self.config.protocol.is_ft
-                and self.homes.secondary_home(page) == self.node_id):
+        if self.homes.primary_home(page) == self.node_id:
             self.counters.home_pages_diffed += 1
+        return diff
+
+    def _diff_and_send(self, page: int, entry, home: int, interval: int,
+                       op: Optional[int] = None):
+        diff = yield from self._compute_page_diff(page, entry)
         if diff.is_empty:
             # Still announce the interval so version gating can advance.
             diff = Diff(page, ())
@@ -692,11 +691,13 @@ class SvmNodeAgent:
             acq_op = tracer.mint("lock_acquire", self.node_id,
                                  f"lock {lock_id} acquire")
         try:
-            grant_ts = yield from self.locks.acquire(lock_id, op=acq_op)
+            grant_ts = yield from self._guarded(
+                thread, lambda: self.locks.acquire(lock_id, op=acq_op))
             self.counters.acquires += 1
-            yield from thread.clock.in_category(
-                Category.PROTOCOL,
-                self._apply_incoming_ts(grant_ts, op=acq_op))
+            yield from self._guarded(
+                thread, lambda: thread.clock.in_category(
+                    Category.PROTOCOL,
+                    self._apply_incoming_ts(grant_ts, op=acq_op)))
         finally:
             if acq_op is not None:
                 tracer.finish(acq_op)
@@ -708,18 +709,26 @@ class SvmNodeAgent:
         self.counters.releases += 1
         self.hooks.fire(Hooks.RELEASE_START, self.node_id, lock=lock_id,
                         tid=thread.thread_id)
+        yield from self._release(thread, lock_id)
+        self.hooks.fire(Hooks.RELEASE_DONE, self.node_id, lock=lock_id,
+                        tid=thread.thread_id)
+        return None
+
+    def _release(self, thread, lock_id: Optional[int],
+                 op: Optional[int] = None):
+        """What a release does between RELEASE_START and RELEASE_DONE;
+        a barrier leader runs it with no lock. Base: commit the
+        interval, hand the lock over, then propagate diffs (version
+        gating keeps fetches correct)."""
         yield Delay(self.costs.release_base_us)
         pages = yield from thread.clock.in_category(
             Category.PROTOCOL, self._commit_interval(thread))
         interval = self.interval_no
-        # Base protocol: hand the lock over before propagating diffs
-        # (version gating keeps fetches correct).
-        yield from self.locks.release(lock_id, self.ts.copy())
-        self.hooks.fire(Hooks.LOCK_RELEASED, self.node_id, lock=lock_id,
-                        tid=thread.thread_id)
-        yield from self._propagate_updates(thread, pages, interval)
-        self.hooks.fire(Hooks.RELEASE_DONE, self.node_id, lock=lock_id,
-                        tid=thread.thread_id)
+        if lock_id is not None:
+            yield from self.locks.release(lock_id, self.ts.copy())
+            self.hooks.fire(Hooks.LOCK_RELEASED, self.node_id,
+                            lock=lock_id, tid=thread.thread_id)
+        yield from self._propagate_updates(thread, pages, interval, op=op)
         return None
 
     def _apply_incoming_ts(self, grant_ts: Optional[VectorTimestamp],
@@ -871,12 +880,15 @@ class SvmNodeAgent:
     def _internode_barrier(self, thread, barrier_id: int, state,
                            op: Optional[int] = None):
         yield from self._gather_local_stragglers(state)
-        yield Delay(self.costs.release_base_us)
-        pages = yield from thread.clock.in_category(
-            Category.PROTOCOL, self._commit_interval(thread))
-        interval = self.interval_no
-        yield from self._propagate_updates(thread, pages, interval, op=op)
-        # Ship every interval other nodes may not have seen yet.
+        yield from self._release(thread, None, op=op)
+        yield from self._barrier_exchange(thread, barrier_id, op)
+        return None
+
+    def _barrier_exchange(self, thread, barrier_id: int,
+                          op: Optional[int] = None):
+        """Arrive at the barrier manager with our timestamp and every
+        interval other nodes may not have seen yet; apply the merged
+        reply."""
         own_log = self.interval_log[self.node_id]
         entries = [(i, own_log[i]) for i in sorted(own_log)
                    if i > self.last_barrier_interval]

@@ -75,35 +75,18 @@ class SvmThread:
             return bytes(view)
         return (yield from self.agent.read(self, addr, size))
 
-    def write(self, addr: int, data: bytes):
-        """Generator writing ``data`` into shared memory."""
+    def write(self, addr: int, data):
+        """Generator writing ``data`` (any contiguous bytes-like
+        object) into shared memory."""
         if self.agent.try_write_fast(self, addr, data):
             return None
         return (yield from self.agent.write(self, addr, data))
 
-    # -- batched spans ---------------------------------------------------------
-
-    def read_span(self, addr: int, size: int):
-        """Generator: batched read of a (possibly multi-page) span.
-
-        Semantically identical to :meth:`read`; the name marks call
-        sites converted to batched access on purpose (one span access
-        instead of a per-element loop).
-        """
-        view = self.agent.try_read_fast(self, addr, size)
-        if view is not None:
-            return bytes(view)
-        return (yield from self.agent.read(self, addr, size))
-
-    def write_span(self, addr: int, data):
-        """Generator: batched write of a (possibly multi-page) span.
-
-        Accepts any contiguous bytes-like object (bytes, memoryview,
-        numpy buffer) without an intermediate copy on the fast path.
-        """
-        if self.agent.try_write_fast(self, addr, data):
-            return None
-        return (yield from self.agent.write(self, addr, data))
+    #: Same implementation; the names mark call sites converted on
+    #: purpose from a per-element loop to one (possibly multi-page)
+    #: span access.
+    read_span = read
+    write_span = write
 
     # -- typed shared memory ------------------------------------------------------
 

@@ -39,21 +39,19 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Hooks
 from repro.errors import ProtocolError, RemoteNodeFailure
-from repro.memory import Access, Diff, PageStore, compute_diff
+from repro.memory import Access, Diff, PageStore, apply_diff
 from repro.metrics import Category
-from repro.protocol.agent import SvmNodeAgent
+from repro.protocol.agent import DIFF_CHANNEL, RETRY_SENTINEL, SvmNodeAgent
 from repro.protocol.ft.checkpoint import (
     CheckpointStore,
     ReleaseRecord,
     encode_thread_state,
 )
 from repro.protocol.signals import RecoverySignal
-from repro.sim import Delay, Event, Interrupted
+from repro.sim import Delay, Event, Interrupted, timeout_wait
 
 #: Notify channel carrying checkpoint traffic to backup nodes.
 CKPT_CHANNEL = "ft_ckpt"
-#: Fetch-page sentinel asking the requester to retry after recovery.
-RETRY_SENTINEL = "__retry__"
 
 # Release pipeline stages (resumable across recoveries).
 STAGE_PREP = 0
@@ -90,6 +88,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
     """GeNIMA extended with dynamic data replication."""
 
     variant = "ft"
+    mirror_locks = True
 
     def __init__(self, cluster, node_id, homes, runtime) -> None:
         super().__init__(cluster, node_id, homes, runtime)
@@ -158,9 +157,11 @@ class FtSvmNodeAgent(SvmNodeAgent):
             if not ev.settled:
                 ev.fail(RecoverySignal())
 
-    def _recovery_retry(self, thread, factory):
+    def _guarded(self, thread, factory):
         """Run ``factory()`` (a generator factory), parking at the
-        recovery rendezvous and retrying on failure signals."""
+        recovery rendezvous and retrying on failure signals: every
+        synchronization operation, and every memory access, survives a
+        recovery by re-running against the reconfigured home map."""
         while True:
             if self.recovery_pending is not None:
                 yield from self.join_recovery(thread, self.recovery_pending)
@@ -232,12 +233,12 @@ class FtSvmNodeAgent(SvmNodeAgent):
         return self.fast_path and self.recovery_pending is None
 
     def read(self, thread, addr: int, size: int):
-        return (yield from self._recovery_retry(
+        return (yield from self._guarded(
             thread, lambda: super(FtSvmNodeAgent, self).read(
                 thread, addr, size)))
 
     def write(self, thread, addr: int, data: bytes):
-        return (yield from self._recovery_retry(
+        return (yield from self._guarded(
             thread, lambda: super(FtSvmNodeAgent, self).write(
                 thread, addr, data)))
 
@@ -255,34 +256,44 @@ class FtSvmNodeAgent(SvmNodeAgent):
         # containing exactly the permanent, failure-immune updates.
         return self.committed
 
-    def _load_page(self, thread, page: int, op: Optional[int] = None):
-        home = self.homes.primary_home(page)
-        if home == self.node_id:
-            # Local fetch: copy our committed copy into the working copy
-            # (the extended protocol's extra local fetch, section 5.2).
-            yield from self._wait_local_versions(page)
-            yield from self.node.mem_copy(self.page_size)
-            self.counters.local_page_fetches += 1
-            data = self.committed.read_page(page)
-            self._install_fetched(page, data)
-            return
-        required = dict(self.required_versions.get(page, {}))
-        self.counters.remote_page_fetches += 1
-        data = yield from self.call_service(
-            home, "svm_fetch_page", (page, required), op=op)
-        if data == RETRY_SENTINEL:
-            raise RecoverySignal()
+    def _load_home_page(self, page: int):
+        # Local fetch: copy our committed copy into the working copy
+        # (the extended protocol's extra local fetch, section 5.2).
+        yield from self._wait_local_versions(page)
         yield from self.node.mem_copy(self.page_size)
-        self._install_fetched(page, data)
+        self.counters.local_page_fetches += 1
+        self._install_fetched(page, self.committed.read_page(page))
+
+    def _wait_versions(self, page: int, required: Dict[int, int]):
+        manager = self.runtime.recovery_manager
+        while not self._version_satisfied(page, required):
+            # Version waits are aborted (events failed) when a recovery
+            # begins, since the awaited diff may have died with the
+            # failed node; check before re-arming.
+            self.check_recovery_abort()
+            # A writer that dies mid-propagation would leave this wait
+            # hanging; probe unsatisfied writers on timeout.
+            ok, _value = yield from timeout_wait(
+                self.engine, self._version_event(page),
+                self.costs.heartbeat_timeout_us)
+            if ok:
+                continue
+            have = self.page_versions.get(page, {})
+            for writer, interval in required.items():
+                if have.get(writer, 0) >= interval or \
+                        writer == self.node_id:
+                    continue
+                alive = yield from self.vmmc.probe(writer)
+                if not alive:
+                    manager.report_failure(writer)
 
     def _serve_fetch_page(self, body, src: int):
-        page, required = body
         try:
-            yield from self._wait_versions(page, required)
+            return (yield from super()._serve_fetch_page(body, src))
         except RecoverySignal:
+            # Our version wait was aborted by a recovery: the requester
+            # retries against the reconfigured home map.
             return RETRY_SENTINEL, 16
-        data = self.committed.read_page(page)
-        return data, self.page_size
 
     # Incoming diffs: phase selects the target copy --------------------------
 
@@ -302,13 +313,9 @@ class FtSvmNodeAgent(SvmNodeAgent):
         yield Delay(self.costs.diff_apply_us(max(diff.changed_bytes, 1)))
         if phase == "tent":
             self._record_undo(writer, seq, diff)
-            buf = self.tentative.page_view(diff.page_id)
-            for offset, data in diff.runs:
-                buf[offset:offset + len(data)] = data
+            apply_diff(self.tentative.page_view(diff.page_id), diff)
         elif phase == "comm":
-            buf = self.committed.page_view(diff.page_id)
-            for offset, data in diff.runs:
-                buf[offset:offset + len(data)] = data
+            apply_diff(self.committed.page_view(diff.page_id), diff)
             self._bump_version(diff.page_id, writer, interval)
         else:
             raise ProtocolError(f"unknown diff phase {phase!r}")
@@ -350,15 +357,9 @@ class FtSvmNodeAgent(SvmNodeAgent):
     # lock handover -> phase 2 -> unlock
     # ------------------------------------------------------------------
 
-    def release_op(self, thread, lock_id: int):
-        self.counters.releases += 1
-        self.hooks.fire(Hooks.RELEASE_START, self.node_id, lock=lock_id,
-                        tid=thread.thread_id)
-        yield from self._recovery_retry(
+    def _release(self, thread, lock_id: int, op: Optional[int] = None):
+        yield from self._guarded(
             thread, lambda: self._release_pipeline(thread, lock_id))
-        self.hooks.fire(Hooks.RELEASE_DONE, self.node_id, lock=lock_id,
-                        tid=thread.thread_id)
-        return None
 
     def _acquire_release_slot(self, thread):
         """Serialize releases within the node (section 4.4: checkpoints
@@ -424,20 +425,14 @@ class FtSvmNodeAgent(SvmNodeAgent):
         interruption can never split the commit."""
         self.release_seq += 1
         seq = self.release_seq
-        pages: List[int] = []
-        if self.update_list:
-            self.interval_no += 1
-            self.ts[self.node_id] = self.interval_no
-            pages = list(self.update_list)
-            self.update_list.clear()
-            self.interval_log[self.node_id][self.interval_no] = pages
-            for page in pages:
-                entry = self.page_table.entry(page)
-                # Page locking (Fig 4): stall faults until propagation
-                # completes; downgrade so new writes fault.
-                entry.locked = True
-                if entry.access is Access.READ_WRITE:
-                    entry.access = Access.READ_ONLY
+        pages = self._close_interval()
+        for page in pages:
+            entry = self.page_table.entry(page)
+            # Page locking (Fig 4): stall faults until propagation
+            # completes; downgrade so new writes fault.
+            entry.locked = True
+            if entry.access is Access.READ_WRITE:
+                entry.access = Access.READ_ONLY
         # Any fresh release re-establishes checkpoint coverage (points
         # A and B ship every local thread's state to the new backup).
         self.needs_checkpoint_reseed = False
@@ -503,19 +498,6 @@ class FtSvmNodeAgent(SvmNodeAgent):
                                      self.last_barrier_interval)
         return None
 
-    def _compute_page_diff(self, page: int, entry):
-        yield Delay(self.costs.diff_compute_us(self.page_size))
-        if entry.twin is not None:
-            twin, regions = entry.twin, entry.dirty_regions
-        else:
-            twin, regions = bytes(self.page_size), None
-        diff = compute_diff(page, twin, self.working.page_view(page),
-                            regions=regions)
-        self.counters.pages_diffed += 1
-        if self.homes.primary_home(page) == self.node_id:
-            self.counters.home_pages_diffed += 1
-        return diff
-
     def _traced_send_diffs(self, fl: _InflightRelease, phase: str,
                            op_class: str):
         """Run one propagation phase under its own traced operation."""
@@ -554,35 +536,26 @@ class FtSvmNodeAgent(SvmNodeAgent):
         # body_bytes still charges the full serialized size (the
         # checkpoint records shipped at point A keep exercising the
         # real encoder).
-        if self.config.protocol.batch_diffs:
-            for target in sorted(by_target):
-                diffs = by_target[target]
-                size = sum(d.wire_bytes for d in diffs)
+        batch = self.config.protocol.batch_diffs
+        for target in sorted(by_target):
+            diffs = by_target[target]
+            for group in ([diffs] if batch else [[d] for d in diffs]):
+                size = sum(d.wire_bytes for d in group)
                 self.counters.diff_messages += 1
                 self.counters.diff_bytes_sent += size
-                for diff in diffs:
+                for diff in group:
                     self.hooks.fire(Hooks.DIFF_SEND, self.node_id,
                                     phase=phase, seq=fl.seq,
                                     interval=fl.interval,
                                     page=diff.page_id, target=target)
-                body = ("batch", phase, self.node_id, fl.interval,
-                        fl.seq, list(diffs))
-                yield from self.notify(target, "svm_diff", body,
-                                       body_bytes=size, op=op)
-        else:
-            for target in sorted(by_target):
-                for diff in by_target[target]:
+                if batch:
+                    body = ("batch", phase, self.node_id, fl.interval,
+                            fl.seq, group)
+                else:
                     body = (phase, self.node_id, fl.interval, fl.seq,
-                            diff)
-                    self.counters.diff_messages += 1
-                    self.counters.diff_bytes_sent += diff.wire_bytes
-                    self.hooks.fire(Hooks.DIFF_SEND, self.node_id,
-                                    phase=phase, seq=fl.seq,
-                                    interval=fl.interval,
-                                    page=diff.page_id, target=target)
-                    yield from self.notify(target, "svm_diff", body,
-                                           body_bytes=diff.wire_bytes,
-                                           op=op)
+                            group[0])
+                yield from self.notify(target, DIFF_CHANNEL, body,
+                                       body_bytes=size, op=op)
         for target in sorted(by_target):
             if target != self.node_id:
                 yield from self.notify(target, "svm_diff_flush", None,
@@ -725,39 +698,15 @@ class FtSvmNodeAgent(SvmNodeAgent):
             raise ProtocolError(f"unknown checkpoint record {kind!r}")
 
     # ------------------------------------------------------------------
-    # Acquire / barrier with recovery retries
+    # Barrier leader sequence with recovery retries
     # ------------------------------------------------------------------
-
-    def acquire_op(self, thread, lock_id: int):
-        yield Delay(self.costs.acquire_base_us)
-        self.hooks.fire(Hooks.ACQUIRE_START, self.node_id, lock=lock_id,
-                        tid=thread.thread_id)
-        tracer = self.cluster.optrace
-        acq_op = None
-        if tracer is not None:
-            acq_op = tracer.mint("lock_acquire", self.node_id,
-                                 f"lock {lock_id} acquire")
-        try:
-            grant_ts = yield from self._recovery_retry(
-                thread, lambda: self.locks.acquire(lock_id, op=acq_op))
-            self.counters.acquires += 1
-            yield from self._recovery_retry(
-                thread, lambda: thread.clock.in_category(
-                    Category.PROTOCOL,
-                    self._apply_incoming_ts(grant_ts, op=acq_op)))
-        finally:
-            if acq_op is not None:
-                tracer.finish(acq_op)
-        self.hooks.fire(Hooks.LOCK_ACQUIRED, self.node_id, lock=lock_id,
-                        tid=thread.thread_id)
-        return None
 
     def _internode_barrier(self, thread, barrier_id: int, state,
                            op: Optional[int] = None):
         # The whole leader sequence restarts after a recovery: a thread
         # migrated onto this node mid-generation must be gathered and
         # its updates committed before we (re-)exchange.
-        yield from self._recovery_retry(
+        yield from self._guarded(
             thread, lambda: self._leader_sequence(thread, barrier_id,
                                                   state, op))
         return None
@@ -787,42 +736,3 @@ class FtSvmNodeAgent(SvmNodeAgent):
         yield from self._release_pipeline(thread, None)
         yield from self._barrier_exchange(thread, barrier_id, op)
         return None
-
-    def _barrier_exchange(self, thread, barrier_id: int,
-                          op: Optional[int] = None):
-        from repro.protocol.agent import WRITE_NOTICE_BYTES
-        from repro.protocol.barrier import (
-            ABORTED,
-            BARRIER_SERVICE,
-            STALE_DONE,
-        )
-        from repro.protocol.timestamps import VectorTimestamp
-        own_log = self.interval_log[self.node_id]
-        entries = [(i, own_log[i]) for i in sorted(own_log)
-                   if i > self.last_barrier_interval]
-        body_bytes = (self.ts.wire_bytes + 8 + sum(
-            WRITE_NOTICE_BYTES * (1 + len(p)) for _i, p in entries))
-        manager = self.runtime.barrier_manager_node()
-        gen_no = self.barrier_done.get(barrier_id, 0)
-        reply = yield from self.call_service(
-            manager, BARRIER_SERVICE,
-            (barrier_id, self.node_id, gen_no, self.ts.encode(), entries),
-            request_bytes=body_bytes, op=op)
-        if reply[0] == ABORTED:
-            raise RecoverySignal()
-        self.last_barrier_interval = self.interval_no
-        if reply[0] == STALE_DONE:
-            # Our generation completed before the old manager died; the
-            # recovery exchange already delivered its effects.
-            return None
-        merged_blob, all_entries = reply
-        merged = VectorTimestamp.decode(self.config.num_nodes, merged_blob)
-        yield from thread.clock.in_category(
-            Category.PROTOCOL, self._apply_barrier_notices(all_entries))
-        self.ts.merge(merged)
-        self._trim_interval_log()
-        return None
-
-    # The local half of barrier_op (epoch-aware thread gathering) is
-    # inherited from the base agent; only the internode exchange above
-    # is FT-specific (two-phase propagation + recovery retries).

@@ -400,10 +400,11 @@ class QueueingLocks(LockManagerBase):
                                 body_bytes=16 + len(blob))
 
 
-def make_lock_manager(agent, algorithm: str, fault_tolerant: bool):
-    """Factory mapping config to a lock manager instance."""
+def make_lock_manager(agent, algorithm: str):
+    """Factory mapping config to a lock manager instance; lock state
+    is mirrored at a secondary home iff the agent asks for it."""
     if algorithm == "polling":
-        return PollingLocks(agent, replicate=fault_tolerant)
+        return PollingLocks(agent, replicate=agent.mirror_locks)
     if algorithm == "queueing":
-        return QueueingLocks(agent, mirror=fault_tolerant)
+        return QueueingLocks(agent, mirror=agent.mirror_locks)
     raise ProtocolError(f"unknown lock algorithm {algorithm!r}")

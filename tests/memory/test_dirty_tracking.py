@@ -102,7 +102,6 @@ def test_protocol_diffs_never_use_stale_regions(monkeypatch, app, variant):
     """Run a real application and verify every region-restricted diff
     the protocol computes is identical to a full scan of the page."""
     import repro.protocol.agent as agent_mod
-    import repro.protocol.ft.protocol as ft_mod
 
     checked = {"restricted": 0}
 
@@ -119,8 +118,8 @@ def test_protocol_diffs_never_use_stale_regions(monkeypatch, app, variant):
                 f"differs from full scan -- stale/unscanned extents")
         return got
 
+    # Both variants diff through SvmNodeAgent._compute_page_diff.
     monkeypatch.setattr(agent_mod, "compute_diff", checking_compute_diff)
-    monkeypatch.setattr(ft_mod, "compute_diff", checking_compute_diff)
 
     result = run_app(app, variant, scale="test")
     assert result.counters.total.page_faults > 0

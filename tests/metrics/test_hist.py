@@ -59,6 +59,7 @@ def test_record_counts_and_mean():
     assert hist.counts[1] == 2          # [1, 2)
     assert hist.counts[3] == 1          # [4, 8)
     assert hist.counts[4] == 1          # [8, 16)
+    assert hist.max_us == 8.0           # exact, not a bucket bound
 
 
 def test_percentile_is_bucket_upper_bound():
@@ -94,6 +95,7 @@ def test_merge_is_partition_invariant():
         merged = Log2Histogram.merged(_fill(p) for p in parts)
         assert merged.counts == whole.counts
         assert merged.count == whole.count
+        assert merged.max_us == whole.max_us
         assert merged.percentiles() == whole.percentiles()
 
 
@@ -108,6 +110,7 @@ def test_merge_is_associative_and_commutative():
     assert left.counts == right.counts
     assert left.count == right.count
     assert left.total_us == right.total_us
+    assert left.max_us == right.max_us == max(a.max_us, b.max_us, c.max_us)
 
 
 def test_round_trip_preserves_everything():
@@ -117,7 +120,23 @@ def test_round_trip_preserves_everything():
     assert back.counts == hist.counts
     assert back.count == hist.count
     assert back.total_us == hist.total_us
+    assert back.max_us == hist.max_us
     assert back.percentiles() == hist.percentiles()
+
+
+def test_restored_book_prints_the_same_table():
+    # What sweeps and RunSummary.latency hand back is a book rebuilt
+    # from its serialized form; its table (count / mean / max) must
+    # read like the live one.
+    book = LatencyBook()
+    for op, seed in zip(ALL_OPS, (1, 2, 3, 4)):
+        for sample in _samples(seed, n=50):
+            book.record(op, sample)
+    blob = json.dumps(book.to_dict(), sort_keys=True)
+    restored = LatencyBook.from_dict(json.loads(blob))
+    assert restored.table() == book.table()
+    for op in ALL_OPS:
+        assert restored.stats(op).max_us == book.stats(op).max_us > 0
 
 
 def test_registry_merge_is_deterministic():

@@ -83,14 +83,6 @@ def test_fast_path_preserves_flagship_trace_digest():
     assert fast == slow
 
 
-def test_env_var_disables_fast_path(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FAST_PATH", "1")
-    factory = workload_factories("test")["RadixLocal"]
-    runtime = SvmRuntime(evaluation_config("ft", num_nodes=4), factory())
-    assert all(not agent.fast_path for agent in runtime.agents)
-    runtime.run(verify=True)
-
-
 @pytest.mark.parametrize("fast", [True, False])
 def test_span_accessors_round_trip(fast):
     """read_span/write_span see the bytes written, both on the mapped
