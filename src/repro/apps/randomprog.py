@@ -63,6 +63,7 @@ class RandomProgram(Workload):
         self.nthreads_hint = nthreads_hint
         self.counters_seg = None
         self.blocks_seg = None
+        self._programs: Dict[int, Tuple[Tuple[Action, ...], ...]] = {}
 
     _ITEM = 8
 
@@ -71,13 +72,21 @@ class RandomProgram(Workload):
 
     # -- program generation ----------------------------------------------------
 
-    def thread_program(self, tid: int) -> List[List[Action]]:
-        """The per-thread action lists, one list per phase.
+    def thread_program(self, tid: int) -> Tuple[Tuple[Action, ...], ...]:
+        """The per-thread actions, one tuple per phase.
 
-        Deterministic in (program_seed, tid): generation is replayed
-        identically by the kernel, the verifier, and any migrated
-        resumption of the thread.
+        Deterministic in (program_seed, tid), so the kernel, the
+        verifier, every cross-thread READ check and any migrated
+        resumption of the thread see the same program: generated once
+        per instance and shared, hence tuples.
         """
+        program = self._programs.get(tid)
+        if program is None:
+            program = self._programs[tid] = tuple(
+                tuple(actions) for actions in self._generate(tid))
+        return program
+
+    def _generate(self, tid: int) -> List[List[Action]]:
         rng = random.Random(self.program_seed * 7919 + tid)
         program: List[List[Action]] = []
         for phase in range(self.phases):

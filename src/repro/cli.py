@@ -210,6 +210,7 @@ def _cmd_report(args) -> int:
     """Run once with full observability attached and write a Perfetto
     trace plus a self-contained HTML report."""
     import json
+    from time import perf_counter
 
     from repro.obs import (
         FlightRecorder,
@@ -220,6 +221,7 @@ def _cmd_report(args) -> int:
     from repro.obs.report import render_run_report
 
     runtime, title, subtitle = _build_observed_runtime(args)
+    started = perf_counter()
     recorder = FlightRecorder(runtime)
     tracer = OpTracer(runtime)
     sampler = TimeSeriesSampler(runtime, period_us=args.sample_us)
@@ -232,6 +234,7 @@ def _cmd_report(args) -> int:
         result = runtime.run(max_sim_us=args.max_sim_us)
     except Exception as exc:  # noqa: BLE001 -- reported in the output
         error = f"{type(exc).__name__}: {exc}"
+    ran = perf_counter()
 
     outdir = pathlib.Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,15 +249,21 @@ def _cmd_report(args) -> int:
     metrics_path = outdir / "metrics.json"
     metrics_path.write_text(json.dumps(tracer.metrics.to_dict(),
                                        sort_keys=True, indent=2) + "\n")
+    exported = perf_counter()
     html_path = outdir / "report.html"
     html_path.write_text(render_run_report(
         title, subtitle + (f" -- FAILED: {error}" if error else ""),
         result=result, recorder=recorder, sampler=sampler,
         watchdog=watchdog, trace_file=trace_path.name, tracer=tracer))
+    rendered = perf_counter()
     print(f"wrote {trace_path} ({events} events; open at "
           "ui.perfetto.dev)")
     print(f"wrote {metrics_path} ({len(tracer)} traced ops)")
     print(f"wrote {html_path}")
+    # The cost of observing, on the host clock; printed only, so the
+    # artifacts stay a function of the seeds.
+    print(f"host time: run {ran - started:.2f} s (observers attached), "
+          f"export {exported - ran:.2f} s, render {rendered - exported:.2f} s")
     if sampler.times:
         from repro.metrics import timeseries_panel
         times, rates = sampler.rates()

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import (Deque, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.cluster import Hooks
 
@@ -58,18 +59,39 @@ FULL_EVENTS = DEFAULT_EVENTS + (
 )
 
 
+#: Exact types that project to themselves (most payload values).
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def _jsonable(value):
     """Best-effort JSON projection of hook payload values (blobs are
     summarized -- replay needs event identity and timing, not bytes)."""
     if isinstance(value, (bytes, bytearray, memoryview)):
         return {"__bytes__": len(value)}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [v if type(v) in _PLAIN else _jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): v if type(v) in _PLAIN else _jsonable(v)
+                for k, v in value.items()}
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+#: The trace exports' deterministic form: sorted keys, no whitespace.
+canonical_json = json.JSONEncoder(sort_keys=True,
+                                  separators=(",", ":")).encode
+
+
+def canonical_items(items: Sequence, sep: str = "",
+                    size: int = 1024) -> Iterator[bytes]:
+    """``canonical_json(items)`` without its brackets, ``size`` elements
+    a chunk, so a file and a hash can be fed without the whole array
+    ever being one string. ``sep`` (``","`` when continuing an array)
+    goes before the first element."""
+    for at in range(0, len(items), size):
+        yield (sep + canonical_json(items[at:at + size])[1:-1]).encode()
+        sep = ","
 
 
 @dataclass(frozen=True)

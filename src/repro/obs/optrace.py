@@ -43,10 +43,10 @@ the registry the SLO evaluator (:mod:`repro.obs.slo`) consumes.
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics.hist import MetricsRegistry
+from repro.metrics.trace import canonical_json
 from repro.obs import instrumentation
 
 #: Operation classes minted by the protocol layers.
@@ -98,6 +98,9 @@ class OpTracer:
         self.engine = runtime.engine
         self._next_id = 1
         self._ops: Dict[int, _Op] = {}
+        #: The digest as of the last :meth:`_walk`; None again once
+        #: anything is recorded.
+        self._digest: Optional[str] = None
         #: Per-op-class latency histograms + op counters, mergeable
         #: across parallel sweep workers.
         self.metrics = MetricsRegistry()
@@ -132,6 +135,7 @@ class OpTracer:
         self._next_id += 1
         self._ops[op_id] = _Op(op_id, op_class, node, label,
                                self.engine.now)
+        self._digest = None
         self.metrics.counter_add(f"optrace.{op_class}.ops", 1)
         return op_id
 
@@ -140,6 +144,7 @@ class OpTracer:
         op = self._ops[op_id]
         if op.end_us is None:
             op.end_us = self.engine.now
+            self._digest = None
             self.metrics.observe(f"optrace.{op.op_class}.latency_us",
                                  op.end_us - op.start_us)
 
@@ -151,6 +156,7 @@ class OpTracer:
             op.hops.append((t, kind, node, msg.msg_id,
                             (msg.kind, msg.src, msg.dst,
                              msg.wire_bytes)))
+            self._digest = None
 
     def service_hop(self, op_id: int, kind: str, node: int, t: float,
                     req_msg_id: Optional[int], service: str) -> None:
@@ -159,6 +165,7 @@ class OpTracer:
         op = self._ops.get(op_id)
         if op is not None:
             op.hops.append((t, kind, node, req_msg_id, service))
+            self._digest = None
 
     # ------------------------------------------------------------------
     # Causal-tree reconstruction
@@ -344,15 +351,37 @@ class OpTracer:
             "ops": [self.tree(op_id) for op_id in sorted(self._ops)],
         }
 
+    def _chunks(self, flows: Optional[List[dict]] = None
+                ) -> Iterator[bytes]:
+        """``to_dict()`` in canonical JSON, an operation at a time: each
+        tree is built once, gives ``flows`` its flow events and is
+        dropped after its turn."""
+        sep = b'{"num_ops":%d,"ops":[' % len(self._ops)
+        for op_id in sorted(self._ops):
+            tree = self.tree(op_id)
+            if flows is not None:
+                self._add_flows(tree, flows)
+            yield sep + canonical_json(tree).encode()
+            sep = b","
+        yield (b"" if self._ops else sep) + b"]}"
+
+    def _walk(self, flows: Optional[List[dict]] = None) -> None:
+        """The one walk a report needs: flow events and the digest."""
+        sha = hashlib.sha256()
+        for chunk in self._chunks(flows):
+            sha.update(chunk)
+        self._digest = sha.hexdigest()
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return b"".join(self._chunks()).decode()
 
     def digest(self) -> str:
         """sha256 over the canonical serialization -- the determinism
         fingerprint for causal traces (same seeds => same digest,
         regardless of host, job count or sim core)."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        if self._digest is None:
+            self._walk()
+        return self._digest
 
     # ------------------------------------------------------------------
     # Perfetto flow events
@@ -364,25 +393,26 @@ class OpTracer:
         processes. Pass to ``FlightRecorder.export(counters=...)`` to
         overlay causal arrows on the flight-recorder timeline."""
         events: List[dict] = []
-        flow_id = 0
-        for op_id in sorted(self._ops):
-            op = self._ops[op_id]
-            tree = self.tree(op_id)
-            name = f"{op.op_class} op {op_id}"
-            stack = list(tree["children"])
-            while stack:
-                node = stack.pop(0)
-                stack.extend(node["children"])
-                if "service" in node:
-                    continue
-                if node["send_us"] is None or node["recv_us"] is None:
-                    continue
-                flow_id += 1
-                events.append({"ph": "s", "cat": "optrace", "name": name,
-                               "id": flow_id, "pid": node["src"],
-                               "tid": 0, "ts": node["send_us"]})
-                events.append({"ph": "f", "bp": "e", "cat": "optrace",
-                               "name": name, "id": flow_id,
-                               "pid": node["dst"], "tid": 0,
-                               "ts": node["recv_us"]})
+        self._walk(events)
         return events
+
+    @staticmethod
+    def _add_flows(tree: dict, events: List[dict]) -> None:
+        name = f"{tree['class']} op {tree['op']}"
+        flow_id = len(events) // 2  # two events a flow, ids from 1
+        stack = list(tree["children"])
+        while stack:
+            node = stack.pop(0)
+            stack.extend(node["children"])
+            if "service" in node:
+                continue
+            if node["send_us"] is None or node["recv_us"] is None:
+                continue
+            flow_id += 1
+            events.append({"ph": "s", "cat": "optrace", "name": name,
+                           "id": flow_id, "pid": node["src"],
+                           "tid": 0, "ts": node["send_us"]})
+            events.append({"ph": "f", "bp": "e", "cat": "optrace",
+                           "name": name, "id": flow_id,
+                           "pid": node["dst"], "tid": 0,
+                           "ts": node["recv_us"]})

@@ -18,17 +18,24 @@ The export is deterministic: events are emitted in capture order with
 sorted JSON keys and no wall-clock or id()-derived values, so the same
 seeded run always produces a byte-identical trace
 (:meth:`FlightRecorder.digest` pins that in tests).
+
+It is also single-pass: one walk over the log assembles the events,
+encodes them in chunks into the file and the hash, and tabulates the
+span inventory. Only those by-products are kept (recording anything
+drops them): a digest or a report after an export costs no second
+assembly, and no document waits with the observers for the collector.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster import Hooks
-from repro.metrics.trace import FULL_EVENTS, _jsonable
+from repro.metrics.trace import (FULL_EVENTS, _jsonable, canonical_items,
+                                 canonical_json)
 from repro.obs import instrumentation
 
 #: Track (tid) layout inside a node process: tid 0 is the protocol
@@ -73,6 +80,8 @@ class FlightRecorder:
         self.dropped = 0
         self._log: Deque[Tuple[float, str, int, dict]] = deque(
             maxlen=capacity)
+        #: :meth:`_stream`'s by-products; None again once anything is recorded.
+        self._memo: Optional[SimpleNamespace] = None
         self._hooks = runtime.cluster.hooks
         self._subscribed: List[Tuple[str, Any]] = []
         for name in FULL_EVENTS:
@@ -86,6 +95,7 @@ class FlightRecorder:
             if len(self._log) == self.capacity:
                 self.dropped += 1
             self._log.append((self.engine.now, name, node_id, info))
+            self._memo = None
         return record
 
     def detach(self) -> None:
@@ -100,6 +110,7 @@ class FlightRecorder:
         """Inject a synthetic event (used by the stall watchdog so its
         findings land on the timeline next to the stall itself)."""
         self._log.append((self.engine.now, name, node_id, info))
+        self._memo = None
 
     # ------------------------------------------------------------------
     # Chrome trace-event assembly
@@ -110,8 +121,15 @@ class FlightRecorder:
 
         ``counters`` (optional) are pre-built ``"ph": "C"`` events from
         :meth:`repro.obs.timeseries.TimeSeriesSampler.to_chrome_counters`,
-        appended so gauges render under the same timeline.
+        appended so gauges render under the same timeline. Assembled
+        anew on every call: the caller owns the returned document.
         """
+        events, other_data = self._assemble()
+        return {"traceEvents": events + list(counters or ()),
+                "displayTimeUnit": "ms", "otherData": other_data}
+
+    def _assemble(self) -> Tuple[List[dict], dict]:
+        """(metadata + body events, ``otherData``) from the log."""
         out: List[dict] = []
         # (pid, tid) -> stack of open slice names. Slices must nest per
         # track; every emitter below goes through _begin/_end so a
@@ -267,18 +285,11 @@ class FlightRecorder:
                             "ts": last_ts, "name": stack.pop()})
                 auto_closed += 1
 
-        events = self._metadata(out) + out
-        if counters:
-            events.extend(counters)
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "clock": "simulated_us",
-                "dropped_events": self.dropped,
-                "auto_closed_spans": auto_closed,
-                "num_nodes": self.runtime.config.num_nodes,
-            },
+        return self._metadata(out) + out, {
+            "clock": "simulated_us",
+            "dropped_events": self.dropped,
+            "auto_closed_spans": auto_closed,
+            "num_nodes": self.runtime.config.num_nodes,
         }
 
     def _metadata(self, body: List[dict]) -> List[dict]:
@@ -312,25 +323,77 @@ class FlightRecorder:
                          "args": {"sort_index": tid}})
         return meta
 
+    def span_inventory(self) -> Dict[str, Dict[str, float]]:
+        """Per span-name slice count and total duration (what the run
+        report tabulates)."""
+        if self._memo is None:
+            self._stream(None)
+        return {name: dict(slot)
+                for name, slot in self._memo.inventory.items()}
+
+    @staticmethod
+    def _inventory(events: List[dict]) -> Dict[str, Dict[str, float]]:
+        open_at: Dict[Tuple[int, int], List[Tuple[str, float]]] = {}
+        stats: Dict[str, Dict[str, float]] = {}
+        for ev in events:
+            key = (ev["pid"], ev["tid"])
+            if ev["ph"] == "B":
+                open_at.setdefault(key, []).append((ev["name"], ev["ts"]))
+            elif ev["ph"] == "E" and open_at.get(key):
+                name, t0 = open_at[key].pop()
+                slot = stats.setdefault(name, {"count": 0, "total_us": 0.0})
+                slot["count"] += 1
+                slot["total_us"] += ev["ts"] - t0
+        return stats
+
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
 
+    def _stream(self, counters: Optional[List[dict]],
+                write: Optional[Callable[[bytes], Any]] = None):
+        """Feed the canonical serialization to ``write`` chunk by chunk
+        and return its sha256. Assembling the body leaves by-products in
+        :attr:`_memo` (hash state after it, event ``count``, span
+        ``inventory``); with those and no ``write``, only ``counters``
+        are encoded."""
+        memo = self._memo
+        resume = write is None and memo is not None
+        sha = memo.sha.copy() if resume else hashlib.sha256()
+
+        def feed(chunks):
+            for chunk in chunks:
+                sha.update(chunk)
+                if write is not None:
+                    write(chunk)
+
+        if not resume:
+            events, other_data = self._assemble()
+            head = canonical_json({"displayTimeUnit": "ms",
+                                   "otherData": other_data})
+            feed([(head[:-1] + ',"traceEvents":[').encode()])
+            feed(canonical_items(events))
+            memo = self._memo = SimpleNamespace(
+                sha=sha.copy(), count=len(events),
+                inventory=self._inventory(events))
+            del events  # a few MB of dicts, not needed past this point
+        feed(canonical_items(counters or (), "," if memo.count else ""))
+        feed([b"]}"])
+        return sha
+
     def to_json(self, counters: Optional[List[dict]] = None) -> str:
         """Deterministic serialization (sorted keys, no whitespace)."""
-        return json.dumps(self.to_chrome_trace(counters=counters),
-                          sort_keys=True, separators=(",", ":"))
+        chunks: List[bytes] = []
+        self._stream(counters, chunks.append)
+        return b"".join(chunks).decode()
 
     def export(self, path, counters: Optional[List[dict]] = None) -> int:
         """Write the trace JSON; returns the number of traceEvents."""
-        doc = self.to_chrome_trace(counters=counters)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True,
-                                separators=(",", ":")))
-        return len(doc["traceEvents"])
+        with open(path, "wb") as fh:
+            self._stream(counters, fh.write)
+        return self._memo.count + len(counters or ())
 
     def digest(self, counters: Optional[List[dict]] = None) -> str:
         """sha256 of the serialized trace -- the determinism fingerprint
         (same seeds => same digest, regardless of host or job count)."""
-        return hashlib.sha256(
-            self.to_json(counters=counters).encode()).hexdigest()
+        return self._stream(counters).hexdigest()

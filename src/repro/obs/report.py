@@ -25,7 +25,7 @@ from __future__ import annotations
 import html
 import json
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 #: Categorical slots 1-4 (blue, orange, aqua, yellow), light / dark
 #: steps of the same hues. Validated (CVD >= 8, normal-vision >= 15,
@@ -478,23 +478,6 @@ def _exemplar_sections(tracer, worst_n: int = 1) -> List[str]:
 # Run report
 # ----------------------------------------------------------------------
 
-def _span_inventory(recorder) -> Dict[str, Dict[str, float]]:
-    """Per span-name slice count and total duration from the trace."""
-    doc = recorder.to_chrome_trace()
-    open_at: Dict[Tuple[int, int], List[Tuple[str, float]]] = {}
-    stats: Dict[str, Dict[str, float]] = {}
-    for ev in doc["traceEvents"]:
-        key = (ev.get("pid"), ev.get("tid"))
-        if ev["ph"] == "B":
-            open_at.setdefault(key, []).append((ev["name"], ev["ts"]))
-        elif ev["ph"] == "E" and open_at.get(key):
-            name, t0 = open_at[key].pop()
-            slot = stats.setdefault(name, {"count": 0, "total_us": 0.0})
-            slot["count"] += 1
-            slot["total_us"] += ev["ts"] - t0
-    return stats
-
-
 def render_run_report(title: str, subtitle: str = "", result=None,
                       recorder=None, sampler=None, watchdog=None,
                       trace_file: Optional[str] = None,
@@ -560,7 +543,7 @@ def render_run_report(title: str, subtitle: str = "", result=None,
             rows, ("compute", "data_wait", "lock", "barrier")))
 
     if recorder is not None:
-        inv = _span_inventory(recorder)
+        inv = recorder.span_inventory()
         if inv:
             body.append("<h2>Timeline spans</h2>")
             if trace_file:

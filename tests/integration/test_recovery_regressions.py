@@ -21,6 +21,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.errors import ApplicationError
 from repro.harness.faultplan import FaultPlan
 from repro.verify import RecoveryInvariantChecker
 from repro.verify.replay import ReplayScenario, build_runtime
@@ -108,3 +109,24 @@ def test_swept_divergent_seeds(ps, cs, plan_seed, failures):
     runtime.run(max_sim_us=200_000.0)
     checker.finalize()
     assert checker.violations == []
+
+
+# Open divergences: found by test_random_program_random_faults, not
+# fixed yet (docs/RECOVERY.md, "Open divergences", has the one-line
+# replays). ``strict``: the recovery fix that clears one fails this
+# test until its tuple moves to the clean list above.
+OPEN_DIVERGENT = [
+    # Doubled RMW: counters [166, 44, 352] != [123, 44, 271].
+    (2392, 1, 761, 2),
+    # Stale read: thread 2 phase 0 read slot (1,2) = 802221872, legal {0}.
+    (1, 1, 2737, 2),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=ApplicationError,
+                   reason="latent recovery divergence, not fixed yet")
+@pytest.mark.parametrize("ps,cs,plan_seed,failures", OPEN_DIVERGENT)
+def test_open_divergent_seeds(ps, cs, plan_seed, failures):
+    build_runtime(ReplayScenario(
+        program_seed=ps, cluster_seed=cs, plan_seed=plan_seed,
+        failures=failures)).run(max_sim_us=200_000.0)
