@@ -30,7 +30,7 @@ regions; :mod:`tests.memory.test_dirty_tracking` guards it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,21 +65,23 @@ class Diff:
 
     page_id: int
     runs: Tuple[Tuple[int, bytes], ...]
+    # Counters, wire sizing and the service-time model each read the
+    # two sizes several times per diff; the runs are immutable, so they
+    # are summed once, at construction. Identity stays (page_id, runs).
+    changed_bytes: int = field(init=False, compare=False, repr=False)
+    #: Size of the serialized diff (headers + payload).
+    wire_bytes: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        changed = sum([len(data) for _offset, data in self.runs])
+        object.__setattr__(self, "changed_bytes", changed)
+        object.__setattr__(
+            self, "wire_bytes",
+            _DIFF_HEADER.size + len(self.runs) * _RUN_HEADER.size + changed)
 
     @property
     def is_empty(self) -> bool:
         return not self.runs
-
-    @property
-    def changed_bytes(self) -> int:
-        return sum(len(data) for _offset, data in self.runs)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Size of the serialized diff (headers + payload)."""
-        return (_DIFF_HEADER.size +
-                len(self.runs) * _RUN_HEADER.size +
-                self.changed_bytes)
 
     def encode(self) -> bytes:
         # Single preallocated buffer: no quadratic growth, one final copy.

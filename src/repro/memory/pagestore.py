@@ -84,6 +84,9 @@ class PageStore(MemoryRegion):
 
     def copy_page_from(self, other: "PageStore", page_id: int) -> None:
         """Local page copy between two stores of the same geometry."""
-        if other.page_size != self.page_size:
-            raise MemoryError_("page size mismatch between stores")
-        self.write_page(page_id, other.read_page(page_id))
+        if (other.num_pages, other.page_size) != (self.num_pages,
+                                                   self.page_size):
+            raise MemoryError_("geometry mismatch between stores")
+        base = self._page_base(page_id)
+        end = base + self.page_size
+        self._buf[base:end] = other._buf[base:end]

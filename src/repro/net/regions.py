@@ -10,20 +10,58 @@ an offset.
 
 from __future__ import annotations
 
+import mmap
 from typing import Callable, Dict, Optional
 
 from repro.errors import MemoryError_
 
+#: Anonymous *private* mapping: pool workers fork, and ``mmap``'s
+#: default (shared) would let a child's stores show through in the
+#: parent. A platform without the flags has no fork either, and there
+#: ``mmap.mmap(-1, size)`` is already private to the process.
+try:
+    _MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+except AttributeError:
+    _MAP_FLAGS = None
+_MADV_NOHUGEPAGE = getattr(mmap, "MADV_NOHUGEPAGE", None)
+
+
+def _demand_zero(size: int) -> mmap.mmap:
+    """``size`` zero bytes the host pays for page by page, on first touch.
+
+    Every node exports full-address-space stores but touches only the
+    pages it caches or homes; a memset buffer would make all of them
+    resident up front. The mapping stays one contiguous buffer, which
+    the span fast path and ``np.frombuffer`` rely on.
+    """
+    if _MAP_FLAGS is None:
+        buf = mmap.mmap(-1, size)
+    else:
+        buf = mmap.mmap(-1, size, flags=_MAP_FLAGS)
+    if _MADV_NOHUGEPAGE is not None:
+        # With transparent huge pages set to "always", touching one
+        # 4 KB page would make 2 MB resident.
+        try:
+            buf.madvise(_MADV_NOHUGEPAGE)
+        except OSError:  # kernel built without THP: nothing to opt out of
+            pass
+    return buf
+
 
 class MemoryRegion:
-    """A contiguous exported byte range backed by a real buffer."""
+    """A contiguous exported byte range backed by a real buffer.
+
+    The buffer is an anonymous demand-zero mapping: it reads as zeros
+    until written, cannot be resized, and cannot be pickled or
+    deep-copied (a region is node state, never a message or a result).
+    """
 
     def __init__(self, name: str, size: int) -> None:
         if size <= 0:
             raise MemoryError_(f"region {name!r} must have positive size")
         self.name = name
         self.size = size
-        self._buf = bytearray(size)
+        self._buf = _demand_zero(size)
         #: Optional hook invoked after every remote write:
         #: ``on_remote_write(offset, length, src_node)``. Lock algorithms
         #: and barrier managers use this to observe deposits without
@@ -39,14 +77,29 @@ class MemoryRegion:
 
     def read(self, offset: int, length: int) -> bytes:
         self._check(offset, length)
-        return bytes(self._buf[offset:offset + length])
+        return self._buf[offset:offset + length]
+
+    def _store(self, offset: int, length: int, data) -> None:
+        self._check(offset, length)
+        try:
+            self._buf[offset:offset + length] = data
+        except (IndexError, ValueError) as exc:
+            # ``length`` came from ``len(data)`` but the buffer holds a
+            # different number of bytes (multi-byte items); the mapping
+            # cannot grow or shrink to fit.
+            raise MemoryError_(
+                f"region {self.name!r}: write of {length} bytes at "
+                f"{offset} from a buffer of another size") from exc
 
     def write(self, offset: int, data: bytes) -> None:
-        self._check(offset, len(data))
-        self._buf[offset:offset + len(data)] = data
+        self._store(offset, len(data), data)
 
-    def view(self) -> bytearray:
-        """Direct mutable access for the *local* host (no wire involved)."""
+    def view(self) -> mmap.mmap:
+        """Direct mutable access for the *local* host (no wire involved).
+
+        A fixed-size writable buffer: index it, slice-assign equal-length
+        data, or wrap it in ``memoryview`` / ``np.frombuffer``.
+        """
         return self._buf
 
     def read_view(self, offset: int, length: int) -> memoryview:
@@ -66,8 +119,7 @@ class MemoryRegion:
         length = getattr(data, "nbytes", None)
         if length is None:
             length = len(data)
-        self._check(offset, length)
-        self._buf[offset:offset + length] = data
+        self._store(offset, length, data)
 
 
 class RegionTable:

@@ -8,6 +8,7 @@ merge-gap policy -- across random pages, structured sparse/dense
 patterns, and region-restricted scans.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -109,6 +110,30 @@ def test_both_span_scanners_agree_on_hotpath_regimes():
     for cur in pages.values():
         for merge_gap in (1, 8, 64):
             assert_matches_reference(twin, cur, merge_gap)
+
+
+@given(page_pair(), st.sampled_from(MERGE_GAPS))
+@settings(max_examples=200)
+def test_stored_sizes_leave_identity_and_encoding_alone(pair, merge_gap):
+    """changed_bytes / wire_bytes are summed once, when the Diff is
+    built; they must stay out of ==, hash, repr and the wire format."""
+    twin, cur = pair
+    ref = compute_diff_reference(0, twin, cur, merge_gap=merge_gap)
+    diff = compute_diff(0, twin, cur, merge_gap=merge_gap)
+    changed = sum(len(data) for _offset, data in ref.runs)
+    assert diff.changed_bytes == changed
+    assert diff.wire_bytes == 8 + 8 * len(ref.runs) + changed
+    assert diff == ref and hash(diff) == hash(ref)
+    # Equality is on (page_id, runs) alone, whatever the sizes say.
+    odd = Diff(0, ref.runs)
+    object.__setattr__(odd, "wire_bytes", -1)
+    assert odd == ref and hash(odd) == hash(ref)
+    assert repr(diff) == f"Diff(page_id=0, runs={ref.runs!r})"
+    assert diff.encode() == ref.encode()
+    assert len(diff.encode()) == diff.wire_bytes
+    assert Diff.decode(diff.encode()) == ref
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        diff.changed_bytes = 0
 
 
 @given(page_pair(), st.sampled_from((1, 8, 16)))
