@@ -40,7 +40,7 @@ def _server_table():
         # histograms (the same pipeline the SLO evaluator reads), not
         # ad-hoc means: the transactional workload's viability question
         # is about the tail, where two-phase commits queue behind locks.
-        pct = ft.latency.percentiles(LOCK_WAIT)
+        pct = ft.latency.histogram(LOCK_WAIT).percentiles()
         rows.append(f"{name:14s} {base.elapsed_us:10.0f} "
                     f"{ft.elapsed_us:10.0f} {overhead:8.1f}% "
                     f"{ft.counters.home_diff_fraction:10.2f} "

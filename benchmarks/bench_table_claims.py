@@ -28,10 +28,10 @@ def _latency_table(base, extended):
             "-" * 70]
     stats = {}
     for app in APP_ORDER:
-        b_lock = base[app].latency.stats(LOCK_WAIT)
-        e_lock = extended[app].latency.stats(LOCK_WAIT)
-        b_fault = base[app].latency.stats(PAGE_FAULT)
-        e_fault = extended[app].latency.stats(PAGE_FAULT)
+        b_lock = base[app].latency.histogram(LOCK_WAIT)
+        e_lock = extended[app].latency.histogram(LOCK_WAIT)
+        b_fault = base[app].latency.histogram(PAGE_FAULT)
+        e_fault = extended[app].latency.histogram(PAGE_FAULT)
         lock_x = (e_lock.mean_us / b_lock.mean_us
                   if b_lock.mean_us else float("nan"))
         fault_x = (e_fault.mean_us / b_fault.mean_us

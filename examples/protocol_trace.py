@@ -53,8 +53,8 @@ def main() -> None:
         ("compute", "data_wait", "synchronization", "diffs",
          "protocol", "checkpointing")))
 
-    lock = result.latency.stats(LOCK_WAIT)
-    fault = result.latency.stats(PAGE_FAULT)
+    lock = result.latency.histogram(LOCK_WAIT)
+    fault = result.latency.histogram(PAGE_FAULT)
     print(f"\nmean lock wait {lock.mean_us:.1f}us over {lock.count} "
           f"acquires; mean fault {fault.mean_us:.1f}us over "
           f"{fault.count} faults")

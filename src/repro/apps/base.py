@@ -148,12 +148,6 @@ class AppContext:
         self.state[count_key] = epoch + 1
         return None
 
-    def reset_barrier_keys(self, barrier_id: int, key) -> None:
-        """Drop the done marker of an old barrier instance (bounded
-        state for long-running loops: prune iteration i-1's keys when
-        iteration i completes)."""
-        self.state.pop(("__bardone__", barrier_id, key), None)
-
 
 class Workload:
     """Base class for application workloads.

@@ -129,26 +129,24 @@ def _cmd_sweep(args) -> int:
     if args.report:
         import json
 
-        from repro.metrics.latency import ALL_OPS
-        from repro.obs.report import render_sweep_report, sweep_latency_book
+        from repro.obs.report import render_sweep_report, sweep_latency
+        from repro.obs.slo import latency_by_class
         outdir = pathlib.Path(args.report)
         outdir.mkdir(parents=True, exist_ok=True)
         # Machine-readable merged latency histograms next to the sweep
         # report: per-op sparse buckets plus the derived percentiles.
-        book = sweep_latency_book(results)
-        merged = {"histograms": book.to_dict(),
-                  "percentiles": {op: book.percentiles(op)
-                                  for op in ALL_OPS
-                                  if book.hist(op).count}}
+        latency = sweep_latency(results)
+        merged = {"histograms": latency.to_dict()["histograms"],
+                  "percentiles": {op: hist.percentiles() for op, hist
+                                  in latency_by_class(latency).items()}}
         metrics_path = outdir / "metrics.json"
         metrics_path.write_text(json.dumps(merged, sort_keys=True,
                                            indent=2) + "\n")
         print(f"wrote {metrics_path}")
         if args.slo:
             from repro.obs import SloSpec, evaluate_slo, format_slo_report
-            from repro.obs.slo import latency_book_registry
             spec = SloSpec.load(args.slo)
-            slo_report = evaluate_slo(spec, latency_book_registry(book))
+            slo_report = evaluate_slo(spec, latency)
             (outdir / "slo.json").write_text(
                 json.dumps(slo_report, sort_keys=True, indent=2) + "\n")
             print(f"wrote {outdir / 'slo.json'}")
@@ -282,6 +280,7 @@ def _cmd_trace_op(args) -> int:
     """Run with causal tracing on; print the worst-N operations of
     each class as causal trees with per-hop timing."""
     from repro.obs import OpTracer
+    from repro.obs.slo import latency_by_class
 
     runtime, title, subtitle = _build_observed_runtime(args)
     tracer = OpTracer(runtime)
@@ -290,10 +289,10 @@ def _cmd_trace_op(args) -> int:
     print(f"{len(tracer)} traced operations")
     classes = ([args.op_class] if args.op_class else
                sorted({tracer.op(i).op_class for i in tracer.op_ids()}))
+    by_class = latency_by_class(tracer.metrics)
     for op_class in classes:
-        hist = tracer.metrics.histograms.get(
-            f"optrace.{op_class}.latency_us")
-        if hist is not None and hist.count:
+        hist = by_class.get(op_class)
+        if hist is not None:
             p = hist.percentiles()
             print(f"\n== {op_class}: n={hist.count} "
                   f"p50={p['p50']:.0f}us p99={p['p99']:.0f}us "
@@ -352,6 +351,7 @@ def _cmd_slo(args) -> int:
 def _cmd_profile(args) -> int:
     from repro.harness.runner import SvmRuntime
     from repro.metrics import SharingProfiler
+    from repro.metrics.latency import latency_table
 
     factory = workload_factories(args.scale)[args.app]
     config = evaluation_config(args.variant,
@@ -363,7 +363,7 @@ def _cmd_profile(args) -> int:
     print(profiler.table())
     print()
     print("operation latencies:")
-    print(result.latency.table())
+    print(latency_table(result.latency))
     totals = result.counters.total
     print()
     print(f"pages diffed {totals.pages_diffed} (home fraction "
@@ -375,6 +375,7 @@ def _cmd_profile(args) -> int:
 def _cmd_recover(args) -> int:
     from repro.cluster import FailureInjector, Hooks
     from repro.harness.runner import SvmRuntime
+    from repro.metrics import ProtocolTrace
 
     factory = workload_factories(args.scale)[args.app]
     config = evaluation_config("ft", threads_per_node=args.threads)
@@ -382,12 +383,9 @@ def _cmd_recover(args) -> int:
     injector = FailureInjector(runtime.cluster)
     injector.kill_on_hook(args.victim, Hooks.RELEASE_COMMITTED,
                           occurrence=args.occurrence, delay=1.0)
-    timeline = []
-    for name in (Hooks.FAILURE_DETECTED, Hooks.RECOVERY_START,
-                 Hooks.THREAD_RESUMED, Hooks.RECOVERY_DONE):
-        runtime.cluster.hooks.on(
-            name, lambda nid, _n=name, **info: timeline.append(
-                (runtime.engine.now, _n, nid, info)))
+    timeline = ProtocolTrace(runtime.cluster, events=(
+        Hooks.FAILURE_DETECTED, Hooks.RECOVERY_START,
+        Hooks.THREAD_RESUMED, Hooks.RECOVERY_DONE))
     result = runtime.run()
     print(f"{args.app}: node {args.victim} fail-stopped at its "
           f"{args.occurrence}th release; result verified.")

@@ -1,18 +1,25 @@
 """Lightweight pub/sub hook bus for tracing and failure injection.
 
 Protocol code fires named hooks at interesting points (release phases,
-checkpoints, recovery stages); tests and the failure injector subscribe
-to them. Firing a hook with no subscribers is free, so the protocol can
-be instrumented densely.
+checkpoints, recovery stages). Reactors to one point -- the failure
+injector, fault plans, the invariant checker, tests -- subscribe with
+:meth:`Hooks.on`; observers of the whole stream -- the protocol trace,
+the flight recorder, the stall watchdog -- with :meth:`Hooks.tap`.
+Firing a hook with no subscribers is free, so the protocol can be
+instrumented densely.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, DefaultDict, List
+from typing import Any, Callable, DefaultDict, Iterable, List, Tuple
 
 #: Subscriber signature: ``fn(node_id, **info)``.
 HookFn = Callable[..., None]
+#: Stream-observer signature: ``sink(name, node_id, info)``.
+TapFn = Callable[[str, int, dict], None]
+#: What :meth:`Hooks.tap` returns and :meth:`Hooks.untap` takes back.
+Tap = List[Tuple[str, HookFn]]
 
 
 class Hooks:
@@ -61,6 +68,26 @@ class Hooks:
     def off(self, name: str, fn: HookFn) -> None:
         if fn in self._subs.get(name, []):
             self._subs[name].remove(fn)
+
+    def tap(self, names: Iterable[str], sink: TapFn) -> Tap:
+        """Subscribe one observer of a whole event stream: ``sink(name,
+        node_id, info)`` runs for every hook in ``names``. The only way
+        recorders and watchdogs attach; reactors to single hooks (fault
+        plans, the injector, the invariant checker) use :meth:`on`."""
+        def forward(name: str) -> HookFn:
+            def fn(node_id: int, **info: Any) -> None:
+                sink(name, node_id, info)
+            return fn
+
+        tap = [(name, forward(name)) for name in names]
+        for name, fn in tap:
+            self.on(name, fn)
+        return tap
+
+    def untap(self, tap: Tap) -> None:
+        """Unsubscribe what :meth:`tap` subscribed (idempotent)."""
+        while tap:
+            self.off(*tap.pop())
 
     def fire(self, name: str, node_id: int, **info: Any) -> None:
         subs = self._subs.get(name)

@@ -59,10 +59,6 @@ class Node:
         self._processes.append(proc)
         return proc
 
-    def adopt(self, proc: Process) -> None:
-        """Register an externally-created process for fail-stop killing."""
-        self._processes.append(proc)
-
     # -- memory-system costs --------------------------------------------------
 
     def mem_copy(self, nbytes: int):

@@ -2,7 +2,7 @@
 
 Every error raised by the library derives from :class:`ReproError` so
 callers can catch library failures without catching programming errors.
-Simulation-internal control-flow exceptions (process kill/interrupt) are
+Simulation-internal control-flow exceptions (process kill) are
 deliberately *not* part of this hierarchy: they must never be swallowed
 by application-level ``except ReproError`` handlers.
 """

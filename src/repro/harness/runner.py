@@ -25,11 +25,11 @@ from repro.errors import ApplicationError, ProtocolError
 from repro.memory import Segment
 from repro.metrics import (
     Breakdown,
+    MetricsRegistry,
     NodeCounters,
     RunCounters,
     ThreadClock,
 )
-from repro.metrics.latency import LatencyBook
 from repro.protocol.barrier import BarrierManager
 from repro.protocol.homes import HomeMap
 from repro.protocol.api import SvmThread
@@ -64,7 +64,9 @@ class RunResult:
     per_node_counters: List[NodeCounters]
     thread_clocks: List[ThreadClock] = field(repr=False, default_factory=list)
     recoveries: int = 0
-    latency: LatencyBook = field(repr=False, default_factory=LatencyBook)
+    #: Operation latency histograms (names in repro.metrics.latency).
+    latency: MetricsRegistry = field(repr=False,
+                                     default_factory=MetricsRegistry)
     #: Longest single-failure exposure window (us): failure detection to
     #: the moment every affected page/lock/checkpoint ward is replicated
     #: on two live nodes again. 0.0 when no failures occurred.
@@ -317,7 +319,7 @@ class SvmRuntime:
             per_node_counters=per_node,
             thread_clocks=clocks,
             recoveries=recoveries,
-            latency=LatencyBook.merged(
+            latency=MetricsRegistry.merged(
                 agent.latency for agent in self.agents),
             exposed_window_us=exposed,
         )

@@ -10,7 +10,6 @@ from repro.metrics.breakdown import Breakdown, Category, ThreadClock
 from repro.metrics.charts import overhead_bars, stacked_bars, timeseries_panel
 from repro.metrics.counters import NodeCounters, RunCounters
 from repro.metrics.hist import Log2Histogram, MetricsRegistry
-from repro.metrics.latency import LatencyBook
 from repro.metrics.sharing import PageProfile, SharingProfiler
 from repro.metrics.trace import (
     FULL_EVENTS,
@@ -33,7 +32,6 @@ __all__ = [
     "stacked_bars",
     "overhead_bars",
     "timeseries_panel",
-    "LatencyBook",
     "Log2Histogram",
     "MetricsRegistry",
     "SharingProfiler",

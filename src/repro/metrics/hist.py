@@ -159,6 +159,14 @@ class MetricsRegistry:
         for name, hist in other.histograms.items():
             self.histogram(name).merge(hist)
 
+    @classmethod
+    def merged(cls, registries: Iterable["MetricsRegistry"]
+               ) -> "MetricsRegistry":
+        out = cls()
+        for registry in registries:
+            out.merge(registry)
+        return out
+
     def to_dict(self) -> dict:
         return {
             "counters": dict(sorted(self.counters.items())),

@@ -1,23 +1,123 @@
-"""Protocol event tracing.
+"""Protocol event tracing: the one event log and the one hook schema.
 
-Subscribes to the cluster's hook bus and records a bounded, structured
-event log: releases, diff phases, checkpoints, barriers, lock traffic,
-failures and recovery stages. Useful for debugging protocol behaviour
-and for asserting event *orderings* in tests (e.g. "point B always
-precedes the lock handover of the same release").
+:class:`ProtocolTrace` taps the cluster's hook bus and records a
+bounded, structured event log: releases, diff phases, checkpoints,
+barriers, lock traffic, failures and recovery stages. Useful for
+debugging protocol behaviour and for asserting event *orderings* in
+tests (e.g. "point B always precedes the lock handover of the same
+release"); :class:`repro.obs.recorder.FlightRecorder` is the same log
+with a Perfetto export.
+
+``SPANS`` and ``INSTANTS`` say what each hook means on a timeline, and
+``FULL_EVENTS`` -- what the full-stream observers subscribe to -- is
+the hooks they name.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import (Deque, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Deque, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.cluster import Hooks
 
-#: Hooks captured by default (all protocol-level hook points).
+#: Timeline lanes a schema row can name: the firing node's track of the
+#: application thread its payload names (``tid``, ``thread`` in the
+#: barrier hooks; the protocol lane when it names none), the node's
+#: serialized release pipeline, and the two tracks of the synthetic
+#: cluster process.
+THREAD, PROTOCOL, RECOVERY, WATCHDOG = ("thread", "protocol", "recovery",
+                                        "watchdog")
+
+#: Synthetic event the stall watchdog notes into the log (not a hook).
+STALL = "stall"
+
+
+class Span(NamedTuple):
+    """Schema row: ``begin`` opens a duration slice, ``end`` closes it."""
+
+    begin: str
+    end: str
+    cat: str
+    lane: str
+    #: ``str.format`` template over the payload plus ``node`` (the
+    #: firing node) and ``rw`` ("write"/"read" from a fault's ``write``).
+    label: str
+
+
+class Instant(NamedTuple):
+    """Schema row: ``hook`` marks a point in time."""
+
+    hook: str
+    cat: str
+    lane: str
+    label: str
+    #: Payload keys kept as trace args, a list as its length (the dense
+    #: events' payloads are summarized); None keeps the whole payload.
+    args: Optional[Tuple[str, ...]] = None
+    scope: str = "t"
+
+
+#: What every hook means on the timeline -- the one place that says so.
+#: The flight recorder interprets these rows, docs/OBSERVABILITY.md
+#: renders them, and ``FULL_EVENTS`` is the hooks they name. A hook that
+#: closes one span and opens the next (a granted lock turns "wait" into
+#: "hold") is simply named by both rows; at one event ends come first,
+#: then instants, then begins.
+SPANS = (
+    Span(Hooks.ACQUIRE_START, Hooks.LOCK_ACQUIRED, "lock", THREAD,
+         "lock {lock} wait"),
+    Span(Hooks.LOCK_ACQUIRED, Hooks.RELEASE_START, "lock", THREAD,
+         "lock {lock} hold"),
+    Span(Hooks.RELEASE_START, Hooks.RELEASE_DONE, "release", THREAD,
+         "release lock {lock}"),
+    Span(Hooks.PAGE_FAULT, Hooks.PAGE_FAULT_DONE, "fault", THREAD,
+         "fault page {page} ({rw})"),
+    Span(Hooks.BARRIER_ENTER, Hooks.BARRIER_EXIT, "barrier", THREAD,
+         "barrier {barrier}"),
+    Span(Hooks.DIFF_PHASE1_START, Hooks.DIFF_PHASE1_DONE, "diff", PROTOCOL,
+         "diff phase 1"),
+    Span(Hooks.CHECKPOINT_A_START, Hooks.CHECKPOINT_A, "checkpoint",
+         PROTOCOL, "checkpoint A"),
+    Span(Hooks.CHECKPOINT_B_START, Hooks.CHECKPOINT_B, "checkpoint",
+         PROTOCOL, "checkpoint B"),
+    Span(Hooks.DIFF_PHASE2_START, Hooks.DIFF_PHASE2_DONE, "diff", PROTOCOL,
+         "diff phase 2"),
+    Span(Hooks.FAILURE_DETECTED, Hooks.RECOVERY_START, "recovery", RECOVERY,
+         "quiesce (node {node} down)"),
+    Span(Hooks.RECOVERY_START, Hooks.RECOVERY_DONE, "recovery", RECOVERY,
+         "recovery (node {node})"),
+    Span(Hooks.REREPLICATE_START, Hooks.REREPLICATE_DONE, "recovery",
+         RECOVERY, "re-replicate (node {node})"),
+)
+INSTANTS = (
+    Instant(Hooks.LOCK_RELEASED, "lock", THREAD, "lock {lock} handover",
+            args=()),
+    Instant(Hooks.THREAD_RESUMED, "recovery", THREAD, "thread resumed"),
+    Instant(Hooks.RELEASE_COMMITTED, "release", PROTOCOL, "interval commit",
+            args=("interval", "seq", "pages")),
+    Instant(Hooks.DIFF_SEND, "diff", PROTOCOL, "diff send"),
+    Instant(Hooks.DIFF_APPLY, "diff", PROTOCOL, "diff apply"),
+    Instant(Hooks.CHECKPOINT_STORED, "checkpoint", PROTOCOL,
+            "checkpoint stored", args=("kind", "ward", "seq")),
+    Instant(Hooks.FAILURE_DETECTED, "recovery", RECOVERY,
+            "node {node} failed", scope="g"),
+    Instant(Hooks.HOME_REMAP, "recovery", RECOVERY, "home remap"),
+    Instant(Hooks.RECOVERY_RECONCILE, "recovery", RECOVERY,
+            "reconcile: {action}"),
+    Instant(STALL, "watchdog", WATCHDOG, "stall detected", scope="g"),
+)
+
+#: Every hook the schema names: what the flight recorder, the watchdog
+#: and ``repro replay`` subscribe to.
+FULL_EVENTS = tuple(dict.fromkeys(
+    [hook for span in SPANS for hook in (span.begin, span.end)]
+    + [row.hook for row in INSTANTS if row.hook != STALL]))
+
+#: The default capture: protocol-level events without the dense
+#: per-diff / per-checkpoint audit points and the span-opening hooks
+#: only the timeline needs.
 DEFAULT_EVENTS = (
     Hooks.RELEASE_START,
     Hooks.RELEASE_COMMITTED,
@@ -36,26 +136,6 @@ DEFAULT_EVENTS = (
     Hooks.RECOVERY_START,
     Hooks.RECOVERY_DONE,
     Hooks.THREAD_RESUMED,
-)
-
-#: Everything, including the dense per-diff / per-checkpoint events --
-#: what ``repro replay`` records so a bisection can step between
-#: individual diff sends, applies, checkpoint stores and home remaps --
-#: plus the span-begin hooks the flight recorder turns into duration
-#: slices (lock wait, page-fault service, diff phase 1, checkpoints).
-FULL_EVENTS = DEFAULT_EVENTS + (
-    Hooks.DIFF_SEND,
-    Hooks.DIFF_APPLY,
-    Hooks.HOME_REMAP,
-    Hooks.RECOVERY_RECONCILE,
-    Hooks.CHECKPOINT_STORED,
-    Hooks.ACQUIRE_START,
-    Hooks.PAGE_FAULT_DONE,
-    Hooks.DIFF_PHASE1_START,
-    Hooks.CHECKPOINT_A_START,
-    Hooks.CHECKPOINT_B_START,
-    Hooks.REREPLICATE_START,
-    Hooks.REREPLICATE_DONE,
 )
 
 
@@ -94,8 +174,7 @@ def canonical_items(items: Sequence, sep: str = "",
         sep = ","
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One recorded protocol event."""
 
     time_us: float
@@ -124,39 +203,51 @@ class ProtocolTrace:
     def __init__(self, cluster, events: Iterable[str] = DEFAULT_EVENTS,
                  capacity: int = 100_000) -> None:
         self.cluster = cluster
+        self.engine = cluster.engine
         self.capacity = capacity
+        #: Events the bounded log has evicted, hooks and notes alike.
         self.dropped = 0
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self._subscribed: List[str] = list(events)
-        for name in self._subscribed:
-            cluster.hooks.on(name, self._make_recorder(name))
+        #: Bare ``(time_us, event, node, info)`` rows: an append builds
+        #: one tuple; readers get them as :class:`TraceEvent`.
+        self._events: Deque[tuple] = deque(maxlen=capacity)
+        self._tap = cluster.hooks.tap(events, self.record)
 
-    def _make_recorder(self, name: str):
-        def record(node_id: int, **info) -> None:
-            if len(self._events) == self.capacity:
-                self.dropped += 1
-            self._events.append(TraceEvent(
-                self.cluster.engine.now, name, node_id, info))
-        return record
+    def record(self, name: str, node_id: int, info: dict) -> None:
+        """The stream sink: log one event at the current time."""
+        if len(self._events) == self.capacity:
+            self.dropped += 1
+        self._events.append((self.engine.now, name, node_id, info))
+
+    def note(self, name: str, node_id: int, **info) -> None:
+        """Log a synthetic event (the stall watchdog's findings land
+        next to the stall itself this way)."""
+        self.record(name, node_id, info)
+
+    def detach(self) -> None:
+        """Stop capturing; what is logged stays readable."""
+        self.cluster.hooks.untap(self._tap)
 
     def __len__(self) -> int:
         return len(self._events)
 
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(TraceEvent._make, self._events)
+
     def events(self) -> List[TraceEvent]:
-        return list(self._events)
+        return list(self)
 
     def select(self, event: str, node: Optional[int] = None
                ) -> List[TraceEvent]:
-        return [ev for ev in self._events
+        return [ev for ev in self
                 if ev.event == event
                 and (node is None or ev.node == node)]
 
     def between(self, start_us: float, end_us: float) -> List[TraceEvent]:
-        return [ev for ev in self._events
+        return [ev for ev in self
                 if start_us <= ev.time_us <= end_us]
 
     def first(self, event: str) -> Optional[TraceEvent]:
-        for ev in self._events:
+        for ev in self:
             if ev.event == event:
                 return ev
         return None
@@ -179,7 +270,7 @@ class ProtocolTrace:
                 f"{self.capacity}); ordering assertions are unreliable "
                 f"on a truncated log -- raise the capacity")
         counts: dict = {}
-        for ev in self._events:
+        for ev in self:
             if node is not None and ev.node != node:
                 continue
             slot = counts.setdefault(ev.node, [0, 0])
@@ -194,7 +285,7 @@ class ProtocolTrace:
                         f"{earlier!r}")
 
     def dump(self, limit: int = 100) -> str:
-        lines = [str(ev) for ev in list(self._events)[-limit:]]
+        lines = [str(ev) for ev in self.events()[-limit:]]
         if self.dropped:
             lines.insert(0, f"... {self.dropped} earlier events dropped")
         return "\n".join(lines)
@@ -215,7 +306,7 @@ class ProtocolTrace:
         merged["dropped_events"] = self.dropped
         with open(path, "w") as fh:
             fh.write(json.dumps({"header": merged}) + "\n")
-            for ev in self._events:
+            for ev in self:
                 fh.write(json.dumps({
                     "t": ev.time_us, "event": ev.event, "node": ev.node,
                     "info": _jsonable(ev.info)}) + "\n")

@@ -45,11 +45,6 @@ class Network:
         except KeyError:
             raise NetworkError(f"no such node {node_id}") from None
 
-    def node_alive(self, node_id: int) -> bool:
-        """Ground-truth liveness (used only by the fabric and by tests;
-        protocol code must discover failures through communication)."""
-        return self.nic(node_id).alive
-
     def transmit(self, msg: Message) -> None:
         """Accept a fully-serialized message from a sender NIC."""
         if msg.dst == msg.src:

@@ -188,11 +188,6 @@ class NIC:
         already-dead source keeps the original (earliest) epoch."""
         self.dead_sources.setdefault(node_id, epoch)
 
-    def shunned_epoch(self, node_id: int) -> Optional[int]:
-        """The map epoch under which ``node_id`` was shunned (None if
-        it never was)."""
-        return self.dead_sources.get(node_id)
-
     # -- failure injection ---------------------------------------------------
 
     def fail(self) -> None:

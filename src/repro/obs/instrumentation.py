@@ -1,7 +1,7 @@
 """Invocation counters proving observability is zero-cost when off.
 
-Every hook closure the recorder installs, every sampler tick and every
-watchdog check bumps a counter here. A run with observability disabled
+Every event the recorder or the watchdog is handed, every sampler tick,
+every watchdog check and every tracer call bumps a counter here. A run with observability disabled
 must leave all counters at zero -- that is the testable statement of
 "the flight recorder costs nothing unless attached", and it is what
 keeps the BENCH_hotpaths perf gate honest (see

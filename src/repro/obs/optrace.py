@@ -43,6 +43,7 @@ the registry the SLO evaluator (:mod:`repro.obs.slo`) consumes.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics.hist import MetricsRegistry
@@ -147,6 +148,16 @@ class OpTracer:
             self._digest = None
             self.metrics.observe(f"optrace.{op.op_class}.latency_us",
                                  op.end_us - op.start_us)
+
+    @contextmanager
+    def operation(self, op_class: str, node: int, label: str):
+        """One lexically scoped operation: binds the minted id,
+        finishes it however the block is left."""
+        op_id = self.mint(op_class, node, label)
+        try:
+            yield op_id
+        finally:
+            self.finish(op_id)
 
     def message_hop(self, kind: str, msg, node: int, t: float) -> None:
         """``kind``: ``send`` / ``recv`` / ``applied``."""

@@ -1,15 +1,14 @@
-"""Flight recorder: hook-bus capture and Perfetto timeline export.
+"""Flight recorder: the Perfetto timeline export of the event log.
 
-:class:`FlightRecorder` subscribes to every :data:`FULL_EVENTS` hook
-and keeps a bounded in-memory log of ``(time, event, node, payload)``.
-:meth:`FlightRecorder.to_chrome_trace` turns that log into the Chrome
-trace-event JSON that https://ui.perfetto.dev renders: one *process*
-per node (plus a synthetic "cluster" process for failure/recovery
-activity), one *track* per application thread plus a per-node
-"protocol" track for the serialized release pipeline, duration slices
-for lock hold/wait, barrier waits, page-fault service, diff phases 1
-and 2 and checkpoint points A/B, and instants for the dense audit
-events (diff sends/applies, commits, checkpoint stores, home remaps).
+:class:`FlightRecorder` is a :class:`~repro.metrics.trace.ProtocolTrace`
+of every :data:`FULL_EVENTS` hook -- one bounded log, one attach path --
+that can also turn what it holds into the Chrome trace-event JSON that
+https://ui.perfetto.dev renders: one *process* per node (plus a
+synthetic "cluster" process for failure/recovery activity), one *track*
+per application thread plus a per-node "protocol" track for the
+serialized release pipeline, and the duration slices and instants the
+schema in :mod:`repro.metrics.trace` (``SPANS`` / ``INSTANTS``) assigns
+to each hook.
 
 Timestamps are **simulated microseconds** verbatim -- the trace-event
 format's native unit -- so the Perfetto ruler reads in simulated time.
@@ -29,13 +28,13 @@ assembly, and no document waits with the observers for the collector.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from types import SimpleNamespace
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster import Hooks
-from repro.metrics.trace import (FULL_EVENTS, _jsonable, canonical_items,
-                                 canonical_json)
+from repro.metrics.trace import (FULL_EVENTS, INSTANTS, PROTOCOL, RECOVERY,
+                                 SPANS, THREAD, Instant, ProtocolTrace,
+                                 _jsonable, canonical_items, canonical_json)
 from repro.obs import instrumentation
 
 #: Track (tid) layout inside a node process: tid 0 is the protocol
@@ -47,70 +46,61 @@ PROTOCOL_LANE = 0
 RECOVERY_LANE = 0
 WATCHDOG_LANE = 1
 
-_CAT = {
-    Hooks.ACQUIRE_START: "lock", Hooks.LOCK_ACQUIRED: "lock",
-    Hooks.LOCK_RELEASED: "lock",
-    Hooks.RELEASE_START: "release", Hooks.RELEASE_DONE: "release",
-    Hooks.RELEASE_COMMITTED: "release",
-    Hooks.PAGE_FAULT: "fault", Hooks.PAGE_FAULT_DONE: "fault",
-    Hooks.BARRIER_ENTER: "barrier", Hooks.BARRIER_EXIT: "barrier",
-    Hooks.DIFF_PHASE1_START: "diff", Hooks.DIFF_PHASE1_DONE: "diff",
-    Hooks.DIFF_PHASE2_START: "diff", Hooks.DIFF_PHASE2_DONE: "diff",
-    Hooks.DIFF_SEND: "diff", Hooks.DIFF_APPLY: "diff",
-    Hooks.CHECKPOINT_A_START: "checkpoint", Hooks.CHECKPOINT_A: "checkpoint",
-    Hooks.CHECKPOINT_B_START: "checkpoint", Hooks.CHECKPOINT_B: "checkpoint",
-    Hooks.CHECKPOINT_STORED: "checkpoint",
-    Hooks.FAILURE_DETECTED: "recovery", Hooks.RECOVERY_START: "recovery",
-    Hooks.RECOVERY_DONE: "recovery", Hooks.HOME_REMAP: "recovery",
-    Hooks.RECOVERY_RECONCILE: "recovery", Hooks.THREAD_RESUMED: "recovery",
-    Hooks.REREPLICATE_START: "recovery", Hooks.REREPLICATE_DONE: "recovery",
-}
+#: The schema by event name: (spans it ends, instants, spans it begins).
+_PLAN: Dict[str, Tuple[list, list, list]] = {}
+for _span in SPANS:
+    _PLAN.setdefault(_span.end, ([], [], []))[0].append(_span)
+    _PLAN.setdefault(_span.begin, ([], [], []))[2].append(_span)
+for _row in INSTANTS:
+    _PLAN.setdefault(_row.hook, ([], [], []))[1].append(_row)
 
 
-class FlightRecorder:
-    """Bounded capture of the full hook stream, exportable as a
-    Perfetto/Chrome trace. Attach before ``runtime.run()``."""
+def _label(row, node: int, info: dict) -> str:
+    if "{" not in row.label:
+        return row.label
+    return row.label.format_map({
+        **info, "node": node,
+        "rw": "write" if info.get("write") else "read"})
+
+
+def _args(row: Instant, info: dict) -> dict:
+    if row.args is None:
+        return info
+    args = {}
+    for key in row.args:
+        value = info.get(key)
+        args[key] = len(value) if type(value) is list else value
+    return args
+
+
+class FlightRecorder(ProtocolTrace):
+    """The full hook stream, exportable as a Perfetto/Chrome trace.
+    Attach before ``runtime.run()``."""
 
     def __init__(self, runtime, capacity: int = 1_000_000) -> None:
+        super().__init__(runtime.cluster, FULL_EVENTS, capacity)
         self.runtime = runtime
-        self.engine = runtime.engine
         #: pid of the synthetic cluster-wide process in the trace.
         self.cluster_pid = runtime.config.num_nodes
-        self.capacity = capacity
-        self.dropped = 0
-        self._log: Deque[Tuple[float, str, int, dict]] = deque(
-            maxlen=capacity)
         #: :meth:`_stream`'s by-products; None again once anything is recorded.
         self._memo: Optional[SimpleNamespace] = None
-        self._hooks = runtime.cluster.hooks
-        self._subscribed: List[Tuple[str, Any]] = []
-        for name in FULL_EVENTS:
-            fn = self._make_recorder(name)
-            self._hooks.on(name, fn)
-            self._subscribed.append((name, fn))
 
-    def _make_recorder(self, name: str):
-        def record(node_id: int, **info) -> None:
-            instrumentation.bump("recorder")
-            if len(self._log) == self.capacity:
-                self.dropped += 1
-            self._log.append((self.engine.now, name, node_id, info))
-            self._memo = None
-        return record
-
-    def detach(self) -> None:
-        for name, fn in self._subscribed:
-            self._hooks.off(name, fn)
-        self._subscribed.clear()
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def note(self, name: str, node_id: int, **info) -> None:
-        """Inject a synthetic event (used by the stall watchdog so its
-        findings land on the timeline next to the stall itself)."""
-        self._log.append((self.engine.now, name, node_id, info))
+    def record(self, name: str, node_id: int, info: dict) -> None:
+        instrumentation.bump("recorder")
         self._memo = None
+        ProtocolTrace.record(self, name, node_id, info)
+
+    def _track(self, lane: str, node: int, info: dict) -> Tuple[int, int]:
+        """(pid, tid) of a schema lane for one event."""
+        if lane == THREAD:
+            # Thread-lane events always carry a tid; fall back to the
+            # protocol lane rather than crash if a payload omits it.
+            tid = info.get("tid", info.get("thread"))
+            return node, PROTOCOL_LANE if tid is None else 1 + tid
+        if lane == PROTOCOL:
+            return node, PROTOCOL_LANE
+        return self.cluster_pid, (RECOVERY_LANE if lane == RECOVERY
+                                  else WATCHDOG_LANE)
 
     # ------------------------------------------------------------------
     # Chrome trace-event assembly
@@ -174,106 +164,25 @@ class FlightRecorder:
                     out.append({"ph": "E", "pid": p, "tid": tid,
                                 "ts": ts, "name": stack.pop()})
 
-        for ts, name, node, info in self._log:
+        for ts, name, node, info in self._events:
             last_ts = max(last_ts, ts)
-            cat = _CAT.get(name, "misc")
-            tid = info.get("tid", info.get("thread"))
-            # Thread-lane events always carry a tid; fall back to the
-            # protocol lane rather than crash if a payload omits it.
-            lane = PROTOCOL_LANE if tid is None else 1 + tid
-
-            # -- application-thread tracks ------------------------------
-            if name == Hooks.ACQUIRE_START:
-                begin(node, lane, ts, f"lock {info['lock']} wait", cat, info)
-            elif name == Hooks.LOCK_ACQUIRED:
-                end(node, lane, ts, f"lock {info['lock']} wait")
-                begin(node, lane, ts, f"lock {info['lock']} hold", cat, info)
-            elif name == Hooks.RELEASE_START:
-                end(node, lane, ts, f"lock {info['lock']} hold")
-                begin(node, lane, ts, f"release lock {info['lock']}",
-                      cat, info)
-            elif name == Hooks.RELEASE_DONE:
-                end(node, lane, ts, f"release lock {info['lock']}")
-            elif name == Hooks.LOCK_RELEASED:
-                instant(node, lane, ts, f"lock {info['lock']} handover", cat)
-            elif name == Hooks.PAGE_FAULT:
-                kind = "write" if info.get("write") else "read"
-                begin(node, lane, ts,
-                      f"fault page {info['page']} ({kind})", cat, info)
-            elif name == Hooks.PAGE_FAULT_DONE:
-                kind = "write" if info.get("write") else "read"
-                end(node, lane, ts, f"fault page {info['page']} ({kind})")
-            elif name == Hooks.BARRIER_ENTER:
-                begin(node, lane, ts, f"barrier {info['barrier']}",
-                      cat, info)
-            elif name == Hooks.BARRIER_EXIT:
-                end(node, lane, ts, f"barrier {info['barrier']}")
-            elif name == Hooks.THREAD_RESUMED:
-                instant(node, lane, ts, "thread resumed", cat, info)
-
-            # -- per-node protocol lane (serialized releases) -----------
-            elif name == Hooks.DIFF_PHASE1_START:
-                begin(node, PROTOCOL_LANE, ts, "diff phase 1", cat, info)
-            elif name == Hooks.DIFF_PHASE1_DONE:
-                end(node, PROTOCOL_LANE, ts, "diff phase 1")
-            elif name == Hooks.CHECKPOINT_A_START:
-                begin(node, PROTOCOL_LANE, ts, "checkpoint A", cat, info)
-            elif name == Hooks.CHECKPOINT_A:
-                end(node, PROTOCOL_LANE, ts, "checkpoint A")
-            elif name == Hooks.CHECKPOINT_B_START:
-                begin(node, PROTOCOL_LANE, ts, "checkpoint B", cat, info)
-            elif name == Hooks.CHECKPOINT_B:
-                end(node, PROTOCOL_LANE, ts, "checkpoint B")
-            elif name == Hooks.DIFF_PHASE2_START:
-                begin(node, PROTOCOL_LANE, ts, "diff phase 2", cat, info)
-            elif name == Hooks.DIFF_PHASE2_DONE:
-                end(node, PROTOCOL_LANE, ts, "diff phase 2")
-            elif name == Hooks.RELEASE_COMMITTED:
-                instant(node, PROTOCOL_LANE, ts, "interval commit", cat,
-                        {"interval": info.get("interval"),
-                         "seq": info.get("seq"),
-                         "pages": len(info.get("pages") or ())})
-            elif name == Hooks.DIFF_SEND:
-                instant(node, PROTOCOL_LANE, ts, "diff send", cat, info)
-            elif name == Hooks.DIFF_APPLY:
-                instant(node, PROTOCOL_LANE, ts, "diff apply", cat, info)
-            elif name == Hooks.CHECKPOINT_STORED:
-                instant(node, PROTOCOL_LANE, ts, "checkpoint stored", cat,
-                        {"kind": info.get("kind"), "ward": info.get("ward"),
-                         "seq": info.get("seq")})
-
-            # -- cluster process (failure / recovery / watchdog) --------
-            elif name == Hooks.FAILURE_DETECTED:
+            if name not in _PLAN:
+                # A noted event the schema does not know: plain instant.
+                instant(node, PROTOCOL_LANE, ts, name, "misc", info)
+                continue
+            ends, instants, begins = _PLAN[name]
+            if name == Hooks.FAILURE_DETECTED:
                 close_process(node, ts)
-                instant(self.cluster_pid, RECOVERY_LANE, ts,
-                        f"node {node} failed", cat, info, scope="g")
-                begin(self.cluster_pid, RECOVERY_LANE, ts,
-                      f"quiesce (node {node} down)", cat, info)
-            elif name == Hooks.RECOVERY_START:
-                end(self.cluster_pid, RECOVERY_LANE, ts,
-                    f"quiesce (node {node} down)")
-                begin(self.cluster_pid, RECOVERY_LANE, ts,
-                      f"recovery (node {node})", cat, info)
-            elif name == Hooks.RECOVERY_DONE:
-                end(self.cluster_pid, RECOVERY_LANE, ts,
-                    f"recovery (node {node})")
-            elif name == Hooks.REREPLICATE_START:
-                begin(self.cluster_pid, RECOVERY_LANE, ts,
-                      f"re-replicate (node {node})", cat, info)
-            elif name == Hooks.REREPLICATE_DONE:
-                end(self.cluster_pid, RECOVERY_LANE, ts,
-                    f"re-replicate (node {node})")
-            elif name == Hooks.HOME_REMAP:
-                instant(self.cluster_pid, RECOVERY_LANE, ts,
-                        "home remap", cat, info)
-            elif name == Hooks.RECOVERY_RECONCILE:
-                instant(self.cluster_pid, RECOVERY_LANE, ts,
-                        f"reconcile: {info.get('action')}", cat, info)
-            elif name == "stall":
-                instant(self.cluster_pid, WATCHDOG_LANE, ts,
-                        "stall detected", "watchdog", info, scope="g")
-            else:
-                instant(node, PROTOCOL_LANE, ts, name, cat, info)
+            for row in ends:
+                end(*self._track(row.lane, node, info), ts,
+                    _label(row, node, info))
+            for row in instants:
+                instant(*self._track(row.lane, node, info), ts,
+                        _label(row, node, info), row.cat,
+                        _args(row, info), row.scope)
+            for row in begins:
+                begin(*self._track(row.lane, node, info), ts,
+                      _label(row, node, info), row.cat, info)
 
         # Repair any slice still open at the end of capture (a thread
         # parked mid-operation when the run was capped, or a slice whose

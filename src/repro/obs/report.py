@@ -27,6 +27,9 @@ import json
 import math
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+from repro.metrics.hist import MetricsRegistry
+from repro.obs.slo import latency_by_class
+
 #: Categorical slots 1-4 (blue, orange, aqua, yellow), light / dark
 #: steps of the same hues. Validated (CVD >= 8, normal-vision >= 15,
 #: lightness band) against the light #fcfcfb / dark #1a1a19 surfaces.
@@ -384,35 +387,21 @@ def _page(title: str, subtitle: str, body: str) -> str:
 # Operation latency / SLO sections (shared by run and sweep reports)
 # ----------------------------------------------------------------------
 
-def _percentile_table(rows: Sequence[Tuple[str, int, float, float,
-                                           float, float]]) -> str:
-    """``rows``: (name, count, p50, p99, p999, mean) per op class."""
-    cells = "".join(
-        f"<tr><td>{html.escape(name)}</td><td>{count}</td>"
-        f"<td>{_fmt(p50)}</td><td>{_fmt(p99)}</td>"
-        f"<td>{_fmt(p999)}</td><td>{_fmt(mean)}</td></tr>"
-        for name, count, p50, p99, p999, mean in rows)
+def _percentile_table(metrics: MetricsRegistry) -> str:
+    """Count, p50/p99/p999 and mean of every operation class with
+    samples in ``metrics``; empty when there is none."""
+    cells = []
+    for name, hist in latency_by_class(metrics).items():
+        p = hist.percentiles()
+        cells.append(
+            f"<tr><td>{html.escape(name)}</td><td>{hist.count}</td>"
+            f"<td>{_fmt(p['p50'])}</td><td>{_fmt(p['p99'])}</td>"
+            f"<td>{_fmt(p['p999'])}</td><td>{_fmt(hist.mean_us)}</td></tr>")
+    if not cells:
+        return ""
     return ("<div class='card'><table><tr><th>operation</th><th>n</th>"
             "<th>p50 us</th><th>p99 us</th><th>p999 us</th>"
-            f"<th>mean us</th></tr>{cells}</table></div>")
-
-
-def _registry_percentile_rows(metrics) -> List[Tuple[str, int, float,
-                                                     float, float, float]]:
-    """Per-op-class percentile rows from an optrace metrics registry."""
-    rows = []
-    for name in sorted(metrics.histograms):
-        if not (name.startswith("optrace.")
-                and name.endswith(".latency_us")):
-            continue
-        hist = metrics.histograms[name]
-        if not hist.count:
-            continue
-        p = hist.percentiles()
-        rows.append((name[len("optrace."):-len(".latency_us")],
-                     hist.count, p["p50"], p["p99"], p["p999"],
-                     hist.mean_us))
-    return rows
+            f"<th>mean us</th></tr>{''.join(cells)}</table></div>")
 
 
 def _slo_section(slo: dict) -> List[str]:
@@ -512,10 +501,10 @@ def render_run_report(title: str, subtitle: str = "", result=None,
         body.append(_stat_tiles(tiles))
 
     if tracer is not None:
-        rows = _registry_percentile_rows(tracer.metrics)
-        if rows:
+        table = _percentile_table(tracer.metrics)
+        if table:
             body.append("<h2>Operation latency percentiles</h2>")
-            body.append(_percentile_table(rows))
+            body.append(table)
     if slo is not None:
         body.extend(_slo_section(slo))
 
@@ -591,16 +580,13 @@ def render_run_report(title: str, subtitle: str = "", result=None,
 # Sweep report
 # ----------------------------------------------------------------------
 
-def sweep_latency_book(results):
-    """Merge every ok cell's portable latency histograms into one
-    :class:`~repro.metrics.latency.LatencyBook` (elementwise bucket
+def sweep_latency(results) -> MetricsRegistry:
+    """Every ok cell's latency registry, merged (elementwise bucket
     addition -- associative, so the result is bit-identical regardless
     of job count or completion order)."""
-    from repro.metrics.latency import LatencyBook
-    books = [LatencyBook.from_dict(r.summary["latency_hist"])
-             for r in results
-             if r.ok and r.summary and r.summary.get("latency_hist")]
-    return LatencyBook.merged(books)
+    return MetricsRegistry.merged(
+        MetricsRegistry.from_dict(r.summary.get("latency_hist"))
+        for r in results if r.ok and r.summary)
 
 
 def render_sweep_report(title: str, results, subtitle: str = "",
@@ -624,19 +610,10 @@ def render_sweep_report(title: str, results, subtitle: str = "",
         tiles.append(("SLO", "PASS" if slo["ok"] else "FAIL"))
     body = [_stat_tiles(tiles)]
 
-    from repro.metrics.latency import ALL_OPS
-    book = sweep_latency_book(results)
-    rows = []
-    for op in ALL_OPS:
-        hist = book.hist(op)
-        if not hist.count:
-            continue
-        p = hist.percentiles()
-        rows.append((op, hist.count, p["p50"], p["p99"], p["p999"],
-                     hist.mean_us))
-    if rows:
+    table = _percentile_table(sweep_latency(results))
+    if table:
         body.append("<h2>Merged operation latency percentiles</h2>")
-        body.append(_percentile_table(rows))
+        body.append(table)
     if slo is not None:
         body.extend(_slo_section(slo))
 

@@ -25,14 +25,24 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-from repro.metrics.hist import MetricsRegistry
+from repro.metrics.hist import Log2Histogram, MetricsRegistry
 
 #: Quantile keys a spec may target, in report order.
 QUANTILES = ("p50", "p99", "p999")
 
 
-def _hist_name(op_class: str) -> str:
-    return f"optrace.{op_class}.latency_us"
+def latency_by_class(metrics: MetricsRegistry) -> Dict[str, Log2Histogram]:
+    """Operation class -> its non-empty latency histogram, in name
+    order. A class is the histogram's name: the agents' always-on
+    operations (:mod:`repro.metrics.latency`) as they stand, the
+    tracer's ``optrace.<class>.latency_us`` unwrapped. What SLO specs
+    target and both HTML reports tabulate."""
+    by_class = {}
+    for name, hist in sorted(metrics.histograms.items()):
+        if hist.count:
+            by_class[name.removeprefix("optrace.")
+                     .removesuffix(".latency_us")] = hist
+    return by_class
 
 
 class SloSpec:
@@ -91,21 +101,6 @@ def default_slo_spec() -> SloSpec:
     }, availability_min=0.5)
 
 
-def latency_book_registry(book) -> MetricsRegistry:
-    """Adapt a :class:`~repro.metrics.latency.LatencyBook` (e.g. the
-    merged histograms of a sweep) to the registry naming
-    :func:`evaluate_slo` expects, so sweep-level SLO specs can target
-    the book's op categories (``page_fault``, ``lock_wait``,
-    ``release``, ``barrier_wait``)."""
-    from repro.metrics.latency import ALL_OPS
-    registry = MetricsRegistry()
-    for op in ALL_OPS:
-        hist = book.hist(op)
-        if hist.count:
-            registry.histograms[_hist_name(op)] = hist
-    return registry
-
-
 def evaluate_slo(spec: SloSpec, metrics: MetricsRegistry,
                  elapsed_us: Optional[float] = None,
                  exposed_window_us: float = 0.0) -> dict:
@@ -125,11 +120,11 @@ def evaluate_slo(spec: SloSpec, metrics: MetricsRegistry,
     """
     checks = []
     ok = True
+    by_class = latency_by_class(metrics)
     for op_class in sorted(spec.latency_targets_us):
         targets = spec.latency_targets_us[op_class]
-        hist = metrics.histograms.get(_hist_name(op_class))
-        quantiles = (hist.percentiles() if hist is not None
-                     and hist.count else {})
+        hist = by_class.get(op_class)
+        quantiles = hist.percentiles() if hist is not None else {}
         for quantile in QUANTILES:
             if quantile not in targets:
                 continue

@@ -49,7 +49,7 @@ class TimeSeriesSampler:
         #: ``node{n}.{field}`` (cumulative); gauges are
         #: ``engine.queue_depth`` and ``node{n}.nic_queue``.
         self.series: Dict[str, List[float]] = {}
-        self._started = False
+        self._started = self._detached = False
 
     def start(self) -> None:
         """Take one sample now and arm the metronome."""
@@ -59,7 +59,14 @@ class TimeSeriesSampler:
         self._sample()
         self.engine.metronome(self.period_us, self._sample)
 
+    def detach(self) -> None:
+        """Stop sampling. The engine cannot unarm a metronome, so the
+        ticks still to come return at once."""
+        self._detached = True
+
     def _sample(self) -> None:
+        if self._detached:
+            return
         instrumentation.bump("sampler")
         self.times.append(self.engine.now)
         put = self._put

@@ -26,7 +26,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Hooks
-from repro.metrics.trace import FULL_EVENTS
+from repro.metrics.trace import FULL_EVENTS, STALL
 from repro.obs import instrumentation
 
 _STAGES = {0: "PREP", 1: "PHASE1", 2: "POINT_B",
@@ -268,25 +268,18 @@ class StallWatchdog:
         self.graphs: List[dict] = []
         self._last_progress = 0.0
         self._in_stall = False
-        self._started = False
+        self._started = self._detached = False
         self._lock_holders: Dict[int, Tuple[int, int]] = {}
-        hooks = runtime.cluster.hooks
-        for name in FULL_EVENTS:
-            hooks.on(name, self._make_progress(name))
+        self._tap = runtime.cluster.hooks.tap(FULL_EVENTS, self._progress)
 
-    def _make_progress(self, name: str):
-        track_acquire = name == Hooks.LOCK_ACQUIRED
-        track_release = name == Hooks.LOCK_RELEASED
-
-        def progress(node_id: int, **info) -> None:
-            instrumentation.bump("watchdog")
-            self._last_progress = self.engine.now
-            self._in_stall = False
-            if track_acquire and "lock" in info and "tid" in info:
-                self._lock_holders[info["lock"]] = (node_id, info["tid"])
-            elif track_release and "lock" in info:
-                self._lock_holders.pop(info["lock"], None)
-        return progress
+    def _progress(self, name: str, node_id: int, info: dict) -> None:
+        instrumentation.bump("watchdog")
+        self._last_progress = self.engine.now
+        self._in_stall = False
+        if name == Hooks.LOCK_ACQUIRED and "lock" in info and "tid" in info:
+            self._lock_holders[info["lock"]] = (node_id, info["tid"])
+        elif name == Hooks.LOCK_RELEASED and "lock" in info:
+            self._lock_holders.pop(info["lock"], None)
 
     def start(self) -> None:
         if self._started:
@@ -295,7 +288,15 @@ class StallWatchdog:
         self._last_progress = self.engine.now
         self.engine.metronome(self.check_period_us, self._check)
 
+    def detach(self) -> None:
+        """Stop watching. The engine cannot unarm a metronome, so the
+        ticks still to come return at once."""
+        self.runtime.cluster.hooks.untap(self._tap)
+        self._detached = True
+
     def _check(self) -> None:
+        if self._detached:
+            return
         instrumentation.bump("watchdog")
         if self.engine.now - self._last_progress < self.horizon_us:
             return
@@ -310,5 +311,5 @@ class StallWatchdog:
         if self.recorder is not None:
             blocked = [t["tid"] for t in graph["threads"]
                        if not t["finished"]]
-            self.recorder.note("stall", self.runtime.config.num_nodes,
+            self.recorder.note(STALL, self.runtime.config.num_nodes,
                                blocked=blocked, report=report[:4000])

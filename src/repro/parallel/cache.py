@@ -6,8 +6,9 @@ fingerprint)``:
 * the *spec* part means two experiments with identical configuration,
   seeds and fault plans share an entry, while any parameter change --
   one seed, one protocol knob -- misses;
-* the *code fingerprint* part (a digest over every ``.py`` file under
-  ``src/repro/``) means touching the simulator invalidates everything,
+* the *code fingerprint* part (a digest over every ``.py`` and ``.c``
+  file under ``src/repro/`` -- the compiled kernel's source computes
+  results too) means touching the simulator invalidates everything,
   so a cached summary is always exactly what re-running the current
   code would produce. Simulations are deterministic, which is what
   makes this sound.
@@ -40,7 +41,7 @@ _fingerprint_memo: Dict[str, str] = {}
 
 
 def code_fingerprint(root: Optional[pathlib.Path] = None) -> str:
-    """Digest of every Python source file under ``src/repro/``.
+    """Digest of every Python and C source file under ``src/repro/``.
 
     Memoized per path: the tree cannot change under a running sweep
     without invalidating the sweep itself.
@@ -51,7 +52,8 @@ def code_fingerprint(root: Optional[pathlib.Path] = None) -> str:
     if cached is not None:
         return cached
     h = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(p for p in root.rglob("*.*")
+                       if p.suffix in (".py", ".c")):
         rel = path.relative_to(root).as_posix()
         h.update(rel.encode())
         h.update(b"\0")

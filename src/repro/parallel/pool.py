@@ -7,10 +7,11 @@
   covers configuration *and* code, see :mod:`repro.parallel.cache`);
 * misses fan out over a ``ProcessPoolExecutor`` (``fork`` start method
   where available -- workers inherit the imported simulator);
-* a worker crash (``BrokenProcessPool``) or spec timeout marks that
-  spec failed and is retried a bounded number of times on a fresh
-  pool; a deterministic in-spec exception is *not* retried (it would
-  fail identically) but never stops the other specs;
+* a spec whose worker process dies, or that times out, is retried a
+  bounded number of times; a pool break only makes the specs in flight
+  suspects, and a spec is ``crashed`` only if a worker died while
+  running it alone. A deterministic in-spec exception is *not* retried
+  (it would fail identically) but never stops the other specs;
 * ``jobs=1`` (or a single spec) runs everything in-process through the
   exact same ``execute_payload`` path, which is what makes
   serial-vs-parallel bit-identity a testable invariant;
@@ -165,55 +166,68 @@ def run_specs(specs: Sequence[RunSpec],
                     break
         return [r for r in results if r is not None]
 
-    queue = list(pending)
-    while queue:
-        retry_round: List[_Pending] = []
-        executor = ProcessPoolExecutor(max_workers=jobs,
+    def run_pool(batch: List[_Pending], workers: int):
+        """Run ``batch`` on one fresh pool, at most ``workers`` specs
+        submitted at a time -- so an attempt is counted only against a
+        spec that was started, and when a worker dies the unfinished
+        futures are exactly the specs that were in flight. Returns
+        (specs to run again, specs in flight at a pool break)."""
+        again: List[_Pending] = []
+        todo = list(batch)
+        futures: Dict[Any, _Pending] = {}
+        executor = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=_mp_context())
         try:
-            futures = {}
-            for p in queue:
-                p.attempts += 1
-                futures[executor.submit(execute_payload, p.payload)] = p
-            not_done = set(futures)
-            broken = False
-            while not_done:
-                finished, not_done = wait(not_done,
-                                          return_when=FIRST_COMPLETED)
+            while todo or futures:
+                while todo and len(futures) < workers:
+                    p = todo.pop(0)
+                    p.attempts += 1
+                    futures[executor.submit(execute_payload, p.payload)] = p
+                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
+                broken: List[_Pending] = []
                 for fut in finished:
-                    p = futures[fut]
+                    p = futures.pop(fut)
                     try:
                         outcome = fut.result()
-                        if wants_retry(p, outcome):
-                            retry_round.append(p)
-                        else:
-                            record(p, outcome)
                     except BrokenProcessPool:
-                        broken = True
-                        if p.attempts <= retries:
-                            retry_round.append(p)
-                        else:
-                            record(p, {"status": STATUS_CRASHED,
-                                       "error": "worker process died "
-                                                f"(after {p.attempts} "
-                                                "attempts)"})
+                        broken.append(p)
+                        continue
                     except Exception as exc:  # noqa: BLE001
-                        record(p, {"status": STATUS_ERROR,
-                                   "error": f"{type(exc).__name__}: "
-                                            f"{exc}"})
+                        outcome = {"status": STATUS_ERROR,
+                                   "error": f"{type(exc).__name__}: {exc}"}
+                    if wants_retry(p, outcome):
+                        again.append(p)
+                    else:
+                        record(p, outcome)
                 if broken:
-                    # The pool is unusable; everything still in flight
-                    # must be retried (or failed out) on a fresh one.
-                    for fut in not_done:
-                        p = futures[fut]
-                        if p.attempts <= retries:
-                            retry_round.append(p)
-                        else:
-                            record(p, {"status": STATUS_CRASHED,
-                                       "error": "worker process died"})
-                    break
+                    # The pool is unusable: every future still pending
+                    # fails with it, and so was in flight as well.
+                    in_flight = broken + list(futures.values())
+                    return again + todo, sorted(in_flight,
+                                                key=lambda p: p.index)
+            return again, []
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
-        queue = retry_round
+
+    # A dead worker takes its pool down without saying which spec it was
+    # running, so everything in flight at a break is only a *suspect*:
+    # each suspect then runs alone on its own pool, where a second death
+    # is unambiguous. Only that charges the retry budget -- a neighbour
+    # of a crashing spec always ends ok.
+    shared, suspects = list(pending), []
+    while shared or suspects:
+        if suspects:
+            again, in_flight = run_pool([suspects.pop(0)], 1)
+        else:
+            batch, shared = shared, []
+            again, in_flight = run_pool(batch, jobs)
+        shared.extend(again)
+        if len(in_flight) == 1 and in_flight[0].attempts > retries:
+            p = in_flight[0]
+            record(p, {"status": STATUS_CRASHED,
+                       "error": "worker process died "
+                                f"(after {p.attempts} attempts)"})
+        else:
+            suspects.extend(in_flight)
 
     return [r for r in results if r is not None]

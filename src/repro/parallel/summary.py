@@ -1,8 +1,8 @@
 """JSON-portable run summaries with a ``RunResult``-shaped surface.
 
 Worker processes cannot cheaply ship a full :class:`RunResult` back to
-the orchestrator (thread clocks and latency books are large and carry
-engine references), and the cache must store results as plain JSON.
+the orchestrator (thread clocks are large and carry engine
+references), and the cache must store results as plain JSON.
 :class:`RunSummary` is the answer: a dict of scalars extracted from a
 ``RunResult`` -- breakdown components, aggregate counters, recovery
 count, and a checksum of the final shared-memory contents -- exposed
@@ -97,12 +97,12 @@ class RunSummary:
 
     @property
     def latency(self):
-        """The run's :class:`~repro.metrics.latency.LatencyBook`,
-        restored from the portable histogram serialization (merge-safe:
-        workers ship sparse bucket dicts, the orchestrator rebuilds and
-        merges them bit-identically regardless of job count)."""
-        from repro.metrics.latency import LatencyBook
-        return LatencyBook.from_dict(self._data.get("latency_hist", {}))
+        """The run's latency :class:`~repro.metrics.hist.MetricsRegistry`,
+        restored from its portable serialization (merge-safe: workers
+        ship sparse bucket dicts, the orchestrator rebuilds and merges
+        them bit-identically regardless of job count)."""
+        from repro.metrics.hist import MetricsRegistry
+        return MetricsRegistry.from_dict(self._data.get("latency_hist"))
 
     def fingerprint(self) -> str:
         """Order-insensitive digest for bit-identity assertions."""

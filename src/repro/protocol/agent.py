@@ -21,6 +21,7 @@ propagation safe.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, Hooks
@@ -33,8 +34,8 @@ from repro.memory import (
     apply_diff,
     compute_diff,
 )
-from repro.metrics import Category, NodeCounters
-from repro.metrics.latency import PAGE_FAULT, LatencyBook
+from repro.metrics import Category, MetricsRegistry, NodeCounters
+from repro.metrics.latency import PAGE_FAULT
 from repro.protocol.barrier import ABORTED, BARRIER_SERVICE, STALE_DONE
 from repro.protocol.homes import HomeMap
 from repro.protocol.signals import RecoverySignal
@@ -58,6 +59,9 @@ RETRY_SENTINEL = "__retry__"
 
 #: Wire size of one write notice (page id + interval tag).
 WRITE_NOTICE_BYTES = 8
+
+#: What ``SvmNodeAgent._traced`` hands every untraced operation.
+_UNTRACED = nullcontext()
 
 
 class SvmNodeAgent:
@@ -91,7 +95,7 @@ class SvmNodeAgent:
         self.address_space = cluster.address_space
         self.counters = NodeCounters()
         #: Per-operation latency samples (section 5.3's averages).
-        self.latency = LatencyBook()
+        self.latency = MetricsRegistry()
 
         num_pages = self.config.shared_pages
         page_size = self.config.memory.page_size
@@ -211,6 +215,17 @@ class SvmNodeAgent:
     def register_notify(self, channel: str, handler) -> None:
         self._notify_handlers[channel] = handler
         self.node.nic.register_notify_handler(channel, handler)
+
+    def _traced(self, op_class: str, label: str, *args):
+        """``with self._traced(...) as op:`` runs a block as one causally
+        traced operation (repro.obs.optrace) and binds its id, to be
+        passed on to every message the block sends. With no tracer
+        attached ``op`` is None, nothing runs and the ``label % args``
+        is never built."""
+        tracer = self.cluster.optrace
+        if tracer is None:
+            return _UNTRACED
+        return tracer.operation(op_class, self.node_id, label % args)
 
     def check_recovery_abort(self) -> None:
         """FT hook: raise when a recovery is pending (base: never)."""
@@ -378,8 +393,6 @@ class SvmNodeAgent:
         fault_start = self.engine.now
         mtx = self._fault_mutex(page)
         fault_observed = False
-        tracer = self.cluster.optrace
-        fault_op = None
         try:
             yield from self.blocked_wait(mtx.acquire())
             try:
@@ -400,18 +413,17 @@ class SvmNodeAgent:
                 self.hooks.fire(Hooks.PAGE_FAULT, self.node_id, page=page,
                                 write=write, tid=thread.thread_id)
                 fault_observed = True
-                if tracer is not None:
-                    fault_op = tracer.mint(
-                        "page_fault", self.node_id,
-                        f"fault page {page} ({'write' if write else 'read'})")
-                yield Delay(self.costs.page_fault_handler_us)
-                # FT: faults on pages locked by an outstanding release
-                # stall until the release completes (paper Fig 4).
-                yield from self._wait_page_unlocked(page)
-                if entry.access is Access.INVALID:
-                    yield from self._load_page(thread, page, op=fault_op)
-                if write:
-                    yield from self._make_writable(thread, page)
+                with self._traced("page_fault", "fault page %s (%s)", page,
+                                  "write" if write else "read") as fault_op:
+                    yield Delay(self.costs.page_fault_handler_us)
+                    # FT: faults on pages locked by an outstanding release
+                    # stall until the release completes (paper Fig 4).
+                    yield from self._wait_page_unlocked(page)
+                    if entry.access is Access.INVALID:
+                        yield from self._load_page(thread, page,
+                                                   op=fault_op)
+                    if write:
+                        yield from self._make_writable(thread, page)
             finally:
                 mtx.release()
         finally:
@@ -422,9 +434,7 @@ class SvmNodeAgent:
                 self.hooks.fire(Hooks.PAGE_FAULT_DONE, self.node_id,
                                 page=page, write=write,
                                 tid=thread.thread_id)
-            if fault_op is not None:
-                tracer.finish(fault_op)
-            self.latency.record(PAGE_FAULT, self.engine.now - fault_start)
+            self.latency.observe(PAGE_FAULT, self.engine.now - fault_start)
             thread.clock.pop(Category.DATA_WAIT)
 
     def _wait_page_unlocked(self, page: int):
@@ -685,12 +695,8 @@ class SvmNodeAgent:
         yield Delay(self.costs.acquire_base_us)
         self.hooks.fire(Hooks.ACQUIRE_START, self.node_id, lock=lock_id,
                         tid=thread.thread_id)
-        tracer = self.cluster.optrace
-        acq_op = None
-        if tracer is not None:
-            acq_op = tracer.mint("lock_acquire", self.node_id,
-                                 f"lock {lock_id} acquire")
-        try:
+        with self._traced("lock_acquire", "lock %s acquire",
+                          lock_id) as acq_op:
             grant_ts = yield from self._guarded(
                 thread, lambda: self.locks.acquire(lock_id, op=acq_op))
             self.counters.acquires += 1
@@ -698,9 +704,6 @@ class SvmNodeAgent:
                 thread, lambda: thread.clock.in_category(
                     Category.PROTOCOL,
                     self._apply_incoming_ts(grant_ts, op=acq_op)))
-        finally:
-            if acq_op is not None:
-                tracer.finish(acq_op)
         self.hooks.fire(Hooks.LOCK_ACQUIRED, self.node_id, lock=lock_id,
                         tid=thread.thread_id)
         return None
@@ -816,17 +819,10 @@ class SvmNodeAgent:
             else:
                 state["leader"] = True
                 self.counters.barriers += 1
-                tracer = self.cluster.optrace
-                bar_op = None
-                if tracer is not None:
-                    bar_op = tracer.mint("barrier", self.node_id,
-                                         f"barrier {barrier_id}")
-                try:
+                with self._traced("barrier", "barrier %s",
+                                  barrier_id) as bar_op:
                     yield from self._internode_barrier(thread, barrier_id,
                                                        state, op=bar_op)
-                finally:
-                    if bar_op is not None:
-                        tracer.finish(bar_op)
                 # max(): recovery reconciliation may have advanced the
                 # generation count past this epoch while we were parked.
                 self.barrier_done[barrier_id] = max(

@@ -142,8 +142,8 @@ class SvmThread:
         try:
             yield from self.agent.acquire_op(self, lock_id)
         finally:
-            self.agent.latency.record(LOCK_WAIT,
-                                      self.agent.engine.now - start)
+            self.agent.latency.observe(LOCK_WAIT,
+                                       self.agent.engine.now - start)
             self.clock.pop(Category.LOCK)
         return None
 
@@ -154,8 +154,8 @@ class SvmThread:
         try:
             yield from self.agent.release_op(self, lock_id)
         finally:
-            self.agent.latency.record(RELEASE,
-                                      self.agent.engine.now - start)
+            self.agent.latency.observe(RELEASE,
+                                       self.agent.engine.now - start)
             self.clock.pop(Category.LOCK)
         return None
 
@@ -170,8 +170,8 @@ class SvmThread:
         try:
             yield from self.agent.barrier_op(self, barrier_id, epoch)
         finally:
-            self.agent.latency.record(BARRIER_WAIT,
-                                      self.agent.engine.now - start)
+            self.agent.latency.observe(BARRIER_WAIT,
+                                       self.agent.engine.now - start)
             self.clock.pop(Category.BARRIER)
         return None
 

@@ -48,7 +48,7 @@ from repro.protocol.ft.checkpoint import (
     encode_thread_state,
 )
 from repro.protocol.signals import RecoverySignal
-from repro.sim import Delay, Event, Interrupted, timeout_wait
+from repro.sim import Delay, Event, timeout_wait
 
 #: Notify channel carrying checkpoint traffic to backup nodes.
 CKPT_CHANNEL = "ft_ckpt"
@@ -174,11 +174,6 @@ class FtSvmNodeAgent(SvmNodeAgent):
                     thread, RecoverySignal(exc.node_id))
             except RecoverySignal as exc:
                 yield from self.join_recovery(thread, exc)
-            except Interrupted as exc:
-                if isinstance(exc.cause, RecoverySignal):
-                    yield from self.join_recovery(thread, exc.cause)
-                else:
-                    raise
 
     def join_recovery(self, thread, signal: RecoverySignal):
         """Report + park + (possibly) reseed. Never lets recovery-class
@@ -217,10 +212,6 @@ class FtSvmNodeAgent(SvmNodeAgent):
                 signal = RecoverySignal(exc.node_id)
             except RecoverySignal as exc:
                 signal = exc
-            except Interrupted as exc:
-                if not isinstance(exc.cause, RecoverySignal):
-                    raise
-                signal = exc.cause
 
     # ------------------------------------------------------------------
     # Memory access wrappers (retry across recoveries)
@@ -501,16 +492,9 @@ class FtSvmNodeAgent(SvmNodeAgent):
     def _traced_send_diffs(self, fl: _InflightRelease, phase: str,
                            op_class: str):
         """Run one propagation phase under its own traced operation."""
-        tracer = self.cluster.optrace
-        phase_op = None
-        if tracer is not None:
-            phase_op = tracer.mint(op_class, self.node_id,
-                                   f"{op_class} (seq {fl.seq})")
-        try:
+        with self._traced(op_class, "%s (seq %s)", op_class,
+                          fl.seq) as phase_op:
             yield from self._send_diffs(fl, phase, op=phase_op)
-        finally:
-            if phase_op is not None:
-                tracer.finish(phase_op)
         return None
 
     def _send_diffs(self, fl: _InflightRelease, phase: str,
@@ -574,21 +558,14 @@ class FtSvmNodeAgent(SvmNodeAgent):
             return None
         self.hooks.fire(Hooks.CHECKPOINT_A_START, self.node_id,
                         seq=fl.seq, tid=thread.thread_id)
-        tracer = self.cluster.optrace
-        ck_op = None
-        if tracer is not None:
-            ck_op = tracer.mint("checkpoint_a", self.node_id,
-                                f"checkpoint A (seq {fl.seq})")
-        try:
+        with self._traced("checkpoint_a", "checkpoint A (seq %s)",
+                          fl.seq) as ck_op:
             peer_tids = sorted(tid for tid in fl.state_blobs
                                if tid != thread.thread_id)
             yield Delay(self.costs.thread_suspend_us * len(peer_tids))
             for tid in peer_tids:
                 yield from self._ship_thread_state(
                     tid, fl.seq, fl.state_blobs[tid], op=ck_op)
-        finally:
-            if ck_op is not None:
-                tracer.finish(ck_op)
         self.hooks.fire(Hooks.CHECKPOINT_A, self.node_id, seq=fl.seq,
                         tid=thread.thread_id)
         return None
@@ -599,12 +576,8 @@ class FtSvmNodeAgent(SvmNodeAgent):
         backup = self.homes.backup_node(self.node_id)
         self.hooks.fire(Hooks.CHECKPOINT_B_START, self.node_id,
                         seq=fl.seq, tid=thread.thread_id)
-        tracer = self.cluster.optrace
-        ck_op = None
-        if tracer is not None:
-            ck_op = tracer.mint("checkpoint_b", self.node_id,
-                                f"checkpoint B (seq {fl.seq})")
-        try:
+        with self._traced("checkpoint_b", "checkpoint B (seq %s)",
+                          fl.seq) as ck_op:
             if self.config.protocol.checkpointing:
                 # The releaser runs only protocol code during its own
                 # pipeline, so its commit-frozen state is its current one.
@@ -618,9 +591,6 @@ class FtSvmNodeAgent(SvmNodeAgent):
                 backup, CKPT_CHANNEL,
                 ("complete", self.node_id, fl.seq, self.ts.encode()),
                 body_bytes=16 + self.ts.wire_bytes, wait=True, op=ck_op)
-        finally:
-            if ck_op is not None:
-                tracer.finish(ck_op)
         # Mirrored only after the waited delivery: "complete" in the
         # mirror must coincide with the pipeline being past point B,
         # which is what exempts the release from the recovery rewind

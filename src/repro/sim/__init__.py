@@ -19,7 +19,6 @@ from repro.sim._core import (
     Engine,
     Event,
     Process,
-    any_of,
     timeout_wait,
 )
 from repro.sim.engine import (
@@ -27,7 +26,7 @@ from repro.sim.engine import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
-from repro.sim.process import Interrupted, ProcessKilled
+from repro.sim.process import ProcessKilled
 from repro.sim.resources import Mutex, Resource, Store
 
 __all__ = [
@@ -35,10 +34,8 @@ __all__ = [
     "Engine",
     "Process",
     "ProcessKilled",
-    "Interrupted",
     "Event",
     "Delay",
-    "any_of",
     "timeout_wait",
     "Mutex",
     "Resource",

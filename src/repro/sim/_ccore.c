@@ -29,7 +29,6 @@
 
 static PyObject *SimulationError;   /* repro.errors.SimulationError */
 static PyObject *ProcessKilledExc;  /* repro.sim.process.ProcessKilled */
-static PyObject *InterruptedExc;    /* repro.sim.process.Interrupted */
 static PyObject *str_throw, *str_value, *str_send;
 
 static PyTypeObject EngineType;
@@ -799,29 +798,6 @@ process_detach(ProcessObject *self)
 }
 
 static PyObject *
-Process_interrupt(ProcessObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"cause", NULL};
-    PyObject *cause = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O", kwlist, &cause))
-        return NULL;
-    if (!self->alive)
-        Py_RETURN_NONE;
-    process_detach(self);
-    PyObject *exc = PyObject_CallOneArg(InterruptedExc, cause);
-    if (exc == NULL)
-        return NULL;
-    Py_XSETREF(self->wake_value, exc);
-    self->wake_throw = 1;
-    PyObject *entry = engine_schedule_now_entry(
-        (EngineObject *)self->engine, (PyObject *)self);
-    if (entry == NULL)
-        return NULL;
-    Py_XSETREF(self->pending_resume, entry);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Process_kill(ProcessObject *self, PyObject *noargs)
 {
     if (!self->alive)
@@ -944,9 +920,6 @@ Process_dealloc(ProcessObject *self)
 }
 
 static PyMethodDef Process_methods[] = {
-    {"interrupt", (PyCFunction)Process_interrupt,
-     METH_VARARGS | METH_KEYWORDS,
-     "Throw Interrupted into the process at its wait point."},
     {"kill", (PyCFunction)Process_kill, METH_NOARGS,
      "Fail-stop the process immediately (``finally`` blocks run)."},
     {NULL}
@@ -1343,39 +1316,6 @@ fail:
 }
 
 static PyObject *
-Engine_peek(EngineObject *self, PyObject *noargs)
-{
-    while (PyList_GET_SIZE(self->heap) &&
-           PyList_GET_ITEM(PyList_GET_ITEM(self->heap, 0), 3) == Py_None) {
-        PyObject *dead = heap_pop(self);
-        if (dead == NULL)
-            return NULL;
-        Py_DECREF(dead);
-    }
-    while (self->fifo_len &&
-           PyList_GET_ITEM(RING_PEEK(self), 3) == Py_None) {
-        PyObject *dead = ring_pop(self);
-        Py_DECREF(dead);
-    }
-    int have = 0;
-    double best = 0.0;
-    if (PyList_GET_SIZE(self->heap)) {
-        best = PyFloat_AsDouble(
-            PyList_GET_ITEM(PyList_GET_ITEM(self->heap, 0), 0));
-        have = 1;
-    }
-    if (self->fifo_len) {
-        double t = PyFloat_AsDouble(PyList_GET_ITEM(RING_PEEK(self), 0));
-        if (!have || t < best)
-            best = t;
-        have = 1;
-    }
-    if (!have)
-        Py_RETURN_NONE;
-    return PyFloat_FromDouble(best);
-}
-
-static PyObject *
 Engine_get_queue_depth(EngineObject *self, void *closure)
 {
     Py_ssize_t count = 0;
@@ -1481,8 +1421,6 @@ static PyMethodDef Engine_methods[] = {
     {"run", (PyCFunction)Engine_run, METH_VARARGS | METH_KEYWORDS,
      "Run events until the list drains, ``until`` passes, or "
      "``max_events`` have executed."},
-    {"peek", (PyCFunction)Engine_peek, METH_NOARGS,
-     "Time of the next pending event, or None if the list is empty."},
     {"metronome", (PyCFunction)Engine_metronome,
      METH_VARARGS | METH_KEYWORDS,
      "Run ``action()`` every ``period`` time units while the simulation "
@@ -1545,9 +1483,8 @@ PyInit__ccore(void)
     if (procmod == NULL)
         return NULL;
     ProcessKilledExc = PyObject_GetAttrString(procmod, "ProcessKilled");
-    InterruptedExc = PyObject_GetAttrString(procmod, "Interrupted");
     Py_DECREF(procmod);
-    if (ProcessKilledExc == NULL || InterruptedExc == NULL)
+    if (ProcessKilledExc == NULL)
         return NULL;
     str_throw = PyUnicode_InternFromString("throw");
     str_value = PyUnicode_InternFromString("value");

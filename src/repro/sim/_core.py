@@ -14,15 +14,14 @@ under both (see ``tests/sim/test_accel_identity.py``).
 Set ``REPRO_PURE=1`` to force the pure reference path even when the
 extension is importable.
 
-Helpers that *create* events (:func:`any_of`, :func:`timeout_wait`)
-live here rather than in :mod:`repro.sim.process` so they always build
-events of the selected implementation.
+The helper that *creates* events (:func:`timeout_wait`) lives here
+rather than in :mod:`repro.sim.process` so it always builds events of
+the selected implementation.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable
 
 __all__ = [
     "ACCELERATED",
@@ -30,7 +29,6 @@ __all__ = [
     "Engine",
     "Event",
     "Process",
-    "any_of",
     "timeout_wait",
 ]
 
@@ -54,33 +52,6 @@ else:
     from repro.sim.process import Delay, Event, Process
 
 
-def any_of(engine: Engine, events: Iterable[Event],
-           name: str = "any_of") -> Event:
-    """An event that settles when the first of ``events`` settles.
-
-    Succeeds with ``(index, value)`` of the first successful event, or
-    fails with the first failure. Remaining events are left untouched.
-    """
-    combined = Event(engine, name)
-    entries = list(events)
-
-    def make_cb(index: int) -> Callable[[Event], None]:
-        def cb(ev: Event) -> None:
-            if combined.settled:
-                return
-            if ev.failed:
-                combined.fail(ev.value)
-            else:
-                combined.succeed((index, ev.value))
-        return cb
-
-    for i, ev in enumerate(entries):
-        ev.add_callback(make_cb(i))
-        if combined.settled:
-            break
-    return combined
-
-
 def timeout_wait(engine: Engine, event: Event, timeout: float):
     """Wait on ``event`` for at most ``timeout`` time.
 
@@ -88,11 +59,9 @@ def timeout_wait(engine: Engine, event: Event, timeout: float):
     value)`` if the event succeeded in time, ``(False, None)`` on
     timeout. Event *failures* are re-raised.
     """
-    # Hand-rolled two-way any_of: one Event and two closures instead of
-    # the timer Event + any_of machinery (this sits on the hot path of
-    # every synchronous remote operation). Settling order is identical:
-    # the timer action settles `combined` directly at the same engine
-    # slot where it used to settle the timer event.
+    # Hand-rolled two-way wait: one Event and two closures instead of
+    # a timer Event plus a first-of-many aggregate (this sits on the
+    # hot path of every synchronous remote operation).
     if event._settled:
         # Same outcome add_callback would deliver synchronously, minus
         # the timer entry (which would be cancelled before firing).

@@ -208,21 +208,12 @@ class Engine:
         finally:
             self._running = False
 
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the list is empty."""
-        while self._heap and self._heap[0][3] is None:
-            heapq.heappop(self._heap)
-        while self._fifo and self._fifo[0][3] is None:
-            self._fifo.popleft()
-        heads = [q[0][0] for q in (self._heap, self._fifo) if q]
-        return min(heads) if heads else None
-
     @property
     def queue_depth(self) -> int:
         """Number of pending (non-cancelled) entries in the event list.
 
         An observability gauge: cancelled entries are lazily discarded
-        by ``run``/``peek``, so subtract them rather than scanning."""
+        by ``run``, so subtract them rather than scanning."""
         return sum(1 for entry in self._heap if entry[3] is not None) \
             + sum(1 for entry in self._fifo if entry[3] is not None)
 

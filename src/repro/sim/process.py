@@ -40,14 +40,6 @@ class ProcessKilled(BaseException):
     """
 
 
-class Interrupted(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        self.cause = cause
-        super().__init__(f"process interrupted (cause={cause!r})")
-
-
 class Delay:
     """Yieldable: suspend the current process for ``duration`` time."""
 
@@ -197,7 +189,7 @@ class Process:
         pure and accelerated runs stay bit-identical.
 
         One shared thunk for every resume flavor (delay expiry, event
-        success, event failure, interrupt): the wake payload is stashed
+        success, event failure): the wake payload is stashed
         in ``_wake_value``/``_wake_throw`` by whoever schedules the
         resume, so each engine dispatch costs exactly one Python frame.
         """
@@ -292,15 +284,6 @@ class Process:
         if self._waiting_on is not None:
             self._waiting_on.discard_callback(self._event_cb)
         self._waiting_on = None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at its wait point."""
-        if not self._alive:
-            return
-        self._detach()
-        self._wake_value = Interrupted(cause)
-        self._wake_throw = True
-        self._pending_resume = self.engine.schedule_now(self._resume)
 
     def kill(self) -> None:
         """Fail-stop the process immediately (``finally`` blocks run)."""

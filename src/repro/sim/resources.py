@@ -107,14 +107,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         if self._in_use < self.capacity:
             self._in_use += 1

@@ -7,7 +7,7 @@ merge order of the partitions. These tests pin that algebra directly
 (associativity / commutativity / order-insensitivity on synthetic
 streams) and then end-to-end: the same app specs run through
 ``parallel.run_specs`` at ``jobs=1`` and ``jobs=2`` must ship
-bit-identical latency histograms and merge to the identical book.
+bit-identical latency histograms and merge to the identical registry.
 """
 
 import json
@@ -20,7 +20,8 @@ from repro.metrics.hist import (
     bucket_index,
     bucket_upper_us,
 )
-from repro.metrics.latency import ALL_OPS, LatencyBook
+from repro.metrics.latency import ALL_OPS, latency_table
+from repro.obs.report import sweep_latency
 from repro.parallel import RunSummary, app_spec, run_specs
 
 
@@ -125,18 +126,20 @@ def test_round_trip_preserves_everything():
 
 
 def test_restored_book_prints_the_same_table():
-    # What sweeps and RunSummary.latency hand back is a book rebuilt
-    # from its serialized form; its table (count / mean / max) must
-    # read like the live one.
-    book = LatencyBook()
+    # What sweeps and RunSummary.latency hand back is a registry
+    # rebuilt from its serialized form; its table (count / mean / max)
+    # must read like the live one.
+    book = MetricsRegistry()
     for op, seed in zip(ALL_OPS, (1, 2, 3, 4)):
         for sample in _samples(seed, n=50):
-            book.record(op, sample)
+            book.observe(op, sample)
     blob = json.dumps(book.to_dict(), sort_keys=True)
-    restored = LatencyBook.from_dict(json.loads(blob))
-    assert restored.table() == book.table()
+    restored = MetricsRegistry.from_dict(json.loads(blob))
+    assert latency_table(restored) == latency_table(book)
+    assert len(latency_table(book).splitlines()) == 1 + len(ALL_OPS)
     for op in ALL_OPS:
-        assert restored.stats(op).max_us == book.stats(op).max_us > 0
+        assert (restored.histogram(op).max_us
+                == book.histogram(op).max_us > 0)
 
 
 def test_registry_merge_is_deterministic():
@@ -177,12 +180,13 @@ def test_latency_histograms_independent_of_jobs():
         assert all(r.ok for r in results)
         summaries = [RunSummary.from_dict(r.summary) for r in results]
         per_run = [s.to_dict()["latency_hist"] for s in summaries]
-        merged = LatencyBook.merged([s.latency for s in summaries])
+        merged = MetricsRegistry.merged(s.latency for s in summaries)
+        assert merged.to_dict() == sweep_latency(results).to_dict()
         return per_run, merged.to_dict()
 
     serial_runs, serial_merged = sweep(jobs=1)
     parallel_runs, parallel_merged = sweep(jobs=2)
     assert serial_runs == parallel_runs
     assert serial_merged == parallel_merged
-    book = LatencyBook.from_dict(serial_merged)
-    assert any(book.hist(op).count for op in ALL_OPS)
+    book = MetricsRegistry.from_dict(serial_merged)
+    assert any(book.histogram(op).count for op in ALL_OPS)

@@ -72,6 +72,19 @@ class TestSpecKey:
         fp_b = code_fingerprint(tmp_path / "b")
         assert fp_a != fp_b
         assert code_fingerprint(tmp_path / "a") == fp_a  # memoized
+        # The compiled kernel computes results too: same .py, edited .c.
+        for name, body in (("c", "int x = 1;\n"), ("d", "int x = 2;\n")):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "mod.py").write_text("x = 1\n")
+            (d / "_ccore.c").write_text(body)
+            (d / "notes.txt").write_text(body)  # not source: ignored
+        fp_c = code_fingerprint(tmp_path / "c")
+        assert fp_c != code_fingerprint(tmp_path / "d")
+        (tmp_path / "e").mkdir()
+        (tmp_path / "e" / "mod.py").write_text("x = 1\n")
+        (tmp_path / "e" / "_ccore.c").write_text("int x = 1;\n")
+        assert code_fingerprint(tmp_path / "e") == fp_c
 
 
 class TestResultCache:

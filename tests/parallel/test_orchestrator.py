@@ -170,6 +170,20 @@ class TestFailureIsolation:
         assert [r.status for r in oks] == ["ok"] * 4
         assert [r.summary["value"] for r in oks] == [0, 2, 4, 6]
 
+    def test_crash_is_charged_to_the_spec_that_crashed(self, test_runners):
+        # Slow neighbours are in flight both times the crasher takes a
+        # worker down. A pool break says nothing about which spec did
+        # it: they must not be charged its attempts.
+        specs = [RunSpec("_t_sleep", {"seconds": 0.3, "n": i})
+                 for i in range(4)]
+        specs.insert(1, RunSpec("_t_crash", {}))
+        results = run_specs(specs, jobs=3, cache=False, retries=1)
+        assert [r.status for r in results] == [
+            "ok", "crashed", "ok", "ok", "ok"]
+        assert results[1].attempts == 2
+        # Never started before the break: run once, on the next pool.
+        assert [r.attempts for r in results[3:]] == [1, 1]
+
     def test_timeout_marks_spec_and_bounded_retry(self, test_runners):
         specs = [RunSpec("_t_sleep", {"seconds": 30}),
                  RunSpec("_t_ok", {"x": 5})]

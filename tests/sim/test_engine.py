@@ -95,16 +95,6 @@ def test_events_scheduled_during_run_execute():
     assert engine.now == 2.0
 
 
-def test_peek_returns_next_event_time():
-    engine = Engine()
-    assert engine.peek() is None
-    handle = engine.schedule(5.0, lambda: None)
-    engine.schedule(8.0, lambda: None)
-    assert engine.peek() == 5.0
-    engine.cancel(handle)
-    assert engine.peek() == 8.0
-
-
 def test_max_events_limits_execution():
     engine = Engine()
     count = []

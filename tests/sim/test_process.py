@@ -7,9 +7,7 @@ from repro.sim import (
     Delay,
     Engine,
     Event,
-    Interrupted,
     ProcessKilled,
-    any_of,
     timeout_wait,
 )
 
@@ -133,43 +131,6 @@ def test_multiple_waiters_all_wake_in_fifo_order():
     assert order == [0, 1, 2, 3]
 
 
-def test_interrupt_during_delay():
-    engine = Engine()
-    trace = []
-
-    def sleeper():
-        try:
-            yield Delay(100.0)
-            trace.append("finished")
-        except Interrupted as exc:
-            trace.append(("interrupted", engine.now, exc.cause))
-
-    p = engine.spawn(sleeper())
-    engine.schedule(5.0, lambda: p.interrupt("wakeup"))
-    engine.run()
-    assert trace == [("interrupted", 5.0, "wakeup")]
-
-
-def test_interrupt_during_event_wait_detaches_from_event():
-    engine = Engine()
-    ev = Event(engine)
-    trace = []
-
-    def waiter():
-        try:
-            yield ev
-        except Interrupted:
-            trace.append("interrupted")
-            yield Delay(1.0)
-            trace.append("resumed")
-
-    p = engine.spawn(waiter())
-    engine.schedule(2.0, lambda: p.interrupt())
-    engine.schedule(2.5, lambda: ev.succeed("late"))
-    engine.run()
-    assert trace == ["interrupted", "resumed"]
-
-
 def test_kill_runs_finally_blocks():
     engine = Engine()
     cleaned = []
@@ -203,6 +164,26 @@ def test_killed_process_never_resumes():
     assert trace == []
 
 
+def test_kill_during_event_wait_detaches_from_event():
+    engine = Engine()
+    ev = Event(engine)
+    trace = []
+
+    def waiter():
+        try:
+            yield ev
+            trace.append("should not happen")
+        finally:
+            trace.append("cleaned")
+
+    p = engine.spawn(waiter())
+    engine.schedule(2.0, p.kill)
+    engine.schedule(2.5, lambda: ev.succeed("late"))
+    engine.run()
+    assert trace == ["cleaned"]
+    assert not p.alive
+
+
 def test_process_kill_is_idempotent():
     engine = Engine()
 
@@ -232,23 +213,6 @@ def test_spawn_rejects_non_generator():
     engine = Engine()
     with pytest.raises(SimulationError, match="generator"):
         engine.spawn(lambda: None)
-
-
-def test_any_of_returns_first_event():
-    engine = Engine()
-    ev1 = Event(engine)
-    ev2 = Event(engine)
-    results = []
-
-    def waiter():
-        index, value = yield any_of(engine, [ev1, ev2])
-        results.append((index, value, engine.now))
-
-    engine.spawn(waiter())
-    engine.schedule(3.0, lambda: ev2.succeed("two"))
-    engine.schedule(5.0, lambda: ev1.succeed("one"))
-    engine.run()
-    assert results == [(1, "two", 3.0)]
 
 
 def test_timeout_wait_success_path():
