@@ -6,7 +6,7 @@ profiles before the vectorization pass -- and records the results in
 them:
 
 * diff compute (vectorized vs. the retained byte-loop reference, on
-  sparse / dense / clean pages), diff apply, diff merge;
+  sparse / dense / clean pages), diff apply;
 * page fault + remote fetch (host microseconds per fault in a
   fetch-heavy synthetic run);
 * lock handoff (host microseconds per acquire in a contended
@@ -43,7 +43,6 @@ from repro.memory.diff import (
     apply_diff,
     compute_diff,
     compute_diff_reference,
-    merge_diffs,
 )
 
 PAGE_SIZE = 4096
@@ -245,19 +244,6 @@ def bench_diff_engine(repeats: int = 5, number: int = 50) -> dict:
     return out
 
 
-def bench_merge(repeats: int = 5, number: int = 50) -> dict:
-    twin, pages = _make_pages()
-    parts = []
-    for lo in range(0, PAGE_SIZE, 512):
-        d = compute_diff(0, twin[lo:lo + 512], pages["dense"][lo:lo + 512])
-        parts.append(type(d)(0, tuple(
-            (lo + off, data) for off, data in d.runs)))
-    merged_us = _time_per_call(
-        lambda: merge_diffs(0, parts, PAGE_SIZE, base=twin),
-        repeats, number)
-    return {"merge_8diffs_us": round(merged_us, 2)}
-
-
 def _run_synthetic(workload: SyntheticWorkload, num_nodes: int = 4):
     config = evaluation_config("ft", num_nodes=num_nodes)
     runtime = SvmRuntime(config, workload)
@@ -309,7 +295,6 @@ def run_all(quick: bool = False) -> dict:
         "page_size": PAGE_SIZE,
         "calibration_us": bench_calibration(),
         "diff": bench_diff_engine(repeats, number),
-        "merge": bench_merge(repeats, number),
         "span_access": bench_span_access(repeats, number),
         "fault_fetch": bench_fault_fetch(10 if quick else 40),
         "lock_handoff": bench_lock_handoff(15 if quick else 60),

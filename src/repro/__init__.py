@@ -20,7 +20,6 @@ from repro.config import (
     MemoryParams,
     NetworkParams,
     ProtocolParams,
-    paper_testbed_config,
 )
 from repro.errors import ReproError
 
@@ -32,7 +31,6 @@ __all__ = [
     "NetworkParams",
     "MemoryParams",
     "CostModel",
-    "paper_testbed_config",
     "ReproError",
     "__version__",
 ]

@@ -172,10 +172,6 @@ class Workload:
     BARRIER_B = 1
     BARRIER_C = 2
 
-    def required_pages(self, config) -> int:
-        """Shared pages this workload needs (for config validation)."""
-        return 0
-
     def setup(self, runtime) -> None:
         raise NotImplementedError
 

@@ -53,10 +53,6 @@ class FFT(Workload):
     # 16 bytes per complex128 element.
     _ITEM = 16
 
-    def required_pages(self, config) -> int:
-        bytes_needed = 2 * self.n * self._ITEM
-        return 2 + bytes_needed // config.memory.page_size
-
     def _row_block(self, tid: int, nthreads: int) -> range:
         rows_per = self.side // nthreads
         lo = tid * rows_per

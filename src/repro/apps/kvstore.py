@@ -50,9 +50,6 @@ class KVStore(Workload):
     def bucket_lock(self, bucket: int) -> int:
         return 1 + bucket
 
-    def num_locks_needed(self) -> int:
-        return 1 + self.buckets
-
     def _row_addr(self, bucket: int) -> int:
         return self.table.addr(bucket * self._ROW)
 

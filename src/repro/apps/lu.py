@@ -45,10 +45,6 @@ class LU(Workload):
 
     _ITEM = 8  # float64
 
-    def required_pages(self, config) -> int:
-        return 2 + (self.n * self.n * self._ITEM
-                    ) // config.memory.page_size
-
     # -- ownership ---------------------------------------------------------
 
     def owner(self, bi: int, bj: int, nthreads: int) -> int:

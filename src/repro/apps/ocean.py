@@ -41,10 +41,6 @@ class Ocean(Workload):
 
     _ITEM = 8
 
-    def required_pages(self, config) -> int:
-        return 2 + self.n * self.n * self._ITEM \
-            // config.memory.page_size
-
     def _rows(self, tid: int, nthreads: int) -> range:
         """Interior rows owned by thread ``tid`` (rows 1..n-2)."""
         interior = self.n - 2

@@ -47,15 +47,8 @@ class RadixSort(Workload):
 
     _ITEM = 8
 
-    def required_pages(self, config) -> int:
-        return 4 + (2 * self.n + self.radix * 2) * self._ITEM \
-            // config.memory.page_size
-
     def bucket_lock(self, bucket: int) -> int:
         return NUM_COORD_LOCKS + bucket
-
-    def num_locks_needed(self) -> int:
-        return NUM_COORD_LOCKS + self.radix
 
     def _my_range(self, ctx) -> range:
         per = self.n // ctx.nthreads

@@ -50,11 +50,6 @@ class Volrend(Workload):
 
     _ITEM = 8
 
-    def required_pages(self, config) -> int:
-        vol = self.vsize ** 3 * self._ITEM
-        img = self.size * self.size * self._ITEM
-        return 4 + (vol + img) // config.memory.page_size
-
     def setup(self, runtime) -> None:
         self.volume = runtime.alloc(
             "vol_data", self.vsize ** 3 * self._ITEM, home="block")

@@ -57,12 +57,6 @@ class WaterNsquared(Workload):
 
     _VEC = 3 * 8  # one 3-vector of float64
 
-    def required_pages(self, config) -> int:
-        return 4 + 3 * self.n * self._VEC // config.memory.page_size
-
-    def num_locks_needed(self) -> int:
-        return self.n + NUM_GLOBAL_LOCKS
-
     def mol_lock(self, m: int) -> int:
         return NUM_GLOBAL_LOCKS + m
 

@@ -43,12 +43,6 @@ class WaterSpatial(Workload):
 
     _VEC = 3 * 8
 
-    def required_pages(self, config) -> int:
-        return 4 + 3 * self.n * self._VEC // config.memory.page_size
-
-    def num_locks_needed(self, nthreads: int) -> int:
-        return NUM_GLOBAL_LOCKS + nthreads  # one boundary lock per band
-
     def boundary_lock(self, band: int) -> int:
         return NUM_GLOBAL_LOCKS + band
 

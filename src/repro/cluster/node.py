@@ -36,12 +36,9 @@ class Node:
 
         self.regions = RegionTable(node_id)
         self.bus = Resource(engine, capacity=1, name=f"node{node_id}.bus")
-        contended = config.memory.model_bus_contention
-        self.nic = NIC(engine, node_id, config.network, self.rng,
-                       regions=self.regions,
-                       dma_bus=self.bus if contended else None,
-                       dma_bandwidth=config.memory.bus_bandwidth_bytes_per_us
-                       if contended else None)
+        self.nic = NIC(engine, node_id, config.network,
+                       regions=self.regions, dma_bus=self.bus,
+                       dma_bandwidth=config.memory.bus_bandwidth_bytes_per_us)
         self.vmmc = VMMC(engine, self.nic, config.costs)
 
         #: Every simulated process running on this node (compute threads,
@@ -64,18 +61,15 @@ class Node:
     def mem_copy(self, nbytes: int):
         """Generator charging the time of a local memory copy.
 
-        Holds the bus (if contention modelling is on) for the transfer,
-        at the slower of copy bandwidth vs bus share.
+        Holds the bus for the transfer, at the slower of copy bandwidth
+        vs bus share.
         """
         duration = self.config.memory.copy_time_us(nbytes)
-        if self.config.memory.model_bus_contention:
-            yield self.bus.acquire()
-            try:
-                yield Delay(duration)
-            finally:
-                self.bus.release()
-        else:
+        yield self.bus.acquire()
+        try:
             yield Delay(duration)
+        finally:
+            self.bus.release()
 
     # -- failure ----------------------------------------------------------------
 

@@ -14,7 +14,6 @@ absolute milliseconds of a 2003 testbed are not a goal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -45,18 +44,11 @@ class NetworkParams:
     post_queue_depth: int = 32
     #: Size in bytes of a control-only message (requests, acks, notices).
     control_message_bytes: int = 64
-    #: Probability of a transient error per message (retransmitted by
-    #: VMMC, invisible to the protocol except for added latency).
-    transient_error_rate: float = 0.0
-    #: Extra latency charged when a transient error forces a retransmit.
-    retransmit_penalty_us: float = 25.0
 
     def __post_init__(self) -> None:
         _require(self.wire_latency_us >= 0, "wire_latency_us must be >= 0")
         _require(self.bandwidth_bytes_per_us > 0, "bandwidth must be > 0")
         _require(self.post_queue_depth >= 1, "post_queue_depth must be >= 1")
-        _require(0.0 <= self.transient_error_rate < 1.0,
-                 "transient_error_rate must be in [0, 1)")
 
     def transfer_time_us(self, size_bytes: int) -> float:
         """Serialization time of ``size_bytes`` on the wire."""
@@ -72,12 +64,10 @@ class MemoryParams:
     #: Local memory-copy bandwidth in bytes/us (twin creation, local
     #: fetches of committed copies, checkpoint buffer copies).
     copy_bandwidth_bytes_per_us: float = 400.0
-    #: Whether processors and the DMA engine contend for the memory bus.
-    #: The paper attributes compute-time dilation under the extended
-    #: protocol to exactly this contention.
-    model_bus_contention: bool = True
     #: Aggregate memory-bus bandwidth in bytes/us shared by all
-    #: processors and DMA within one SMP node.
+    #: processors and DMA within one SMP node. The paper attributes
+    #: compute-time dilation under the extended protocol to exactly
+    #: this contention.
     bus_bandwidth_bytes_per_us: float = 800.0
 
     def __post_init__(self) -> None:
@@ -139,8 +129,6 @@ class CostModel:
     #: Heart-beat timeout: how long a node spins on an expected remote
     #: response before probing the peer (paper section 4.1).
     heartbeat_timeout_us: float = 500.0
-    #: Interval between liveness probes once suspicious.
-    heartbeat_period_us: float = 200.0
     #: Cost of the page-lock bookkeeping per page (FT protocol, Fig 4).
     page_lock_us: float = 0.2
 
@@ -220,29 +208,3 @@ class ClusterConfig:
         """A copy of this config running a different protocol variant."""
         proto = replace(self.protocol, variant=variant, **overrides)
         return replace(self, protocol=proto)
-
-
-def paper_testbed_config(threads_per_node: int = 1,
-                         variant: str = "base",
-                         seed: int = 12345,
-                         shared_pages: int = 2048,
-                         num_locks: int = 8192,
-                         lock_algorithm: Optional[str] = None) -> ClusterConfig:
-    """The paper's evaluation platform: 8 nodes, 1 or 2 threads each.
-
-    Section 5.1: eight 2-way Pentium-II SMPs on Myrinet/VMMC with ~8 us
-    one-way latency. ``variant`` selects base GeNIMA ("base") or the
-    extended fault-tolerant protocol ("ft").
-    """
-    protocol = ProtocolParams(
-        variant=variant,
-        lock_algorithm=lock_algorithm or "polling",
-    )
-    return ClusterConfig(
-        num_nodes=8,
-        threads_per_node=threads_per_node,
-        shared_pages=shared_pages,
-        num_locks=num_locks,
-        seed=seed,
-        protocol=protocol,
-    )

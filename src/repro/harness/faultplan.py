@@ -87,10 +87,6 @@ class FaultPlan:
 
     specs: List[FailureSpec] = field(default_factory=list)
 
-    def add(self, spec: FailureSpec) -> "FaultPlan":
-        self.specs.append(spec)
-        return self
-
     def describe(self) -> str:
         return "; ".join(spec.describe() for spec in self.specs) \
             or "(no failures)"

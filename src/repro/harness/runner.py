@@ -115,10 +115,6 @@ class SvmRuntime:
     def alloc(self, name: str, nbytes: int, home="block") -> Segment:
         return self.cluster.address_space.alloc(name, nbytes, home=home)
 
-    def interval_source(self, node: int) -> int:
-        """Which node serves write-notice queries about ``node``."""
-        return node
-
     def barrier_manager_node(self) -> int:
         return self.homes.barrier_manager()
 
@@ -138,9 +134,6 @@ class SvmRuntime:
     def threads_on_node(self, node_id: int) -> int:
         return sum(1 for rec in self.threads
                    if rec.current_node == node_id and not rec.finished)
-
-    def agent(self, node_id: int):
-        return self.agents[node_id]
 
     # ------------------------------------------------------------------
     # Thread lifecycle
@@ -240,20 +233,20 @@ class SvmRuntime:
                 recorder.detach()
 
     def _maybe_flight_record(self):
-        """Opt-in crash tracing: with ``REPRO_FLIGHT_RECORD`` set, every
+        """Opt-in crash tracing: with ``REPRO_TRACE_DIR`` set, every
         run records a flight-recorder timeline and, if the run raises,
-        exports it under ``REPRO_TRACE_DIR`` (default ``traces/``) for
-        post-mortem inspection -- how CI attaches Perfetto traces to
-        failed tests. Off (the default) this allocates nothing."""
+        exports it under that directory for post-mortem inspection --
+        how CI attaches Perfetto traces to failed tests. Off (the
+        default) this allocates nothing."""
         import os
-        if not os.environ.get("REPRO_FLIGHT_RECORD"):
+        if not os.environ.get("REPRO_TRACE_DIR"):
             return None
         from repro.obs import FlightRecorder
         return FlightRecorder(self)
 
     def _export_crash_trace(self, recorder) -> None:
         import os
-        outdir = os.environ.get("REPRO_TRACE_DIR", "traces")
+        outdir = os.environ["REPRO_TRACE_DIR"]
         try:
             os.makedirs(outdir, exist_ok=True)
             name = (f"crash-{self.workload.__class__.__name__}"

@@ -4,12 +4,12 @@ Public surface::
 
     from repro.memory import (
         AddressSpace, Segment, PageStore, PageTable, Access,
-        Diff, compute_diff, apply_diff, merge_diffs,
+        Diff, compute_diff, apply_diff,
     )
 """
 
 from repro.memory.address import AddressSpace, HomePolicy, Segment
-from repro.memory.diff import Diff, apply_diff, compute_diff, merge_diffs
+from repro.memory.diff import Diff, apply_diff, compute_diff
 from repro.memory.pagestore import PageStore
 from repro.memory.pagetable import Access, PageTable, PageTableEntry
 
@@ -24,5 +24,4 @@ __all__ = [
     "Diff",
     "compute_diff",
     "apply_diff",
-    "merge_diffs",
 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -295,69 +295,3 @@ def apply_diff(buf: bytearray, diff: Diff) -> None:
                 f"diff run [{offset}, {offset + len(data)}) outside page "
                 f"of size {size}")
         buf[offset:offset + len(data)] = data
-
-
-#: Scratch page reused across :func:`merge_diffs` calls. Merging is on
-#: the release hot path (one call per batched page), and a fresh
-#: page-sized bytearray per call was pure allocator churn: every byte
-#: of every emitted run is written before it is read -- run payloads
-#: first, then base-sourced gap fill -- so content left over from a
-#: previous call can never leak into the output (pinned by the scratch
-#: reuse tests in ``tests/memory/test_diff_equivalence.py``). The
-#: simulator is single-threaded; parallel sweeps fork interpreters.
-_MERGE_SCRATCH = bytearray(0)
-
-
-def merge_diffs(page_id: int, diffs: Iterable[Diff], page_size: int,
-                merge_gap: int = 8,
-                base: Optional[bytes] = None) -> Diff:
-    """Merge several diffs of the same page into one (later diffs win).
-
-    Used when a releaser batches multiple intervals' worth of updates.
-
-    Runs are coalesced like :func:`compute_diff`: overlapping or
-    touching runs always merge; runs separated by a gap smaller than
-    ``merge_gap`` additionally merge when ``base`` (the content of the
-    page the merged diff will be applied against, e.g. the shared twin
-    or the home copy) is provided to source the gap bytes from. Without
-    ``base`` the gap content is unknown, so such runs stay separate --
-    merging them would fabricate bytes.
-    """
-    global _MERGE_SCRATCH
-    if len(_MERGE_SCRATCH) < page_size:
-        _MERGE_SCRATCH = bytearray(page_size)
-    scratch = _MERGE_SCRATCH
-    intervals: List[List[int]] = []
-    for diff in diffs:
-        if diff.page_id != page_id:
-            raise MemoryError_(
-                f"cannot merge diff of page {diff.page_id} into {page_id}")
-        for offset, data in diff.runs:
-            end = offset + len(data)
-            if offset < 0 or end > page_size:
-                raise MemoryError_(
-                    f"diff run [{offset}, {end}) outside page of size "
-                    f"{page_size}")
-            scratch[offset:end] = data
-            intervals.append([offset, end])
-    if not intervals:
-        return Diff(page_id, ())
-    intervals.sort()
-    gap_limit = merge_gap if base is not None else 0
-    if base is not None and len(base) != page_size:
-        raise MemoryError_(
-            f"merge base size {len(base)} != page size {page_size}")
-    merged: List[List[int]] = [intervals[0]]
-    for start, end in intervals[1:]:
-        prev = merged[-1]
-        gap = start - prev[1]
-        if gap <= 0 or gap < gap_limit:
-            if gap > 0:
-                # Fill the unknown gap from the supplied base content.
-                scratch[prev[1]:start] = base[prev[1]:start]
-            if end > prev[1]:
-                prev[1] = end
-        else:
-            merged.append([start, end])
-    return Diff(page_id, tuple(
-        (start, bytes(scratch[start:end])) for start, end in merged))

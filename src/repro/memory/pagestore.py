@@ -81,12 +81,3 @@ class PageStore(MemoryRegion):
     def flat_write(self, addr: int, data) -> None:
         """Single contiguous store of a (possibly multi-page) span."""
         self.write_from(addr, data)
-
-    def copy_page_from(self, other: "PageStore", page_id: int) -> None:
-        """Local page copy between two stores of the same geometry."""
-        if (other.num_pages, other.page_size) != (self.num_pages,
-                                                   self.page_size):
-            raise MemoryError_("geometry mismatch between stores")
-        base = self._page_base(page_id)
-        end = base + self.page_size
-        self._buf[base:end] = other._buf[base:end]

@@ -181,6 +181,3 @@ class PageTable:
             lo = min(r[0] for r in regions)
             hi = max(r[1] for r in regions)
             ent.dirty_regions = [[lo, hi]]
-
-    def total_faults(self) -> int:
-        return sum(ent.faults for ent in self._entries if ent is not None)

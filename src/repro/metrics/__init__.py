@@ -19,7 +19,6 @@ from repro.metrics.trace import (
 )
 from repro.metrics.report import (
     format_breakdown_table,
-    format_overhead_table,
     overhead_percent,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "TraceEvent",
     "load_jsonl",
     "format_breakdown_table",
-    "format_overhead_table",
     "overhead_percent",
 ]

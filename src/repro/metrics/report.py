@@ -30,21 +30,6 @@ def format_breakdown_table(title: str,
     return "\n".join(lines)
 
 
-def format_overhead_table(title: str,
-                          base: Mapping[str, float],
-                          extended: Mapping[str, float]) -> str:
-    """Base-vs-extended totals with percentage overheads per row."""
-    lines = [title, "=" * len(title)]
-    lines.append(f"{'app':<18}{'base':>14}{'extended':>14}{'overhead':>12}")
-    lines.append("-" * 58)
-    for app in base:
-        b = base[app]
-        e = extended.get(app, float('nan'))
-        pct = (e / b - 1.0) * 100.0 if b else float("nan")
-        lines.append(f"{app:<18}{b:>14.1f}{e:>14.1f}{pct:>11.1f}%")
-    return "\n".join(lines)
-
-
 def overhead_percent(base_total: float, extended_total: float) -> float:
     """Extended-over-base overhead in percent."""
     if base_total <= 0:

@@ -14,7 +14,6 @@ involving the host processor, mirroring VMMC's remote deposit/fetch.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, Optional
 
 from repro.config import NetworkParams
@@ -40,7 +39,6 @@ class NIC:
     """One node's network interface."""
 
     def __init__(self, engine: Engine, node_id: int, params: NetworkParams,
-                 rng: random.Random,
                  regions: Optional[RegionTable] = None,
                  dma_bus: Optional[Resource] = None,
                  dma_bandwidth: Optional[float] = None) -> None:
@@ -48,7 +46,6 @@ class NIC:
         self.node_id = node_id
         self._reply_name = f"nic{node_id}.reply"
         self.params = params
-        self.rng = rng
         self.regions = regions if regions is not None else RegionTable(node_id)
         #: Memory-bus contention modelling: when ``dma_bus`` is set,
         #: every DMA transfer holds the bus for ``nbytes /
@@ -127,17 +124,6 @@ class NIC:
             self.post_queue_stalls += 1
         ev = queue.put(msg)
         return None if ev._settled else ev
-
-    def post(self, msg: Message):
-        """Post an asynchronous send (generator; host-side cost included).
-
-        Convenience wrapper over :meth:`post_charge` +
-        :meth:`post_enqueue` for callers off the hot path.
-        """
-        yield self.post_charge()
-        ev = self.post_enqueue(msg)
-        if ev is not None:
-            yield ev
 
     def register_notify_handler(self, channel: str,
                                 handler: Callable[[Message], None]) -> None:
@@ -222,7 +208,6 @@ class NIC:
         delay_per_msg = self._delay_per_msg
         bus = self.dma_bus
         bandwidth = self.dma_bandwidth
-        error_rate = self.params.transient_error_rate
         transfer_time_us = self.params.transfer_time_us
         while True:
             msg = get_nowait()
@@ -239,9 +224,6 @@ class NIC:
                     yield msg.wire_bytes / bandwidth
                 finally:
                     bus.release()
-            if error_rate > 0.0 and self.rng.random() < error_rate:
-                # VMMC retransmits transparently; only latency is visible.
-                yield Delay(self.params.retransmit_penalty_us)
             yield transfer_time_us(msg.wire_bytes)
             self.messages_sent += 1
             self.bytes_sent += msg.wire_bytes

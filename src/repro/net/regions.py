@@ -150,9 +150,3 @@ class RegionTable:
         except KeyError:
             raise MemoryError_(
                 f"node {self.node_id}: no exported region {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._regions
-
-    def names(self) -> list[str]:
-        return sorted(self._regions)

@@ -2,7 +2,7 @@
 
 All components are strictly opt-in: nothing in this package is imported
 or attached by the simulator unless a caller (the ``repro report``
-command, a test, or the ``REPRO_FLIGHT_RECORD`` environment switch)
+command, a test, or the ``REPRO_TRACE_DIR`` environment switch)
 asks for it, and the hook bus early-returns when no subscriber is
 registered -- so a run with observability off executes zero recorder,
 sampler or watchdog code. :mod:`repro.obs.instrumentation` counts every

@@ -57,13 +57,6 @@ class SloSpec:
         #: Minimum fraction of the run not one-copy-exposed, or None.
         self.availability_min = availability_min
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "latency_targets_us": self.latency_targets_us,
-            "availability_min": self.availability_min,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
         return cls(data["name"], data["latency_targets_us"],
@@ -73,11 +66,6 @@ class SloSpec:
     def load(cls, path) -> "SloSpec":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def default_slo_spec() -> SloSpec:

@@ -13,7 +13,6 @@ through small view objects so that the figure pipeline's accessors
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Optional
 
 
@@ -103,10 +102,3 @@ class RunSummary:
         them bit-identically regardless of job count)."""
         from repro.metrics.hist import MetricsRegistry
         return MetricsRegistry.from_dict(self._data.get("latency_hist"))
-
-    def fingerprint(self) -> str:
-        """Order-insensitive digest for bit-identity assertions."""
-        import json
-        blob = json.dumps(self._data, sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()

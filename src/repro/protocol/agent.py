@@ -743,9 +743,8 @@ class SvmNodeAgent:
         for node, first, last in missing:
             if node == self.node_id:
                 continue
-            source = self.runtime.interval_source(node)
             entries = yield from self.call_service(
-                source, GET_INTERVALS_SERVICE, (node, first, last), op=op)
+                node, GET_INTERVALS_SERVICE, (node, first, last), op=op)
             yield from self._apply_write_notices(node, entries)
         self.ts.merge(grant_ts)
         return None

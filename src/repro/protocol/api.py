@@ -41,10 +41,6 @@ class SvmThread:
         self.thread_id = thread_id
         self.clock = clock
 
-    @property
-    def node_id(self) -> int:
-        return self.agent.node_id
-
     def rebind(self, agent: "SvmNodeAgent") -> None:
         """Recovery: the thread now executes on a different node."""
         self.agent = agent
@@ -174,12 +170,3 @@ class SvmThread:
                                        self.agent.engine.now - start)
             self.clock.pop(Category.BARRIER)
         return None
-
-    def critical(self, lock_id: int, body):
-        """Generator helper: acquire, run ``body`` generator, release."""
-        yield from self.acquire(lock_id)
-        try:
-            result = yield from body
-        finally:
-            yield from self.release(lock_id)
-        return result

@@ -22,9 +22,10 @@ describes:
    fresh second replica, and wards whose checkpoint backup died get a
    new backup seeded from their self-mirror. Replacement replicas are
    *elected* to spread load over all survivors (the ring alone would
-   pile everything the dead node hosted onto its successor);
-   elections are installed as :class:`~repro.protocol.homes.HomeMap`
-   overrides so every node derives the same placement.
+   pile everything the dead node hosted onto its successor) by one
+   election, run over each
+   :class:`~repro.protocol.homes.ReplicaRing` of the home map, so
+   every node derives the same placement.
 5. **Global state exchange** -- a barrier-equivalent merge of vector
    timestamps (capped at each node's *published* interval) and write
    notices, including the failed node's mirrored interval log, so that
@@ -63,7 +64,7 @@ from repro.cluster import Hooks
 from repro.errors import RecoveryError, UnrecoverableFailure
 from repro.protocol.ft.checkpoint import encode_thread_state
 from repro.protocol.ft.protocol import STAGE_PHASE1, STAGE_POINT_B
-from repro.protocol.locks import LOCKTS_REGION, LOCKVEC_REGION
+from repro.protocol.locks import PollingLocks
 from repro.protocol.signals import RecoverySignal
 from repro.protocol.timestamps import VectorTimestamp
 from repro.sim import Delay, Event
@@ -150,27 +151,29 @@ class RecoveryManager:
     # ------------------------------------------------------------------
 
     def report_failure(self, failed: int) -> None:
-        if failed in self.recovered:
-            return  # stale signal about an already-recovered node
-        if self.active is not None:
-            # A failure while recovery is in progress: absorb it into
-            # the running rendezvous as an additional victim instead of
-            # giving up (the paper's untolerated case; see module
-            # docstring for why the extension is sound).
-            self._note_additional_victim(failed)
-            return
+        """The one failure intake: detection by protocol code and the
+        ground-truth death observer both land here. The first victim
+        opens the rendezvous; a node dying while a recovery is in
+        progress is absorbed into it as an additional victim instead
+        of giving up (the paper's untolerated case; see the module
+        docstring for why the extension is sound)."""
+        if failed in self.recovered or failed in self._victim_queue:
+            return  # stale or duplicate signal
         if self.runtime.cluster.node(failed).alive:
             raise RecoveryError(
                 f"false failure suspicion of live node {failed}")
-        self.active = failed
-        self._victim_queue = [failed]
+        first = self.active is None
+        self._victim_queue.append(failed)
         self._detected_at[failed] = self.engine.now
-        self._done_event = Event(self.engine, "recovery.done")
-        self._quiescent = Event(self.engine, "recovery.quiescent")
-        self._parked.clear()
+        if first:
+            self.active = failed
+            self._done_event = Event(self.engine, "recovery.done")
+            self._quiescent = Event(self.engine, "recovery.quiescent")
+            self._parked.clear()
         for node_id in self._live_ids():
             agent = self.runtime.agents[node_id]
-            agent.recovery_pending = RecoverySignal(failed)
+            if first:
+                agent.recovery_pending = RecoverySignal(failed)
             # Unmap connections from the failed node everywhere, NOW:
             # deposits it posted just before dying may still be on the
             # wire, and applying one after recovery rebuilds the target
@@ -182,33 +185,15 @@ class RecoveryManager:
             manager.abort_pending()
         self.runtime.cluster.hooks.fire(
             Hooks.FAILURE_DETECTED, failed, time=self.engine.now)
-        self.engine.spawn(self._coordinate(), "recovery.coord")
-        self._check_quiescent()
-
-    def _note_additional_victim(self, failed: int) -> None:
-        """Queue a node that died while recovery was already running."""
-        if failed in self.recovered or failed in self._victim_queue:
-            return
-        if self.runtime.cluster.node(failed).alive:
-            raise RecoveryError(
-                f"false failure suspicion of live node {failed}")
-        self._victim_queue.append(failed)
-        self._detected_at[failed] = self.engine.now
-        for node_id in self._live_ids():
-            agent = self.runtime.agents[node_id]
-            agent.node.nic.shun(failed, epoch=self.runtime.homes.epoch)
-            agent.abort_local_waits()
-        for manager in self.runtime.barrier_managers:
-            manager.abort_pending()
-        self.runtime.cluster.hooks.fire(
-            Hooks.FAILURE_DETECTED, failed, time=self.engine.now)
-        # The new corpse's threads can no longer be required to park.
+        if first:
+            self.engine.spawn(self._coordinate(), "recovery.coord")
+        # A later victim's threads can no longer be required to park.
         self._check_quiescent()
 
     def _on_node_died(self, node_id: int) -> None:
-        if self.active is None:
-            return  # normal operation: detection via communication
-        self._note_additional_victim(node_id)
+        if self.active is not None:
+            self.report_failure(node_id)
+        # else normal operation: detection via communication
 
     def park(self, thread):
         """Generator: wait at the recovery rendezvous until recovery
@@ -238,31 +223,18 @@ class RecoveryManager:
 
         ``pre_batch`` is the home map before any batch member was
         excluded, i.e. the placement whose replicas actually hold the
-        state. Near-simultaneous deaths of a full replica pair (or of a
-        victim together with its checkpoint backup) are the genuinely
-        unrecoverable cases; everything else the wave loop handles."""
+        state. Near-simultaneous deaths of a full replica pair (for a
+        ward: of a victim together with its checkpoint backup, which
+        loses its saved thread states) are the genuinely unrecoverable
+        cases; everything else the wave loop handles."""
         dead = set(batch)
-        runtime = self.runtime
-        for page in sorted(runtime.cluster.address_space.home_hint):
-            if pre_batch.primary_home(page) in dead \
-                    and pre_batch.secondary_home(page) in dead:
-                raise UnrecoverableFailure(
-                    f"page {page} lost both replicas: nodes "
-                    f"{pre_batch.primary_home(page)} and "
-                    f"{pre_batch.secondary_home(page)} failed together")
-        for lock_id in range(runtime.config.num_locks):
-            if pre_batch.lock_primary(lock_id) in dead \
-                    and pre_batch.lock_secondary(lock_id) in dead:
-                raise UnrecoverableFailure(
-                    f"lock {lock_id} lost both replicas: nodes "
-                    f"{pre_batch.lock_primary(lock_id)} and "
-                    f"{pre_batch.lock_secondary(lock_id)} failed together")
-        for victim in batch:
-            if pre_batch.backup_node(victim) in dead:
-                raise UnrecoverableFailure(
-                    f"node {victim} failed together with its checkpoint "
-                    f"backup {pre_batch.backup_node(victim)}: saved "
-                    f"thread states lost")
+        for ring in pre_batch.rings:
+            for key in ring.keys():
+                primary, secondary = ring.primary(key), ring.secondary(key)
+                if primary in dead and secondary in dead:
+                    raise UnrecoverableFailure(
+                        f"{ring.kind} {key} lost both replicas: nodes "
+                        f"{primary} and {secondary} failed together")
 
     def _coordinate(self):
         runtime = self.runtime
@@ -299,7 +271,7 @@ class RecoveryManager:
                     runtime.cluster.hooks.fire(
                         Hooks.HOME_REMAP, v, epoch=runtime.homes.epoch,
                         failed_set=sorted(runtime.homes.failed))
-            # Overrides installed by this wave must also land in the
+            # Elections installed by this wave must also land in the
             # snapshots of batch siblings still awaiting their wave,
             # or their "old" maps would mis-locate the moved replicas.
             successor_maps = [pre_maps[v]
@@ -355,6 +327,38 @@ class RecoveryManager:
             raise UnrecoverableFailure(
                 "no surviving node available for a replacement replica")
         return min(candidates, key=lambda i: (load[i], i))
+
+    def _elect(self, ring, old_ring, failed: int, live: List[int],
+               successor_rings) -> List[Tuple[int, int, int]]:
+        """Step 8-elect for one kind of state: give every key that
+        kept a copy on ``failed`` a new secondary, and return those
+        keys as ``(key, old primary, old secondary)``.
+
+        The ring default would pile everything the victim hosted onto
+        its successor; elect targets by least standing load instead
+        (deterministic: keys in ring order, ties on node id), and
+        install the choices in the map so every node -- and every
+        batch sibling's pending "old map" snapshot, or it would
+        mis-locate the moved replicas -- agrees."""
+        moved = []
+        load = {i: 0 for i in live}
+        for key in ring.keys():
+            old_primary = old_ring.primary(key)
+            old_secondary = old_ring.secondary(key)
+            if failed in (old_primary, old_secondary):
+                moved.append((key, old_primary, old_secondary))
+                continue
+            secondary = ring.secondary(key)
+            if secondary in load:
+                load[secondary] += 1
+        for key, _old_primary, _old_secondary in moved:
+            target = self._spread_pick(load, ring.primary(key))
+            if target != ring.secondary(key):
+                ring.reassign(key, target)
+                for sibling_ring in successor_rings:
+                    sibling_ring.reassign(key, target)
+            load[target] += 1
+        return moved
 
     def _recover_one(self, failed: int, old_map, successor_maps,
                      resumed: Dict[int, tuple]):
@@ -464,76 +468,13 @@ class RecoveryManager:
             rolled_back_interval=rolled_back_interval)
 
         # -- 8-elect. choose replacement replica placements -----------------
-        # Everything the victim hosted needs a new second copy. The
-        # ring default would pile all of it onto the victim's
-        # successor; elect targets by least standing load instead
-        # (deterministic: sorted iteration, ties on node id), and
-        # install the choices as map overrides so every node -- and
-        # every batch sibling's pending "old map" snapshot -- agrees.
-        all_pages = sorted(runtime.cluster.address_space.home_hint)
-        moved_pages: List[Tuple[int, int, int]] = []
-        for page in all_pages:
-            old_primary = old_map.primary_home(page)
-            old_secondary = old_map.secondary_home(page)
-            if failed in (old_primary, old_secondary):
-                moved_pages.append((page, old_primary, old_secondary))
-        moving = {entry[0] for entry in moved_pages}
-        page_load = {i: 0 for i in live}
-        for page in all_pages:
-            if page in moving:
-                continue
-            sec = homes.secondary_home(page)
-            if sec in page_load:
-                page_load[sec] += 1
-        for page, _old_p, _old_s in moved_pages:
-            new_primary = homes.primary_home(page)
-            target = self._spread_pick(page_load, new_primary)
-            if target != homes.secondary_home(page):
-                homes.reassign_secondary(page, target)
-                for sibling_map in successor_maps:
-                    sibling_map.reassign_secondary(page, target)
-            page_load[target] += 1
-
-        num_locks = runtime.config.num_locks
-        moved_locks: List[Tuple[int, int, int]] = []
-        for lock_id in range(num_locks):
-            old_p = old_map.lock_primary(lock_id)
-            old_s = old_map.lock_secondary(lock_id)
-            if failed in (old_p, old_s):
-                moved_locks.append((lock_id, old_p, old_s))
-        moving_locks = {entry[0] for entry in moved_locks}
-        lock_load = {i: 0 for i in live}
-        for lock_id in range(num_locks):
-            if lock_id in moving_locks:
-                continue
-            sec = homes.lock_secondary(lock_id)
-            if sec in lock_load:
-                lock_load[sec] += 1
-        for lock_id, _old_p, _old_s in moved_locks:
-            new_p = homes.lock_primary(lock_id)
-            target = self._spread_pick(lock_load, new_p)
-            if target != homes.lock_secondary(lock_id):
-                homes.reassign_lock_secondary(lock_id, target)
-                for sibling_map in successor_maps:
-                    sibling_map.reassign_lock_secondary(lock_id, target)
-            lock_load[target] += 1
-
-        moved_wards = [node_id for node_id in live
-                       if old_map.backup_node(node_id) == failed]
-        backup_load = {i: 0 for i in live}
-        for node_id in live:
-            if node_id in moved_wards:
-                continue
-            backup = homes.backup_node(node_id)
-            if backup in backup_load:
-                backup_load[backup] += 1
-        for ward in moved_wards:
-            target = self._spread_pick(backup_load, ward)
-            if target != homes.backup_node(ward):
-                homes.reassign_backup(ward, target)
-                for sibling_map in successor_maps:
-                    sibling_map.reassign_backup(ward, target)
-            backup_load[target] += 1
+        # One election per kind of state, in ring order: pages, locks,
+        # wards (a ward moves when its checkpoint backup died).
+        moved_pages, moved_locks, moved_wards = [
+            self._elect(ring, old_ring, failed, live, sibling_rings)
+            for ring, old_ring, *sibling_rings in zip(
+                homes.rings, old_map.rings,
+                *(sibling.rings for sibling in successor_maps))]
 
         # -- 4. re-replicate pages that lost one home ----------------------
         for page, old_primary, old_secondary in moved_pages:
@@ -561,34 +502,21 @@ class RecoveryManager:
         # -- 5. lock reconfiguration ------------------------------------------
         n = runtime.config.num_nodes
         for agent in agents.values():
-            vec = agent.node.regions.lookup(LOCKVEC_REGION).view()
-            # Clear the failed node's slot in every lock vector (this
-            # also releases any lock it held at the time of failure).
-            vec[failed::n] = bytes(len(range(failed, len(vec), n)))
-
-        def copy_lock_state(src: int, dst: int, lock_id: int) -> None:
-            if src == dst:
-                return
-            src_vec = agents[src].node.regions.lookup(LOCKVEC_REGION)
-            dst_vec = agents[dst].node.regions.lookup(LOCKVEC_REGION)
-            dst_vec.write(lock_id * n, src_vec.read(lock_id * n, n))
-            src_ts = agents[src].node.regions.lookup(LOCKTS_REGION)
-            dst_ts = agents[dst].node.regions.lookup(LOCKTS_REGION)
-            dst_ts.write(lock_id * 4 * n,
-                         src_ts.read(lock_id * 4 * n, 4 * n))
-
-        reseeded_locks = 0
+            # This also releases any lock the victim held when it died.
+            PollingLocks.clear_slots(agent.node.regions, n, [failed])
         for lock_id, old_p, old_s in moved_locks:
             new_p = homes.lock_primary(lock_id)
             new_s = homes.lock_secondary(lock_id)
             # The surviving copy of the lock state: the old secondary
             # when the primary died, the old primary otherwise.
             survivor = old_s if old_p == failed else old_p
-            copy_lock_state(survivor, new_p, lock_id)
-            copy_lock_state(new_p, new_s, lock_id)
-            reseeded_locks += 1
-        rereplicate_cost += reseeded_locks * (net.wire_latency_us * 0.02
-                                              + 0.5)
+            for src, dst in ((survivor, new_p), (new_p, new_s)):
+                if src != dst:
+                    PollingLocks.copy_state(
+                        agents[src].node.regions,
+                        agents[dst].node.regions, n, lock_id)
+        rereplicate_cost += len(moved_locks) * (net.wire_latency_us * 0.02
+                                                + 0.5)
 
         # -- 6. global state exchange (barrier-equivalent) ------------------
         completed = store.last_complete_release(failed)
@@ -656,7 +584,7 @@ class RecoveryManager:
         # bug; or a permanent version wait when a lock timestamp already
         # names the rolled-back interval). The reseed null release on
         # resume additionally re-ships *current* thread states.
-        for node_id in moved_wards:
+        for node_id, _ward, _dead_backup in moved_wards:
             agent = agents[node_id]
             new_backup_store = agents[
                 homes.backup_node(node_id)].ckpt_store
@@ -790,9 +718,7 @@ class RecoveryManager:
         # every dead slot in case a late remnant slipped in between
         # failure and detection).
         for agent in agents.values():
-            vec = agent.node.regions.lookup(LOCKVEC_REGION).view()
-            for dead in homes.failed:
-                vec[dead::n] = bytes(len(range(dead, len(vec), n)))
+            PollingLocks.clear_slots(agent.node.regions, n, homes.failed)
         runtime.cluster.hooks.fire(
             Hooks.RECOVERY_RECONCILE, failed, action="barrier-reconcile",
             generations=dict(generations))

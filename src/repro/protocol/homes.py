@@ -1,37 +1,108 @@
-"""Home assignment for pages and locks, with failure reconfiguration.
+"""Replica placement for pages, locks and checkpoints, with failure
+reconfiguration.
 
-Every shared page has a *primary home* chosen by the application at
-allocation time (paper section 4.2); the extended protocol adds a
-*secondary home*, "initially the node immediately following the primary
-home in node order". Locks are distributed round-robin and get the same
-primary/secondary treatment.
+Every piece of protocol state lives on two distinct nodes. A shared
+page has a *primary home* chosen by the application at allocation time
+(paper section 4.2) and a *secondary home*, "initially the node
+immediately following the primary home in node order"; locks are
+distributed round-robin and get the same treatment; a node's thread
+checkpoints live on the node itself (its *ward* entry: the primary is
+the node) and on a backup. All three are instances of one
+:class:`ReplicaRing`; docs/PROTOCOL.md "Replica placement" tabulates
+them.
 
 After a failure the mapping is recomputed by walking the node ring and
 skipping dead nodes -- a pure function of (original hint, failed set),
 so every live node derives the identical new map independently, and the
-two replicas of any page or lock are guaranteed to sit on distinct
-nodes under any sequence of (non-simultaneous) failures (section 4.5.1).
+two replicas of any key are guaranteed to sit on distinct nodes under
+any sequence of (non-simultaneous) failures (section 4.5.1).
 
-Recovery's re-replication phase may *override* the ring for secondary
-homes and checkpoint backups (:meth:`HomeMap.reassign_secondary` and
-friends): the ring piles every replica the dead node hosted onto its
-successor, while an election can spread that load over all survivors.
-Overrides are part of the deterministic map state -- they are installed
-by the (deterministic) recovery coordinator, bump the epoch like an
-exclusion does, are cloned by :meth:`HomeMap.copy`, and are pruned
-automatically when a later exclusion invalidates them (target died, or
-the ring moved the primary onto the override target).
+Recovery's re-replication phase may *elect* a secondary off the ring
+(:meth:`ReplicaRing.reassign`): the ring piles every replica the dead
+node hosted onto its successor, while an election can spread that load
+over all survivors. Elections are part of the deterministic map state
+-- they are installed by the (deterministic) recovery coordinator, bump
+the epoch like an exclusion does, are cloned by :meth:`HomeMap.copy`,
+and are pruned automatically when a later exclusion invalidates them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable
+from typing import Callable, Dict, FrozenSet, Iterable
 
 from repro.errors import ProtocolError, UnrecoverableFailure
 
 
+class ReplicaRing:
+    """Where the two copies of one kind of state live.
+
+    ``hint(key)`` names the node the key was first placed on; the
+    primary is the first live node at or after it, the secondary the
+    elected node if there is one and the next live node after the
+    primary otherwise. ``keys()`` lists the keys that exist, in the
+    order elections visit them.
+    """
+
+    def __init__(self, homes: "HomeMap", kind: str,
+                 hint: Callable[[int], int],
+                 keys: Callable[[], Iterable[int]]) -> None:
+        self.kind = kind
+        self.hint = hint
+        self.keys = keys
+        self._homes = homes
+        self._next_live = homes._next_live
+        #: key -> elected secondary; absent keys follow the ring.
+        self._elected: Dict[int, int] = {}
+
+    def primary(self, key: int) -> int:
+        return self._next_live(self.hint(key))
+
+    def secondary(self, key: int) -> int:
+        elected = self._elected.get(key)
+        if elected is not None:
+            return elected
+        primary = self.primary(key)
+        secondary = self._next_live(primary + 1)
+        if secondary == primary:
+            raise UnrecoverableFailure(
+                f"cannot place {self.kind} replicas on distinct nodes")
+        return secondary
+
+    def reassign(self, key: int, target: int) -> None:
+        """Elect ``target`` as ``key``'s secondary."""
+        homes = self._homes
+        primary = self.primary(key)
+        if not 0 <= target < homes.num_nodes:
+            raise ProtocolError(f"no node {target}")
+        if target in homes._failed:
+            raise ProtocolError(
+                f"cannot place {self.kind} replica on dead node {target}")
+        if target == primary:
+            raise ProtocolError(
+                f"{self.kind} replica must not share node {primary} with "
+                f"its primary")
+        self._elected[key] = target
+        homes.epoch += 1
+
+    def prune(self) -> None:
+        """Drop elections the new failed set invalidates: a dead
+        target, a ring primary that moved onto the target (the replicas
+        would coincide), or a key that no longer exists (a dead ward).
+        Pruned keys fall back to the ring, and the recovery of
+        whichever node broke them re-elects; the lost-replica scan
+        compares against the *pre-exclusion* map copy, so a pruned key
+        still shows up as needing a secondary."""
+        failed = self._homes._failed
+        existing = set(self.keys())
+        for key in list(self._elected):
+            target = self._elected[key]
+            if target in failed or key not in existing \
+                    or target == self.primary(key):
+                del self._elected[key]
+
+
 class HomeMap:
-    """Deterministic page/lock home directory shared by all nodes.
+    """Deterministic replica directory shared by all nodes.
 
     Each node holds its own copy; :meth:`exclude` is called with the
     same failed node on every live node, keeping the copies identical
@@ -48,15 +119,27 @@ class HomeMap:
         # application allocates segments, and the map sees them live.
         self._page_hint = page_hint
         self._failed: set[int] = set()
-        #: Re-replication overrides (page/lock -> secondary, ward ->
-        #: backup). Absent keys fall back to the ring walk.
-        self._secondary_override: Dict[int, int] = {}
-        self._lock_secondary_override: Dict[int, int] = {}
-        self._backup_override: Dict[int, int] = {}
         #: Reconfiguration epoch: bumped on every exclusion and every
-        #: re-replication override, so auditors can tell which map
-        #: generation routed a message.
+        #: election, so auditors can tell which map generation routed
+        #: a message.
         self.epoch = 0
+        self.pages = ReplicaRing(self, "page", self.page_hint,
+                                 self.allocated_pages)
+        self.locks = ReplicaRing(self, "lock", self.lock_hint,
+                                 lambda: range(num_locks))
+        #: A node's checkpoints: the node itself and its backup.
+        self.wards = ReplicaRing(self, "ward", self.ward_hint,
+                                 self.live_nodes)
+        #: In the order exclusions prune and recovery elects.
+        self.rings = (self.pages, self.locks, self.wards)
+        # The lookups the protocol's hot paths call, bound once so
+        # they cost no frame beyond the ring's own.
+        self.primary_home = self.pages.primary
+        self.secondary_home = self.pages.secondary
+        self.lock_primary = self.locks.primary
+        self.lock_secondary = self.locks.secondary
+        #: Where a node ships its thread checkpoints.
+        self.backup_node = self.wards.secondary
 
     # -- ring walking ---------------------------------------------------------
 
@@ -71,6 +154,10 @@ class HomeMap:
     def live_count(self) -> int:
         return self.num_nodes - len(self._failed)
 
+    def live_nodes(self) -> list[int]:
+        return [node for node in range(self.num_nodes)
+                if node not in self._failed]
+
     @property
     def failed(self) -> FrozenSet[int]:
         return frozenset(self._failed)
@@ -84,62 +171,10 @@ class HomeMap:
         if self.live_count() < 2:
             raise UnrecoverableFailure(
                 "fewer than two live nodes remain: replication impossible")
-        self._prune_overrides()
+        for ring in self.rings:
+            ring.prune()
 
-    def _prune_overrides(self) -> None:
-        """Drop overrides the new failed set invalidates: a dead
-        target, or a ring primary that moved onto the override target
-        (the replicas would coincide). Pruned entries fall back to the
-        ring, and the recovery of whichever node broke them re-elects;
-        the lost-replica scan compares against the *pre-exclusion* map
-        copy, so a pruned page still shows up as needing a secondary."""
-        for page in list(self._secondary_override):
-            target = self._secondary_override[page]
-            if target in self._failed or target == self.primary_home(page):
-                del self._secondary_override[page]
-        for lock_id in list(self._lock_secondary_override):
-            target = self._lock_secondary_override[lock_id]
-            if target in self._failed \
-                    or target == self.lock_primary(lock_id):
-                del self._lock_secondary_override[lock_id]
-        for ward in list(self._backup_override):
-            if ward in self._failed \
-                    or self._backup_override[ward] in self._failed:
-                del self._backup_override[ward]
-
-    # -- re-replication overrides ---------------------------------------------
-
-    def _check_reassign(self, kind: str, target: int,
-                        primary: int) -> None:
-        if not 0 <= target < self.num_nodes:
-            raise ProtocolError(f"no node {target}")
-        if target in self._failed:
-            raise ProtocolError(
-                f"cannot place {kind} replica on dead node {target}")
-        if target == primary:
-            raise ProtocolError(
-                f"{kind} replica must not share node {primary} with "
-                f"its primary")
-
-    def reassign_secondary(self, page_id: int, target: int) -> None:
-        """Elect ``target`` as ``page_id``'s secondary home."""
-        self._check_reassign("page", target, self.primary_home(page_id))
-        self._secondary_override[page_id] = target
-        self.epoch += 1
-
-    def reassign_lock_secondary(self, lock_id: int, target: int) -> None:
-        """Elect ``target`` as ``lock_id``'s secondary home."""
-        self._check_reassign("lock", target, self.lock_primary(lock_id))
-        self._lock_secondary_override[lock_id] = target
-        self.epoch += 1
-
-    def reassign_backup(self, ward: int, target: int) -> None:
-        """Elect ``target`` as ``ward``'s checkpoint backup."""
-        self._check_reassign("backup", target, ward)
-        self._backup_override[ward] = target
-        self.epoch += 1
-
-    # -- pages ----------------------------------------------------------------
+    # -- hints ----------------------------------------------------------------
 
     def page_hint(self, page_id: int) -> int:
         try:
@@ -148,19 +183,17 @@ class HomeMap:
             raise ProtocolError(f"page {page_id} has no home hint "
                                 "(unallocated page?)") from None
 
-    def primary_home(self, page_id: int) -> int:
-        return self._next_live(self.page_hint(page_id))
+    def lock_hint(self, lock_id: int) -> int:
+        if not 0 <= lock_id < self.num_locks:
+            raise ProtocolError(f"lock {lock_id} out of range")
+        return lock_id % self.num_nodes
 
-    def secondary_home(self, page_id: int) -> int:
-        override = self._secondary_override.get(page_id)
-        if override is not None:
-            return override
-        primary = self.primary_home(page_id)
-        secondary = self._next_live(primary + 1)
-        if secondary == primary:
-            raise UnrecoverableFailure(
-                "cannot place page replicas on distinct nodes")
-        return secondary
+    def ward_hint(self, node: int) -> int:
+        if not 0 <= node < self.num_nodes:
+            raise ProtocolError(f"no node {node}")
+        return node
+
+    # -- pages ----------------------------------------------------------------
 
     def allocated_pages(self) -> list[int]:
         """All pages with a home hint, i.e. allocated by the app."""
@@ -173,40 +206,6 @@ class HomeMap:
                   else self.secondary_home)
         return sorted(p for p in self._page_hint if picker(p) == node)
 
-    # -- locks ----------------------------------------------------------------
-
-    def lock_hint(self, lock_id: int) -> int:
-        if not 0 <= lock_id < self.num_locks:
-            raise ProtocolError(f"lock {lock_id} out of range")
-        return lock_id % self.num_nodes
-
-    def lock_primary(self, lock_id: int) -> int:
-        return self._next_live(self.lock_hint(lock_id))
-
-    def lock_secondary(self, lock_id: int) -> int:
-        override = self._lock_secondary_override.get(lock_id)
-        if override is not None:
-            return override
-        primary = self.lock_primary(lock_id)
-        secondary = self._next_live(primary + 1)
-        if secondary == primary:
-            raise UnrecoverableFailure(
-                "cannot place lock replicas on distinct nodes")
-        return secondary
-
-    # -- checkpoint backups -----------------------------------------------------
-
-    def backup_node(self, node: int) -> int:
-        """Where ``node`` ships its thread checkpoints (next live node,
-        unless re-replication elected a different backup)."""
-        override = self._backup_override.get(node)
-        if override is not None:
-            return override
-        backup = self._next_live(node + 1)
-        if backup == node:
-            raise UnrecoverableFailure("no distinct backup node available")
-        return backup
-
     def barrier_manager(self) -> int:
         """The node hosting barrier managers (lowest live node)."""
         return self._next_live(0)
@@ -214,8 +213,7 @@ class HomeMap:
     def copy(self) -> "HomeMap":
         clone = HomeMap(self.num_nodes, self._page_hint, self.num_locks)
         clone._failed = set(self._failed)
-        clone._secondary_override = dict(self._secondary_override)
-        clone._lock_secondary_override = dict(self._lock_secondary_override)
-        clone._backup_override = dict(self._backup_override)
+        for ring, mine in zip(clone.rings, self.rings):
+            ring._elected = dict(mine._elected)
         clone.epoch = self.epoch
         return clone

@@ -180,6 +180,28 @@ class PollingLocks(LockManagerBase):
     def _ts_size(self) -> int:
         return 4 * self.agent.config.num_nodes
 
+    # Recovery rebuilds the same two regions from outside any one
+    # node's manager, hence static.
+
+    @staticmethod
+    def clear_slots(regions, num_nodes: int, dead) -> None:
+        """Zero the slot of every node in ``dead`` in all lock vectors
+        of one node's ``regions``."""
+        vec = regions.lookup(LOCKVEC_REGION).view()
+        for node in dead:
+            vec[node::num_nodes] = bytes(
+                len(range(node, len(vec), num_nodes)))
+
+    @staticmethod
+    def copy_state(src_regions, dst_regions, num_nodes: int,
+                   lock_id: int) -> None:
+        """Copy one lock's vector and timestamp between two nodes."""
+        for name, size in ((LOCKVEC_REGION, num_nodes),
+                           (LOCKTS_REGION, 4 * num_nodes)):
+            dst_regions.lookup(name).write(
+                lock_id * size,
+                src_regions.lookup(name).read(lock_id * size, size))
+
     def _homes(self, lock_id: int) -> list[int]:
         homes = [self.agent.homes.lock_primary(lock_id)]
         if self.replicate:

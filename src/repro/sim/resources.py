@@ -55,10 +55,6 @@ class Mutex:
         self._locked = False
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
     def acquire(self) -> Event:
         if not self._locked:
             self._locked = True
@@ -66,13 +62,6 @@ class Mutex:
         ev = Event(self.engine, self._acquire_name)
         self._waiters.append(ev)
         return ev
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; returns True on success."""
-        if self._locked:
-            return False
-        self._locked = True
-        return True
 
     def release(self) -> None:
         if not self._locked:
@@ -205,9 +194,14 @@ class Store:
             put_ev.succeed(None)
 
     def drain(self) -> list[Any]:
-        """Remove and return all queued items (used at node failure)."""
+        """Remove and return all queued items (used at node failure).
+
+        Blocked putters are admitted while there is room; the rest are
+        dropped -- the store's consumer is gone, so nothing would ever
+        make room for them."""
         items = list(self._items)
         self._items.clear()
-        while self._putters:
+        while self._putters and not self.is_full:
             self._admit_putter()
+        self._putters.clear()
         return items

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ClusterConfig, MemoryParams
+from repro.config import ClusterConfig
 from repro.cluster import Cluster, FailureInjector
 from repro.errors import RemoteNodeFailure, SimulationError
 from repro.sim import Delay
@@ -106,22 +106,6 @@ def test_bus_contention_serializes_copies():
     cluster.run()
     # Second copy waits for the first: 10us then 20us.
     assert times == [pytest.approx(10.0), pytest.approx(20.0)]
-
-
-def test_bus_contention_can_be_disabled():
-    config = small_config(
-        memory=MemoryParams(model_bus_contention=False))
-    cluster = Cluster(config)
-    times = []
-
-    def copier():
-        yield from cluster.node(0).mem_copy(4000)
-        times.append(cluster.now)
-
-    cluster.node(0).spawn(copier(), "a")
-    cluster.node(0).spawn(copier(), "b")
-    cluster.run()
-    assert times == [pytest.approx(10.0), pytest.approx(10.0)]
 
 
 def test_failure_injector_time_based():

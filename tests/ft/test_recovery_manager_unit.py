@@ -46,6 +46,32 @@ def test_second_node_during_recovery_absorbed_as_victim():
     assert runtime.recovery_manager.active == 2
 
 
+def test_each_victim_is_queued_and_announced_exactly_once():
+    """One intake for every way a failure arrives: a failure reported
+    twice, and one reported (by the death observer, then again by a
+    protocol-level detection) while a recovery is active, each queue
+    the victim once and fire FAILURE_DETECTED once."""
+    from repro.cluster import Hooks
+    runtime = make_runtime()
+    manager = runtime.recovery_manager
+    detected = []
+    runtime.cluster.hooks.on(
+        Hooks.FAILURE_DETECTED, lambda node, **info: detected.append(node))
+    runtime.cluster.fail_node(2)  # idle manager: the observer stays out
+    assert detected == [] and manager.active is None
+    manager.report_failure(2)
+    manager.report_failure(2)
+    assert manager._victim_queue == [2] and detected == [2]
+    assert all(runtime.agents[i].recovery_pending.failed_node == 2
+               for i in (0, 1, 3))
+    runtime.cluster.fail_node(3)  # active manager: the observer reports
+    manager.report_failure(3)
+    assert manager._victim_queue == [2, 3] and detected == [2, 3]
+    # The first victim's signal is what parked threads keep seeing.
+    assert runtime.agents[0].recovery_pending.failed_node == 2
+    assert manager.active == 2
+
+
 def test_both_replica_homes_dying_together_unrecoverable():
     """Losing both copies of a page (its primary and secondary home in
     one batch) is the genuinely unrecoverable case the survivability

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MemoryError_
-from repro.memory import Diff, apply_diff, compute_diff, merge_diffs
+from repro.memory import Diff, apply_diff, compute_diff
 
 PAGE = 256  # small pages keep property tests fast
 
@@ -152,43 +152,15 @@ def test_property_false_sharing_merges_disjoint_writers(pairs):
     assert home == expected
 
 
-def test_merge_diffs_later_wins():
+def test_concatenated_runs_later_wins():
+    """How the protocol merges two diffs of one page (agent.py:
+    ``Diff(page, existing.runs + pending.runs)``): runs apply in order,
+    so where they overlap the later diff wins."""
     d1 = Diff(0, ((0, b"aaaa"),))
     d2 = Diff(0, ((2, b"bb"),))
-    merged = merge_diffs(0, [d1, d2], PAGE)
     buf = bytearray(PAGE)
-    apply_diff(buf, merged)
+    apply_diff(buf, Diff(0, d1.runs + d2.runs))
     assert bytes(buf[:4]) == b"aabb"
-
-
-def test_merge_diffs_rejects_foreign_page():
-    with pytest.raises(MemoryError_):
-        merge_diffs(0, [Diff(1, ())], PAGE)
-
-
-def test_merge_diffs_coalesces_small_gaps_with_base():
-    """With the base page supplied, runs separated by less than the
-    merge gap coalesce, sourcing the gap bytes from the base."""
-    base = bytes(range(32)) + bytes(PAGE - 32)
-    d1 = Diff(0, ((0, b"XX"),))
-    d2 = Diff(0, ((5, b"YY"),))  # gap of 3 < merge_gap
-    merged = merge_diffs(0, [d1, d2], PAGE, merge_gap=8, base=base)
-    assert len(merged.runs) == 1
-    offset, data = merged.runs[0]
-    assert (offset, data) == (0, b"XX" + base[2:5] + b"YY")
-    # Without base the gap content is unknowable: runs stay separate.
-    merged = merge_diffs(0, [d1, d2], PAGE, merge_gap=8)
-    assert len(merged.runs) == 2
-
-
-def test_merge_diffs_rejects_wrong_sized_base():
-    with pytest.raises(MemoryError_):
-        merge_diffs(0, [Diff(0, ((0, b"x"),))], PAGE, base=bytes(PAGE - 1))
-
-
-def test_merge_diffs_rejects_out_of_range_run():
-    with pytest.raises(MemoryError_):
-        merge_diffs(0, [Diff(0, ((PAGE - 2, b"abc"),))], PAGE)
 
 
 def test_decode_rejects_overlapping_runs():

@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 import repro.memory.diff as diff_mod
 from repro.memory.diff import (
     Diff,
-    apply_diff,
     compute_diff,
     compute_diff_reference,
-    merge_diffs,
 )
 
 PAGE = 256
@@ -157,97 +155,3 @@ def test_region_restricted_scan_equals_full_scan(pair, merge_gap):
     # The whole page as one region degenerates to the full scan.
     assert compute_diff(0, twin, cur, merge_gap=merge_gap,
                         regions=[(0, PAGE)]) == full
-
-
-@given(st.lists(page_pair(), min_size=1, max_size=4),
-       st.sampled_from((1, 4, 8)))
-@settings(max_examples=100)
-def test_merge_diffs_equals_sequential_apply(pairs, merge_gap):
-    """Applying the merged diff equals applying the diffs in order."""
-    base = pairs[0][0]
-    diffs = [compute_diff(5, base, cur, merge_gap=merge_gap)
-             for _twin, cur in pairs]
-
-    sequential = bytearray(base)
-    for d in diffs:
-        apply_diff(sequential, d)
-
-    for merge_base in (base, None):
-        merged = merge_diffs(5, diffs, PAGE, merge_gap=merge_gap,
-                             base=merge_base)
-        buf = bytearray(base)
-        apply_diff(buf, merged)
-        assert buf == sequential
-
-
-@given(st.lists(page_pair(), min_size=1, max_size=3))
-@settings(max_examples=100)
-def test_merge_diffs_runs_sorted_nonoverlapping(pairs):
-    base = pairs[0][0]
-    diffs = [compute_diff(1, base, cur) for _twin, cur in pairs]
-    merged = merge_diffs(1, diffs, PAGE, base=base)
-    prev_end = -1
-    for offset, data in merged.runs:
-        assert offset > prev_end
-        assert data
-        prev_end = offset + len(data) - 1
-
-
-# -- scratch buffer reuse ----------------------------------------------------
-#
-# merge_diffs keeps one module-level scratch page alive across calls
-# instead of allocating a fresh bytearray per merge. The contract that
-# makes this safe -- every byte of every emitted run is written before
-# it is read -- is pinned here by interleaving merges designed to leak
-# stale content if the contract ever broke.
-
-
-def test_merge_scratch_reuse_no_stale_leak():
-    # First merge saturates the scratch page with 0xFF.
-    poison = merge_diffs(9, [Diff(9, ((0, b"\xff" * PAGE),))], PAGE)
-    assert poison.runs == ((0, b"\xff" * PAGE),)
-    # Second merge writes two sparse runs separated by a mergeable gap,
-    # with a zero base: the gap bytes must come from base, never from
-    # the poisoned scratch.
-    base = bytes(PAGE)
-    d = Diff(9, ((10, b"ab"), (15, b"cd")))
-    merged = merge_diffs(9, [d], PAGE, merge_gap=8, base=base)
-    assert merged.runs == ((10, b"ab\x00\x00\x00cd"),)
-    # And without a base the runs stay separate with exact payloads.
-    merged = merge_diffs(9, [d], PAGE, merge_gap=8)
-    assert merged.runs == ((10, b"ab"), (15, b"cd"))
-
-
-def test_merge_scratch_grows_for_larger_pages():
-    small = merge_diffs(3, [Diff(3, ((0, b"x"),))], 64)
-    assert small.runs == ((0, b"x"),)
-    big_run = bytes(range(256)) * 16  # 4096 bytes
-    big = merge_diffs(3, [Diff(3, ((0, big_run),))], 4096)
-    assert big.runs == ((0, big_run),)
-
-
-@given(st.lists(page_pair(), min_size=1, max_size=4),
-       st.sampled_from((1, 4, 8)))
-@settings(max_examples=100)
-def test_merge_diffs_matches_reference_recompute(pairs, merge_gap):
-    """The merged diff and a reference rescan patch base identically.
-
-    compute_diff_reference(base, sequential_result) is the oracle for
-    "what changed"; applying the merged diff to a fresh copy of base
-    must land on exactly the bytes that oracle describes, every call
-    reusing the shared scratch page.
-    """
-    base = pairs[0][0]
-    diffs = [compute_diff(7, base, cur, merge_gap=merge_gap)
-             for _twin, cur in pairs]
-    sequential = bytearray(base)
-    for d in diffs:
-        apply_diff(sequential, d)
-    oracle = compute_diff_reference(7, base, bytes(sequential),
-                                    merge_gap=merge_gap)
-    via_oracle = bytearray(base)
-    apply_diff(via_oracle, oracle)
-    via_merge = bytearray(base)
-    apply_diff(via_merge, merge_diffs(7, diffs, PAGE,
-                                      merge_gap=merge_gap, base=base))
-    assert via_merge == via_oracle == sequential

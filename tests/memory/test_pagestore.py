@@ -54,20 +54,3 @@ def test_page_view_is_mutable_zero_copy():
     view = store.page_view(3)
     view[0:3] = b"xyz"
     assert store.read_page(3)[:3] == b"xyz"
-
-
-def test_copy_page_from_other_store():
-    a = PageStore("a", 2, 128)
-    b = PageStore("b", 2, 128)
-    a.write_page(0, bytes([5]) * 128)
-    a.write_page(1, bytes([7]) * 128)
-    b.copy_page_from(a, 1)
-    assert b.read_page(1) == bytes([7]) * 128
-    assert b.read_page(0) == bytes(128)  # one page, not its neighbours
-
-
-def test_copy_between_mismatched_stores_rejected():
-    a = PageStore("a", 2, 128)
-    b = PageStore("b", 2, 64)
-    with pytest.raises(MemoryError_):
-        b.copy_page_from(a, 0)

@@ -45,7 +45,6 @@ def test_fault_counter_increments():
         with pytest.raises(ProtectionFault):
             table.check_read(0)
     assert table.entry(0).faults == 3
-    assert table.total_faults() == 3
 
 
 def test_dirty_page_tracking():

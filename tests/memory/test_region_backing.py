@@ -67,14 +67,10 @@ def test_out_of_range_pages_and_spans_rejected():
     for page in (-1, 4):
         with pytest.raises(MemoryError_):
             store.page_view(page)
-        with pytest.raises(MemoryError_):
-            store.copy_page_from(PageStore("o", 4, 128), page)
     with pytest.raises(MemoryError_):
         store.flat_view(4 * 128 - 2, 4)
     with pytest.raises(MemoryError_):
         store.flat_write(-1, b"ab")
-    with pytest.raises(MemoryError_):
-        store.copy_page_from(PageStore("o", 8, 128), 0)
 
 
 def test_write_whose_byte_length_differs_is_rejected_not_resized():

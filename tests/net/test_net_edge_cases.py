@@ -1,7 +1,5 @@
 """Edge-case tests for the communication layer."""
 
-import random
-
 import pytest
 
 from repro.config import CostModel, NetworkParams
@@ -17,7 +15,7 @@ def make_net(num_nodes=3, params=None):
     network = Network(engine, params)
     endpoints = []
     for node_id in range(num_nodes):
-        nic = NIC(engine, node_id, params, random.Random(node_id))
+        nic = NIC(engine, node_id, params)
         network.attach(nic)
         endpoints.append(VMMC(engine, nic, CostModel()))
     return engine, network, endpoints

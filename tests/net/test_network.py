@@ -1,7 +1,5 @@
 """Integration-style tests for the NIC/Network/VMMC stack."""
 
-import random
-
 import pytest
 
 from repro.config import CostModel, NetworkParams
@@ -18,7 +16,7 @@ def make_cluster_net(num_nodes=2, params=None, costs=None):
     network = Network(engine, params)
     endpoints = []
     for node_id in range(num_nodes):
-        nic = NIC(engine, node_id, params, random.Random(node_id))
+        nic = NIC(engine, node_id, params)
         network.attach(nic)
         endpoints.append(VMMC(engine, nic, costs))
     return engine, network, endpoints
@@ -227,20 +225,6 @@ def test_region_bounds_checked():
         region.read(60, 8)
     with pytest.raises(MemoryError_):
         region.write(-1, b"x")
-
-
-def test_transient_errors_add_latency_but_deliver():
-    params = NetworkParams(transient_error_rate=0.5)
-    engine, network, (a, b) = make_cluster_net(params=params)
-    region = network.nic(1).regions.export("buf", 64)
-
-    def sender():
-        for i in range(8):
-            yield from a.remote_deposit(1, "buf", i, bytes([i]), wait=True)
-
-    engine.spawn(sender())
-    engine.run()
-    assert region.read(0, 8) == bytes(range(8))
 
 
 def test_message_counters():

@@ -94,31 +94,6 @@ def test_raw_read_write_bytes():
     assert seen["got"] == b"spans a page edge"
 
 
-def test_critical_helper_acquires_and_releases():
-    seen = {}
-
-    def body(ctx, seg):
-        def inner():
-            value = yield from ctx.svm.read_i64(seg.addr(0))
-            yield from ctx.svm.write_i64(seg.addr(0), value + 7)
-            return value
-
-        before = yield from ctx.svm.critical(3, inner())
-        seen["before"] = before
-        seen["after"] = yield from ctx.svm.read_i64(seg.addr(0))
-
-    runtime = run_kernel(body)
-    assert seen["before"] == 0
-    assert seen["after"] == 7
-    # The lock was released: its home-side vector is clear.
-    from repro.protocol.locks import LOCKVEC_REGION
-    n = runtime.config.num_nodes
-    home = runtime.homes.lock_primary(3)
-    vec = runtime.agents[home].node.regions.lookup(
-        LOCKVEC_REGION).read(3 * n, n)
-    assert vec == bytes(n)
-
-
 def test_out_of_segment_address_rejected():
     def body(ctx, seg):
         with pytest.raises(ApplicationError.__mro__[1]):  # ReproError

@@ -141,79 +141,113 @@ def test_property_mapping_deterministic_across_replicas(num_nodes,
         assert a.secondary_home(page) == b.secondary_home(page)
 
 
-# -- re-replication overrides -------------------------------------------------
+# -- elected secondaries ------------------------------------------------------
+#
+# Pages, locks and checkpoint wards are three instances of one
+# ReplicaRing, so each case below runs once per kind: the ring, and the
+# HomeMap lookups that read its primary and secondary.
+
+KINDS = {
+    "pages": ("primary_home", "secondary_home"),
+    "locks": ("lock_primary", "lock_secondary"),
+    "wards": (None, "backup_node"),  # a live ward is its own primary
+}
+
+
+def each_kind(**map_args):
+    """(kind, fresh map, ring, primary lookup, secondary lookup)."""
+    for kind, (primary, secondary) in KINDS.items():
+        homes, _ = make_map(**map_args)
+        yield (kind, homes, getattr(homes, kind),
+               getattr(homes, primary) if primary else (lambda key: key),
+               getattr(homes, secondary))
+
 
 def test_reassign_secondary_overrides_ring():
-    homes, _ = make_map()
-    assert homes.secondary_home(0) == 1
-    homes.reassign_secondary(0, 5)
-    assert homes.secondary_home(0) == 5
-    assert homes.primary_home(0) == 0  # primary untouched
+    for kind, homes, ring, primary, secondary in each_kind():
+        assert secondary(0) == 1, kind
+        ring.reassign(0, 5)
+        assert secondary(0) == 5, kind
+        assert primary(0) == 0, kind  # primary untouched
+        assert secondary(1) == 2, kind  # other keys unaffected
 
 
 def test_reassign_bumps_epoch():
     homes, _ = make_map()
     before = homes.epoch
-    homes.reassign_secondary(0, 5)
-    homes.reassign_lock_secondary(0, 5)
-    homes.reassign_backup(0, 5)
+    for ring in homes.rings:
+        ring.reassign(0, 5)
     assert homes.epoch == before + 3
 
 
 def test_reassign_rejects_dead_or_primary_target():
-    homes, _ = make_map()
-    homes.exclude(7)
-    with pytest.raises(ProtocolError):
-        homes.reassign_secondary(0, 7)  # dead target
-    with pytest.raises(ProtocolError):
-        homes.reassign_secondary(0, homes.primary_home(0))
-    with pytest.raises(ProtocolError):
-        homes.reassign_lock_secondary(0, homes.lock_primary(0))
-    with pytest.raises(ProtocolError):
-        homes.reassign_backup(2, 2)  # backup must differ from ward
+    for kind, homes, ring, primary, _ in each_kind():
+        homes.exclude(7)
+        with pytest.raises(ProtocolError):
+            ring.reassign(0, 7)  # dead target
+        with pytest.raises(ProtocolError):
+            ring.reassign(2, primary(2))  # replicas must not coincide
+        with pytest.raises(ProtocolError):
+            ring.reassign(0, 8)  # no such node
 
 
 def test_reassign_backup_overrides_ring():
     homes, _ = make_map()
     assert homes.backup_node(0) == 1
-    homes.reassign_backup(0, 4)
+    homes.wards.reassign(0, 4)
     assert homes.backup_node(0) == 4
+    assert homes.wards.primary(0) == 0  # the ward itself holds copy one
     assert homes.backup_node(1) == 2  # other wards unaffected
 
 
 def test_override_pruned_when_target_dies():
-    homes, _ = make_map()
-    homes.reassign_secondary(0, 5)
-    homes.reassign_lock_secondary(1, 5)
-    homes.reassign_backup(2, 5)
-    homes.exclude(5)
-    # All three fall back to the ring walk on live nodes.
-    assert homes.secondary_home(0) == 1
-    assert homes.lock_secondary(1) == 2
-    assert homes.backup_node(2) == 3
+    for kind, homes, ring, _, secondary in each_kind():
+        ring.reassign(2, 5)
+        homes.exclude(5)
+        # Falls back to the ring walk on live nodes.
+        assert secondary(2) == 3, kind
 
 
 def test_override_pruned_when_ring_moves_primary_onto_target():
-    homes, _ = make_map(num_nodes=4, num_pages=8)
-    # Page 0: primary 0, ring secondary 1. Elect 2 as secondary, then
-    # kill 0 and 1: the ring primary walks 0 -> 2, colliding with the
-    # override, which must be dropped (replicas may not coincide).
-    homes.reassign_secondary(0, 2)
-    homes.exclude(0)
-    assert homes.primary_home(0) == 1
-    assert homes.secondary_home(0) == 2  # override still valid
-    homes.exclude(1)
-    assert homes.primary_home(0) == 2
-    assert homes.secondary_home(0) == 3  # pruned; ring fallback
+    for kind, homes, ring, primary, secondary in each_kind(
+            num_nodes=4, num_pages=8):
+        if kind == "wards":
+            continue  # a ward's primary only moves when the ward dies
+        # Key 0: primary 0, ring secondary 1. Elect 2 as secondary, then
+        # kill 0 and 1: the ring primary walks 0 -> 2, colliding with
+        # the election, which must be dropped (replicas may not
+        # coincide).
+        ring.reassign(0, 2)
+        homes.exclude(0)
+        assert primary(0) == 1, kind
+        assert secondary(0) == 2, kind  # election still valid
+        homes.exclude(1)
+        assert primary(0) == 2, kind
+        assert secondary(0) == 3, kind  # pruned; ring fallback
+
+
+def test_dead_ward_loses_its_election_dead_hint_node_does_not():
+    """The one kind-specific rule: a ward is a node, so it stops
+    existing when it dies and its election goes with it; a page or lock
+    outlives the node its hint names and keeps its elected secondary."""
+    for kind, homes, ring, _, secondary in each_kind():
+        ring.reassign(0, 5)
+        homes.exclude(0)
+        assert ring.primary(0) == 1, kind
+        # The ring alone would put the secondary on node 2.
+        assert secondary(0) == (2 if kind == "wards" else 5), kind
+    homes, _ = make_map()
+    assert list(homes.wards.keys()) == list(range(8))
+    homes.exclude(3)
+    assert 3 not in homes.wards.keys()
+    assert 3 in homes.locks.keys()
 
 
 def test_copy_clones_overrides_independently():
-    homes, _ = make_map()
-    homes.reassign_secondary(0, 5)
-    homes.reassign_backup(1, 6)
-    clone = homes.copy()
-    assert clone.secondary_home(0) == 5
-    assert clone.backup_node(1) == 6
-    assert clone.epoch == homes.epoch
-    clone.reassign_secondary(0, 3)
-    assert homes.secondary_home(0) == 5  # original untouched
+    for kind, homes, ring, _, secondary in each_kind():
+        ring.reassign(0, 5)
+        clone = homes.copy()
+        assert getattr(clone, KINDS[kind][1])(0) == 5, kind
+        assert clone.epoch == homes.epoch
+        getattr(clone, kind).reassign(0, 3)
+        assert secondary(0) == 5, kind  # original untouched

@@ -44,15 +44,6 @@ def test_mutex_fifo_ordering():
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_mutex_try_acquire():
-    engine = Engine()
-    mutex = Mutex(engine)
-    assert mutex.try_acquire()
-    assert not mutex.try_acquire()
-    mutex.release()
-    assert mutex.try_acquire()
-
-
 def test_mutex_release_unlocked_raises():
     engine = Engine()
     with pytest.raises(SimulationError):
@@ -166,4 +157,18 @@ def test_store_drain_empties_queue():
     for i in range(4):
         store.try_put(i)
     assert store.drain() == [0, 1, 2, 3]
+    assert len(store) == 0
+
+
+def test_store_drain_with_more_blocked_putters_than_capacity():
+    """Draining used to spin forever once the re-admitted putters had
+    filled the store again (a failing NIC with a deep reply backlog)."""
+    engine = Engine()
+    store = Store(engine, capacity=1)
+    puts = [store.put(i) for i in range(4)]
+    assert [ev.settled for ev in puts] == [True, False, False, False]
+    assert store.drain() == [0]
+    # One blocked putter fits; the other two are dropped for good.
+    assert [ev.settled for ev in puts] == [True, True, False, False]
+    assert store.drain() == [1]
     assert len(store) == 0
