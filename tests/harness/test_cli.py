@@ -59,3 +59,41 @@ def test_profile_command(capsys):
     out = capsys.readouterr().out
     assert "sharing profile" in out
     assert "lock_wait" in out
+
+
+def _cli_surface():
+    """{subcommand: sorted (flags or dest, default, nargs, choices,
+    type) of every argument it accepts}, read from the live parser."""
+    import argparse
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(
+            (" ".join(a.option_strings) or a.dest, repr(a.default),
+             repr(a.nargs),
+             repr(None if a.choices is None else list(a.choices)),
+             getattr(a.type, "__name__", repr(a.type)))
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction))
+        for name, p in sub.choices.items()}
+
+
+def test_cli_surface_is_pinned():
+    """What a user can type -- option strings, defaults, nargs, choices
+    and types of all 88 arguments over the 11 subcommands -- as one
+    literal. Parent parsers share their action objects, so a
+    ``set_defaults`` on one subcommand can silently change another;
+    this is the test that sees it."""
+    import hashlib
+    import json
+
+    surface = _cli_surface()
+    assert len(surface) == 11
+    assert sum(len(args) for args in surface.values()) == 88
+    digest = hashlib.sha256(
+        json.dumps(surface, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "7bb7ce98bb2bc3f52cd41b3d6c1c38ae"
+        "19a40688b696a3c93a3ba1bdc9a9c564")
