@@ -24,8 +24,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once, save_result
-from repro.harness.experiments import evaluation_config, workload_factories
-from repro.harness.runner import SvmRuntime
+from repro.harness.experiments import build_app
 
 STORES = ("working", "committed", "tentative")
 
@@ -37,8 +36,7 @@ def populated(store) -> np.ndarray:
 
 
 def _measure(app, variant):
-    runtime = SvmRuntime(evaluation_config(variant),
-                         workload_factories("bench")[app]())
+    runtime = build_app(app, variant)
     result = runtime.run()
     stores = [store for agent in runtime.agents for name in STORES
               if (store := getattr(agent, name, None)) is not None]

@@ -7,10 +7,10 @@ checks in ``results/BENCH_parallel.json``.
 
 Two honesty rules:
 
-* every run records ``cpus`` (``os.cpu_count()``); the >= 3x
-  parallel-speedup acceptance gate only applies where 4 physical
-  workers exist. On a 1-core container the pool cannot beat serial
-  and the recorded speedup says so;
+* every run records ``cpus`` (``os.cpu_count()``), and a pool of more
+  workers than cores measures the scheduler, not the orchestrator: the
+  speedup is then recorded as ``null`` -- *unmeasured* -- and the
+  >= 3x acceptance gate (4 workers) does not apply;
 * bit-identity is asserted unconditionally: serial, parallel and
   cached summaries (counters, breakdowns, data checksums) must be
   byte-for-byte equal, whatever the machine.
@@ -37,8 +37,6 @@ FULL_APPS = ("FFT", "LU", "WaterNsq", "WaterSpFL", "RadixLocal",
 QUICK_APPS = ("FFT", "LU")
 
 PARALLEL_JOBS = 4
-#: The acceptance gate needs real cores to mean anything.
-MIN_CPUS_FOR_SPEEDUP_GATE = 4
 
 
 def _matrix(apps):
@@ -87,7 +85,9 @@ def run_all(apps=FULL_APPS, jobs=PARALLEL_JOBS) -> dict:
         "apps": list(apps),
         "serial_wall_s": round(serial_wall, 3),
         "parallel_wall_s": round(parallel_wall, 3),
-        "parallel_speedup": round(serial_wall / parallel_wall, 2),
+        # Fewer cores than workers: unmeasured, not a number.
+        "parallel_speedup": (round(serial_wall / parallel_wall, 2)
+                             if cpus >= jobs else None),
         "cache_cold_wall_s": round(warm_wall, 3),
         "cache_hit_wall_s": round(cached_wall, 3),
         "cache_hit_speedup": round(serial_wall / max(cached_wall, 1e-9),
@@ -95,7 +95,6 @@ def run_all(apps=FULL_APPS, jobs=PARALLEL_JOBS) -> dict:
         "cache_hits": sum(r.cached for r in cached),
         "bit_identical": identical,
         "checksums_identical": checksums_identical,
-        "speedup_gate_applies": cpus >= MIN_CPUS_FOR_SPEEDUP_GATE,
     }
 
 
@@ -109,10 +108,11 @@ def check(results: dict) -> None:
     # A warm cache must make re-running the matrix essentially free.
     assert results["cache_hit_wall_s"] < results["serial_wall_s"] / 10, \
         results
-    # The >= 3x gate needs 4 workers on >= 4 real cores; the jobs=2 CI
-    # smoke and 1-core containers assert bit-identity only.
-    if results["speedup_gate_applies"] and results["jobs"] >= 4:
-        assert results["parallel_speedup"] >= 3.0, results
+    # The >= 3x gate is for 4 workers with a core each; the jobs=2 CI
+    # smoke and an unmeasured (null) speedup assert bit-identity only.
+    speedup = results["parallel_speedup"]
+    if speedup is not None and results["jobs"] >= 4:
+        assert speedup >= 3.0, results
 
 
 def save(results: dict) -> None:

@@ -13,8 +13,7 @@ import pytest
 
 from benchmarks.conftest import run_once, save_result
 from repro.cluster import FailureInjector, Hooks
-from repro.harness.experiments import evaluation_config, workload_factories
-from repro.harness.runner import SvmRuntime
+from repro.harness.experiments import build_app
 
 
 SCENARIOS = [
@@ -28,9 +27,7 @@ SCENARIOS = [
 
 
 def _run_scenario(app, hook, occurrence, delay, victim=3):
-    factory = workload_factories("bench")[app]
-    config = evaluation_config("ft", threads_per_node=1)
-    runtime = SvmRuntime(config, factory())
+    runtime = build_app(app, "ft")
     injector = FailureInjector(runtime.cluster)
     record = injector.kill_on_hook(victim, hook, occurrence=occurrence,
                                    delay=delay)
@@ -58,10 +55,7 @@ def _recovery_table():
     clean = {}
     for app, hook, occurrence, delay, label in SCENARIOS:
         if app not in clean:
-            factory = workload_factories("bench")[app]
-            clean[app] = SvmRuntime(
-                evaluation_config("ft", threads_per_node=1),
-                factory()).run().elapsed_us
+            clean[app] = build_app(app, "ft").run().elapsed_us
         r = _run_scenario(app, hook, occurrence, delay)
         slowdown = r["elapsed_us"] / clean[app]
         name = f"{app}: killed {label}"

@@ -10,12 +10,7 @@ page profiler, giving each application a sharing fingerprint.
 import pytest
 
 from benchmarks.conftest import run_once, save_result
-from repro.harness.experiments import (
-    APP_ORDER,
-    evaluation_config,
-    workload_factories,
-)
-from repro.harness.runner import SvmRuntime
+from repro.harness.experiments import APP_ORDER, build_app
 from repro.metrics import SharingProfiler
 
 KINDS = ("private", "read_shared", "migratory", "false_shared",
@@ -26,9 +21,8 @@ def _profiles():
     rows = [f"{'app':12s}" + "".join(f"{k:>14s}" for k in KINDS)]
     rows.append("-" * len(rows[0]))
     out = {}
-    factories = workload_factories("bench")
     for app in APP_ORDER:
-        runtime = SvmRuntime(evaluation_config("ft"), factories[app]())
+        runtime = build_app(app, "ft")
         profiler = SharingProfiler(runtime)
         runtime.run()
         summary = profiler.summary()

@@ -18,16 +18,26 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import sys
 
-from repro.harness.experiments import (
-    APP_ORDER,
-    evaluation_config,
-    run_app,
-    workload_factories,
-)
+from repro.harness.experiments import APP_ORDER, build_app, run_app
 from repro.metrics import format_breakdown_table
+
+VARIANTS = ("base", "ft")
+
+
+def _outdir(name) -> pathlib.Path:
+    """``name`` as a directory that exists."""
+    path = pathlib.Path(name)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_json(path: pathlib.Path, document) -> pathlib.Path:
+    path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    return path
 
 
 def _cmd_list(_args) -> int:
@@ -82,14 +92,13 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    from repro.harness.figures import figure7, figure8, figure9, figure10
-    outdir = pathlib.Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, fn in (("fig7", figure7), ("fig8", figure8),
-                     ("fig9", figure9), ("fig10", figure10)):
-        _data, text = fn(scale=args.scale)
-        (outdir / f"{name}.txt").write_text(text + "\n")
-        print(f"wrote {outdir / (name + '.txt')}")
+    from repro.harness.figures import FIGURES, figure
+    outdir = _outdir(args.output)
+    for number in FIGURES:
+        _data, text = figure(number, scale=args.scale)
+        path = outdir / f"fig{number}.txt"
+        path.write_text(text + "\n")
+        print(f"wrote {path}")
     return 0
 
 
@@ -97,17 +106,16 @@ def _cmd_sweep(args) -> int:
     """Run an experiment matrix through the parallel orchestrator."""
     from repro.parallel import app_spec, resolve_jobs, run_specs
 
-    apps = args.apps or list(APP_ORDER)
-    threads = args.threads or [1]
+    # A flag given no value means its default, not an empty matrix.
     specs = [app_spec(app, variant, threads_per_node=t,
                       scale=args.scale, seed=args.seed)
-             for t in threads
-             for variant in args.variants
-             for app in apps]
+             for t in args.threads or [1]
+             for variant in args.variants or VARIANTS
+             for app in args.apps or APP_ORDER]
     jobs = resolve_jobs(args.jobs)
     use_cache = not args.no_cache
-    print(f"sweep: {len(specs)} cells, {jobs} worker(s), cache "
-          f"{'on' if use_cache else 'off'}")
+    setup = f"{jobs} worker(s), cache {'on' if use_cache else 'off'}"
+    print(f"sweep: {len(specs)} cells, {setup}")
 
     live = sys.stderr.isatty()
 
@@ -127,36 +135,27 @@ def _cmd_sweep(args) -> int:
     failed = [r for r in results if not r.ok]
     slo_report = None
     if args.report:
-        import json
-
         from repro.obs.report import render_sweep_report, sweep_latency
         from repro.obs.slo import latency_by_class
-        outdir = pathlib.Path(args.report)
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _outdir(args.report)
         # Machine-readable merged latency histograms next to the sweep
         # report: per-op sparse buckets plus the derived percentiles.
         latency = sweep_latency(results)
         merged = {"histograms": latency.to_dict()["histograms"],
                   "percentiles": {op: hist.percentiles() for op, hist
                                   in latency_by_class(latency).items()}}
-        metrics_path = outdir / "metrics.json"
-        metrics_path.write_text(json.dumps(merged, sort_keys=True,
-                                           indent=2) + "\n")
-        print(f"wrote {metrics_path}")
+        print(f"wrote {_write_json(outdir / 'metrics.json', merged)}")
         if args.slo:
             from repro.obs import SloSpec, evaluate_slo, format_slo_report
             spec = SloSpec.load(args.slo)
             slo_report = evaluate_slo(spec, latency)
-            (outdir / "slo.json").write_text(
-                json.dumps(slo_report, sort_keys=True, indent=2) + "\n")
-            print(f"wrote {outdir / 'slo.json'}")
+            print(f"wrote {_write_json(outdir / 'slo.json', slo_report)}")
             print(format_slo_report(slo_report))
         path = outdir / "sweep.html"
         path.write_text(render_sweep_report(
             f"Sweep report: {len(specs)} cells",
             results,
-            subtitle=f"scale={args.scale}, {jobs} worker(s), cache "
-                     f"{'on' if use_cache else 'off'}",
+            subtitle=f"scale={args.scale}, {setup}",
             slo=slo_report))
         print(f"wrote {path}")
     print(f"{len(results) - len(failed)}/{len(results)} ok, "
@@ -176,30 +175,32 @@ def _cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
+def _scenario(args):
+    """The model-check scenario the scenario flag group describes."""
+    from repro.verify.replay import ReplayScenario
+    return ReplayScenario(
+        program_seed=args.program_seed, cluster_seed=args.cluster_seed,
+        plan_seed=args.plan_seed, failures=args.failures,
+        during_recovery_prob=args.during_recovery_prob,
+        min_gap_us=args.min_gap_us)
+
+
 def _build_observed_runtime(args):
     """Runtime + (title, subtitle) for the observability commands: an
     application run, or (with ``--program-seed``) a RandomProgram
     model-check scenario."""
     if args.program_seed is not None:
-        from repro.verify.replay import ReplayScenario, build_runtime
-        scenario = ReplayScenario(
-            program_seed=args.program_seed, cluster_seed=args.cluster_seed,
-            plan_seed=args.plan_seed, failures=args.failures,
-            during_recovery_prob=args.during_recovery_prob,
-            min_gap_us=args.min_gap_us)
-        runtime = build_runtime(scenario)
+        from repro.verify.replay import build_runtime
+        runtime = build_runtime(_scenario(args))
         title = (f"RandomProgram {args.program_seed}/{args.cluster_seed}"
                  + (f", plan {args.plan_seed} x{args.failures} failure(s)"
                     if args.plan_seed is not None else ""))
         subtitle = "ft protocol, model-check scenario"
     else:
-        from repro.harness.runner import SvmRuntime
-        factory = workload_factories(args.scale)[args.app]
-        config = evaluation_config(args.variant,
-                                   threads_per_node=args.threads)
-        runtime = SvmRuntime(config, factory())
+        runtime = build_app(args.app, args.variant, args.threads,
+                            args.scale)
         title = f"{args.app} / {args.variant}"
-        subtitle = (f"{config.num_nodes} nodes x {args.threads} "
+        subtitle = (f"{runtime.config.num_nodes} nodes x {args.threads} "
                     f"thread(s), scale={args.scale}")
     return runtime, title, subtitle
 
@@ -207,7 +208,6 @@ def _build_observed_runtime(args):
 def _cmd_report(args) -> int:
     """Run once with full observability attached and write a Perfetto
     trace plus a self-contained HTML report."""
-    import json
     from time import perf_counter
 
     from repro.obs import (
@@ -234,8 +234,7 @@ def _cmd_report(args) -> int:
         error = f"{type(exc).__name__}: {exc}"
     ran = perf_counter()
 
-    outdir = pathlib.Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.output)
     trace_path = outdir / "trace.json"
     # Causal-trace flow events ride the extra-events parameter so the
     # flight recorder's own digest (computed without extras) is
@@ -244,9 +243,8 @@ def _cmd_report(args) -> int:
         trace_path,
         counters=(sampler.to_chrome_counters(recorder.cluster_pid)
                   + tracer.flow_events()))
-    metrics_path = outdir / "metrics.json"
-    metrics_path.write_text(json.dumps(tracer.metrics.to_dict(),
-                                       sort_keys=True, indent=2) + "\n")
+    metrics_path = _write_json(outdir / "metrics.json",
+                               tracer.metrics.to_dict())
     exported = perf_counter()
     html_path = outdir / "report.html"
     html_path.write_text(render_run_report(
@@ -308,8 +306,6 @@ def _cmd_slo(args) -> int:
     """Run with causal tracing on and evaluate an SLO spec; non-zero
     exit (with the worst exemplar trace per violated class) on
     violation."""
-    import json
-
     from repro.obs import OpTracer, SloSpec, evaluate_slo, format_slo_report
     from repro.obs.slo import default_slo_spec
 
@@ -324,17 +320,10 @@ def _cmd_slo(args) -> int:
     print(f"{title} -- {subtitle}")
     print(format_slo_report(report))
     if args.output:
-        outdir = pathlib.Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        slo_path = outdir / "slo.json"
-        slo_path.write_text(json.dumps(report, sort_keys=True,
-                                       indent=2) + "\n")
-        metrics_path = outdir / "metrics.json"
-        metrics_path.write_text(json.dumps(tracer.metrics.to_dict(),
-                                           sort_keys=True, indent=2)
-                                + "\n")
-        print(f"wrote {slo_path}")
-        print(f"wrote {metrics_path}")
+        outdir = _outdir(args.output)
+        print("wrote", _write_json(outdir / "slo.json", report))
+        print("wrote", _write_json(outdir / "metrics.json",
+                                   tracer.metrics.to_dict()))
     if not report["ok"]:
         # Fail loudly: attach the worst exemplar causal tree for every
         # violated operation class so the p999 attribution is in the log.
@@ -349,14 +338,10 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.harness.runner import SvmRuntime
     from repro.metrics import SharingProfiler
     from repro.metrics.latency import latency_table
 
-    factory = workload_factories(args.scale)[args.app]
-    config = evaluation_config(args.variant,
-                               threads_per_node=args.threads)
-    runtime = SvmRuntime(config, factory())
+    runtime = build_app(args.app, args.variant, args.threads, args.scale)
     profiler = SharingProfiler(runtime)
     result = runtime.run()
     print(f"{args.app} / {args.variant}: sharing profile by segment")
@@ -374,12 +359,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_recover(args) -> int:
     from repro.cluster import FailureInjector, Hooks
-    from repro.harness.runner import SvmRuntime
     from repro.metrics import ProtocolTrace
 
-    factory = workload_factories(args.scale)[args.app]
-    config = evaluation_config("ft", threads_per_node=args.threads)
-    runtime = SvmRuntime(config, factory())
+    runtime = build_app(args.app, "ft", args.threads, args.scale)
     injector = FailureInjector(runtime.cluster)
     injector.kill_on_hook(args.victim, Hooks.RELEASE_COMMITTED,
                           occurrence=args.occurrence, delay=1.0)
@@ -400,15 +382,10 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.verify.replay import ReplayScenario, record_trace, replay_trace
+    from repro.verify.replay import record_trace, replay_trace
 
     if args.record:
-        scenario = ReplayScenario(
-            program_seed=args.program_seed, cluster_seed=args.cluster_seed,
-            plan_seed=args.plan_seed, failures=args.failures,
-            during_recovery_prob=args.during_recovery_prob,
-            min_gap_us=args.min_gap_us)
-        header = record_trace(scenario, args.trace,
+        header = record_trace(_scenario(args), args.trace,
                               sim_budget_us=args.sim_budget_us)
         status = header["outcome"]
         if header["error"]:
@@ -463,49 +440,74 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run the command under cProfile and print the top N "
              "functions by cumulative host time (default 25)")
+
+    def flag(*names, **kwargs):
+        """A parent parser holding one flag several commands share."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    threads = flag("--threads", type=int, default=1,
+                   help="compute threads per node")
+    scale = flag("--scale", default="bench",
+                 choices=("test", "bench", "large"))
+    variant = flag("--variant", choices=VARIANTS, default="ft")
+
+    def scenario(program_seed_default):
+        """The model-check scenario flag group, read by ``_scenario``.
+        A fresh parser per command: parent parsers share their action
+        objects, so one command's default would become every
+        command's."""
+        group = argparse.ArgumentParser(add_help=False)
+        group.add_argument("--program-seed", type=int,
+                           default=program_seed_default,
+                           help="RandomProgram seed of a model-check "
+                                "scenario (report / trace-op / slo: "
+                                "observe it instead of an application)")
+        group.add_argument("--cluster-seed", type=int, default=1)
+        group.add_argument("--plan-seed", type=int, default=None)
+        group.add_argument("--failures", type=int, default=0)
+        group.add_argument("--during-recovery-prob", type=float,
+                           default=0.0,
+                           help="probability each failure after the "
+                                "first strikes during the previous "
+                                "recovery")
+        group.add_argument("--min-gap-us", type=float, default=0.0,
+                           help="minimum gap (us) between a completed "
+                                "recovery and the next chained failure")
+        return group
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list applications and scales",
                    parents=[profiled]).set_defaults(fn=_cmd_list)
 
     p_run = sub.add_parser("run", help="run one application",
-                           parents=[profiled])
+                           parents=[profiled, variant, threads, scale])
     p_run.add_argument("app", choices=APP_ORDER)
-    p_run.add_argument("--variant", choices=("base", "ft"), default="ft")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="compute threads per node")
-    p_run.add_argument("--scale", default="bench",
-                       choices=("test", "bench", "large"))
     p_run.add_argument("--lock", choices=("polling", "queueing"),
                        default="polling")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_suite = sub.add_parser("suite", help="base-vs-extended suite table",
-                             parents=[profiled])
-    p_suite.add_argument("--threads", type=int, default=1)
-    p_suite.add_argument("--scale", default="bench",
-                         choices=("test", "bench", "large"))
-    p_suite.set_defaults(fn=_cmd_suite)
+    sub.add_parser("suite", help="base-vs-extended suite table",
+                   parents=[profiled, threads, scale]
+                   ).set_defaults(fn=_cmd_suite)
 
     p_fig = sub.add_parser("figures", help="regenerate paper figures",
-                           parents=[profiled])
+                           parents=[profiled, scale])
     p_fig.add_argument("--output", default="results")
-    p_fig.add_argument("--scale", default="bench",
-                       choices=("test", "bench", "large"))
     p_fig.set_defaults(fn=_cmd_figures)
 
     p_sweep = sub.add_parser(
         "sweep", help="parallel, cached experiment matrix",
-        parents=[profiled])
+        parents=[profiled, scale])
     p_sweep.add_argument("--apps", nargs="*", choices=APP_ORDER,
                          metavar="APP",
                          help="subset of applications (default: all)")
-    p_sweep.add_argument("--variants", nargs="*",
-                         choices=("base", "ft"), default=("base", "ft"))
+    p_sweep.add_argument("--variants", nargs="*", choices=VARIANTS,
+                         default=VARIANTS)
     p_sweep.add_argument("--threads", nargs="*", type=int, metavar="T",
                          help="threads-per-node values (default: 1)")
-    p_sweep.add_argument("--scale", default="bench",
-                         choices=("test", "bench", "large"))
     p_sweep.add_argument("--seed", type=int, default=2003)
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help="worker processes (default: REPRO_JOBS "
@@ -525,36 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "JSON; non-zero exit on violation")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
-    # Scenario options shared by the observability commands (report /
-    # trace-op / slo): an application run, or a model-check scenario.
-    observed = argparse.ArgumentParser(add_help=False)
+    # What the observability commands (report / trace-op / slo) run:
+    # an application, or with --program-seed a model-check scenario.
+    observed = argparse.ArgumentParser(
+        add_help=False, parents=[variant, threads, scale])
     observed.add_argument("--app", choices=APP_ORDER, default="FFT")
-    observed.add_argument("--variant", choices=("base", "ft"),
-                          default="ft")
-    observed.add_argument("--threads", type=int, default=1)
-    observed.add_argument("--scale", default="bench",
-                          choices=("test", "bench", "large"))
-    observed.add_argument("--program-seed", type=int, default=None,
-                          help="observe a RandomProgram model-check "
-                               "scenario instead of an application")
-    observed.add_argument("--cluster-seed", type=int, default=1)
-    observed.add_argument("--plan-seed", type=int, default=None)
-    observed.add_argument("--failures", type=int, default=0)
-    observed.add_argument("--during-recovery-prob", type=float,
-                          default=0.0,
-                          help="probability each failure after the "
-                               "first strikes during the previous "
-                               "recovery")
-    observed.add_argument("--min-gap-us", type=float, default=0.0,
-                          help="minimum gap (us) between a completed "
-                               "recovery and the next chained failure")
     observed.add_argument("--max-sim-us", type=float, default=None,
                           help="cap simulated time (deadlock hunts)")
 
     p_report = sub.add_parser(
         "report", help="run with observability on; write Perfetto "
                        "trace + metrics JSON + HTML report",
-        parents=[profiled, observed])
+        parents=[profiled, observed, scenario(None)])
     p_report.add_argument("--output", default="results/report",
                           metavar="DIR")
     p_report.add_argument("--sample-us", type=float, default=500.0,
@@ -568,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace-op", help="print worst-N causal operation trees with "
                          "per-hop timing",
-        parents=[profiled, observed])
+        parents=[profiled, observed, scenario(None)])
     p_trace.add_argument("--op-class", default=None,
                          help="restrict to one operation class "
                               "(default: all observed classes)")
@@ -579,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo = sub.add_parser(
         "slo", help="evaluate per-operation latency percentiles and "
                     "availability against an SLO spec",
-        parents=[profiled, observed])
+        parents=[profiled, observed, scenario(None)])
     p_slo.add_argument("--spec", default=None, metavar="JSON",
                        help="SLO spec file (default: the built-in "
                             "generous spec, committed at "
@@ -590,43 +574,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile",
                             help="sharing + latency profile of one app",
-                            parents=[profiled])
+                            parents=[profiled, variant, threads, scale])
     p_prof.add_argument("app", choices=APP_ORDER)
-    p_prof.add_argument("--variant", choices=("base", "ft"),
-                        default="ft")
-    p_prof.add_argument("--threads", type=int, default=1)
-    p_prof.add_argument("--scale", default="bench",
-                        choices=("test", "bench", "large"))
     p_prof.set_defaults(fn=_cmd_profile)
 
     p_rec = sub.add_parser("recover", help="fault-injection demo",
-                           parents=[profiled])
+                           parents=[profiled, threads, scale])
     p_rec.add_argument("--app", choices=APP_ORDER, default="WaterNsq")
     p_rec.add_argument("--victim", type=int, default=3)
     p_rec.add_argument("--occurrence", type=int, default=4,
                        help="kill at the victim's Nth release")
-    p_rec.add_argument("--threads", type=int, default=1)
-    p_rec.add_argument("--scale", default="bench",
-                       choices=("test", "bench", "large"))
     p_rec.set_defaults(fn=_cmd_recover)
 
     p_rep = sub.add_parser(
         "replay", help="record / replay / bisect a model-check trace",
-        parents=[profiled])
+        parents=[profiled, scenario(145)])
     p_rep.add_argument("trace", help="trace file (JSONL)")
     p_rep.add_argument("--record", action="store_true",
                        help="run the scenario and record the trace "
                             "instead of replaying one")
-    p_rep.add_argument("--program-seed", type=int, default=145)
-    p_rep.add_argument("--cluster-seed", type=int, default=1)
-    p_rep.add_argument("--plan-seed", type=int, default=None)
-    p_rep.add_argument("--failures", type=int, default=0)
-    p_rep.add_argument("--during-recovery-prob", type=float, default=0.0,
-                       help="probability each failure after the first "
-                            "strikes during the previous recovery")
-    p_rep.add_argument("--min-gap-us", type=float, default=0.0,
-                       help="minimum gap (us) between a completed "
-                            "recovery and the next chained failure")
     p_rep.add_argument("--sim-budget-us", type=float, default=1_000_000.0,
                        help="per-run simulated-time budget; a run that "
                             "exhausts it with unfinished threads is "

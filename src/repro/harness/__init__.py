@@ -2,6 +2,7 @@
 
 from repro.harness.experiments import (
     APP_ORDER,
+    build_app,
     evaluation_config,
     run_app,
     run_suite,
@@ -13,6 +14,7 @@ __all__ = [
     "SvmRuntime",
     "RunResult",
     "ThreadRecord",
+    "build_app",
     "run_app",
     "run_suite",
     "workload_factories",

@@ -17,23 +17,18 @@ lock structure).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.apps import (
     FFT,
     LU,
     RadixSort,
-    SyntheticWorkload,
     Volrend,
     WaterNsquared,
     WaterSpatial,
 )
 from repro.apps.base import Workload
-from repro.config import (
-    ClusterConfig,
-    MemoryParams,
-    ProtocolParams,
-)
+from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.harness.runner import RunResult, SvmRuntime
 
 #: The application suite in the paper's figure order.
@@ -107,23 +102,29 @@ def evaluation_config(variant: str,
     )
 
 
-def run_app(app_name: str,
-            variant: str,
-            threads_per_node: int = 1,
-            scale: str = "bench",
-            num_nodes: int = 8,
-            seed: int = 2003,
-            lock_algorithm: str = "polling",
-            verify: bool = True,
-            **protocol_overrides) -> RunResult:
-    """One cell of the paper's evaluation matrix."""
-    factory = workload_factories(scale)[app_name]
+def build_app(app_name: str,
+              variant: str,
+              threads_per_node: int = 1,
+              scale: str = "bench",
+              num_nodes: int = 8,
+              seed: int = 2003,
+              lock_algorithm: str = "polling",
+              **protocol_overrides) -> SvmRuntime:
+    """The runtime of one cell of the paper's evaluation matrix, not
+    yet started: the one place a workload factory meets
+    :func:`evaluation_config` meets :class:`SvmRuntime`. Attach
+    observers or fault injection to it, then ``run()``."""
     config = evaluation_config(variant, threads_per_node,
                                num_nodes=num_nodes, seed=seed,
                                lock_algorithm=lock_algorithm,
                                **protocol_overrides)
-    runtime = SvmRuntime(config, factory())
-    return runtime.run(verify=verify)
+    return SvmRuntime(config, workload_factories(scale)[app_name]())
+
+
+def run_app(app_name: str, variant: str, *args, verify: bool = True,
+            **kwargs) -> RunResult:
+    """Build one cell (arguments of :func:`build_app`) and run it."""
+    return build_app(app_name, variant, *args, **kwargs).run(verify)
 
 
 def run_suite(variant: str,

@@ -1,14 +1,16 @@
 """Regeneration of the paper's evaluation figures.
 
-Each ``figure*`` function runs the necessary simulations and returns
-``(rows, text)``: the raw component data and a formatted table in the
-paper's layout. The benchmark modules under ``benchmarks/`` call these
-and persist the text next to the timing data.
+``figure(number)`` runs the necessary simulations and returns
+``(data, text)``: the raw component data and a formatted table in the
+paper's layout. The benchmark modules under ``benchmarks/`` call
+``figure7`` .. ``figure10`` and persist the text next to the timing
+data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from functools import partial
+from typing import Dict, Tuple
 
 from repro.harness.experiments import APP_ORDER, run_matrix
 from repro.metrics import (
@@ -22,47 +24,24 @@ FOUR = ("compute", "data_wait", "lock", "barrier")
 SIX = ("compute", "data_wait", "synchronization", "diffs", "protocol",
        "checkpointing")
 
-
-#: Simulations are deterministic; figure pairs (7,8) and (9,10) share
-#: their runs through this cache.
-_PAIR_CACHE: Dict[tuple, tuple] = {}
-
-
-def _suite_pair(threads_per_node: int, scale: str, apps: Iterable[str],
-                seed: int = 2003):
-    """base/extended suites for one figure pair, via the orchestrator.
-
-    Every figure cell is an independent simulation, so the whole
-    2 x len(apps) matrix fans out over :func:`run_matrix` -- parallel
-    across cores and served from the content-addressed result cache on
-    repeat invocations (``REPRO_JOBS`` controls worker count).
-    """
-    from repro.parallel import app_spec
-
-    key = (threads_per_node, scale, tuple(apps), seed)
-    if key not in _PAIR_CACHE:
-        apps = tuple(apps)
-        specs = [app_spec(app, variant, threads_per_node=threads_per_node,
-                          scale=scale, seed=seed)
-                 for variant in ("base", "ft") for app in apps]
-        summaries = run_matrix(specs)
-        base = dict(zip(apps, summaries[:len(apps)]))
-        extended = dict(zip(apps, summaries[len(apps):]))
-        _PAIR_CACHE[key] = (base, extended)
-    return _PAIR_CACHE[key]
-
-
-def breakdown_rows(base, extended, fmt: str) -> Dict[str, Dict[str, float]]:
-    """Interleave base (0) / extended (1) rows, figure style."""
-    rows: Dict[str, Dict[str, float]] = {}
-    for app in base:
-        if fmt == "four":
-            rows[f"{app}/0"] = base[app].breakdown.four_component()
-            rows[f"{app}/1"] = extended[app].breakdown.four_component()
-        else:
-            rows[f"{app}/0"] = base[app].breakdown.six_component()
-            rows[f"{app}/1"] = extended[app].breakdown.six_component()
-    return rows
+#: number -> (threads per node, components, table title, caption of the
+#: overhead bars; None for the six-component figures, which have none).
+FIGURES = {
+    7: (1, FOUR,
+        "Figure 7: execution time breakdown, 8 nodes x 1 thread "
+        "(0 = base GeNIMA, 1 = extended FT protocol)",
+        "Failure-free overhead of the extended protocol"),
+    8: (1, SIX,
+        "Figure 8: overhead breakdown (6 components), 8 nodes x 1 thread",
+        None),
+    9: (2, FOUR,
+        "Figure 9: execution time breakdown, 8 nodes x 2 threads/node",
+        "Failure-free overhead, 2 threads/node"),
+    10: (2, SIX,
+         "Figure 10: overhead breakdown (6 components), "
+         "8 nodes x 2 threads/node",
+         None),
+}
 
 
 def overhead_summary(base, extended) -> Dict[str, float]:
@@ -71,61 +50,44 @@ def overhead_summary(base, extended) -> Dict[str, float]:
             for app in base}
 
 
-def figure7(scale: str = "bench", apps=APP_ORDER,
-            pair=None) -> Tuple[Dict, str]:
-    """Execution time, 4 components, 8 nodes x 1 thread (paper Fig 7)."""
-    base, extended = pair or _suite_pair(1, scale, apps)
-    rows = breakdown_rows(base, extended, "four")
-    text = format_breakdown_table(
-        "Figure 7: execution time breakdown, 8 nodes x 1 thread "
-        "(0 = base GeNIMA, 1 = extended FT protocol)",
-        rows, FOUR)
-    text += "\n\n" + stacked_bars("Figure 7 (bars)", rows, FOUR)
-    summary = overhead_summary(base, extended)
-    text += "\n\n" + overhead_bars(
-        "Failure-free overhead of the extended protocol", summary)
-    text += "\n\nOverhead (extended vs base): " + ", ".join(
-        f"{app} {pct:+.0f}%" for app, pct in summary.items())
+def figure(number: int, scale: str = "bench", apps=APP_ORDER,
+           seed: int = 2003) -> Tuple[Dict, str]:
+    """One of the paper's Figures 7-10 (see :data:`FIGURES`).
+
+    Every cell is an independent simulation, so the 2 x len(apps)
+    matrix fans out over :func:`run_matrix` -- parallel across cores
+    (``REPRO_JOBS``) and served from the content-addressed result
+    cache, which is also what makes the second figure of a pair
+    (7/8, 9/10: same cells, other format) cost no simulation.
+    """
+    from repro.parallel import app_spec
+
+    threads, components, title, overhead_caption = FIGURES[number]
+    apps = tuple(apps)
+    summaries = run_matrix([
+        app_spec(app, variant, threads_per_node=threads, scale=scale,
+                 seed=seed)
+        for variant in ("base", "ft") for app in apps])
+    base = dict(zip(apps, summaries[:len(apps)]))
+    extended = dict(zip(apps, summaries[len(apps):]))
+    # Interleaved base (0) / extended (1) rows, figure style.
+    rows: Dict[str, Dict[str, float]] = {}
+    for app in apps:
+        for digit, suite in enumerate((base, extended)):
+            breakdown = suite[app].breakdown
+            rows[f"{app}/{digit}"] = (breakdown.four_component()
+                                      if components is FOUR
+                                      else breakdown.six_component())
+    text = format_breakdown_table(title, rows, components)
+    text += "\n\n" + stacked_bars(f"Figure {number} (bars)", rows,
+                                  components)
+    if overhead_caption is not None:
+        summary = overhead_summary(base, extended)
+        text += "\n\n" + overhead_bars(overhead_caption, summary)
+        text += "\n\nOverhead (extended vs base): " + ", ".join(
+            f"{app} {pct:+.0f}%" for app, pct in summary.items())
     return {"rows": rows, "base": base, "extended": extended}, text
 
 
-def figure8(scale: str = "bench", apps=APP_ORDER,
-            pair=None) -> Tuple[Dict, str]:
-    """Overhead breakdown, 6 components, 8 nodes x 1 thread (Fig 8)."""
-    base, extended = pair or _suite_pair(1, scale, apps)
-    rows = breakdown_rows(base, extended, "six")
-    text = format_breakdown_table(
-        "Figure 8: overhead breakdown (6 components), 8 nodes x 1 thread",
-        rows, SIX)
-    text += "\n\n" + stacked_bars("Figure 8 (bars)", rows, SIX)
-    return {"rows": rows, "base": base, "extended": extended}, text
-
-
-def figure9(scale: str = "bench", apps=APP_ORDER,
-            pair=None) -> Tuple[Dict, str]:
-    """Execution time, 4 components, 8 nodes x 2 threads (Fig 9)."""
-    base, extended = pair or _suite_pair(2, scale, apps)
-    rows = breakdown_rows(base, extended, "four")
-    text = format_breakdown_table(
-        "Figure 9: execution time breakdown, 8 nodes x 2 threads/node",
-        rows, FOUR)
-    text += "\n\n" + stacked_bars("Figure 9 (bars)", rows, FOUR)
-    summary = overhead_summary(base, extended)
-    text += "\n\n" + overhead_bars(
-        "Failure-free overhead, 2 threads/node", summary)
-    text += "\n\nOverhead (extended vs base): " + ", ".join(
-        f"{app} {pct:+.0f}%" for app, pct in summary.items())
-    return {"rows": rows, "base": base, "extended": extended}, text
-
-
-def figure10(scale: str = "bench", apps=APP_ORDER,
-             pair=None) -> Tuple[Dict, str]:
-    """Overhead breakdown, 6 components, 8 nodes x 2 threads (Fig 10)."""
-    base, extended = pair or _suite_pair(2, scale, apps)
-    rows = breakdown_rows(base, extended, "six")
-    text = format_breakdown_table(
-        "Figure 10: overhead breakdown (6 components), "
-        "8 nodes x 2 threads/node",
-        rows, SIX)
-    text += "\n\n" + stacked_bars("Figure 10 (bars)", rows, SIX)
-    return {"rows": rows, "base": base, "extended": extended}, text
+figure7, figure8, figure9, figure10 = (
+    partial(figure, number) for number in FIGURES)

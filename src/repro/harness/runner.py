@@ -16,12 +16,12 @@ recovery orchestration glue (respawning migrated threads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.apps.base import AppContext, Workload
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.errors import ApplicationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.memory import Segment
 from repro.metrics import (
     Breakdown,
@@ -205,14 +205,20 @@ class SvmRuntime:
     # Run
     # ------------------------------------------------------------------
 
+    def start(self) -> None:
+        """Set the workload up and spawn its threads; nothing has run
+        until the engine does (``run`` to the end, a probe to a
+        chosen instant)."""
+        self.workload.setup(self)
+        self._create_threads()
+        for rec in self.threads:
+            self.spawn_thread(rec)
+
     def run(self, verify: bool = True,
             max_sim_us: Optional[float] = None) -> RunResult:
         recorder = self._maybe_flight_record()
         try:
-            self.workload.setup(self)
-            self._create_threads()
-            for rec in self.threads:
-                self.spawn_thread(rec)
+            self.start()
             self.engine.run(until=max_sim_us)
             self._detect_silent_failures(max_sim_us)
             unfinished = [rec.tid for rec in self.threads

@@ -7,9 +7,9 @@ re-runs a cell whose inputs have not changed:
 * :mod:`repro.parallel.spec` -- picklable, canonicalizable run specs;
 * :mod:`repro.parallel.runners` -- worker-side spec execution
   (application runs and model-check replays) producing JSON summaries;
-* :mod:`repro.parallel.summary` -- :class:`RunSummary`, a light view
-  over a summary dict with the ``RunResult`` attribute surface the
-  figure pipeline consumes;
+* :mod:`repro.parallel.summary` -- :class:`RunSummary`, the JSON form
+  of a ``RunResult`` that restores the real ``Breakdown`` /
+  ``RunCounters`` / ``MetricsRegistry``;
 * :mod:`repro.parallel.cache` -- the content-addressed result cache
   (spec hash x code fingerprint -> JSON under ``results/cache/``);
 * :mod:`repro.parallel.pool` -- the orchestrator: fan-out over

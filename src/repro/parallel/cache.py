@@ -87,12 +87,15 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored entry, or None (corrupt entries read as misses)."""
-        path = self._path(key)
+        """The stored entry, or None. A hit is a dict with a
+        ``"summary"``; anything else on disk (truncated, ``{}``, some
+        other JSON) is a corrupt entry and reads as a miss."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
         except (OSError, ValueError):
+            entry = None
+        if not isinstance(entry, dict) or "summary" not in entry:
             self.misses += 1
             return None
         self.hits += 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.parallel.cache import ResultCache, code_fingerprint, spec_key
@@ -104,21 +104,15 @@ def run_specs(specs: Sequence[RunSpec],
     results: List[Optional[SpecResult]] = [None] * total
     done = 0
 
-    def settle(res: SpecResult) -> None:
+    def settle(index: int, res: SpecResult) -> None:
         nonlocal done
-        results[res_index[id(res)]] = res
+        results[index] = res
         done += 1
         if progress is not None:
             progress(res, done, total)
 
-    # Identity map instead of storing the index on the result: keeps
-    # SpecResult a plain value for callers.
-    res_index: Dict[int, int] = {}
-
     def make_result(index: int, **kw) -> SpecResult:
-        res = SpecResult(spec=specs[index], key=keys[index], **kw)
-        res_index[id(res)] = index
-        return res
+        return SpecResult(spec=specs[index], key=keys[index], **kw)
 
     keys = [spec_key(spec, fingerprint) for spec in specs]
 
@@ -127,8 +121,8 @@ def run_specs(specs: Sequence[RunSpec],
     for i, spec in enumerate(specs):
         entry = store.get(keys[i]) if store is not None else None
         if entry is not None:
-            settle(make_result(i, status=STATUS_OK,
-                               summary=entry["summary"], cached=True))
+            settle(i, make_result(i, status=STATUS_OK,
+                                  summary=entry["summary"], cached=True))
             continue
         payload = {"spec": spec.to_dict(), "timeout_s": timeout_s}
         pending.append(_Pending(index=i, payload=payload))
@@ -143,7 +137,7 @@ def run_specs(specs: Sequence[RunSpec],
         if status == STATUS_OK and store is not None:
             store.put(keys[p.index], specs[p.index], res.summary,
                       fingerprint=fingerprint)
-        settle(res)
+        settle(p.index, res)
 
     # -- pass 2: execute misses ------------------------------------------
     if not pending:

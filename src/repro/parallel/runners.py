@@ -48,38 +48,22 @@ def _data_checksum(runtime) -> str:
 
 
 def _run_app(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.harness.experiments import (
-        evaluation_config,
-        workload_factories,
-    )
-    from repro.harness.runner import SvmRuntime
+    from repro.harness.experiments import build_app
     from repro.parallel.summary import RunSummary
 
-    factory = workload_factories(params["scale"])[params["app_name"]]
-    config = evaluation_config(
-        params["variant"],
-        threads_per_node=params["threads_per_node"],
-        num_nodes=params["num_nodes"],
-        seed=params["seed"],
-        lock_algorithm=params["lock_algorithm"],
-        **params.get("protocol_overrides", {}))
-    runtime = SvmRuntime(config, factory())
-    result = runtime.run(verify=params.get("verify", True))
+    params = dict(params)
+    verify = params.pop("verify", True)
+    runtime = build_app(**params)
     return RunSummary.from_run_result(
-        result, data_checksum=_data_checksum(runtime)).to_dict()
+        runtime.run(verify), data_checksum=_data_checksum(runtime)).to_dict()
 
 
 def _run_model_check(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.verify.replay import ReplayScenario, build_runtime
 
-    runtime = build_runtime(ReplayScenario(
-        program_seed=params["program_seed"],
-        cluster_seed=params["cluster_seed"],
-        plan_seed=params["plan_seed"],
-        failures=params["failures"],
-        num_nodes=params.get("num_nodes", 4),
-        during_recovery_prob=params.get("during_recovery_prob", 0.0),
-        min_gap_us=params.get("min_gap_us", 0.0)))
+    # from_dict keeps the scenario's fields and ignores the rest of
+    # the params (check, max_sim_us, the digest probes below).
+    runtime = build_runtime(ReplayScenario.from_dict(params))
     checker = None
     if params.get("check"):
         from repro.verify import RecoveryInvariantChecker

@@ -10,6 +10,7 @@ are the same experiment.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -81,58 +82,44 @@ class RunSpec:
                    tag=d.get("tag"))
 
 
-def app_spec(app_name: str, variant: str, threads_per_node: int = 1,
-             scale: str = "bench", num_nodes: int = 8, seed: int = 2003,
-             lock_algorithm: str = "polling", verify: bool = True,
-             tag: Optional[str] = None,
-             **protocol_overrides) -> RunSpec:
-    """One cell of the paper's evaluation matrix (mirrors ``run_app``)."""
-    params = {
-        "app_name": app_name,
-        "variant": variant,
-        "threads_per_node": threads_per_node,
-        "scale": scale,
-        "num_nodes": num_nodes,
-        "seed": seed,
-        "lock_algorithm": lock_algorithm,
-        "verify": verify,
-        "protocol_overrides": dict(protocol_overrides),
-    }
+def app_spec(app_name: str, variant: str, verify: bool = True,
+             tag: Optional[str] = None, **build_args) -> RunSpec:
+    """One cell of the paper's evaluation matrix: the params are the
+    keyword arguments of :func:`repro.harness.experiments.build_app`,
+    its defaults filled in (one experiment, one cache key) and the
+    protocol overrides flat among them, plus ``verify``."""
+    from repro.harness.experiments import build_app
+
+    bound = inspect.signature(build_app).bind(app_name, variant,
+                                              **build_args)
+    bound.apply_defaults()
+    params = dict(bound.arguments)
+    params.update(params.pop("protocol_overrides"), verify=verify)
     if tag is None:
-        tag = f"{app_name}/{variant}/t{threads_per_node}/s{seed}"
+        tag = (f"{app_name}/{variant}/t{params['threads_per_node']}"
+               f"/s{params['seed']}")
     return RunSpec(kind="app", params=params, tag=tag)
 
 
 def model_check_spec(program_seed: int, cluster_seed: int,
                      plan_seed: int, failures: int, check: bool = False,
                      max_sim_us: float = 200_000.0,
-                     num_nodes: int = 4,
-                     during_recovery_prob: float = 0.0,
-                     min_gap_us: float = 0.0,
-                     tag: Optional[str] = None) -> RunSpec:
-    """One fault-injection model-check case (mirrors the seed sweep)."""
-    params = {
-        "program_seed": program_seed,
-        "cluster_seed": cluster_seed,
-        "plan_seed": plan_seed,
-        "failures": failures,
-        "check": check,
-        "max_sim_us": max_sim_us,
-    }
-    if num_nodes != 4:
-        # Only non-default so the content-addressed cache keys of every
-        # 4-node sweep already on disk stay valid.
-        params["num_nodes"] = num_nodes
-    if during_recovery_prob != 0.0:
-        # Same cache-stability rule as num_nodes.
-        params["during_recovery_prob"] = during_recovery_prob
-    if min_gap_us != 0.0:
-        params["min_gap_us"] = min_gap_us
+                     tag: Optional[str] = None, **scenario) -> RunSpec:
+    """One fault-injection model-check case: a whole
+    :class:`~repro.verify.replay.ReplayScenario` (``scenario`` names
+    any of its other fields) plus whether the invariant checker rides
+    along and the simulated-time cap."""
+    from repro.verify.replay import ReplayScenario
+
+    case = ReplayScenario(program_seed, cluster_seed, plan_seed, failures,
+                          **scenario)
     if tag is None:
         tag = (f"mc/{program_seed}/{cluster_seed}/"
                f"{plan_seed}x{failures}")
-        if num_nodes != 4:
-            tag += f"/n{num_nodes}"
-        if during_recovery_prob != 0.0:
-            tag += f"/d{during_recovery_prob:g}"
-    return RunSpec(kind="model_check", params=params, tag=tag)
+        if case.num_nodes != 4:
+            tag += f"/n{case.num_nodes}"
+        if case.during_recovery_prob != 0.0:
+            tag += f"/d{case.during_recovery_prob:g}"
+    return RunSpec(kind="model_check",
+                   params={**case.to_dict(), "check": check,
+                           "max_sim_us": max_sim_us}, tag=tag)

@@ -1,54 +1,33 @@
-"""JSON-portable run summaries with a ``RunResult``-shaped surface.
+"""JSON-portable run summaries that restore the real result classes.
 
 Worker processes cannot cheaply ship a full :class:`RunResult` back to
 the orchestrator (thread clocks are large and carry engine
 references), and the cache must store results as plain JSON.
-:class:`RunSummary` is the answer: a dict of scalars extracted from a
-``RunResult`` -- breakdown components, aggregate counters, recovery
-count, and a checksum of the final shared-memory contents -- exposed
-through small view objects so that the figure pipeline's accessors
-(``r.breakdown.four_component()``, ``r.counters.total.page_faults``,
-``r.counters.home_diff_fraction``, ``r.elapsed_us``) work unchanged.
+:class:`RunSummary` is the answer: it stores what a ``RunResult``'s
+parts are *made of* -- the breakdown's fine and coarse totals by
+category name, the aggregate counter totals, the latency registry's
+sparse buckets -- and hands back the same :class:`Breakdown`,
+:class:`RunCounters` and :class:`MetricsRegistry` a ``RunResult``
+holds, minus the per-thread clocks. Both figure formats and both
+counter ratios are therefore computed by one piece of code on either
+side of the process boundary.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Dict, Optional
 
-
-class _CounterTotals:
-    """Attribute view over the aggregated counter dict."""
-
-    def __init__(self, totals: Dict[str, int]) -> None:
-        self.__dict__.update(totals)
-
-    def __repr__(self) -> str:  # debugging aid
-        return f"_CounterTotals({self.__dict__})"
+from repro.metrics import Breakdown, MetricsRegistry, NodeCounters, RunCounters
+from repro.metrics.breakdown import Category
 
 
-class _CountersView:
-    """The ``RunCounters`` surface: ``.total`` plus derived fractions."""
-
-    def __init__(self, totals: Dict[str, int], home_diff_fraction: float,
-                 mean_checkpoint_bytes: float) -> None:
-        self.total = _CounterTotals(totals)
-        self.home_diff_fraction = home_diff_fraction
-        self.mean_checkpoint_bytes = mean_checkpoint_bytes
+def _by_name(totals: Dict[Category, float]) -> Dict[str, float]:
+    return {cat.name: value for cat, value in totals.items()}
 
 
-class _BreakdownView:
-    """The ``Breakdown`` surface used by figures and benchmarks."""
-
-    def __init__(self, four: Dict[str, float],
-                 six: Dict[str, float]) -> None:
-        self._four = four
-        self._six = six
-
-    def four_component(self) -> Dict[str, float]:
-        return dict(self._four)
-
-    def six_component(self) -> Dict[str, float]:
-        return dict(self._six)
+def _by_category(totals: Dict[str, float]) -> Dict[Category, float]:
+    return {Category[name]: value for name, value in totals.items()}
 
 
 class RunSummary:
@@ -59,12 +38,10 @@ class RunSummary:
         self.elapsed_us: float = data["elapsed_us"]
         self.recoveries: int = data.get("recoveries", 0)
         self.data_checksum: Optional[str] = data.get("data_checksum")
-        self.breakdown = _BreakdownView(data.get("four_component", {}),
-                                        data.get("six_component", {}))
-        self.counters = _CountersView(
-            data.get("counters", {}),
-            data.get("home_diff_fraction", 0.0),
-            data.get("mean_checkpoint_bytes", 0.0))
+        self.breakdown = Breakdown(_by_category(data.get("fine", {})),
+                                   _by_category(data.get("coarse", {})))
+        self.counters = RunCounters(
+            NodeCounters(**data.get("counters", {})))
 
     def to_dict(self) -> Dict[str, Any]:
         return self._data
@@ -78,27 +55,20 @@ class RunSummary:
                         data_checksum: Optional[str] = None
                         ) -> "RunSummary":
         """Extract the portable summary from a live ``RunResult``."""
-        total = result.counters.total
-        counters = {name: getattr(total, name)
-                    for name in sorted(total.__dataclass_fields__)}
-        data = {
+        return cls({
             "elapsed_us": result.elapsed_us,
             "recoveries": result.recoveries,
-            "counters": counters,
-            "home_diff_fraction": result.counters.home_diff_fraction,
-            "mean_checkpoint_bytes": result.counters.mean_checkpoint_bytes,
-            "four_component": result.breakdown.four_component(),
-            "six_component": result.breakdown.six_component(),
+            "counters": asdict(result.counters.total),
+            "fine": _by_name(result.breakdown.fine),
+            "coarse": _by_name(result.breakdown.coarse),
             "data_checksum": data_checksum,
             "latency_hist": result.latency.to_dict(),
-        }
-        return cls(data)
+        })
 
     @property
-    def latency(self):
-        """The run's latency :class:`~repro.metrics.hist.MetricsRegistry`,
-        restored from its portable serialization (merge-safe: workers
-        ship sparse bucket dicts, the orchestrator rebuilds and merges
-        them bit-identically regardless of job count)."""
-        from repro.metrics.hist import MetricsRegistry
+    def latency(self) -> MetricsRegistry:
+        """The run's latency registry, restored from its portable
+        serialization (merge-safe: workers ship sparse bucket dicts,
+        the orchestrator rebuilds and merges them bit-identically
+        regardless of job count)."""
         return MetricsRegistry.from_dict(self._data.get("latency_hist"))

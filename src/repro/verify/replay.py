@@ -116,16 +116,27 @@ def build_runtime(scenario: ReplayScenario) -> SvmRuntime:
 DEFAULT_SIM_BUDGET_US = 1_000_000.0
 
 
-def classify_outcome(error: Optional[str], runtime,
-                     sim_budget_us: Optional[float]) -> str:
-    """``clean`` / ``hang`` / ``mismatch`` for one capped run."""
+def run_capped(runtime, sim_budget_us: Optional[float]) -> dict:
+    """Run to the end or to the budget, whichever comes first.
+
+    An analytic-verify or protocol error is captured, not raised.
+    ``outcome`` is ``clean``, ``hang`` (the budget ran out with the
+    ``unfinished`` threads still going) or ``mismatch``."""
+    error = None
+    try:
+        runtime.run(max_sim_us=sim_budget_us)
+    except Exception as exc:  # noqa: BLE001 -- reported, not hidden
+        error = f"{type(exc).__name__}: {exc}"
+    unfinished = [rec.tid for rec in runtime.threads if not rec.finished]
     if error is None:
-        return "clean"
-    unfinished = any(not rec.finished for rec in runtime.threads)
-    if unfinished and sim_budget_us is not None \
+        outcome = "clean"
+    elif unfinished and sim_budget_us is not None \
             and runtime.engine.now >= sim_budget_us:
-        return "hang"
-    return "mismatch"
+        outcome = "hang"
+    else:
+        outcome = "mismatch"
+    return {"error": error, "outcome": outcome, "unfinished": unfinished,
+            "elapsed_us": runtime.engine.now}
 
 
 def record_trace(scenario: ReplayScenario, path,
@@ -133,22 +144,13 @@ def record_trace(scenario: ReplayScenario, path,
                  sim_budget_us: Optional[float] = DEFAULT_SIM_BUDGET_US
                  ) -> dict:
     """Run the scenario once, recording the full event trace to
-    ``path`` (JSONL). Returns the header written (scenario + outcome);
-    an analytic-verify or protocol error is captured, not raised, and
-    a run that exhausts ``sim_budget_us`` is recorded as a hang."""
+    ``path`` (JSONL). Returns the header written: the scenario, what
+    :func:`run_capped` saw, and the event count."""
     runtime = build_runtime(scenario)
     trace = ProtocolTrace(runtime.cluster, events=FULL_EVENTS,
                           capacity=capacity)
-    error = None
-    try:
-        runtime.run(max_sim_us=sim_budget_us)
-    except Exception as exc:  # noqa: BLE001 -- recorded, not hidden
-        error = f"{type(exc).__name__}: {exc}"
-    header = {"scenario": scenario.to_dict(), "error": error,
-              "outcome": classify_outcome(error, runtime, sim_budget_us),
-              "unfinished": [rec.tid for rec in runtime.threads
-                             if not rec.finished],
-              "elapsed_us": runtime.engine.now, "events": len(trace)}
+    header = {"scenario": scenario.to_dict(),
+              **run_capped(runtime, sim_budget_us), "events": len(trace)}
     trace.export_jsonl(path, header=header)
     return header
 
@@ -163,10 +165,7 @@ def probe(scenario: ReplayScenario,
     but its failure is not yet detected)."""
     runtime = build_runtime(scenario)
     checker = RecoveryInvariantChecker(runtime, points=(), strict=False)
-    runtime.workload.setup(runtime)
-    runtime._create_threads()
-    for rec in runtime.threads:
-        runtime.spawn_thread(rec)
+    runtime.start()
     runtime.engine.run(until=until_us)
     manager = runtime.recovery_manager
     if manager is not None and manager.active is not None:
@@ -240,23 +239,10 @@ def replay_trace(path,
     scenario = ReplayScenario.from_dict(header["scenario"])
     runtime = build_runtime(scenario)
     checker = RecoveryInvariantChecker(runtime, strict=False)
-    error = None
-    try:
-        runtime.run(max_sim_us=sim_budget_us)
-    except Exception as exc:  # noqa: BLE001 -- reported, not hidden
-        error = f"{type(exc).__name__}: {exc}"
+    run = run_capped(runtime, sim_budget_us)
     checker.finalize()
-    outcome = classify_outcome(error, runtime, sim_budget_us)
     first = None
-    if outcome == "mismatch" or checker.violations:
+    if run["outcome"] == "mismatch" or checker.violations:
         first = bisect_divergence(scenario, events)
-    return {
-        "scenario": scenario,
-        "error": error,
-        "outcome": outcome,
-        "unfinished": [rec.tid for rec in runtime.threads
-                       if not rec.finished],
-        "elapsed_us": runtime.engine.now,
-        "findings": checker.violations,
-        "first_divergence": first,
-    }
+    return {"scenario": scenario, **run, "findings": checker.violations,
+            "first_divergence": first}

@@ -97,3 +97,16 @@ def test_cli_surface_is_pinned():
     assert digest == (
         "7bb7ce98bb2bc3f52cd41b3d6c1c38ae"
         "19a40688b696a3c93a3ba1bdc9a9c564")
+
+
+def test_sweep_flag_without_a_value_means_its_default(tmp_path, capsys,
+                                                      monkeypatch):
+    """``--variants`` / ``--threads`` / ``--apps`` given no value used
+    to build an empty matrix and crash in ``max()``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["sweep", "--scale", "test", "--jobs", "1", "--apps",
+                 "Volrend", "--variants", "--threads"]) == 0
+    out = capsys.readouterr().out
+    assert "sweep: 2 cells" in out
+    assert "Volrend/base/t1/s2003" in out
+    assert "Volrend/ft/t1/s2003" in out

@@ -105,8 +105,11 @@ class TestResultCache:
         key = spec_key(spec, "fp")
         cache.put(key, spec, {"v": 1}, fingerprint="fp")
         path = cache.root / key[:2] / f"{key}.json"
-        path.write_text("{truncated")
-        assert cache.get(key) is None
+        # Not JSON at all, and JSON that is not an entry: a hit is a
+        # dict with a "summary", anything else a miss.
+        for corrupt in ("{truncated", "{}", "[]"):
+            path.write_text(corrupt)
+            assert cache.get(key) is None, corrupt
 
     def test_entries_are_sharded_and_valid_json(self, tmp_path):
         cache = ResultCache(tmp_path)

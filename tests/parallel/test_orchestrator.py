@@ -201,6 +201,21 @@ class TestFailureIsolation:
         assert results[0].attempts == 1
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Engine.run(until=...) fast-forwards `now` to "
+                          "the cap when the event list drains, so a "
+                          "capped run reports its budget as its time; "
+                          "the fix moves the benchmark's sim_elapsed_us "
+                          "and has its own issue")
+def test_capped_run_reports_its_own_elapsed_time():
+    free, capped = (
+        run_specs([model_check_spec(145, 1, 434, 0, max_sim_us=cap)],
+                  jobs=1, cache=False)[0].summary["elapsed_us"]
+        for cap in (None, 200_000.0))
+    assert free < 2_000.0  # the run itself: 1553.8 us
+    assert capped == free  # today: 199852.7, the cap
+
+
 class TestRunMatrix:
     def test_returns_summaries_in_order(self, tmp_path):
         specs = [app_spec("FFT", v, scale="test") for v in ("base", "ft")]

@@ -27,40 +27,6 @@ import sys
 import time
 
 
-def run_case(program_seed: int, cluster_seed: int, plan_seed: int,
-             failures: int, check: bool,
-             max_sim_us: float = 200_000.0,
-             during_recovery_prob: float = 0.0,
-             min_gap_us: float = 0.0) -> tuple:
-    """One model-check run; returns (status, detail).
-
-    ``max_sim_us`` bounds *simulated* time: a deadlocked run under
-    polling locks generates poll events forever, so an uncapped run
-    would hang the sweep. Healthy runs of this workload finish in a
-    few thousand simulated microseconds; hitting the cap is itself a
-    divergence (threads never finished)."""
-    from repro.harness.faultplan import FaultPlan
-    from repro.verify.replay import ReplayScenario, build_runtime
-
-    runtime = build_runtime(ReplayScenario(
-        program_seed=program_seed, cluster_seed=cluster_seed,
-        plan_seed=plan_seed, failures=failures,
-        during_recovery_prob=during_recovery_prob,
-        min_gap_us=min_gap_us))
-    checker = None
-    if check:
-        from repro.verify import RecoveryInvariantChecker
-        checker = RecoveryInvariantChecker(runtime, strict=False)
-    try:
-        runtime.run(max_sim_us=max_sim_us)
-        if checker is not None and checker.finalize():
-            return ("INVARIANT",
-                    "; ".join(str(f) for f in checker.violations[:3]))
-    except Exception as exc:  # noqa: BLE001 -- classified, not hidden
-        return (type(exc).__name__, str(exc))
-    return ("ok", "")
-
-
 def clamp_notes(failure_counts, num_nodes) -> list:
     """Warnings for failure counts ``FaultPlan.random_plan`` will clamp.
 
@@ -181,11 +147,10 @@ def main(argv=None) -> int:
             break
 
     elapsed = time.time() - start
-    knobs = ""
-    if args.during_recovery_prob:
-        knobs += f", during_recovery_prob={args.during_recovery_prob:g}"
-    if args.min_gap:
-        knobs += f", min_gap_us={args.min_gap:g}"
+    knobs = "".join(
+        f", {name}={value:g}" for name, value in (
+            ("during_recovery_prob", args.during_recovery_prob),
+            ("min_gap_us", args.min_gap)) if value)
     summary = (f"swept {done}/{total} cases "
                f"(program_seed={args.program_seed}, "
                f"cluster_seed={args.cluster_seed}, plan seeds "
