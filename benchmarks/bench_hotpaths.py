@@ -116,106 +116,6 @@ def bench_calibration() -> float:
     return round(_time_per_call(spin, 5, 200), 2)
 
 
-def _drive(gen):
-    """Exhaust an accessor generator synchronously.
-
-    Fast-path accessors return before their first yield, so this is a
-    single ``StopIteration``; mapped per-access reference calls also
-    complete without suspending (zero scheduler yields either way)."""
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value
-
-
-def bench_span_access(repeats: int = 5, number: int = 50) -> dict:
-    """Batched span fast path vs the per-access reference idiom.
-
-    Both paths run on the same mapped pages in the same process, so the
-    speedups are machine-independent ratios -- the same pattern as the
-    vectorized-vs-reference diff gate. The reference numbers time the
-    pre-batching idiom: one ``read_i64``/``write_i64`` per element with
-    the fast path forced off."""
-    import numpy as np
-
-    from repro.apps.base import Workload
-    from repro.config import ClusterConfig, MemoryParams, ProtocolParams
-
-    span_bytes = 4096              # 8 pages of 512 B
-    data = np.arange(span_bytes // 8, dtype=np.int64)
-    payload = data.tobytes()
-    out = {}
-
-    class Probe(Workload):
-        name = "probe"
-
-        def setup(self, runtime):
-            self.seg = runtime.alloc("probe", 2 * span_bytes, home=0)
-
-        def kernel(self, ctx):
-            if ctx.tid == 0:
-                addr = self.seg.addr(0)
-                svm, agent = ctx.svm, ctx.svm.agent
-                # Map the pages read-write (twin creation included) so
-                # every timed access below is the mapped, zero-yield
-                # case on both paths.
-                yield from ctx.svm.write_array(addr, data)
-                out["span_read_us"] = _time_per_call(
-                    lambda: _drive(svm.read_span(addr, span_bytes)),
-                    repeats, number)
-                out["read_array_us"] = _time_per_call(
-                    lambda: _drive(svm.read_array(addr, np.int64,
-                                                  len(data))),
-                    repeats, number)
-                out["span_write_us"] = _time_per_call(
-                    lambda: _drive(svm.write_span(addr, payload)),
-                    repeats, number)
-
-                agent.fast_path = False
-                ref_number = max(1, number // 10)
-
-                def ref_read():
-                    for off in range(0, span_bytes, 8):
-                        _drive(svm.read_i64(addr + off))
-
-                def ref_write():
-                    for off in range(0, span_bytes, 8):
-                        _drive(svm.write_i64(addr + off, 7))
-
-                out["span_read_reference_us"] = _time_per_call(
-                    ref_read, repeats, ref_number)
-                out["span_write_reference_us"] = _time_per_call(
-                    ref_write, repeats, ref_number)
-                agent.fast_path = True
-                # Restore the span contents so the final barrier diffs
-                # deterministic bytes.
-                yield from ctx.svm.write_span(addr, payload)
-            yield from ctx.barrier(self.BARRIER_A)
-
-    config = ClusterConfig(
-        num_nodes=2, threads_per_node=1, shared_pages=32,
-        num_locks=4, num_barriers=4, seed=7,
-        memory=MemoryParams(page_size=512),
-        protocol=ProtocolParams(variant="ft"))
-    SvmRuntime(config, Probe()).run(verify=False)
-
-    return {
-        "span_read_us": round(out["span_read_us"], 2),
-        "span_read_reference_us": round(out["span_read_reference_us"], 2),
-        "span_read_speedup": round(out["span_read_reference_us"]
-                                   / out["span_read_us"], 2),
-        "span_write_us": round(out["span_write_us"], 2),
-        "span_write_reference_us": round(out["span_write_reference_us"],
-                                         2),
-        "span_write_speedup": round(out["span_write_reference_us"]
-                                    / out["span_write_us"], 2),
-        "read_array_us": round(out["read_array_us"], 2),
-        "read_array_speedup": round(out["span_read_reference_us"]
-                                    / out["read_array_us"], 2),
-    }
-
-
 # -- sections ----------------------------------------------------------------
 
 def bench_diff_engine(repeats: int = 5, number: int = 50) -> dict:
@@ -295,7 +195,6 @@ def run_all(quick: bool = False) -> dict:
         "page_size": PAGE_SIZE,
         "calibration_us": bench_calibration(),
         "diff": bench_diff_engine(repeats, number),
-        "span_access": bench_span_access(repeats, number),
         "fault_fetch": bench_fault_fetch(10 if quick else 40),
         "lock_handoff": bench_lock_handoff(15 if quick else 60),
         "fft_slice": bench_fft_slice("test"),
@@ -344,12 +243,6 @@ def test_hotpaths_smoke(benchmark):
     # The dirty-region path must not be slower than the full scan.
     assert (results["diff"]["sparse_with_regions_us"]
             <= diff["sparse"]["vectorized_us"] * 1.5), results["diff"]
-    # The batched span path must stay well ahead of the per-access
-    # reference idiom (acceptance: >= 3x, same-machine ratio).
-    span = results["span_access"]
-    assert span["span_read_speedup"] >= 3.0, span
-    assert span["span_write_speedup"] >= 3.0, span
-    assert span["read_array_speedup"] >= 3.0, span
     for section in ("fault_fetch", "lock_handoff", "fft_slice"):
         assert results[section]["wall_s"] > 0
 

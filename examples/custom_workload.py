@@ -35,6 +35,7 @@ class Pipeline(Workload):
         self.items = items
         self.rounds = rounds
         self.data = None
+        self.final_row = b""
 
     def setup(self, runtime) -> None:
         # One row of items per pipeline stage (= per thread), homed at
@@ -69,6 +70,12 @@ class Pipeline(Workload):
                         self._row(stage), self.transform(prev, stage))
                     ctx.done(("stage", r, stage))
                 yield from ctx.barrier(self.BARRIER_B, key=(r, stage))
+        # The raw accessors move bytes where read_array / write_array
+        # move numpy arrays: thread 0 takes the final row as it sits in
+        # shared memory.
+        if ctx.tid == 0:
+            self.final_row = yield from ctx.svm.read(
+                self._row(ctx.nthreads - 1), self.items * 8)
         return None
 
     def verify(self, runtime) -> None:
@@ -99,6 +106,7 @@ def main() -> None:
     print(f"  recoveries: {result.recoveries}")
     print(f"  live nodes: {runtime.cluster.live_nodes()}")
     print(f"  simulated time: {runtime.engine.now:.0f}us")
+    print(f"  final row, read raw: {len(runtime.workload.final_row)} bytes")
     six = result.breakdown.six_component()
     total = sum(six.values())
     print("  breakdown: " + ", ".join(

@@ -46,20 +46,6 @@ class MemoryError_(ReproError):
     """A paged-memory invariant was violated (bad address, bad state)."""
 
 
-class ProtectionFault(MemoryError_):
-    """An access hit a page whose protection does not allow it.
-
-    This is the software analogue of a hardware page fault; the SVM
-    protocol catches it and runs its fault handler. Application code
-    never sees it.
-    """
-
-    def __init__(self, page_id: int, access: str) -> None:
-        self.page_id = page_id
-        self.access = access
-        super().__init__(f"protection fault: {access} access to page {page_id}")
-
-
 class ProtocolError(ReproError):
     """The SVM protocol reached an inconsistent state."""
 

@@ -67,17 +67,3 @@ class PageStore(MemoryRegion):
                 f"store {self.name!r}: span [{offset}, "
                 f"{offset + len(data)}) outside page size {self.page_size}")
         self.write(base + offset, data)
-
-    def flat_view(self, addr: int, size: int) -> memoryview:
-        """Zero-copy view of ``[addr, addr + size)`` in store-flat bytes.
-
-        The shared address space maps linearly onto the store buffer
-        (``addr == page_id * page_size + offset``), so a span crossing
-        page boundaries is still one contiguous slice. Callers must
-        consume or copy the view before yielding to the simulation.
-        """
-        return self.read_view(addr, size)
-
-    def flat_write(self, addr: int, data) -> None:
-        """Single contiguous store of a (possibly multi-page) span."""
-        self.write_from(addr, data)

@@ -3,13 +3,13 @@
 In the real system, page protection hardware (mprotect) raises a fault
 on the first read of an invalid page or the first write to a read-only
 page, and the SVM protocol's segv handler takes over. Here every
-application access is routed through :class:`PageTable`, which raises
-:class:`~repro.errors.ProtectionFault` at exactly the same points; the
-protocol layer catches the fault and runs its handler.
+application access is routed through :meth:`PageTable.lacks`, which
+says "fault" at exactly the same points; the protocol layer then runs
+its handler.
 
 Storage is a slot-indexed list (page id -> entry, ``None`` until first
-touch) rather than a dict: the access checks and span probes on the
-fault/fast paths become plain list indexing, and
+touch) rather than a dict: the access check on every touched page
+becomes plain list indexing, and
 :class:`PageTableEntry` is a ``__slots__`` class so each entry is a
 single compact allocation.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional
 
-from repro.errors import MemoryError_, ProtectionFault
+from repro.errors import MemoryError_
 
 #: Above this many tracked extents, dirty-region bookkeeping would cost
 #: more than it saves; the extents collapse to their convex hull.
@@ -37,8 +37,7 @@ class Access(enum.Enum):
 class PageTableEntry:
     """Protection and protocol state of one page at one node."""
 
-    __slots__ = ("access", "twin", "dirty", "dirty_regions", "locked",
-                 "faults")
+    __slots__ = ("access", "twin", "dirty", "dirty_regions", "locked")
 
     def __init__(self) -> None:
         self.access = Access.INVALID
@@ -56,8 +55,6 @@ class PageTableEntry:
         #: FT protocol: page is locked during an outstanding release;
         #: page faults on it must stall (paper Fig 4).
         self.locked = False
-        #: Count of faults taken on this page (diagnostics).
-        self.faults = 0
 
 
 class PageTable:
@@ -82,51 +79,15 @@ class PageTable:
             self._entries[page_id] = ent
         return ent
 
-    # -- access checks (the "MMU") -----------------------------------------
+    # -- access check (the "MMU") --------------------------------------------
 
-    def check_read(self, page_id: int) -> None:
-        ent = self.entry(page_id)
-        if ent.access is Access.INVALID:
-            ent.faults += 1
-            raise ProtectionFault(page_id, "read")
-
-    def check_write(self, page_id: int) -> None:
-        ent = self.entry(page_id)
-        if ent.access is not Access.READ_WRITE:
-            ent.faults += 1
-            raise ProtectionFault(page_id, "write")
-
-    # -- non-mutating probes (batched fast path) ------------------------------
-
-    def can_read_span(self, first_page: int, last_page: int) -> bool:
-        """True when every page of ``[first_page, last_page]`` is readable.
-
-        A pure probe: unlike :meth:`check_read` it neither raises nor
-        counts a fault, so the batched fast path can test a whole span
-        and fall back to the faulting per-access path without
-        double-counting the fault it is about to take.
-        """
-        if first_page < 0 or last_page >= self.num_pages:
-            return False
-        entries = self._entries
-        invalid = Access.INVALID
-        for page_id in range(first_page, last_page + 1):
-            ent = entries[page_id]
-            if ent is None or ent.access is invalid:
-                return False
-        return True
-
-    def can_write_span(self, first_page: int, last_page: int) -> bool:
-        """True when every page of ``[first_page, last_page]`` is writable."""
-        if first_page < 0 or last_page >= self.num_pages:
-            return False
-        entries = self._entries
-        read_write = Access.READ_WRITE
-        for page_id in range(first_page, last_page + 1):
-            ent = entries[page_id]
-            if ent is None or ent.access is not read_write:
-                return False
-        return True
+    def lacks(self, page_id: int, write: bool) -> bool:
+        """Whether an access to ``page_id`` faults: any access to an
+        INVALID page, a write to anything but a READ_WRITE one."""
+        access = self.entry(page_id).access
+        if write:
+            return access is not Access.READ_WRITE
+        return access is Access.INVALID
 
     # -- protection management ----------------------------------------------
 

@@ -79,20 +79,18 @@ class MemoryRegion:
         self._check(offset, length)
         return self._buf[offset:offset + length]
 
-    def _store(self, offset: int, length: int, data) -> None:
+    def write(self, offset: int, data) -> None:
+        """Store any bytes-like ``data`` at ``offset``."""
+        length = len(data)
         self._check(offset, length)
         try:
             self._buf[offset:offset + length] = data
         except (IndexError, ValueError) as exc:
-            # ``length`` came from ``len(data)`` but the buffer holds a
-            # different number of bytes (multi-byte items); the mapping
-            # cannot grow or shrink to fit.
+            # ``len(data)`` counted multi-byte items, not bytes; the
+            # mapping cannot grow or shrink to fit.
             raise MemoryError_(
                 f"region {self.name!r}: write of {length} bytes at "
                 f"{offset} from a buffer of another size") from exc
-
-    def write(self, offset: int, data: bytes) -> None:
-        self._store(offset, len(data), data)
 
     def view(self) -> mmap.mmap:
         """Direct mutable access for the *local* host (no wire involved).
@@ -101,25 +99,6 @@ class MemoryRegion:
         data, or wrap it in ``memoryview`` / ``np.frombuffer``.
         """
         return self._buf
-
-    def read_view(self, offset: int, length: int) -> memoryview:
-        """Zero-copy view of ``[offset, offset + length)`` for local use.
-
-        The view aliases the live buffer: callers must either consume it
-        before yielding control back to the simulation or copy it (a
-        later store would show through the view).
-        """
-        self._check(offset, length)
-        return memoryview(self._buf)[offset:offset + length]
-
-    def write_from(self, offset: int, data) -> None:
-        """Like :meth:`write` but accepts any bytes-like object
-        (memoryview, bytearray, numpy buffer) without an intermediate
-        ``bytes`` copy."""
-        length = getattr(data, "nbytes", None)
-        if length is None:
-            length = len(data)
-        self._store(offset, length, data)
 
 
 class RegionTable:

@@ -212,48 +212,16 @@ class VMMC:
         """Wait on ``event``, probing ``dst`` each heart-beat timeout.
 
         Returns the event value; raises RemoteNodeFailure if the peer
-        dies first. The body open-codes
-        :func:`~repro.sim.timeout_wait` (same settling order) so each
-        wait round costs one Event instead of a delegated generator --
-        this is the innermost suspension of every synchronous remote
-        operation.
+        dies first.
         """
-        engine = self.engine
-        timeout = self.costs.heartbeat_timeout_us
         while True:
-            if event._settled:
-                if event._ok:
-                    return event._value
-                exc = event._value
-                if isinstance(exc, RemoteNodeFailure):
-                    self.known_dead.add(dst)
-                raise exc
-            combined = Event(engine, "timeout_wait")
-
-            def on_timer(combined=combined) -> None:
-                if not combined._settled:
-                    combined.succeed((1, None))
-
-            handle = engine.schedule(timeout, on_timer)
-
-            def on_event(ev: Event, combined=combined) -> None:
-                if combined._settled:
-                    return
-                if ev.failed:
-                    combined.fail(ev.value)
-                else:
-                    combined.succeed((0, ev.value))
-
-            event.add_callback(on_event)
             try:
-                index, value = yield combined
+                ok, value = yield from timeout_wait(
+                    self.engine, event, self.costs.heartbeat_timeout_us)
             except RemoteNodeFailure:
                 self.known_dead.add(dst)
                 raise
-            if index == 0:
-                handle[3] = None  # cancel the timer's scheduler entry
+            if ok:
                 return value
-            alive = yield from self.probe(dst)
-            if not alive:
-                self.known_dead.add(dst)
+            if not (yield from self.probe(dst)):
                 raise RemoteNodeFailure(dst, "heart-beat timeout")

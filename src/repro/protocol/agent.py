@@ -25,7 +25,6 @@ from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, Hooks
-from repro.errors import ProtectionFault, ProtocolError
 from repro.memory import (
     Access,
     Diff,
@@ -69,12 +68,6 @@ class SvmNodeAgent:
 
     #: Protocol variant name (the FT subclass overrides).
     variant = "base"
-
-    #: Class-wide switch for the synchronous batched fast path. When
-    #: off, every access runs the per-access generator path -- the
-    #: reference oracle the equivalence tests compare against (same
-    #: pattern as ``compute_diff_reference``).
-    fast_path_enabled = True
 
     #: Whether lock state is mirrored at a secondary lock home.
     mirror_locks = False
@@ -149,10 +142,6 @@ class SvmNodeAgent:
         #: attribute, not a hook: the write path is hot and a single
         #: None check is all the disabled case may cost.
         self.write_observer = None
-
-        #: Instance switch for the batched fast path (class default
-        #: as of construction).
-        self.fast_path = self.fast_path_enabled
 
         # Services / notify handlers ---------------------------------------
         self._services: Dict[str, object] = {}
@@ -238,6 +227,12 @@ class SvmNodeAgent:
         result = yield event
         return result
 
+    def suspect(self, nodes):
+        """A wait has gone on long enough that the ``nodes`` it depends
+        on (an iterable, consumed lazily) may be dead. The FT subclass
+        probes them; the base protocol has no failure detection."""
+        yield from ()
+
     def _guarded(self, thread, factory):
         """Run one step of a synchronization operation, given as a
         generator factory. The FT subclass parks the thread at the
@@ -251,131 +246,47 @@ class SvmNodeAgent:
     # ------------------------------------------------------------------
 
     def read(self, thread, addr: int, size: int):
-        """Generator returning ``size`` bytes at shared address ``addr``."""
-        out = bytearray()
-        remaining = size
-        pos = addr
-        while remaining > 0:
-            page, offset = self.address_space.locate(pos)
-            chunk = min(remaining, self.page_size - offset)
-            yield from self._ensure_readable(thread, page)
-            out += self.working.read_span(page, offset, chunk)
-            pos += chunk
-            remaining -= chunk
-        return bytes(out)
+        """Generator returning ``size`` bytes at shared address ``addr``.
 
-    def write(self, thread, addr: int, data: bytes):
-        """Generator writing ``data`` at shared address ``addr``."""
-        pos = addr
-        view = memoryview(data)
+        With :meth:`write`, the only way an application byte moves: one
+        walk over the touched pages in address order, faulting exactly
+        where mprotect would. Each page's chunk is copied as soon as
+        the page is accessible, not after the whole span is: another
+        local thread may invalidate page *k* while the walk faults on
+        page *k*+1.
+        """
+        chunks = []
+        end = addr + size
+        while addr < end:
+            page, offset = self.address_space.locate(addr)
+            chunk = min(end - addr, self.page_size - offset)
+            while self.page_table.lacks(page, False):
+                yield from self._handle_fault(thread, page, False)
+            chunks.append(self.working.read_span(page, offset, chunk))
+            addr += chunk
+        return b"".join(chunks)
+
+    def write(self, thread, addr: int, data):
+        """Generator writing ``data`` (any contiguous buffer) at shared
+        address ``addr``."""
+        view = memoryview(data).cast("B")
         while len(view) > 0:
-            page, offset = self.address_space.locate(pos)
-            chunk = min(len(view), self.page_size - offset)
-            yield from self._ensure_writable(thread, page)
-            # No yields between the final protection check (inside
-            # _ensure_writable) and the store: the write is atomic with
-            # respect to concurrent releases downgrading the page.
-            self.working.write_span(page, offset, view[:chunk])
+            page, offset = self.address_space.locate(addr)
+            piece = view[:self.page_size - offset]
+            chunk = len(piece)
+            while self.page_table.lacks(page, True):
+                yield from self._handle_fault(thread, page, True)
+            # No yield between the final check and the store: the write
+            # is atomic with respect to concurrent releases downgrading
+            # the page.
+            self.working.write_span(page, offset, piece)
             # Dirty-region tracking: diffs scan only written extents.
             self.page_table.record_write(page, offset, offset + chunk)
             if self.write_observer is not None:
-                self.write_observer(page, offset, bytes(view[:chunk]))
-            pos += chunk
+                self.write_observer(page, offset, bytes(piece))
+            addr += chunk
             view = view[chunk:]
         return None
-
-    # -- batched synchronous fast path ---------------------------------------
-    #
-    # An access whose pages all hold sufficient rights completes with
-    # zero scheduler yields and zero simulated time in the per-access
-    # path too (_ensure_readable/_ensure_writable return without
-    # yielding), so serving it synchronously is bit-identical in
-    # simulated behaviour; the win is host-side only. The probe is
-    # all-or-nothing *before* any copy: on the first page lacking
-    # rights the caller falls back to the per-access generator path,
-    # which re-runs the page walk with its original fault sequence.
-
-    def _fast_path_ok(self) -> bool:
-        """Whether the synchronous fast path may serve accesses now
-        (the FT subclass also requires no recovery to be pending)."""
-        return self.fast_path
-
-    def try_read_fast(self, thread, addr: int,
-                      size: int) -> Optional[memoryview]:
-        """Synchronous read of ``[addr, addr + size)``; ``None`` when
-        any touched page lacks read rights (caller takes the slow
-        path). The returned view aliases the working store: consume or
-        copy it before yielding to the simulation."""
-        if not self._fast_path_ok():
-            return None
-        if size <= 0:
-            # The per-access path serves empty reads without touching
-            # the page table; match it exactly.
-            return memoryview(b"")
-        page_size = self.page_size
-        if not self.page_table.can_read_span(
-                addr // page_size, (addr + size - 1) // page_size):
-            return None
-        return self.working.flat_view(addr, size)
-
-    def try_write_fast(self, thread, addr: int, data) -> bool:
-        """Synchronous write; ``False`` when any touched page lacks
-        write rights (no bytes are stored -- the caller's slow path
-        redoes the whole span with its original fault sequence)."""
-        if not self._fast_path_ok():
-            return False
-        size = getattr(data, "nbytes", None)
-        if size is None:
-            size = len(data)
-        if size <= 0:
-            return True  # the per-access path is a no-op for empty writes
-        page_size = self.page_size
-        first = addr // page_size
-        last = (addr + size - 1) // page_size
-        if not self.page_table.can_write_span(first, last):
-            return False
-        self.working.flat_write(addr, data)
-        # Per-page bookkeeping identical to the per-access path:
-        # dirty-region extents and shadow-oracle observations are both
-        # page-relative.
-        record_write = self.page_table.record_write
-        observer = self.write_observer
-        if first == last:
-            offset = addr - first * page_size
-            record_write(first, offset, offset + size)
-            if observer is not None:
-                observer(first, offset, bytes(memoryview(data).cast("B"))
-                         if not isinstance(data, bytes) else data)
-            return True
-        view = memoryview(data).cast("B")
-        pos = addr
-        consumed = 0
-        while consumed < size:
-            page, offset = divmod(pos, page_size)
-            chunk = min(size - consumed, page_size - offset)
-            record_write(page, offset, offset + chunk)
-            if observer is not None:
-                observer(page, offset,
-                         bytes(view[consumed:consumed + chunk]))
-            pos += chunk
-            consumed += chunk
-        return True
-
-    def _ensure_readable(self, thread, page: int):
-        while True:
-            try:
-                self.page_table.check_read(page)
-                return
-            except ProtectionFault:
-                yield from self._handle_fault(thread, page, write=False)
-
-    def _ensure_writable(self, thread, page: int):
-        while True:
-            try:
-                self.page_table.check_write(page)
-                return
-            except ProtectionFault:
-                yield from self._handle_fault(thread, page, write=True)
 
     # ------------------------------------------------------------------
     # Page-fault handling

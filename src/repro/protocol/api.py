@@ -53,81 +53,42 @@ class SvmThread:
             yield Delay(us)
         return None
 
-    # -- raw shared memory -----------------------------------------------------
+    # -- shared memory ------------------------------------------------------
     #
-    # Every accessor first offers the span to the agent's synchronous
-    # fast path: one page-table probe over the whole page-aligned span
-    # and, when every touched page already holds sufficient access, an
-    # immediate contiguous copy with zero scheduler yields. The first
-    # page lacking rights falls back to the per-access protocol path
-    # (the reference oracle), which re-walks the span with its original
-    # fault sequence -- so simulated time, fault counts, and event
-    # ordering are bit-identical either way.
+    # ``read`` / ``write`` are the agent's page walk; the typed
+    # accessors are codecs over them.
 
     def read(self, addr: int, size: int):
         """Generator returning ``size`` bytes of shared memory."""
-        view = self.agent.try_read_fast(self, addr, size)
-        if view is not None:
-            return bytes(view)
         return (yield from self.agent.read(self, addr, size))
 
     def write(self, addr: int, data):
         """Generator writing ``data`` (any contiguous bytes-like
         object) into shared memory."""
-        if self.agent.try_write_fast(self, addr, data):
-            return None
         return (yield from self.agent.write(self, addr, data))
-
-    #: Same implementation; the names mark call sites converted on
-    #: purpose from a per-element loop to one (possibly multi-page)
-    #: span access.
-    read_span = read
-    write_span = write
-
-    # -- typed shared memory ------------------------------------------------------
 
     def read_array(self, addr: int, dtype, count: int):
         """Generator returning a numpy array copied out of shared memory."""
         dtype = np.dtype(dtype)
-        size = dtype.itemsize * count
-        view = self.agent.try_read_fast(self, addr, size)
-        if view is not None:
-            return np.frombuffer(view, dtype=dtype).copy()
-        raw = yield from self.agent.read(self, addr, size)
+        raw = yield from self.agent.read(self, addr, dtype.itemsize * count)
         return np.frombuffer(raw, dtype=dtype).copy()
 
     def write_array(self, addr: int, array) -> object:
         """Generator writing a numpy array into shared memory."""
         arr = np.atleast_1d(np.ascontiguousarray(array))
-        if self.agent.try_write_fast(self, addr, arr.data.cast("B")):
-            return None
-        return (yield from self.agent.write(self, addr, arr.tobytes()))
+        return (yield from self.agent.write(self, addr, arr.data))
 
     def read_i64(self, addr: int):
-        view = self.agent.try_read_fast(self, addr, 8)
-        if view is not None:
-            return _I64.unpack(view)[0]
-        raw = yield from self.agent.read(self, addr, 8)
-        return int(np.frombuffer(raw, dtype=np.int64)[0])
+        return _I64.unpack((yield from self.agent.read(self, addr, 8)))[0]
 
     def write_i64(self, addr: int, value: int):
-        data = _I64.pack(value)
-        if self.agent.try_write_fast(self, addr, data):
-            return None
-        return (yield from self.agent.write(self, addr, data))
+        return (yield from self.agent.write(self, addr, _I64.pack(value)))
 
     def read_f64(self, addr: int):
-        view = self.agent.try_read_fast(self, addr, 8)
-        if view is not None:
-            return _F64.unpack(view)[0]
-        raw = yield from self.agent.read(self, addr, 8)
-        return float(np.frombuffer(raw, dtype=np.float64)[0])
+        return _F64.unpack((yield from self.agent.read(self, addr, 8)))[0]
 
     def write_f64(self, addr: int, value: float):
-        data = _F64.pack(value)
-        if self.agent.try_write_fast(self, addr, data):
-            return None
-        return (yield from self.agent.write(self, addr, data))
+        return (yield from self.agent.write(self, addr, _F64.pack(value)))
 
     # -- synchronization -------------------------------------------------------------
 

@@ -148,6 +148,13 @@ class FtSvmNodeAgent(SvmNodeAgent):
             manager.note_unblocked(self.node_id)
         return result
 
+    def suspect(self, nodes):
+        """Section 4.1's reactive detection: probe each node a stalled
+        wait depends on and report the dead ones."""
+        for node in nodes:
+            if not (yield from self.vmmc.probe(node)):
+                self.runtime.recovery_manager.report_failure(node)
+
     def abort_local_waits(self) -> None:
         """Called at recovery start: wake version waiters with a
         recovery signal so they can park (their awaited diffs may have
@@ -217,18 +224,12 @@ class FtSvmNodeAgent(SvmNodeAgent):
     # Memory access wrappers (retry across recoveries)
     # ------------------------------------------------------------------
 
-    def _fast_path_ok(self) -> bool:
-        # While a recovery is pending every access must park at the
-        # rendezvous (the per-access wrappers check before running);
-        # the synchronous fast path defers to them in that window.
-        return self.fast_path and self.recovery_pending is None
-
     def read(self, thread, addr: int, size: int):
         return (yield from self._guarded(
             thread, lambda: super(FtSvmNodeAgent, self).read(
                 thread, addr, size)))
 
-    def write(self, thread, addr: int, data: bytes):
+    def write(self, thread, addr: int, data):
         return (yield from self._guarded(
             thread, lambda: super(FtSvmNodeAgent, self).write(
                 thread, addr, data)))
@@ -256,27 +257,25 @@ class FtSvmNodeAgent(SvmNodeAgent):
         self._install_fetched(page, self.committed.read_page(page))
 
     def _wait_versions(self, page: int, required: Dict[int, int]):
-        manager = self.runtime.recovery_manager
         while not self._version_satisfied(page, required):
             # Version waits are aborted (events failed) when a recovery
             # begins, since the awaited diff may have died with the
             # failed node; check before re-arming.
             self.check_recovery_abort()
             # A writer that dies mid-propagation would leave this wait
-            # hanging; probe unsatisfied writers on timeout.
+            # hanging; on timeout suspect the unsatisfied writers --
+            # lazily, so a writer whose diff lands during an earlier
+            # probe is not probed.
             ok, _value = yield from timeout_wait(
                 self.engine, self._version_event(page),
                 self.costs.heartbeat_timeout_us)
             if ok:
                 continue
             have = self.page_versions.get(page, {})
-            for writer, interval in required.items():
-                if have.get(writer, 0) >= interval or \
-                        writer == self.node_id:
-                    continue
-                alive = yield from self.vmmc.probe(writer)
-                if not alive:
-                    manager.report_failure(writer)
+            yield from self.suspect(
+                writer for writer, interval in required.items()
+                if have.get(writer, 0) < interval
+                and writer != self.node_id)
 
     def _serve_fetch_page(self, body, src: int):
         try:
@@ -470,11 +469,11 @@ class FtSvmNodeAgent(SvmNodeAgent):
             # record would be rebased over a later fetch and revert
             # other writers' updates (see _finish_page_release).
             self._pending_local_diffs.pop(page, None)
+        # Encoded once: the wire body and the mirror each get their own
+        # dict of the same immutable blobs.
+        blobs = {page: diff.encode() for page, diff in fl.diffs.items()}
         record_body = ("pending", self.node_id, fl.seq, fl.interval,
-                       fl.pages,
-                       {page: diff.encode()
-                        for page, diff in fl.diffs.items()},
-                       self.last_barrier_interval)
+                       fl.pages, dict(blobs), self.last_barrier_interval)
         body_bytes = 32 + sum(d.wire_bytes for d in fl.diffs.values())
         backup = self.homes.backup_node(self.node_id)
         yield from self.notify(backup, CKPT_CHANNEL, record_body,
@@ -483,8 +482,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
         # mirror never claims more than the backup durably holds).
         self.ckpt_mirror.store_pending(self.node_id, ReleaseRecord(
             seq=fl.seq, interval=fl.interval, pages=list(fl.pages),
-            diffs={page: diff.encode()
-                   for page, diff in fl.diffs.items()}))
+            diffs=blobs))
         self.ckpt_mirror.trim_mirror(self.node_id,
                                      self.last_barrier_interval)
         return None

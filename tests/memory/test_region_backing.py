@@ -32,7 +32,7 @@ MB = 1 << 20
 def test_fresh_region_reads_as_zeros():
     region = MemoryRegion("r", 3 * 4096 + 17)  # not a page multiple
     assert region.read(0, region.size) == bytes(region.size)
-    assert bytes(region.read_view(4090, 20)) == bytes(20)
+    assert region.read(4090, 20) == bytes(20)
     assert not np.frombuffer(region.view(), dtype=np.uint8).any()
     assert len(region.view()) == region.size
 
@@ -52,13 +52,11 @@ def test_out_of_range_access_rejected(offset, length):
     region = MemoryRegion("r", 64)
     with pytest.raises(MemoryError_):
         region.read(offset, length)
-    with pytest.raises(MemoryError_):
-        region.read_view(offset, length)
     if length >= 0:
         with pytest.raises(MemoryError_):
             region.write(offset, bytes(length))
         with pytest.raises(MemoryError_):
-            region.write_from(offset, bytearray(length))
+            region.write(offset, memoryview(bytearray(length)))
     assert region.read(0, 64) == bytes(64)
 
 
@@ -68,9 +66,13 @@ def test_out_of_range_pages_and_spans_rejected():
         with pytest.raises(MemoryError_):
             store.page_view(page)
     with pytest.raises(MemoryError_):
-        store.flat_view(4 * 128 - 2, 4)
+        store.read(4 * 128 - 2, 4)
     with pytest.raises(MemoryError_):
-        store.flat_write(-1, b"ab")
+        store.write(-1, b"ab")
+    with pytest.raises(MemoryError_):
+        store.read_span(3, 126, 4)
+    with pytest.raises(MemoryError_):
+        store.write_span(0, -1, b"ab")
 
 
 def test_write_whose_byte_length_differs_is_rejected_not_resized():
@@ -82,7 +84,7 @@ def test_write_whose_byte_length_differs_is_rejected_not_resized():
     with pytest.raises(MemoryError_):
         region.write(0, words)
     assert len(region.view()) == 64
-    region.write_from(0, words)  # sized by nbytes: stores all 16 bytes
+    region.write(0, words.cast("B"))  # as bytes: stores all 16
     assert region.read(0, 16) == words.tobytes()
 
 
@@ -93,8 +95,6 @@ def test_every_access_path_aliases_the_same_bytes():
     addr, span = 2 * 128 - 5, bytes(range(1, 11))
     store.write(addr, span)
     assert store.read(addr, 10) == span
-    assert bytes(store.read_view(addr, 10)) == span
-    assert bytes(store.flat_view(addr, 10)) == span
     assert bytes(store.page_view(1)[-5:]) == span[:5]
     assert bytes(store.page_view(2)[:5]) == span[5:]
     assert store.read_span(2, 0, 5) == span[5:]
@@ -102,14 +102,14 @@ def test_every_access_path_aliases_the_same_bytes():
     # Stores through each writable alias show through all the others.
     store.page_view(2)[0:2] = b"\xaa\xbb"
     assert store.read(2 * 128, 2) == b"\xaa\xbb"
-    store.flat_view(addr, 10)[4] = 0xcc
+    store.write_span(1, 127, b"\xcc")
     assert store.page_view(1)[-1] == 0xcc
     flat[addr] = 0xdd
     assert store.read_page(1)[-5] == 0xdd
-    store.flat_write(addr + 8, memoryview(b"\xee\xff"))
+    store.write(addr + 8, memoryview(b"\xee\xff"))
     assert flat[addr + 8:addr + 10].tobytes() == b"\xee\xff"
     store.view()[0:3] = b"xyz"
-    assert bytes(store.read_view(0, 3)) == b"xyz"
+    assert store.read(0, 3) == b"xyz"
 
 
 def test_regions_are_node_state_never_pickled_or_copied():
@@ -147,7 +147,7 @@ def test_platform_without_map_flags_or_madvise(monkeypatch):
     region = MemoryRegion("r", 8192)
     assert region.read(0, 8192) == bytes(8192)
     region.write(4090, b"0123456789")
-    assert bytes(region.read_view(4090, 10)) == b"0123456789"
+    assert region.read(4090, 10) == b"0123456789"
 
 
 # -- what the host pays -------------------------------------------------------
