@@ -11,7 +11,7 @@ Two injection styles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cluster.machine import Cluster

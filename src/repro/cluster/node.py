@@ -15,7 +15,7 @@ The paper's platform is a 2-way Pentium-II SMP. We model the node as:
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.config import ClusterConfig
 from repro.errors import SimulationError

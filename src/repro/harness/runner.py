@@ -193,7 +193,6 @@ class SvmRuntime:
                 node.nic.messages_sent = 0
                 node.nic.messages_received = 0
                 node.nic.bytes_sent = 0
-                node.nic.bytes_received = 0
                 node.nic.post_queue_stalls = 0
 
     def spawn_thread(self, rec: ThreadRecord) -> None:

@@ -10,7 +10,7 @@ the application in a way that maximizes parallelism" (section 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Union
 
 from repro.errors import MemoryError_
 

@@ -55,10 +55,12 @@ class Message:
         self.body_bytes = body_bytes
         self.payload = payload
         #: Optional completion event: succeeds once the message's effect
-        #: has been applied at the destination, fails with
-        #: RemoteNodeFailure if the destination is (or becomes) dead.
-        #: Asynchronous senders leave it None and rely on FIFO ordering
-        #: plus later synchronous ops.
+        #: has been applied at the destination, or with the value of the
+        #: reply to a request; fails with RemoteNodeFailure if the
+        #: destination is (or becomes) dead. It is the sender's waiter:
+        #: a reply carries it back in its payload, never as its own
+        #: completion. Asynchronous senders leave it None and rely on
+        #: FIFO ordering plus later synchronous ops.
         self.completion = completion
         self.msg_id = _next_message_id() if msg_id is None else msg_id
         self.wire_bytes = HEADER_BYTES + body_bytes

@@ -30,8 +30,6 @@ class Network:
         self.engine = engine
         self.params = params
         self._nics: Dict[int, NIC] = {}
-        #: Total messages that reached a dead destination (diagnostics).
-        self.dropped_messages = 0
 
     def attach(self, nic: NIC) -> None:
         if nic.node_id in self._nics:
@@ -52,11 +50,9 @@ class Network:
         dst_nic = self.nic(msg.dst)
 
         def deliver() -> None:
-            if not dst_nic.alive:
-                self.dropped_messages += 1
-                if msg.completion is not None and not msg.completion.settled:
-                    msg.completion.fail(RemoteNodeFailure(msg.dst))
-                return
-            dst_nic._deliver(msg)
+            if dst_nic.alive:
+                dst_nic.incoming.try_put(msg)
+            elif msg.completion is not None and not msg.completion.settled:
+                msg.completion.fail(RemoteNodeFailure(msg.dst))
 
         self.engine.schedule(self.params.wire_latency_us, deliver)

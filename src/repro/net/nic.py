@@ -10,11 +10,14 @@ to the :class:`~repro.net.network.Network` for latency and delivery.
 On the receive side, deposits and fetches are serviced entirely at the
 NIC -- writing into or reading from exported memory regions -- without
 involving the host processor, mirroring VMMC's remote deposit/fetch.
+A request (fetch, probe, service call) carries its sender's waiter as
+its completion; the reply carries that waiter back and settles it with
+the value, so no table of outstanding requests exists.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set
 
 from repro.config import NetworkParams
 from repro.errors import NetworkError, RemoteNodeFailure
@@ -44,15 +47,11 @@ class NIC:
                  dma_bandwidth: Optional[float] = None) -> None:
         self.engine = engine
         self.node_id = node_id
-        self._reply_name = f"nic{node_id}.reply"
         self.params = params
         self.regions = regions if regions is not None else RegionTable(node_id)
         #: Memory-bus contention modelling: when ``dma_bus`` is set,
         #: every DMA transfer holds the bus for ``nbytes /
-        #: dma_bandwidth`` microseconds. (Formerly an opaque generator
-        #: hook; the sender/receiver loops now inline the
-        #: acquire/delay/release, which drops one generator allocation
-        #: and two resume hops per message per side.)
+        #: dma_bandwidth`` microseconds.
         self.dma_bus = dma_bus
         self.dma_bandwidth = dma_bandwidth
         self.alive = True
@@ -62,33 +61,27 @@ class NIC:
         #: -- always None with no tracer attached -- so the untraced
         #: receive path pays one comparison.
         self.optrace = None
-        #: Nodes whose failure has been detected, each tagged with the
-        #: home-map epoch at which the connection was unmapped. VMMC
-        #: unmaps the import/export connections to a failed node during
+        #: Nodes whose failure has been detected. VMMC unmaps the
+        #: import/export connections to a failed node during
         #: reconfiguration, so anything it left on the wire (or already
         #: queued here) is discarded instead of being applied to
-        #: exported memory after recovery has rebuilt it. Membership is
-        #: what the dispatch path tests; the epoch tags let recovery
-        #: audits tie a shunned message to the map generation that
-        #: shunned its sender (a node shunned under a later epoch was a
-        #: mid-recovery cascade victim).
-        self.dead_sources: Dict[int, int] = {}
+        #: exported memory after recovery has rebuilt it.
+        self.dead_sources: Set[int] = set()
 
         self.post_queue = Store(engine, capacity=params.post_queue_depth,
                                 name=f"nic{node_id}.post")
-        self._incoming = Store(engine, name=f"nic{node_id}.in")
-        self._pending_replies: Dict[int, Event] = {}
-        self._notify_handlers: Dict[str, Callable[[Message], None]] = {}
-        self._services: Dict[str, Callable] = {}
+        #: Arrived messages awaiting NIC processing; the network puts
+        #: into it.
+        self.incoming = Store(engine, name=f"nic{node_id}.in")
+        self.notify_handlers: Dict[str, Callable[[Message], None]] = {}
+        self.services: Dict[str, Callable] = {}
         self._service_procs: list = []
 
         # Counters for the metrics layer.
         self.messages_sent = 0
         self.messages_received = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
         self.post_queue_stalls = 0
-        self.messages_shunned = 0
 
         # Delay objects are immutable once built, so the fixed per-call
         # charges can reuse one instance instead of allocating ~2 per
@@ -133,10 +126,10 @@ class NIC:
         it must be non-blocking (typically it writes protocol state or
         triggers an event a host process is waiting on).
         """
-        if channel in self._notify_handlers:
+        if channel in self.notify_handlers:
             raise NetworkError(f"node {self.node_id}: notify channel "
                                f"{channel!r} already registered")
-        self._notify_handlers[channel] = handler
+        self.notify_handlers[channel] = handler
 
     def register_service(self, name: str, handler: Callable) -> None:
         """Register a request/reply service.
@@ -148,31 +141,30 @@ class NIC:
         Services model protocol operations offloaded to the NI, as
         GeNIMA does for synchronization.
         """
-        if name in self._services:
+        if name in self.services:
             raise NetworkError(f"node {self.node_id}: service {name!r} "
                                "already registered")
-        self._services[name] = handler
+        self.services[name] = handler
 
-    def expect_reply(self, req_id: int) -> Event:
-        """Create the event a synchronous requester waits on."""
-        ev = Event(self.engine, self._reply_name)
-        self._pending_replies[req_id] = ev
-        return ev
-
-    def abandon_reply(self, req_id: int) -> None:
-        self._pending_replies.pop(req_id, None)
-
-    def shun(self, node_id: int, epoch: int = 0) -> None:
+    def shun(self, node_id: int) -> None:
         """Tear down connections from a node declared failed.
 
         Late traffic from a fail-stopped node must never land: a
         deposit it posted just before dying can otherwise arrive
         *after* recovery has rebuilt the target region (observed as a
         dead node's lock-vector slot resurrecting after the recovery
-        clear and wedging every later acquirer). ``epoch`` records the
-        home-map generation doing the unmapping; re-shunning an
-        already-dead source keeps the original (earliest) epoch."""
-        self.dead_sources.setdefault(node_id, epoch)
+        clear and wedging every later acquirer)."""
+        self.dead_sources.add(node_id)
+
+    def trace_send(self, msg: Message) -> None:
+        """Record a causal-trace send hop for a stamped message.
+
+        Callers gate on ``msg.op is not None`` so the untraced hot path
+        pays one slot load + comparison and nothing else.
+        """
+        if self.optrace is not None:
+            self.optrace.message_hop("send", msg, self.node_id,
+                                     self.engine.now)
 
     # -- failure injection ---------------------------------------------------
 
@@ -190,8 +182,7 @@ class NIC:
             proc.kill()
         self._service_procs.clear()
         self.post_queue.drain()
-        self._incoming.drain()
-        self._pending_replies.clear()
+        self.incoming.drain()
 
     # -- internal processes --------------------------------------------------
 
@@ -229,16 +220,8 @@ class NIC:
             self.bytes_sent += msg.wire_bytes
             self.network.transmit(msg)
 
-    def _deliver(self, msg: Message) -> None:
-        """Called by the network when a message arrives at this NIC."""
-        if not self.alive:
-            if msg.completion is not None and not msg.completion.settled:
-                msg.completion.fail(RemoteNodeFailure(self.node_id))
-            return
-        self._incoming.try_put(msg)
-
     def _receiver(self):
-        store = self._incoming
+        store = self.incoming
         get_nowait = store.get_nowait
         get = store.get
         delay_per_msg = self._delay_per_msg
@@ -261,7 +244,6 @@ class NIC:
                 finally:
                     bus.release()
             self.messages_received += 1
-            self.bytes_received += msg.wire_bytes
             follow = dispatch(msg)
             if follow is not None:
                 yield from follow
@@ -278,7 +260,6 @@ class NIC:
         if msg.src in self.dead_sources:
             # In-flight remnant of a fail-stopped node: the connection
             # was unmapped when its failure was detected.
-            self.messages_shunned += 1
             if msg.completion is not None and not msg.completion.settled:
                 msg.completion.fail(RemoteNodeFailure(msg.src))
             return None
@@ -288,66 +269,13 @@ class NIC:
         kind = msg.kind
         if kind is _DEPOSIT:
             region_name, offset, data = msg.payload
-            region = self.regions.lookup(region_name)
-            region.write(offset, data)
-            if region.on_remote_write is not None:
-                region.on_remote_write(offset, len(data), msg.src)
+            self.regions.lookup(region_name).write(offset, data)
             if msg.completion is not None and not msg.completion.settled:
                 msg.completion.succeed(None)
             return None
-        if kind is _FETCH_REQ:
-            region_name, offset, size, req_id = msg.payload
-            data = self.regions.lookup(region_name).read(offset, size)
-            reply = Message(MessageKind.FETCH_REPLY, self.node_id, msg.src,
-                            body_bytes=len(data), payload=(req_id, data),
-                            op=msg.op)
-            if reply.op is not None and self.optrace is not None:
-                self.optrace.message_hop("send", reply, self.node_id,
-                                         self.engine.now)
-            if self.post_queue.try_put(reply):
-                return None
-            return self._post_blocking(reply)
-        if kind is _FETCH_REPLY:
-            req_id, data = msg.payload
-            ev = self._pending_replies.pop(req_id, None)
-            if ev is not None and not ev.settled:
-                ev.succeed(data)
-            return None
-        if kind is _PROBE:
-            req_id = msg.payload
-            ack = Message(MessageKind.PROBE_ACK, self.node_id, msg.src,
-                          body_bytes=0, payload=req_id)
-            if self.post_queue.try_put(ack):
-                return None
-            return self._post_blocking(ack)
-        if kind is _PROBE_ACK:
-            req_id = msg.payload
-            ev = self._pending_replies.pop(req_id, None)
-            if ev is not None and not ev.settled:
-                ev.succeed(True)
-            return None
-        if kind is _SERVICE_REQ:
-            service, req_id, body = msg.payload
-            handler = self._services.get(service)
-            if handler is None:
-                raise NetworkError(
-                    f"node {self.node_id}: unknown service {service!r}")
-            proc = self.engine.spawn(
-                self._serve(handler, msg.src, req_id, body,
-                            service, msg.op, msg.msg_id),
-                f"nic{self.node_id}.svc.{service}")
-            self._service_procs.append(proc)
-            self._service_procs = [p for p in self._service_procs if p.alive]
-            return None
-        if kind is _SERVICE_REPLY:
-            req_id, body = msg.payload
-            ev = self._pending_replies.pop(req_id, None)
-            if ev is not None and not ev.settled:
-                ev.succeed(body)
-            return None
         if kind is _NOTIFY:
             channel, body = msg.payload
-            handler = self._notify_handlers.get(channel)
+            handler = self.notify_handlers.get(channel)
             if handler is None:
                 raise NetworkError(
                     f"node {self.node_id}: NOTIFY on unknown channel "
@@ -361,7 +289,46 @@ class NIC:
             if msg.completion is not None and not msg.completion.settled:
                 msg.completion.succeed(None)
             return None
+        if kind is _SERVICE_REPLY or kind is _FETCH_REPLY \
+                or kind is _PROBE_ACK:
+            # The requester's waiter rode out in the request and back
+            # in the reply; it may already have failed or given up.
+            waiter, value = msg.payload
+            if not waiter.settled:
+                waiter.succeed(value)
+            return None
+        if kind is _SERVICE_REQ:
+            service = msg.payload[0]
+            handler = self.services.get(service)
+            if handler is None:
+                raise NetworkError(
+                    f"node {self.node_id}: unknown service {service!r}")
+            proc = self.engine.spawn(self._serve(handler, msg),
+                                     f"nic{self.node_id}.svc.{service}")
+            self._service_procs.append(proc)
+            self._service_procs = [p for p in self._service_procs if p.alive]
+            return None
+        if kind is _FETCH_REQ:
+            region_name, offset, size = msg.payload
+            data = self.regions.lookup(region_name).read(offset, size)
+            return self._reply(msg, _FETCH_REPLY, len(data), data)
+        if kind is _PROBE:
+            return self._reply(msg, _PROBE_ACK, 0, True)
         raise NetworkError(f"unknown message kind {kind!r}")
+
+    def _reply(self, request: Message, kind: str, body_bytes: int, value):
+        """Answer ``request`` with ``value`` for the waiter it carries.
+
+        Returns None once the reply is queued, else a generator that
+        blocks until the full post queue accepts it.
+        """
+        reply = Message(kind, self.node_id, request.src, body_bytes,
+                        payload=(request.completion, value), op=request.op)
+        if reply.op is not None:
+            self.trace_send(reply)
+        if self.post_queue.try_put(reply):
+            return None
+        return self._post_blocking(reply)
 
     def _post_blocking(self, reply: Message):
         yield self.post_queue.put(reply)
@@ -376,23 +343,19 @@ class NIC:
         if msg.completion is not None and not msg.completion.settled:
             msg.completion.succeed(None)
 
-    def _serve(self, handler, src: int, req_id: int, body,
-               service: str = "?", op: Optional[int] = None,
-               req_msg_id: Optional[int] = None):
+    def _serve(self, handler, request: Message):
+        service, body = request.payload
+        op = request.op
         tracer = self.optrace if op is not None else None
         if tracer is not None:
             tracer.service_hop(op, "svc_begin", self.node_id,
-                               self.engine.now, req_msg_id, service)
-        reply_payload, reply_bytes = yield from handler(body, src)
+                               self.engine.now, request.msg_id, service)
+        value, reply_bytes = yield from handler(body, request.src)
         if tracer is not None:
             tracer.service_hop(op, "svc_end", self.node_id,
-                               self.engine.now, req_msg_id, service)
+                               self.engine.now, request.msg_id, service)
         if not self.alive:
             return
-        reply = Message(MessageKind.SERVICE_REPLY, self.node_id, src,
-                        body_bytes=reply_bytes,
-                        payload=(req_id, reply_payload), op=op)
-        if tracer is not None and self.optrace is not None:
-            self.optrace.message_hop("send", reply, self.node_id,
-                                     self.engine.now)
-        yield self.post_queue.put(reply)
+        blocked = self._reply(request, _SERVICE_REPLY, reply_bytes, value)
+        if blocked is not None:
+            yield from blocked

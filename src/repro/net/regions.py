@@ -11,7 +11,7 @@ an offset.
 from __future__ import annotations
 
 import mmap
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.errors import MemoryError_
 
@@ -32,7 +32,7 @@ def _demand_zero(size: int) -> mmap.mmap:
     Every node exports full-address-space stores but touches only the
     pages it caches or homes; a memset buffer would make all of them
     resident up front. The mapping stays one contiguous buffer, which
-    the span fast path and ``np.frombuffer`` rely on.
+    page views and ``np.frombuffer`` rely on.
     """
     if _MAP_FLAGS is None:
         buf = mmap.mmap(-1, size)
@@ -62,12 +62,6 @@ class MemoryRegion:
         self.name = name
         self.size = size
         self._buf = _demand_zero(size)
-        #: Optional hook invoked after every remote write:
-        #: ``on_remote_write(offset, length, src_node)``. Lock algorithms
-        #: and barrier managers use this to observe deposits without
-        #: polling overhead in the *simulator* (the simulated cost of
-        #: polling is still charged by the protocol).
-        self.on_remote_write: Optional[Callable[[int, int, int], None]] = None
 
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:

@@ -11,14 +11,15 @@ Provides the operations from paper section 3.1:
 * :meth:`VMMC.probe` -- liveness probe used by the heart-beat failure
   detector of section 4.1.
 
-Synchronous operations embody the paper's failure-detection contract:
-while waiting for a response the caller "sends heart-beats" every
-timeout period; a dead peer surfaces as :class:`RemoteNodeFailure`.
+Every operation is one posted message (:meth:`VMMC._send`). A waiting
+send carries its waiter as the message's completion: the destination
+settles it when the effect is applied, or its reply settles it with
+the value. While waiting the caller "sends heart-beats" every timeout
+period; a dead peer surfaces as :class:`RemoteNodeFailure`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.config import CostModel
@@ -35,7 +36,7 @@ class VMMC:
         self.engine = engine
         self.nic = nic
         self.costs = costs
-        self._req_ids = itertools.count(1)
+        self._reply_name = f"nic{nic.node_id}.reply"
         #: Failure-detector memory: nodes this endpoint has seen fail.
         self.known_dead: set[int] = set()
 
@@ -43,19 +44,25 @@ class VMMC:
     def node_id(self) -> int:
         return self.nic.node_id
 
-    def _check_peer(self, dst: int) -> None:
+    def _send(self, kind: str, dst: int, body_bytes: int, payload,
+              waiter: Optional[Event] = None, op: Optional[int] = None):
+        """Post one message to ``dst``. Generator; with a ``waiter`` it
+        returns the waiter's value, under heart-beat failure detection.
+        """
         if dst in self.known_dead:
             raise RemoteNodeFailure(dst, "previously detected")
-
-    def _trace_send(self, msg: Message) -> None:
-        """Record a causal-trace send hop for a stamped message.
-
-        Callers gate on ``msg.op is not None`` so the untraced hot path
-        pays one slot load + comparison and nothing else.
-        """
-        tracer = self.nic.optrace
-        if tracer is not None:
-            tracer.message_hop("send", msg, self.node_id, self.engine.now)
+        nic = self.nic
+        msg = Message(kind, nic.node_id, dst, body_bytes, payload,
+                      completion=waiter, op=op)
+        if op is not None:
+            nic.trace_send(msg)
+        yield nic.post_charge()
+        park = nic.post_enqueue(msg)
+        if park is not None:
+            yield park
+        if waiter is None:
+            return None
+        return (yield from self._await_response(dst, waiter))
 
     # -- data movement -----------------------------------------------------
 
@@ -71,24 +78,10 @@ class VMMC:
         data is in remote memory and raises :class:`RemoteNodeFailure`
         if the peer is dead.
         """
-        self._check_peer(dst)
-        completion: Optional[Event] = None
-        if wait:
-            completion = Event(self.engine, "deposit.wait")
-        msg = Message(MessageKind.DEPOSIT, self.node_id, dst,
-                      body_bytes=len(data),
-                      payload=(region, offset, bytes(data)),
-                      completion=completion, op=op)
-        if op is not None:
-            self._trace_send(msg)
-        nic = self.nic
-        yield nic.post_charge()
-        park = nic.post_enqueue(msg)
-        if park is not None:
-            yield park
-        if completion is not None:
-            yield from self._await_response(dst, completion)
-        return None
+        return self._send(MessageKind.DEPOSIT, dst, len(data),
+                          (region, offset, bytes(data)),
+                          Event(self.engine, "deposit.wait") if wait
+                          else None, op)
 
     def remote_fetch(self, dst: int, region: str, offset: int, size: int,
                      op: Optional[int] = None):
@@ -97,49 +90,21 @@ class VMMC:
         Generator returning the bytes. Raises :class:`RemoteNodeFailure`
         if the peer is dead (detected via the heart-beat mechanism).
         """
-        self._check_peer(dst)
-        req_id = next(self._req_ids)
-        reply = self.nic.expect_reply(req_id)
-        msg = Message(MessageKind.FETCH_REQ, self.node_id, dst,
-                      body_bytes=self.nic.params.control_message_bytes,
-                      payload=(region, offset, size, req_id),
-                      completion=reply, op=op)
-        if op is not None:
-            self._trace_send(msg)
-        nic = self.nic
-        yield nic.post_charge()
-        park = nic.post_enqueue(msg)
-        if park is not None:
-            yield park
-        try:
-            data = yield from self._await_response(dst, reply)
-        finally:
-            self.nic.abandon_reply(req_id)
-        return data
+        return self._send(MessageKind.FETCH_REQ, dst,
+                          self.nic.params.control_message_bytes,
+                          (region, offset, size),
+                          Event(self.engine, self._reply_name), op)
 
     def notify(self, dst: int, channel: str, body: object,
                body_bytes: Optional[int] = None, wait: bool = False,
                op: Optional[int] = None):
         """Send a small control message to a NIC-level handler on ``dst``."""
-        self._check_peer(dst)
-        completion: Optional[Event] = None
-        if wait:
-            completion = Event(self.engine, "notify.wait")
-        size = (body_bytes if body_bytes is not None
-                else self.nic.params.control_message_bytes)
-        msg = Message(MessageKind.NOTIFY, self.node_id, dst,
-                      body_bytes=size, payload=(channel, body),
-                      completion=completion, op=op)
-        if op is not None:
-            self._trace_send(msg)
-        nic = self.nic
-        yield nic.post_charge()
-        park = nic.post_enqueue(msg)
-        if park is not None:
-            yield park
-        if completion is not None:
-            yield from self._await_response(dst, completion)
-        return None
+        return self._send(MessageKind.NOTIFY, dst,
+                          self.nic.params.control_message_bytes
+                          if body_bytes is None else body_bytes,
+                          (channel, body),
+                          Event(self.engine, "notify.wait") if wait
+                          else None, op)
 
     def call(self, dst: int, service: str, body: object,
              request_bytes: Optional[int] = None,
@@ -149,26 +114,11 @@ class VMMC:
         Generator returning the reply payload. Heart-beat failure
         detection applies while waiting, as for fetches.
         """
-        self._check_peer(dst)
-        req_id = next(self._req_ids)
-        reply = self.nic.expect_reply(req_id)
-        size = (request_bytes if request_bytes is not None
-                else self.nic.params.control_message_bytes)
-        msg = Message(MessageKind.SERVICE_REQ, self.node_id, dst,
-                      body_bytes=size, payload=(service, req_id, body),
-                      completion=reply, op=op)
-        if op is not None:
-            self._trace_send(msg)
-        nic = self.nic
-        yield nic.post_charge()
-        park = nic.post_enqueue(msg)
-        if park is not None:
-            yield park
-        try:
-            result = yield from self._await_response(dst, reply)
-        finally:
-            self.nic.abandon_reply(req_id)
-        return result
+        return self._send(MessageKind.SERVICE_REQ, dst,
+                          self.nic.params.control_message_bytes
+                          if request_bytes is None else request_bytes,
+                          (service, body),
+                          Event(self.engine, self._reply_name), op)
 
     # -- failure detection ---------------------------------------------------
 
@@ -183,30 +133,23 @@ class VMMC:
             return True  # probing ourselves: trivially alive
         if dst in self.known_dead:
             return False
-        req_id = next(self._req_ids)
-        reply = self.nic.expect_reply(req_id)
-        msg = Message(MessageKind.PROBE, self.node_id, dst,
-                      body_bytes=0, payload=req_id, completion=reply)
         nic = self.nic
+        ack = Event(self.engine, self._reply_name)
+        msg = Message(MessageKind.PROBE, nic.node_id, dst, 0, completion=ack)
         yield nic.post_charge()
         park = nic.post_enqueue(msg)
         if park is not None:
             yield park
         try:
             ok, _value = yield from timeout_wait(
-                self.engine, reply, self.costs.heartbeat_timeout_us * 4)
+                self.engine, ack, self.costs.heartbeat_timeout_us * 4)
         except RemoteNodeFailure:
-            # The fabric failed the probe: destination is down.
-            self.known_dead.add(dst)
-            return False
-        finally:
-            self.nic.abandon_reply(req_id)
+            ok = False  # the fabric failed the probe: destination is down
         if not ok:
-            # No answer and no explicit failure: treat as dead (the
-            # network cannot partition, per the paper's assumptions).
+            # Failed, or no answer at all: dead either way (the network
+            # cannot partition, per the paper's assumptions).
             self.known_dead.add(dst)
-            return False
-        return True
+        return ok
 
     def _await_response(self, dst: int, event: Event):
         """Wait on ``event``, probing ``dst`` each heart-beat timeout.

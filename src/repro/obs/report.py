@@ -30,12 +30,10 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from repro.metrics.hist import MetricsRegistry
 from repro.obs.slo import latency_by_class
 
-#: Categorical slots 1-4 (blue, orange, aqua, yellow), light / dark
-#: steps of the same hues. Validated (CVD >= 8, normal-vision >= 15,
-#: lightness band) against the light #fcfcfb / dark #1a1a19 surfaces.
-SERIES_LIGHT = ("#2a78d6", "#eb6834", "#1baf7a", "#eda100")
-SERIES_DARK = ("#3987e5", "#d95926", "#199e70", "#c98500")
-
+# ``--series-1`` .. ``--series-4`` are categorical slots (blue, orange,
+# aqua, yellow), light / dark steps of the same hues. Validated (CVD >=
+# 8, normal-vision >= 15, lightness band) against the light #fcfcfb /
+# dark #1a1a19 surfaces.
 _CSS = """
 :root { color-scheme: light dark; }
 body {

@@ -144,8 +144,6 @@ class SvmNodeAgent:
         self.write_observer = None
 
         # Services / notify handlers ---------------------------------------
-        self._services: Dict[str, object] = {}
-        self._notify_handlers: Dict[str, object] = {}
         self.register_service(GET_INTERVALS_SERVICE,
                               self._serve_get_intervals)
         self.register_service(FETCH_PAGE_SERVICE, self._serve_fetch_page)
@@ -179,7 +177,7 @@ class SvmNodeAgent:
                      request_bytes: Optional[int] = None,
                      op: Optional[int] = None):
         if dst == self.node_id:
-            handler = self._services[name]
+            handler = self.node.nic.services[name]
             payload, _size = yield from handler(body, self.node_id)
             return payload
         return (yield from self.vmmc.call(dst, name, body, request_bytes,
@@ -189,7 +187,7 @@ class SvmNodeAgent:
                body_bytes: Optional[int] = None, wait: bool = False,
                op: Optional[int] = None):
         if dst == self.node_id:
-            handler = self._notify_handlers[channel]
+            handler = self.node.nic.notify_handlers[channel]
             result = handler(_LocalMessage(self.node_id, channel, body, op))
             if result is not None and hasattr(result, "send"):
                 yield from result
@@ -198,11 +196,9 @@ class SvmNodeAgent:
             dst, channel, body, body_bytes=body_bytes, wait=wait, op=op))
 
     def register_service(self, name: str, handler) -> None:
-        self._services[name] = handler
         self.node.nic.register_service(name, handler)
 
     def register_notify(self, channel: str, handler) -> None:
-        self._notify_handlers[channel] = handler
         self.node.nic.register_notify_handler(channel, handler)
 
     def _traced(self, op_class: str, label: str, *args):

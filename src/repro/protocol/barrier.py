@@ -103,11 +103,10 @@ class BarrierManager:
                 return
             arrived = {node for node, _ts, _e in gen.arrivals}
             missing = self.runtime.expected_barrier_node_ids() - arrived
-            for node in sorted(missing):
-                alive = yield from self.agent.vmmc.probe(node)
-                if not alive:
-                    self.runtime.recovery_manager.report_failure(node)
-                    return
+            # Reporting a dead node aborts this generation, which ends
+            # the (lazy) suspicion and the watch.
+            yield from self.agent.suspect(
+                node for node in sorted(missing) if not gen.event.settled)
 
     def _release(self, barrier_id: int, gen: _Generation) -> None:
         num_nodes = self.agent.config.num_nodes

@@ -179,7 +179,7 @@ class RecoveryManager:
             # wire, and applying one after recovery rebuilds the target
             # region would resurrect dead state (e.g. a lock-vector
             # slot that every later acquirer spins on forever).
-            agent.node.nic.shun(failed, epoch=self.runtime.homes.epoch)
+            agent.node.nic.shun(failed)
             agent.abort_local_waits()
         for manager in self.runtime.barrier_managers:
             manager.abort_pending()

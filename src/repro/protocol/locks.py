@@ -28,7 +28,6 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.errors import ProtocolError
-from repro.protocol.signals import RecoverySignal
 from repro.protocol.timestamps import VectorTimestamp
 from repro.sim import Delay, Event
 

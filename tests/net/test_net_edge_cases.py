@@ -5,7 +5,6 @@ import pytest
 from repro.config import CostModel, NetworkParams
 from repro.errors import NetworkError, RemoteNodeFailure
 from repro.net import NIC, Network, VMMC
-from repro.net.regions import MemoryRegion
 from repro.sim import Delay, Engine
 
 
@@ -19,30 +18,6 @@ def make_net(num_nodes=3, params=None):
         network.attach(nic)
         endpoints.append(VMMC(engine, nic, CostModel()))
     return engine, network, endpoints
-
-
-def test_region_write_hook_sees_source():
-    engine, network, (a, b, _c) = make_net()
-    region = network.nic(1).regions.export("buf", 64)
-    seen = []
-    region.on_remote_write = lambda off, ln, src: seen.append(
-        (off, ln, src))
-
-    def sender():
-        yield from a.remote_deposit(1, "buf", 4, b"abc", wait=True)
-
-    engine.spawn(sender())
-    engine.run()
-    assert seen == [(4, 3, 0)]
-
-
-def test_local_region_view_bypasses_hook():
-    region = MemoryRegion("r", 32)
-    called = []
-    region.on_remote_write = lambda *a: called.append(a)
-    region.view()[0:4] = b"x" * 4
-    assert not called
-    assert region.read(0, 4) == b"xxxx"
 
 
 def test_duplicate_region_export_rejected():

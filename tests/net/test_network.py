@@ -67,15 +67,17 @@ def test_remote_fetch_returns_remote_bytes():
 
 
 def test_fifo_ordering_per_destination():
+    """Each notify sees exactly the deposits posted before it."""
     engine, network, (a, b) = make_cluster_net()
     region = network.nic(1).regions.export("buf", 8)
     writes = []
-    region.on_remote_write = lambda off, ln, src: writes.append(
-        region.read(0, 1))
+    network.nic(1).register_notify_handler(
+        "seen", lambda msg: writes.append(region.read(0, 1)))
 
     def sender():
         for i in range(10):
             yield from a.remote_deposit(1, "buf", 0, bytes([i]))
+            yield from a.notify(1, "seen", None)
 
     engine.spawn(sender())
     engine.run()
