@@ -42,7 +42,8 @@ class FailureInjector:
                 record.fired_at = self.cluster.now
                 self.cluster.fail_node(node_id)
 
-        self.cluster.engine.schedule_at(time, fire, priority=PRIORITY_URGENT)
+        engine = self.cluster.engine
+        engine.schedule(time - engine.now, fire, priority=PRIORITY_URGENT)
         return record
 
     def kill_on_hook(self, node_id: int, hook_name: str,

@@ -20,7 +20,7 @@ from typing import List
 from repro.config import ClusterConfig
 from repro.errors import SimulationError
 from repro.net import NIC, RegionTable, VMMC
-from repro.sim import Delay, Engine, Process, Resource
+from repro.sim import Delay, Engine, Mutex, Process
 
 
 class Node:
@@ -35,7 +35,7 @@ class Node:
         self.rng = random.Random(config.seed * 1_000_003 + node_id)
 
         self.regions = RegionTable(node_id)
-        self.bus = Resource(engine, capacity=1, name=f"node{node_id}.bus")
+        self.bus = Mutex(engine, name=f"node{node_id}.bus")
         self.nic = NIC(engine, node_id, config.network,
                        regions=self.regions, dma_bus=self.bus,
                        dma_bandwidth=config.memory.bus_bandwidth_bytes_per_us)

@@ -62,7 +62,9 @@ class RunResult:
     breakdown: Breakdown
     counters: RunCounters
     per_node_counters: List[NodeCounters]
-    thread_clocks: List[ThreadClock] = field(repr=False, default_factory=list)
+    #: One breakdown per thread, by tid (the report's per-thread chart).
+    thread_breakdowns: List[Breakdown] = field(repr=False,
+                                               default_factory=list)
     recoveries: int = 0
     #: Operation latency histograms (names in repro.metrics.latency).
     latency: MetricsRegistry = field(repr=False,
@@ -315,7 +317,7 @@ class SvmRuntime:
             breakdown=Breakdown.merge(clocks),
             counters=RunCounters.aggregate(per_node),
             per_node_counters=per_node,
-            thread_clocks=clocks,
+            thread_breakdowns=[Breakdown.merge([clock]) for clock in clocks],
             recoveries=recoveries,
             latency=MetricsRegistry.merged(
                 agent.latency for agent in self.agents),

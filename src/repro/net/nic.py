@@ -23,8 +23,8 @@ from repro.config import NetworkParams
 from repro.errors import NetworkError, RemoteNodeFailure
 from repro.net.message import Message, MessageKind
 from repro.net.regions import RegionTable
-from repro.sim import Delay, Engine, Event, Store
-from repro.sim.resources import EMPTY, Resource
+from repro.sim import Delay, Engine, Event, Mutex, Store
+from repro.sim.resources import EMPTY
 
 # Hoisted enum members: ``_dispatch`` runs per received message, and a
 # module-global load + identity test beats two attribute loads there.
@@ -43,7 +43,7 @@ class NIC:
 
     def __init__(self, engine: Engine, node_id: int, params: NetworkParams,
                  regions: Optional[RegionTable] = None,
-                 dma_bus: Optional[Resource] = None,
+                 dma_bus: Optional[Mutex] = None,
                  dma_bandwidth: Optional[float] = None) -> None:
         self.engine = engine
         self.node_id = node_id

@@ -3,9 +3,9 @@
 Every event the recorder or the watchdog is handed, every sampler tick,
 every watchdog check and every tracer call bumps a counter here. A run with observability disabled
 must leave all counters at zero -- that is the testable statement of
-"the flight recorder costs nothing unless attached", and it is what
-keeps the BENCH_hotpaths perf gate honest (see
-``tests/obs/test_overhead_off.py``).
+"the flight recorder costs nothing unless attached" (see
+``tests/obs/test_overhead.py``), and ``benchmarks/e2e`` reports the same
+total for its unobserved cells as ``obs.calls_when_off``.
 """
 
 from __future__ import annotations

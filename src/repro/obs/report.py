@@ -519,12 +519,9 @@ def render_run_report(title: str, subtitle: str = "", result=None,
             "Engine event-queue depth", sampler.times,
             {"pending events": sampler.gauge("engine.queue_depth")}))
 
-    if result is not None and result.thread_clocks:
-        from repro.metrics import Breakdown
-        rows = {}
-        for tid, clock in enumerate(result.thread_clocks):
-            rows[f"thread {tid}"] = Breakdown.merge(
-                [clock]).four_component()
+    if result is not None and result.thread_breakdowns:
+        rows = {f"thread {tid}": breakdown.four_component()
+                for tid, breakdown in enumerate(result.thread_breakdowns)}
         body.append(stacked_bar_chart(
             "Time breakdown per thread",
             rows, ("compute", "data_wait", "lock", "barrier")))

@@ -3,9 +3,9 @@
 The simulator's two known deadlock classes (recovery rendezvous that
 never completes, lock handover lost across a failure) present as "the
 event list keeps polling but no protocol hook fires". The watchdog
-subscribes to the full hook stream as its progress signal and rides the
-engine metronome: when ``horizon_us`` of simulated time passes with no
-hook event, it dumps a **wait-for graph** -- every unfinished thread,
+subscribes to the full hook stream as its progress signal and rides a
+metronome: when ``horizon_us`` of simulated time passes with no hook
+event, it dumps a **wait-for graph** -- every unfinished thread,
 the event it is parked on (decoded from the simulator's structured
 event names: ``lock{id}.localwait``, ``fault{page}.acquire``,
 ``bar{id}.{epoch}``, ``relslot{node}``, ``recovery.*``), the owner of
@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster import Hooks
 from repro.metrics.trace import FULL_EVENTS, STALL
 from repro.obs import instrumentation
+from repro.sim import metronome
 
 _STAGES = {0: "PREP", 1: "PHASE1", 2: "POINT_B",
            3: "LOCK_RELEASE", 4: "PHASE2"}
@@ -286,11 +287,11 @@ class StallWatchdog:
             return
         self._started = True
         self._last_progress = self.engine.now
-        self.engine.metronome(self.check_period_us, self._check)
+        metronome(self.engine, self.check_period_us, self._check)
 
     def detach(self) -> None:
-        """Stop watching. The engine cannot unarm a metronome, so the
-        ticks still to come return at once."""
+        """Stop watching. A metronome cannot be unarmed, so the ticks
+        still to come return at once."""
         self.runtime.cluster.hooks.untap(self._tap)
         self._detached = True
 

@@ -1,14 +1,14 @@
 """JSON-portable run summaries that restore the real result classes.
 
-Worker processes cannot cheaply ship a full :class:`RunResult` back to
-the orchestrator (thread clocks are large and carry engine
-references), and the cache must store results as plain JSON.
+Worker processes need not ship a full :class:`RunResult` back to the
+orchestrator (it holds one breakdown per thread and per-node counters),
+and the cache must store results as plain JSON.
 :class:`RunSummary` is the answer: it stores what a ``RunResult``'s
 parts are *made of* -- the breakdown's fine and coarse totals by
 category name, the aggregate counter totals, the latency registry's
 sparse buckets -- and hands back the same :class:`Breakdown`,
 :class:`RunCounters` and :class:`MetricsRegistry` a ``RunResult``
-holds, minus the per-thread clocks. Both figure formats and both
+holds, minus the per-thread breakdowns. Both figure formats and both
 counter ratios are therefore computed by one piece of code on either
 side of the process boundary.
 """

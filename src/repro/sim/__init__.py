@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Engine, Process, Event, Delay, Mutex, Resource, Store
+    from repro.sim import Engine, Process, Event, Delay, Mutex, Store
 
 Two interchangeable implementations sit behind these names: the
 pure-Python reference (:mod:`repro.sim.engine` /
@@ -19,6 +19,7 @@ from repro.sim._core import (
     Engine,
     Event,
     Process,
+    metronome,
     timeout_wait,
 )
 from repro.sim.engine import (
@@ -27,7 +28,7 @@ from repro.sim.engine import (
     PRIORITY_URGENT,
 )
 from repro.sim.process import ProcessKilled
-from repro.sim.resources import Mutex, Resource, Store
+from repro.sim.resources import Mutex, Store
 
 __all__ = [
     "ACCELERATED",
@@ -37,8 +38,8 @@ __all__ = [
     "Event",
     "Delay",
     "timeout_wait",
+    "metronome",
     "Mutex",
-    "Resource",
     "Store",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",

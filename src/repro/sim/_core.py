@@ -14,14 +14,19 @@ under both (see ``tests/sim/test_accel_identity.py``).
 Set ``REPRO_PURE=1`` to force the pure reference path even when the
 extension is importable.
 
-The helper that *creates* events (:func:`timeout_wait`) lives here
-rather than in :mod:`repro.sim.process` so it always builds events of
-the selected implementation.
+The helpers written once over whichever kernel is selected live here:
+:func:`timeout_wait` (it *creates* events, so it must build them of the
+selected implementation) and :func:`metronome` (a periodic tick made
+of plain ``schedule`` calls, so neither kernel carries it).
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable
+
+from repro.errors import SimulationError
+from repro.sim.engine import PRIORITY_LATE
 
 __all__ = [
     "ACCELERATED",
@@ -29,6 +34,7 @@ __all__ = [
     "Engine",
     "Event",
     "Process",
+    "metronome",
     "timeout_wait",
 ]
 
@@ -90,3 +96,29 @@ def timeout_wait(engine: Engine, event: Event, timeout: float):
         handle[3] = None  # cancel the timer's scheduler entry
         return True, value
     return False, None
+
+
+def metronome(engine: Engine, period: float, action: Callable[[], None],
+              priority: int = PRIORITY_LATE) -> None:
+    """Run ``action()`` every ``period`` time units while the
+    simulation is still live.
+
+    The next tick is armed only while *active* (non-metronome) events
+    remain pending (:meth:`Engine.has_active_pending`), so a metronome
+    never keeps ``run()`` from draining the event list -- a plain
+    self-rescheduling event would tick forever, and two metronomes
+    gating only on "is the heap non-empty" would keep each other alive.
+    Ticks run at ``PRIORITY_LATE`` by default so samplers observe the
+    state *after* the normal events of their timestamp. Each tick's
+    entry is marked passive with a fifth ``True`` element (list
+    compares stop at the unique seq, so mixed lengths never matter).
+    """
+    if period <= 0:
+        raise SimulationError(f"metronome period must be > 0: {period}")
+
+    def tick() -> None:
+        action()
+        if engine.has_active_pending():
+            engine.schedule(period, tick, priority).append(True)
+
+    engine.schedule(period, tick, priority).append(True)

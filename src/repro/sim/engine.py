@@ -61,8 +61,8 @@ class Engine:
         engine.run()
         print(engine.now)
 
-    ``schedule``/``schedule_now``/``schedule_at`` return the scheduler
-    entry itself as a cancellation handle; pass it to :meth:`cancel`.
+    ``schedule``/``schedule_now`` return the scheduler entry itself;
+    clearing its action slot (``entry[ENTRY_ACTION] = None``) cancels it.
     """
 
     __slots__ = ("_heap", "_fifo", "_seq", "_now", "_running",
@@ -96,7 +96,7 @@ class Engine:
                  priority: int = PRIORITY_NORMAL) -> List[Any]:
         """Schedule ``action()`` to run ``delay`` time units from now.
 
-        Returns a handle accepted by :meth:`cancel`.
+        Returns the scheduler entry (see the class docstring).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -119,36 +119,20 @@ class Engine:
         self._fifo.append(entry)
         return entry
 
-    def schedule_at(self, time: float, action: Callable[[], None],
-                    priority: int = PRIORITY_NORMAL) -> List[Any]:
-        """Schedule ``action()`` at an absolute simulated time."""
-        return self.schedule(time - self._now, action, priority)
-
-    @staticmethod
-    def cancel(handle: List[Any]) -> None:
-        """Prevent a scheduled action from running.
-
-        The event-list entry is left in place and lazily discarded.
-        """
-        handle[3] = None
-
     def spawn(self, generator: Any, name: str = "process") -> "Process":
         """Create and start a :class:`Process` running ``generator``."""
         # Imported here to avoid a circular import at module load.
         from repro.sim.process import Process
         return Process(self, generator, name=name)
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run events until the list drains, ``until`` passes, or
-        ``max_events`` have executed.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the list drains or ``until`` passes.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
-        executed = 0
         # Hot loop: localize the queues and heappop to dodge repeated
         # attribute/global lookups (measurable at millions of events).
         heap = self._heap
@@ -156,9 +140,9 @@ class Engine:
         heappop = heapq.heappop
         popleft = fifo.popleft
         try:
-            if until is None and max_events is None:
+            if until is None:
                 # Full-run case (every application run): the same loop
-                # minus the two per-event bound checks.
+                # minus the per-event bound check.
                 while True:
                     # Two sorted sources: take whichever head has the
                     # smaller (time, priority, seq) -- seq is unique,
@@ -191,7 +175,7 @@ class Engine:
                     popleft() if use_fifo else heappop(heap)
                     continue
                 time = entry[0]
-                if until is not None and time > until:
+                if time > until:
                     self._now = until
                     return
                 popleft() if use_fifo else heappop(heap)
@@ -200,11 +184,7 @@ class Engine:
                 self._now = time
                 action()
                 self.events_executed += 1
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    return
-            if until is not None:
-                self._now = max(self._now, until)
+            self._now = max(self._now, until)
         finally:
             self._running = False
 
@@ -217,32 +197,11 @@ class Engine:
         return sum(1 for entry in self._heap if entry[3] is not None) \
             + sum(1 for entry in self._fifo if entry[3] is not None)
 
-    def metronome(self, period: float, action: Callable[[], None],
-                  priority: int = PRIORITY_LATE) -> None:
-        """Run ``action()`` every ``period`` time units while the
-        simulation is still live.
-
-        The next tick is armed only while *active* (non-metronome)
-        events remain pending, so a metronome never keeps ``run()``
-        from draining the event list -- a plain self-rescheduling event
-        would tick forever, and two metronomes gating only on "is the
-        heap non-empty" would keep each other alive. Ticks run at
-        ``PRIORITY_LATE`` by default so samplers observe the state
-        *after* the normal events of their timestamp. Passive entries
-        are marked with a fifth ``True`` element (list compares stop at
-        the unique seq, so mixed lengths never matter).
-        """
-        if period <= 0:
-            raise SimulationError(f"metronome period must be > 0: {period}")
-
-        def has_active_pending() -> bool:
-            return any(entry[3] is not None and len(entry) == 4
-                       for queue in (self._heap, self._fifo)
-                       for entry in queue)
-
-        def tick() -> None:
-            action()
-            if has_active_pending():
-                self.schedule(period, tick, priority).append(True)
-
-        self.schedule(period, tick, priority).append(True)
+    def has_active_pending(self) -> bool:
+        """Whether an *active* entry is pending: one neither cancelled
+        nor a passive metronome tick (marked by a fifth ``True``
+        element). :func:`repro.sim.metronome` re-arms only while one
+        is, so ticks never keep ``run()`` alive."""
+        return any(entry[3] is not None and len(entry) == 4
+                   for queue in (self._heap, self._fifo)
+                   for entry in queue)

@@ -73,10 +73,6 @@ class Event:
         self._value: Any = None
 
     @property
-    def triggered(self) -> bool:
-        return self._settled and self._ok
-
-    @property
     def failed(self) -> bool:
         return self._settled and not self._ok
 

@@ -1,11 +1,9 @@
 """Shared resources for simulated processes.
 
-Three primitives cover every need in the library:
+Two primitives cover every need in the library:
 
 * :class:`Mutex` -- FIFO mutual exclusion (intra-node protocol locks,
-  serialized releases).
-* :class:`Resource` -- counted capacity with FIFO queuing (memory-bus
-  and DMA-engine occupancy).
+  serialized releases, the memory bus a node's DMA transfers occupy).
 * :class:`Store` -- an unbounded-or-bounded FIFO of items (NIC post
   queues, message delivery queues).
 
@@ -24,9 +22,9 @@ from repro.sim._core import Event
 from repro.sim.engine import Engine
 
 #: Shared, permanently-settled grant event. Every uncontended
-#: ``Mutex.acquire``/``Resource.acquire`` and every accepted
-#: ``Store.put`` settles with ``succeed(None)`` before the caller can
-#: observe it, so they can all hand back one immortal pre-settled event
+#: ``Mutex.acquire`` and every accepted ``Store.put`` settles with
+#: ``succeed(None)`` before the caller can observe it, so they can all
+#: hand back one immortal pre-settled event
 #: instead of allocating a fresh one -- tens of thousands of Event
 #: objects per application run. A process yielding it takes the settled
 #: fast path (same event-list slot as a fresh settled event, so event
@@ -70,47 +68,6 @@ class Mutex:
             self._waiters.popleft().succeed(None)
         else:
             self._locked = False
-
-
-class Resource:
-    """Counted resource with FIFO queuing.
-
-    Used for occupancy modelling: a DMA engine is ``Resource(capacity=1)``,
-    a memory bus that admits one transfer at a time likewise. Usage::
-
-        yield bus.acquire()
-        try:
-            yield Delay(transfer_time)
-        finally:
-            bus.release()
-    """
-
-    def __init__(self, engine: Engine, capacity: int = 1,
-                 name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
-        self.engine = engine
-        self.name = name
-        self._acquire_name = name + ".acquire"
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return _GRANTED
-        ev = Event(self.engine, self._acquire_name)
-        self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            self._waiters.popleft().succeed(None)
-        else:
-            self._in_use -= 1
 
 
 class Store:

@@ -7,6 +7,7 @@ runtime must not make its full-address-space stores resident.
 
 import copy
 import gc
+import io
 import os
 import pickle
 import sys
@@ -119,10 +120,23 @@ def test_regions_are_node_state_never_pickled_or_copied():
     with pytest.raises(TypeError):
         copy.deepcopy(region)
     # What does get pickled -- checkpointed kernel state during the
-    # run, the result a pool worker ships back -- holds no region.
+    # run, the result a pool worker ships back -- holds no region, and
+    # no simulation object either: the compiled kernel's cannot be
+    # pickled, and the pure kernel's would drag the whole run along.
     result = run_app("FFT", "ft", scale="test")
     assert result.counters.total.checkpoints > 0
     assert pickle.loads(pickle.dumps(result)).elapsed_us == result.elapsed_us
+    modules = set()
+
+    class ModuleSpy(pickle.Pickler):
+        def reducer_override(self, obj):
+            cls = obj if isinstance(obj, type) else type(obj)
+            modules.add(cls.__module__)
+            return NotImplemented
+
+    ModuleSpy(io.BytesIO()).dump(result)
+    assert "repro.harness.runner" in modules
+    assert not [m for m in modules if m.startswith("repro.sim")], modules
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

@@ -4,8 +4,8 @@ The hook bus early-returns when no subscriber is registered, so a run
 without a recorder/sampler/watchdog attached must execute *zero*
 observability callbacks -- not "few", zero. Every obs closure bumps a
 module-level call counter (repro.obs.instrumentation) precisely so this
-test can count them; the figure-7 benchmark gate then inherits the
-guarantee that BENCH_hotpaths numbers are unaffected.
+test can count them; benchmarks/e2e reads the same counters for its
+unobserved cells as ``obs.calls_when_off``.
 """
 
 from repro.harness.experiments import run_app

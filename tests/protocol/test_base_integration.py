@@ -212,9 +212,9 @@ def test_migratory_data(lock_algorithm):
 def test_breakdown_sums_to_elapsed():
     runtime = SvmRuntime(small_config(), NeighborExchange())
     result = runtime.run()
-    for clock in result.thread_clocks:
-        assert sum(clock.fine.values()) == pytest.approx(
-            sum(clock.coarse.values()))
+    for breakdown in result.thread_breakdowns:
+        assert sum(breakdown.fine.values()) == pytest.approx(
+            sum(breakdown.coarse.values()))
     assert result.breakdown.total > 0
     six = result.breakdown.six_component()
     assert six["compute"] > 0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, PRIORITY_URGENT
+from repro.sim import Engine, PRIORITY_URGENT, metronome
+from repro.sim.engine import ENTRY_ACTION
 
 
 def test_initial_time_is_zero():
@@ -62,7 +63,7 @@ def test_cancelled_event_does_not_fire():
     engine = Engine()
     fired = []
     handle = engine.schedule(1.0, lambda: fired.append(1))
-    engine.cancel(handle)
+    handle[ENTRY_ACTION] = None
     engine.run()
     assert fired == []
 
@@ -74,9 +75,11 @@ def test_negative_delay_rejected():
 
 
 def test_schedule_at_absolute_time():
+    # How FailureInjector.kill_at_time reaches an absolute instant.
     engine = Engine()
     seen = []
-    engine.schedule(2.0, lambda: engine.schedule_at(7.0, lambda: seen.append(engine.now)))
+    engine.schedule(2.0, lambda: engine.schedule(
+        7.0 - engine.now, lambda: seen.append(engine.now)))
     engine.run()
     assert seen == [7.0]
 
@@ -95,19 +98,10 @@ def test_events_scheduled_during_run_execute():
     assert engine.now == 2.0
 
 
-def test_max_events_limits_execution():
-    engine = Engine()
-    count = []
-    for i in range(10):
-        engine.schedule(float(i), lambda: count.append(1))
-    engine.run(max_events=3)
-    assert len(count) == 3
-
-
 def test_metronome_ticks_while_work_remains():
     engine = Engine()
     ticks = []
-    engine.metronome(10.0, lambda: ticks.append(engine.now))
+    metronome(engine, 10.0, lambda: ticks.append(engine.now))
     engine.schedule(35.0, lambda: None)
     engine.run()
     # Ticks at 10/20/30 observe pending work; the tick that would land
@@ -119,7 +113,7 @@ def test_metronome_ticks_while_work_remains():
 
 def test_metronome_never_keeps_engine_alive():
     engine = Engine()
-    engine.metronome(10.0, lambda: None)
+    metronome(engine, 10.0, lambda: None)
     engine.schedule(5.0, lambda: None)
     engine.run()
     assert engine.now <= 20.0
@@ -134,13 +128,14 @@ def test_two_metronomes_do_not_sustain_each_other():
     def bump(i):
         return lambda: counts.__setitem__(i, counts[i] + 1)
 
-    engine.metronome(10.0, bump(0))
-    engine.metronome(15.0, bump(1))
+    metronome(engine, 10.0, bump(0))
+    metronome(engine, 15.0, bump(1))
     engine.schedule(40.0, lambda: None)
-    engine.run(max_events=10_000)
+    # Bounded, so a regression fails instead of hanging.
+    engine.run(until=100_000.0)
     assert sum(counts) < 20
 
 
 def test_metronome_rejects_nonpositive_period():
     with pytest.raises(SimulationError):
-        Engine().metronome(0.0, lambda: None)
+        metronome(Engine(), 0.0, lambda: None)

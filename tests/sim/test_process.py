@@ -37,7 +37,7 @@ def test_process_done_event_carries_return_value():
 
     p = engine.spawn(proc())
     engine.run()
-    assert p.done.triggered
+    assert p.done.settled and not p.done.failed
     assert p.done.value == 42
     assert not p.alive
 

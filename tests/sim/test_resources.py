@@ -1,9 +1,9 @@
-"""Unit tests for Mutex, Resource, and Store primitives."""
+"""Unit tests for the Mutex and Store primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Delay, Engine, Mutex, Resource, Store
+from repro.sim import Delay, Engine, Mutex, Store
 
 
 def test_mutex_provides_mutual_exclusion():
@@ -48,38 +48,6 @@ def test_mutex_release_unlocked_raises():
     engine = Engine()
     with pytest.raises(SimulationError):
         Mutex(engine).release()
-
-
-def test_resource_capacity_limits_concurrency():
-    engine = Engine()
-    res = Resource(engine, capacity=2)
-    active = []
-    peak = []
-
-    def worker():
-        yield res.acquire()
-        active.append(1)
-        peak.append(len(active))
-        yield Delay(10.0)
-        active.pop()
-        res.release()
-
-    for _ in range(5):
-        engine.spawn(worker())
-    engine.run()
-    assert max(peak) == 2
-    assert engine.now == 30.0  # 5 jobs of 10us through 2 slots: ceil(5/2)*10
-
-
-def test_resource_rejects_bad_capacity():
-    with pytest.raises(SimulationError):
-        Resource(Engine(), capacity=0)
-
-
-def test_resource_release_when_idle_raises():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        Resource(engine).release()
 
 
 def test_store_fifo_get_put():

@@ -97,6 +97,7 @@ import heapq
 import itertools
 
 from repro.sim import PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT
+from repro.sim.engine import ENTRY_ACTION
 
 _DELAYS = st.one_of(st.just(0.0), st.floats(0.0, 10.0,
                                             allow_nan=False,
@@ -160,7 +161,7 @@ def _run_engine(roots):
         else:
             handle = engine.schedule(delay, action, priority=priority)
         if cancelled:
-            engine.cancel(handle)
+            handle[ENTRY_ACTION] = None
         return tag
 
     def fire(tag, children):
