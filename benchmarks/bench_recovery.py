@@ -12,8 +12,9 @@ failure-free run. Every run still verifies its application result.
 import pytest
 
 from benchmarks.conftest import run_once, save_result
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.harness.experiments import build_app
+from repro.harness.faultplan import FaultPlan
 
 
 SCENARIOS = [
@@ -28,9 +29,8 @@ SCENARIOS = [
 
 def _run_scenario(app, hook, occurrence, delay, victim=3):
     runtime = build_app(app, "ft")
-    injector = FailureInjector(runtime.cluster)
-    record = injector.kill_on_hook(victim, hook, occurrence=occurrence,
-                                   delay=delay)
+    [record] = FaultPlan.single(victim, hook, occurrence,
+                                delay).apply(runtime.cluster)
     detect = {}
     runtime.cluster.hooks.on(
         Hooks.FAILURE_DETECTED,

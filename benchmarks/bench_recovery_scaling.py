@@ -14,8 +14,9 @@ import pytest
 
 from benchmarks.conftest import run_once, save_result
 from repro.apps import SyntheticWorkload
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.harness.faultplan import FaultPlan
 from repro.harness.runner import SvmRuntime
 
 
@@ -32,9 +33,9 @@ def _run(pages_per_thread, iterations, victim=2):
                                  bytes_per_page=128, compute_us=10.0,
                                  sync="locks")
     runtime = SvmRuntime(config, workload)
-    FailureInjector(runtime.cluster).kill_on_hook(
-        victim, Hooks.LOCK_ACQUIRED, occurrence=max(2, iterations // 2),
-        delay=0.5)
+    FaultPlan.single(victim, Hooks.LOCK_ACQUIRED,
+                     occurrence=max(2, iterations // 2),
+                     delay=0.5).apply(runtime.cluster)
     result = runtime.run()
     assert result.recoveries == 1
     return runtime.recovery_manager.last_recovery_us

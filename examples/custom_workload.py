@@ -14,10 +14,11 @@ Run:  python examples/custom_workload.py
 import numpy as np
 
 from repro.apps.base import Workload
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.errors import ApplicationError
 from repro.harness import SvmRuntime
+from repro.harness.faultplan import FaultPlan
 
 
 class Pipeline(Workload):
@@ -99,10 +100,11 @@ def main() -> None:
     )
     runtime = SvmRuntime(config, Pipeline())
     # Kill stage 1's node in the middle of the second round.
-    FailureInjector(runtime.cluster).kill_on_hook(
-        1, Hooks.BARRIER_ENTER, occurrence=5, delay=1.0)
+    [kill] = FaultPlan.single(1, Hooks.BARRIER_ENTER, occurrence=5,
+                              delay=1.0).apply(runtime.cluster)
     result = runtime.run()
     print("custom pipeline workload finished and verified")
+    print(f"  node 1 fail-stopped at {kill.fired_at:.1f}us")
     print(f"  recoveries: {result.recoveries}")
     print(f"  live nodes: {runtime.cluster.live_nodes()}")
     print(f"  simulated time: {runtime.engine.now:.0f}us")

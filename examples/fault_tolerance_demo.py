@@ -19,9 +19,11 @@ Run:  python examples/fault_tolerance_demo.py
 """
 
 from repro.apps import WaterNsquared
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.harness import SvmRuntime
+from repro.harness.faultplan import FaultPlan
+from repro.metrics import ProtocolTrace
 
 
 def main() -> None:
@@ -37,26 +39,18 @@ def main() -> None:
     workload = WaterNsquared(molecules=32, steps=2)
     runtime = SvmRuntime(config, workload)
 
-    injector = FailureInjector(runtime.cluster)
     victim = 2
-    injector.kill_on_hook(victim, Hooks.RELEASE_COMMITTED,
-                          occurrence=3, delay=2.0)
-
-    timeline = []
-
-    def log(event):
-        def hook(node_id, **info):
-            timeline.append((runtime.engine.now, event, node_id, info))
-        return hook
-
-    for name in (Hooks.FAILURE_DETECTED, Hooks.RECOVERY_START,
-                 Hooks.THREAD_RESUMED, Hooks.RECOVERY_DONE):
-        runtime.cluster.hooks.on(name, log(name))
+    [kill] = FaultPlan.single(victim, Hooks.RELEASE_COMMITTED, occurrence=3,
+                              delay=2.0).apply(runtime.cluster)
+    timeline = ProtocolTrace(runtime.cluster, events=(
+        Hooks.FAILURE_DETECTED, Hooks.RECOVERY_START,
+        Hooks.THREAD_RESUMED, Hooks.RECOVERY_DONE))
 
     print(f"running Water-Nsquared on 4 nodes; node {victim} will "
           "fail-stop during its 3rd release...\n")
     result = runtime.run()  # verifies against the serial reference
 
+    print(f"node {victim} fail-stopped at {kill.fired_at:.1f}us")
     print("recovery timeline (simulated microseconds):")
     for t, event, node_id, info in timeline:
         extra = ""

@@ -8,7 +8,8 @@ Commands:
 * ``profile`` -- sharing fingerprint + operation latencies of one app;
 * ``sweep`` -- fan an experiment matrix out over the parallel
   orchestrator with content-addressed result caching;
-* ``recover`` -- fault-injection demo with a recovery timeline;
+* ``recover`` -- fault-injection demo with a recovery timeline (exit 1
+  when the kill never fired);
 * ``replay`` -- record / replay a model-check trace; on divergence,
   bisect to the first event where protocol state departs from the
   shadow oracle;
@@ -358,19 +359,24 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from repro.cluster import FailureInjector, Hooks
+    from repro.cluster import Hooks
+    from repro.harness.faultplan import FaultPlan
     from repro.metrics import ProtocolTrace
 
     runtime = build_app(args.app, "ft", args.threads, args.scale)
-    injector = FailureInjector(runtime.cluster)
-    injector.kill_on_hook(args.victim, Hooks.RELEASE_COMMITTED,
-                          occurrence=args.occurrence, delay=1.0)
+    [kill] = FaultPlan.single(args.victim, Hooks.RELEASE_COMMITTED,
+                              args.occurrence, 1.0).apply(runtime.cluster)
     timeline = ProtocolTrace(runtime.cluster, events=(
         Hooks.FAILURE_DETECTED, Hooks.RECOVERY_START,
         Hooks.THREAD_RESUMED, Hooks.RECOVERY_DONE))
     result = runtime.run()
-    print(f"{args.app}: node {args.victim} fail-stopped at its "
-          f"{args.occurrence}th release; result verified.")
+    if kill.fired_at is None:
+        print(f"{args.app}: node {args.victim} never reached its "
+              f"{args.occurrence}th release; no node was killed.")
+        return 1
+    print(f"{args.app}: node {args.victim} fail-stopped at "
+          f"{kill.fired_at:.1f}us, in its {args.occurrence}th release; "
+          f"result verified.")
     for t, event, node_id, info in timeline:
         print(f"  {t:12.1f}us  {event:18s} node={node_id} "
               + (f"tid={info['tid']}" if "tid" in info else "")

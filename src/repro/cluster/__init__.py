@@ -1,11 +1,12 @@
-"""Cluster hardware model: SMP nodes, fabric, failure injection.
+"""Cluster hardware model: SMP nodes, fabric, protocol hook bus.
 
 Public surface::
 
-    from repro.cluster import Cluster, Node, FailureInjector, Hooks
+    from repro.cluster import Cluster, Node, Hooks
+
+Failures are injected through :class:`repro.harness.faultplan.FaultPlan`.
 """
 
-from repro.cluster.failure import FailureInjector, InjectionRecord
 from repro.cluster.hooks import Hooks
 from repro.cluster.machine import Cluster
 from repro.cluster.node import Node
@@ -13,7 +14,5 @@ from repro.cluster.node import Node
 __all__ = [
     "Cluster",
     "Node",
-    "FailureInjector",
-    "InjectionRecord",
     "Hooks",
 ]

@@ -1,8 +1,8 @@
 """Lightweight pub/sub hook bus for tracing and failure injection.
 
 Protocol code fires named hooks at interesting points (release phases,
-checkpoints, recovery stages). Reactors to one point -- the failure
-injector, fault plans, the invariant checker, tests -- subscribe with
+checkpoints, recovery stages). Reactors to one point -- fault plans,
+the invariant checker, tests -- subscribe with
 :meth:`Hooks.on`; observers of the whole stream -- the protocol trace,
 the flight recorder, the stall watchdog -- with :meth:`Hooks.tap`.
 Firing a hook with no subscribers is free, so the protocol can be
@@ -26,7 +26,7 @@ class Hooks:
     """Named synchronous hook points."""
 
     # Hook names fired by the protocol layers. Centralizing them here
-    # keeps injector/test code typo-safe.
+    # keeps fault-plan/test code typo-safe.
     RELEASE_START = "release_start"
     RELEASE_COMMITTED = "release_committed"        # updates committed (point A)
     DIFF_PHASE1_START = "diff_phase1_start"
@@ -73,7 +73,7 @@ class Hooks:
         """Subscribe one observer of a whole event stream: ``sink(name,
         node_id, info)`` runs for every hook in ``names``. The only way
         recorders and watchdogs attach; reactors to single hooks (fault
-        plans, the injector, the invariant checker) use :meth:`on`."""
+        plans, the invariant checker) use :meth:`on`."""
         def forward(name: str) -> HookFn:
             def fn(node_id: int, **info: Any) -> None:
                 sink(name, node_id, info)

@@ -61,7 +61,3 @@ class Cluster:
 
     def run(self, until=None) -> None:
         self.engine.run(until=until)
-
-    @property
-    def now(self) -> float:
-        return self.engine.now

@@ -2,8 +2,9 @@
 
 A :class:`FaultPlan` is a reproducible schedule of fail-stop events —
 time-based, protocol-point-based, or chained (armed when the previous
-recovery completes) — applied to a runtime in one call. Benchmarks and
-stress tests use plans instead of hand-wiring injector callbacks.
+recovery completes) — armed on a cluster in one call. It is the only
+way a failure is injected: the CLI, the benchmarks, the model check and
+the tests all describe each kill as one :class:`FailureSpec`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Cluster, Hooks
 from repro.errors import ConfigError
+from repro.sim import PRIORITY_URGENT
 
 #: Protocol points that make interesting kill sites.
 INTERESTING_HOOKS = (
@@ -82,6 +84,15 @@ class FailureSpec:
 
 
 @dataclass
+class KillRecord:
+    """One armed spec: its victim, and the simulated time the victim
+    fail-stopped (None until, and unless, the kill fires)."""
+
+    node_id: int
+    fired_at: Optional[float] = None
+
+
+@dataclass
 class FaultPlan:
     """An ordered set of failures to inject into one run."""
 
@@ -91,31 +102,58 @@ class FaultPlan:
         return "; ".join(spec.describe() for spec in self.specs) \
             or "(no failures)"
 
-    def apply(self, runtime) -> List:
-        """Install the plan on a runtime; returns injection records
-        (chained specs' records appear once armed)."""
-        injector = FailureInjector(runtime.cluster)
-        records: List = []
+    def apply(self, cluster: Cluster) -> List[KillRecord]:
+        """Arm the plan on ``cluster``; returns one record per armed
+        spec, in arming order (a chained spec's record is appended when
+        the previous recovery arms it).
 
-        immediate = [s for s in self.specs if not s.chained]
-        chain = [s for s in self.specs if s.chained]
+        A time-based spec schedules its kill at ``at_time``; a hook-based
+        one counts the victim's firings of ``hook`` (any node's when
+        ``during``) and schedules the kill ``delay`` us after the
+        ``occurrence``-th. Kills run at urgent priority and skip a
+        victim that is already dead."""
+        for spec in self.specs:
+            if not 0 <= spec.victim < len(cluster.nodes):
+                raise ConfigError(
+                    f"cannot kill node {spec.victim}: the cluster has "
+                    f"nodes 0..{len(cluster.nodes) - 1}")
+        engine, hooks = cluster.engine, cluster.hooks
+        records: List[KillRecord] = []
 
         def arm(spec: FailureSpec) -> None:
+            record = KillRecord(spec.victim)
+            records.append(record)
+
+            def fire() -> None:
+                if cluster.node(spec.victim).alive:
+                    record.fired_at = engine.now
+                    cluster.fail_node(spec.victim)
+
             if spec.at_time is not None:
-                records.append(injector.kill_at_time(spec.victim,
-                                                     spec.at_time))
-            else:
-                records.append(injector.kill_on_hook(
-                    spec.victim, spec.hook, occurrence=spec.occurrence,
-                    delay=spec.delay, any_node=spec.during))
+                engine.schedule(spec.at_time - engine.now, fire,
+                                priority=PRIORITY_URGENT)
+                return
+            seen = 0
+
+            def on_hook(node_id: int, **info) -> None:
+                nonlocal seen
+                if not spec.during and node_id != spec.victim:
+                    return
+                seen += 1
+                if seen == spec.occurrence:
+                    hooks.off(spec.hook, on_hook)
+                    engine.schedule(spec.delay, fire,
+                                    priority=PRIORITY_URGENT)
+
+            hooks.on(spec.hook, on_hook)
 
         # ``during`` specs arm up front alongside truly-immediate ones:
         # they wait on recovery-wave hooks themselves, and arming them
         # from RECOVERY_DONE would be too late by construction.
-        for spec in immediate:
-            arm(spec)
-
-        pending = list(chain)
+        for spec in self.specs:
+            if not spec.chained:
+                arm(spec)
+        pending = [s for s in self.specs if s.chained]
 
         def on_recovery_done(node_id, **info) -> None:
             if not info.get("final", True):
@@ -126,14 +164,12 @@ class FaultPlan:
                 return
             spec = pending.pop(0)
             if spec.min_gap > 0.0:
-                runtime.cluster.engine.schedule(
-                    spec.min_gap, lambda: arm(spec))
+                engine.schedule(spec.min_gap, lambda: arm(spec))
             else:
                 arm(spec)
 
         if pending:
-            runtime.cluster.hooks.on(Hooks.RECOVERY_DONE,
-                                     on_recovery_done)
+            hooks.on(Hooks.RECOVERY_DONE, on_recovery_done)
         return records
 
     @classmethod

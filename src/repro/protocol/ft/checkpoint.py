@@ -34,6 +34,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ProtocolError
 from repro.memory import Diff
 
 
@@ -80,6 +81,31 @@ class CheckpointStore:
         self.interval_mirror: Dict[int, Dict[int, List[int]]] = {}
 
     # -- writes (driven by incoming checkpoint messages) -----------------
+
+    def store(self, body: tuple) -> dict:
+        """Store one shipped checkpoint record, as the ward sends it to
+        its backup and keeps it in its own self-mirror: ``("state",
+        ward, tid, seq, blob)``, ``("pending", ward, seq, interval,
+        pages, diff_blobs, horizon)`` or ``("complete", ward, seq,
+        ts_blob)``. Returns the CHECKPOINT_STORED hook payload."""
+        kind = body[0]
+        if kind == "state":
+            _k, ward, tid, seq, blob = body
+            self.store_thread_state(ward, tid, seq, blob)
+            return dict(kind=kind, ward=ward, tid=tid, seq=seq, blob=blob)
+        if kind == "pending":
+            _k, ward, seq, interval, pages, diff_blobs, horizon = body
+            self.store_pending(ward, ReleaseRecord(
+                seq=seq, interval=interval, pages=list(pages),
+                diffs=dict(diff_blobs)))
+            self.trim_mirror(ward, horizon)
+            return dict(kind=kind, ward=ward, seq=seq, interval=interval,
+                        pages=list(pages))
+        if kind == "complete":
+            _k, ward, seq, ts_blob = body
+            self.store_complete(ward, seq, ts_blob)
+            return dict(kind=kind, ward=ward, seq=seq)
+        raise ProtocolError(f"unknown checkpoint record {kind!r}")
 
     def store_thread_state(self, ward: int, tid: int, seq: int,
                            blob: bytes) -> None:

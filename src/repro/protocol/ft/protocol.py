@@ -44,7 +44,6 @@ from repro.metrics import Category
 from repro.protocol.agent import DIFF_CHANNEL, RETRY_SENTINEL, SvmNodeAgent
 from repro.protocol.ft.checkpoint import (
     CheckpointStore,
-    ReleaseRecord,
     encode_thread_state,
 )
 from repro.protocol.signals import RecoverySignal
@@ -469,22 +468,18 @@ class FtSvmNodeAgent(SvmNodeAgent):
             # record would be rebased over a later fetch and revert
             # other writers' updates (see _finish_page_release).
             self._pending_local_diffs.pop(page, None)
-        # Encoded once: the wire body and the mirror each get their own
+        # Encoded once: the backup and the mirror each store their own
         # dict of the same immutable blobs.
         blobs = {page: diff.encode() for page, diff in fl.diffs.items()}
         record_body = ("pending", self.node_id, fl.seq, fl.interval,
-                       fl.pages, dict(blobs), self.last_barrier_interval)
+                       fl.pages, blobs, self.last_barrier_interval)
         body_bytes = 32 + sum(d.wire_bytes for d in fl.diffs.values())
         backup = self.homes.backup_node(self.node_id)
         yield from self.notify(backup, CKPT_CHANNEL, record_body,
                                body_bytes=body_bytes, wait=True)
         # Mirror the shipped record locally (delivery was waited, so the
         # mirror never claims more than the backup durably holds).
-        self.ckpt_mirror.store_pending(self.node_id, ReleaseRecord(
-            seq=fl.seq, interval=fl.interval, pages=list(fl.pages),
-            diffs=blobs))
-        self.ckpt_mirror.trim_mirror(self.node_id,
-                                     self.last_barrier_interval)
+        self.ckpt_mirror.store(record_body)
         return None
 
     def _traced_send_diffs(self, fl: _InflightRelease, phase: str,
@@ -585,16 +580,16 @@ class FtSvmNodeAgent(SvmNodeAgent):
                     blob = encode_thread_state(rec.ctx.state)
                 yield from self._ship_thread_state(thread.thread_id,
                                                    fl.seq, blob, op=ck_op)
+            record_body = ("complete", self.node_id, fl.seq,
+                           self.ts.encode())
             yield from self.notify(
-                backup, CKPT_CHANNEL,
-                ("complete", self.node_id, fl.seq, self.ts.encode()),
+                backup, CKPT_CHANNEL, record_body,
                 body_bytes=16 + self.ts.wire_bytes, wait=True, op=ck_op)
         # Mirrored only after the waited delivery: "complete" in the
         # mirror must coincide with the pipeline being past point B,
         # which is what exempts the release from the recovery rewind
         # (step 3a) that would otherwise undo its tentative updates.
-        self.ckpt_mirror.store_complete(self.node_id, fl.seq,
-                                        self.ts.encode())
+        self.ckpt_mirror.store(record_body)
         self.published_interval = self.interval_no
         self.hooks.fire(Hooks.CHECKPOINT_B, self.node_id, seq=fl.seq,
                         tid=thread.thread_id)
@@ -609,13 +604,12 @@ class FtSvmNodeAgent(SvmNodeAgent):
         self.counters.checkpoint_bytes += size
         yield Delay(self.costs.checkpoint_us(size))
         backup = self.homes.backup_node(self.node_id)
-        yield from self.notify(
-            backup, CKPT_CHANNEL,
-            ("state", self.node_id, tid, seq, blob),
-            body_bytes=size + 32, op=op)
+        record_body = ("state", self.node_id, tid, seq, blob)
+        yield from self.notify(backup, CKPT_CHANNEL, record_body,
+                               body_bytes=size + 32, op=op)
         # The blob is this node's own frozen truth; mirroring it eagerly
         # is safe (the mirror is only read while this node is alive).
-        self.ckpt_mirror.store_thread_state(self.node_id, tid, seq, blob)
+        self.ckpt_mirror.store(record_body)
         return None
 
     def initial_checkpoint(self, rec):
@@ -630,7 +624,6 @@ class FtSvmNodeAgent(SvmNodeAgent):
 
     def _on_checkpoint(self, msg):
         body = msg.payload[1]
-        kind = body[0]
         ward = body[1]
         manager = self.runtime.recovery_manager
         if manager is not None and (ward in manager.victims
@@ -642,28 +635,8 @@ class FtSvmNodeAgent(SvmNodeAgent):
             # previous operations" case) -- drop it.
             return
         yield Delay(self.costs.checkpoint_base_us * 0.2)
-        if kind == "state":
-            _k, ward, tid, seq, blob = body
-            self.ckpt_store.store_thread_state(ward, tid, seq, blob)
-            self.hooks.fire(Hooks.CHECKPOINT_STORED, self.node_id,
-                            kind=kind, ward=ward, tid=tid, seq=seq,
-                            blob=blob)
-        elif kind == "pending":
-            _k, ward, seq, interval, pages, diff_blobs, horizon = body
-            self.ckpt_store.store_pending(ward, ReleaseRecord(
-                seq=seq, interval=interval, pages=list(pages),
-                diffs=dict(diff_blobs)))
-            self.ckpt_store.trim_mirror(ward, horizon)
-            self.hooks.fire(Hooks.CHECKPOINT_STORED, self.node_id,
-                            kind=kind, ward=ward, seq=seq,
-                            interval=interval, pages=list(pages))
-        elif kind == "complete":
-            _k, ward, seq, ts_blob = body
-            self.ckpt_store.store_complete(ward, seq, ts_blob)
-            self.hooks.fire(Hooks.CHECKPOINT_STORED, self.node_id,
-                            kind=kind, ward=ward, seq=seq)
-        else:
-            raise ProtocolError(f"unknown checkpoint record {kind!r}")
+        self.hooks.fire(Hooks.CHECKPOINT_STORED, self.node_id,
+                        **self.ckpt_store.store(body))
 
     # ------------------------------------------------------------------
     # Barrier leader sequence with recovery retries

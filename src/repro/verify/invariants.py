@@ -418,45 +418,29 @@ class RecoveryInvariantChecker:
             return (node not in failed
                     and self.runtime.cluster.node(node).alive)
 
-        for page in homes.allocated_pages():
-            primary = homes.primary_home(page)
-            secondary = homes.secondary_home(page)
-            if primary == secondary or not live(primary) \
-                    or not live(secondary):
-                self._report(
-                    "re-protection",
-                    f"page {page} lacks two distinct live replicas: "
-                    f"primary {primary}, secondary {secondary}, failed "
-                    f"set {sorted(failed)}")
-        for lock_id in range(self.runtime.config.num_locks):
-            primary = homes.lock_primary(lock_id)
-            secondary = homes.lock_secondary(lock_id)
-            if primary == secondary or not live(primary) \
-                    or not live(secondary):
-                self._report(
-                    "re-protection",
-                    f"lock {lock_id} lacks two distinct live replicas: "
-                    f"primary {primary}, secondary {secondary}, failed "
-                    f"set {sorted(failed)}")
-        for agent in agents:
-            node = agent.node_id
-            if not live(node):
-                continue
-            backup = homes.backup_node(node)
-            if backup == node or not live(backup):
-                self._report(
-                    "re-protection",
-                    f"node {node}'s checkpoint backup {backup} is not "
-                    f"a distinct live node")
-                continue
-            held = agents[backup].ckpt_store.max_valid_seq(node)
-            mirrored = agent.ckpt_mirror.max_valid_seq(node)
-            if held < mirrored:
-                self._report(
-                    "re-protection",
-                    f"node {node}'s backup {backup} holds release "
-                    f"records only through seq {held}, the node's "
-                    f"self-mirror claims seq {mirrored} durable")
+        for ring in homes.rings:
+            for key in ring.keys():
+                primary, secondary = ring.primary(key), ring.secondary(key)
+                if primary == secondary or not live(primary) \
+                        or not live(secondary):
+                    self._report(
+                        "re-protection",
+                        f"{ring.kind} {key} lacks two distinct live "
+                        f"replicas: primary {primary}, secondary "
+                        f"{secondary}, failed set {sorted(failed)}")
+                    continue
+                if ring is not homes.wards:
+                    continue
+                # A ward is a node's checkpoints: the backup must hold
+                # them as far as the node's self-mirror claims durable.
+                held = agents[secondary].ckpt_store.max_valid_seq(key)
+                mirrored = agents[key].ckpt_mirror.max_valid_seq(key)
+                if held < mirrored:
+                    self._report(
+                        "re-protection",
+                        f"node {key}'s backup {secondary} holds release "
+                        f"records only through seq {held}, the node's "
+                        f"self-mirror claims seq {mirrored} durable")
 
     # ------------------------------------------------------------------
     # End-of-run audit

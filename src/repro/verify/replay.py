@@ -106,7 +106,7 @@ def build_runtime(scenario: ReplayScenario) -> SvmRuntime:
             random.Random(scenario.plan_seed), scenario.num_nodes,
             scenario.failures,
             during_recovery_prob=scenario.during_recovery_prob,
-            min_gap_us=scenario.min_gap_us).apply(runtime)
+            min_gap_us=scenario.min_gap_us).apply(runtime.cluster)
     return runtime
 
 

@@ -43,7 +43,8 @@ def test_kvstore_survives_failure(hook, occurrence, delay):
     death -- the version-counter check catches either."""
     runtime = SvmRuntime(config_for("ft"),
                          KVStore(buckets=16, txns_per_thread=8))
-    records = FaultPlan.single(2, hook, occurrence, delay).apply(runtime)
+    records = FaultPlan.single(2, hook, occurrence,
+                               delay).apply(runtime.cluster)
     result = runtime.run()
     assert records[0].fired_at is not None
     assert result.recoveries == 1

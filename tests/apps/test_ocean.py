@@ -65,7 +65,7 @@ def test_ocean_nearly_all_home_diffs():
 def test_ocean_survives_failure(occurrence):
     runtime = SvmRuntime(config_for("ft"), Ocean(n=24, sweeps=3))
     records = FaultPlan.single(2, Hooks.BARRIER_ENTER, occurrence,
-                               0.5).apply(runtime)
+                               0.5).apply(runtime.cluster)
     result = runtime.run()
     assert records[0].fired_at is not None
     assert result.recoveries == 1

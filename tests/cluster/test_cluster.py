@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import ClusterConfig
-from repro.cluster import Cluster, FailureInjector
-from repro.errors import RemoteNodeFailure, SimulationError
+from repro.cluster import Cluster
+from repro.errors import ConfigError, RemoteNodeFailure, SimulationError
+from repro.harness.faultplan import FailureSpec, FaultPlan
 from repro.sim import Delay
 
 
@@ -85,7 +86,7 @@ def test_mem_copy_charges_time():
 
     def copier():
         yield from cluster.node(0).mem_copy(4096)
-        times.append(cluster.now)
+        times.append(cluster.engine.now)
 
     cluster.node(0).spawn(copier(), "copier")
     cluster.run()
@@ -99,7 +100,7 @@ def test_bus_contention_serializes_copies():
 
     def copier(tag):
         yield from cluster.node(0).mem_copy(4000)
-        times.append(cluster.now)
+        times.append(cluster.engine.now)
 
     cluster.node(0).spawn(copier("a"), "a")
     cluster.node(0).spawn(copier("b"), "b")
@@ -110,8 +111,7 @@ def test_bus_contention_serializes_copies():
 
 def test_failure_injector_time_based():
     cluster = Cluster(small_config())
-    injector = FailureInjector(cluster)
-    record = injector.kill_at_time(1, 42.0)
+    [record] = FaultPlan([FailureSpec(1, at_time=42.0)]).apply(cluster)
     cluster.run()
     assert record.fired_at == 42.0
     assert not cluster.node(1).alive
@@ -119,8 +119,7 @@ def test_failure_injector_time_based():
 
 def test_failure_injector_hook_based():
     cluster = Cluster(small_config())
-    injector = FailureInjector(cluster)
-    record = injector.kill_on_hook(2, "my_hook", occurrence=3)
+    [record] = FaultPlan.single(2, "my_hook", occurrence=3).apply(cluster)
 
     def firer():
         for _ in range(5):
@@ -135,8 +134,7 @@ def test_failure_injector_hook_based():
 
 def test_hook_injection_ignores_other_nodes():
     cluster = Cluster(small_config())
-    injector = FailureInjector(cluster)
-    record = injector.kill_on_hook(2, "my_hook", occurrence=1)
+    [record] = FaultPlan.single(2, "my_hook").apply(cluster)
 
     def firer():
         yield Delay(1.0)
@@ -146,6 +144,17 @@ def test_hook_injection_ignores_other_nodes():
     cluster.run()
     assert record.fired_at is None
     assert cluster.node(2).alive
+
+
+def test_fault_plan_rejects_a_victim_outside_the_cluster():
+    cluster = Cluster(small_config())
+    plan = FaultPlan([FailureSpec(1, at_time=5.0),
+                      FailureSpec(4, hook="my_hook", chained=True)])
+    with pytest.raises(ConfigError, match="cannot kill node 4"):
+        plan.apply(cluster)
+    # Nothing was armed: the valid first spec did not schedule its kill.
+    cluster.run()
+    assert cluster.node(1).alive
 
 
 def test_deterministic_node_rngs():

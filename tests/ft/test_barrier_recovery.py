@@ -20,7 +20,8 @@ fails as an invariant violation even when the run happens to finish.
 
 import pytest
 
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
+from repro.harness.faultplan import FailureSpec, FaultPlan
 from repro.verify import RecoveryInvariantChecker
 from repro.verify.replay import ReplayScenario, build_runtime
 
@@ -64,9 +65,8 @@ def test_restored_thread_at_stale_epoch():
     must pass them through instead of reopening the generation."""
     runtime = build_runtime(ReplayScenario(program_seed=145,
                                            cluster_seed=1))
-    injector = FailureInjector(runtime.cluster)
-    record = injector.kill_on_hook(2, Hooks.BARRIER_EXIT,
-                                   occurrence=1, delay=1.0)
+    [record] = FaultPlan.single(2, Hooks.BARRIER_EXIT,
+                                delay=1.0).apply(runtime.cluster)
     seen = watch_reconciliation(runtime)
     result, _ = checked_run(runtime)
     assert record.fired_at is not None
@@ -90,9 +90,8 @@ def test_failure_mid_arrival():
     node's arrival forever."""
     runtime = build_runtime(ReplayScenario(program_seed=145,
                                            cluster_seed=1))
-    injector = FailureInjector(runtime.cluster)
-    record = injector.kill_on_hook(1, Hooks.BARRIER_ENTER,
-                                   occurrence=2, delay=3.0)
+    [record] = FaultPlan.single(1, Hooks.BARRIER_ENTER, occurrence=2,
+                                delay=3.0).apply(runtime.cluster)
     seen = watch_reconciliation(runtime)
     result, checker = checked_run(runtime)
     assert record.fired_at is not None
@@ -110,11 +109,11 @@ def test_back_to_back_failures_across_generation(second_victim,
     leave every survivor and restored thread on one merged epoch."""
     runtime = build_runtime(ReplayScenario(program_seed=145,
                                            cluster_seed=1))
-    injector = FailureInjector(runtime.cluster)
-    first = injector.kill_on_hook(1, Hooks.BARRIER_ENTER,
-                                  occurrence=2, delay=3.0)
-    second = injector.kill_on_hook(second_victim, Hooks.BARRIER_ENTER,
-                                   occurrence=occurrence, delay=3.0)
+    first, second = FaultPlan([
+        FailureSpec(1, hook=Hooks.BARRIER_ENTER, occurrence=2, delay=3.0),
+        FailureSpec(second_victim, hook=Hooks.BARRIER_ENTER,
+                    occurrence=occurrence, delay=3.0),
+    ]).apply(runtime.cluster)
     seen = watch_reconciliation(runtime)
     result, _ = checked_run(runtime)
     assert first.fired_at is not None

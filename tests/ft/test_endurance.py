@@ -9,10 +9,11 @@ all of it.
 
 import pytest
 
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.errors import UnrecoverableFailure
 from repro.harness import SvmRuntime
+from repro.harness.faultplan import FailureSpec, FaultPlan
 from tests.protocol.test_base_integration import MigratoryData
 
 
@@ -25,23 +26,19 @@ def make_runtime(num_nodes=6, rounds=24, seed=4):
     return SvmRuntime(config, MigratoryData(rounds=rounds))
 
 
+def successive_kills(victims, delay=0.5):
+    """Kill each victim at its first lock acquire, arming each next
+    death only once the previous recovery has completed."""
+    return FaultPlan([
+        FailureSpec(victim, hook=Hooks.LOCK_ACQUIRED, delay=delay,
+                    chained=index > 0)
+        for index, victim in enumerate(victims)])
+
+
 def test_four_successive_failures_down_to_two_nodes():
     runtime = make_runtime(num_nodes=6, rounds=24)
-    injector = FailureInjector(runtime.cluster)
     victims = [5, 4, 3, 2]
-    state = {"next": 0}
-
-    def arm_next(node_id, **info):
-        if state["next"] < len(victims):
-            victim = victims[state["next"]]
-            state["next"] += 1
-            injector.kill_on_hook(victim, Hooks.LOCK_ACQUIRED,
-                                  occurrence=1, delay=0.5)
-
-    runtime.cluster.hooks.on(Hooks.RECOVERY_DONE, arm_next)
-    # Arm the first failure directly.
-    arm_next(None)
-
+    successive_kills(victims).apply(runtime.cluster)
     result = runtime.run()  # verifies the migratory sum
     assert result.recoveries == 4
     assert sorted(runtime.cluster.live_nodes()) == [0, 1]
@@ -54,19 +51,7 @@ def test_four_successive_failures_down_to_two_nodes():
 def test_failure_below_two_nodes_unrecoverable():
     """Killing down past the replication minimum must be rejected."""
     runtime = make_runtime(num_nodes=3, rounds=18)
-    injector = FailureInjector(runtime.cluster)
-    victims = [2, 1]
-    state = {"next": 0}
-
-    def arm_next(node_id, **info):
-        if state["next"] < len(victims):
-            victim = victims[state["next"]]
-            state["next"] += 1
-            injector.kill_on_hook(victim, Hooks.LOCK_ACQUIRED,
-                                  occurrence=1, delay=0.5)
-
-    runtime.cluster.hooks.on(Hooks.RECOVERY_DONE, arm_next)
-    arm_next(None)
+    successive_kills([2, 1]).apply(runtime.cluster)
     with pytest.raises(UnrecoverableFailure):
         runtime.run()
 
@@ -75,19 +60,12 @@ def test_backup_chain_failure():
     """Kill a node, then kill the backup that adopted its threads: the
     twice-migrated threads must still finish correctly."""
     runtime = make_runtime(num_nodes=5, rounds=20)
-    injector = FailureInjector(runtime.cluster)
     # Node 2 dies; its threads land on node 3 (next live). Then node 3
     # dies, carrying both its own thread and the adopted one.
-    injector.kill_on_hook(2, Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.5)
-    armed = {"done": False}
-
-    def arm_second(node_id, **info):
-        if not armed["done"]:
-            armed["done"] = True
-            injector.kill_on_hook(3, Hooks.LOCK_ACQUIRED,
-                                  occurrence=1, delay=0.5)
-
-    runtime.cluster.hooks.on(Hooks.RECOVERY_DONE, arm_second)
+    FaultPlan([
+        FailureSpec(2, hook=Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.5),
+        FailureSpec(3, hook=Hooks.LOCK_ACQUIRED, delay=0.5, chained=True),
+    ]).apply(runtime.cluster)
     result = runtime.run()
     assert result.recoveries == 2
     assert runtime.threads[2].resumptions == 2

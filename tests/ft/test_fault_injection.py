@@ -12,10 +12,11 @@ run.
 import numpy as np
 import pytest
 
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.errors import UnrecoverableFailure
 from repro.harness import SvmRuntime
+from repro.harness.faultplan import FailureSpec, FaultPlan
 from tests.protocol.test_base_integration import (
     CounterWorkload,
     MigratoryData,
@@ -39,12 +40,11 @@ def ft_config(num_nodes=4, threads_per_node=1, seed=3):
 def run_with_failure(workload, victim=2, kill_hook=None, occurrence=1,
                      kill_time=None, config=None, delay=0.0):
     runtime = SvmRuntime(config or ft_config(), workload)
-    injector = FailureInjector(runtime.cluster)
     if kill_hook is not None:
-        record = injector.kill_on_hook(victim, kill_hook,
-                                       occurrence=occurrence, delay=delay)
+        plan = FaultPlan.single(victim, kill_hook, occurrence, delay)
     else:
-        record = injector.kill_at_time(victim, kill_time)
+        plan = FaultPlan([FailureSpec(victim, at_time=kill_time)])
+    [record] = plan.apply(runtime.cluster)
     result = runtime.run()
     return runtime, result, record
 
@@ -144,18 +144,11 @@ def test_successive_failures_recovered():
     multiple-but-not-simultaneous case)."""
     runtime = SvmRuntime(ft_config(num_nodes=4),
                          MigratoryData(rounds=14))
-    injector = FailureInjector(runtime.cluster)
-    injector.kill_on_hook(3, Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.3)
-    done = {"armed": False}
-
-    def arm_second(node_id, **info):
-        # Arm the second failure only after the first recovery is done.
-        if not done["armed"]:
-            done["armed"] = True
-            injector.kill_on_hook(2, Hooks.LOCK_ACQUIRED,
-                                  occurrence=1, delay=0.3)
-
-    runtime.cluster.hooks.on(Hooks.RECOVERY_DONE, arm_second)
+    FaultPlan([
+        FailureSpec(3, hook=Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.3),
+        # Armed only after the first recovery is done.
+        FailureSpec(2, hook=Hooks.LOCK_ACQUIRED, delay=0.3, chained=True),
+    ]).apply(runtime.cluster)
     result = runtime.run()
     assert result.recoveries == 2
     assert sorted(runtime.cluster.live_nodes()) == [0, 1]
@@ -164,8 +157,8 @@ def test_successive_failures_recovered():
 def test_simultaneous_failures_unrecoverable():
     runtime = SvmRuntime(ft_config(num_nodes=4),
                          MigratoryData(rounds=12))
-    injector = FailureInjector(runtime.cluster)
-    injector.kill_on_hook(1, Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.2)
+    FaultPlan.single(1, Hooks.LOCK_ACQUIRED, occurrence=2,
+                     delay=0.2).apply(runtime.cluster)
 
     def kill_other(node_id, **info):
         # Second node dies the instant recovery of the first begins.

@@ -1,6 +1,6 @@
 """Property-based fault sweep: correctness at randomized kill points.
 
-Hypothesis drives the failure injector over (victim, protocol hook,
+Hypothesis drives a one-kill fault plan over (victim, protocol hook,
 occurrence, extra delay); the migratory-counter workload must produce
 exactly the right sum after every recovery. This covers kill points
 the enumerated scenario tests do not.
@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.harness import SvmRuntime
+from repro.harness.faultplan import FailureSpec, FaultPlan
 from tests.protocol.test_base_integration import (
     CounterWorkload,
     MigratoryData,
@@ -50,9 +51,8 @@ def _config(seed):
 def test_random_kill_point_still_correct(victim, hook, occurrence,
                                          delay, seed):
     runtime = SvmRuntime(_config(seed), MigratoryData(rounds=8))
-    injector = FailureInjector(runtime.cluster)
-    record = injector.kill_on_hook(victim, hook, occurrence=occurrence,
-                                   delay=delay)
+    [record] = FaultPlan.single(victim, hook, occurrence,
+                                delay).apply(runtime.cluster)
     result = runtime.run()  # verify() raises on a wrong sum
     # The injection may or may not have fired (the hook may occur fewer
     # than `occurrence` times); when it fired, recovery must have run.
@@ -69,8 +69,8 @@ def test_random_kill_point_still_correct(victim, hook, occurrence,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_kill_time_still_correct(victim, when, seed):
     runtime = SvmRuntime(_config(seed), CounterWorkload(increments=5))
-    injector = FailureInjector(runtime.cluster)
-    record = injector.kill_at_time(victim, when)
+    [record] = FaultPlan([FailureSpec(victim, at_time=when)]).apply(
+        runtime.cluster)
     result = runtime.run()
     # The invariant is the verified counter (checked inside run()).
     # Recovery runs exactly when the victim still had unfinished work;

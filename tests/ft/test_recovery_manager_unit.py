@@ -91,10 +91,11 @@ def test_both_replica_homes_dying_together_unrecoverable():
 def test_stale_report_after_recovery_is_noop():
     """Once a node is recovered, late failure signals about it must
     not start a second recovery."""
-    from repro.cluster import FailureInjector, Hooks
+    from repro.cluster import Hooks
+    from repro.harness.faultplan import FaultPlan
     runtime = make_runtime()
-    FailureInjector(runtime.cluster).kill_on_hook(
-        2, Hooks.LOCK_ACQUIRED, occurrence=1, delay=0.3)
+    FaultPlan.single(2, Hooks.LOCK_ACQUIRED,
+                     delay=0.3).apply(runtime.cluster)
     result = runtime.run()
     assert result.recoveries == 1
     manager = runtime.recovery_manager

@@ -37,7 +37,7 @@ def run_with_kill(hook, occurrence, victim, delay=0.5,
     runtime = make_runtime(program_seed, cluster_seed, "ft")
     FaultPlan([FailureSpec(victim=victim, hook=hook,
                            occurrence=occurrence, delay=delay)]) \
-        .apply(runtime)
+        .apply(runtime.cluster)
     checker = RecoveryInvariantChecker(runtime)
     result = runtime.run()  # analytic verify inside
     checker.finalize()
@@ -70,7 +70,7 @@ def test_chained_kills_across_phases(first, second):
                     delay=0.5),
         FailureSpec(victim=victim2, hook=hook2, occurrence=occ2,
                     delay=0.5, chained=True),
-    ]).apply(runtime)
+    ]).apply(runtime.cluster)
     checker = RecoveryInvariantChecker(runtime)
     result = runtime.run()
     checker.finalize()

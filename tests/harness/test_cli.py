@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigError
 
 
 def test_list_command(capsys):
@@ -33,6 +34,21 @@ def test_recover_command(capsys):
     out = capsys.readouterr().out
     assert "recoveries: 1" in out
     assert "recovery_done" in out
+
+
+def test_recover_command_fails_when_the_kill_never_fires(capsys):
+    assert main(["recover", "--app", "Volrend", "--scale", "test",
+                 "--victim", "2", "--occurrence", "1000"]) == 1
+    out = capsys.readouterr().out
+    assert "no node was killed" in out
+    assert "fail-stopped" not in out
+
+
+def test_recover_command_rejects_a_victim_outside_the_cluster(capsys):
+    with pytest.raises(ConfigError, match="cannot kill node 99"):
+        main(["recover", "--app", "Volrend", "--scale", "test",
+              "--victim", "99"])
+    assert capsys.readouterr().out == ""
 
 
 def test_figures_command(tmp_path, capsys):

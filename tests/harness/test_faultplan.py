@@ -44,7 +44,7 @@ def test_describe_is_readable():
 def test_single_plan_applies_and_recovers():
     runtime = ft_runtime()
     records = FaultPlan.single(
-        2, Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.4).apply(runtime)
+        2, Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.4).apply(runtime.cluster)
     result = runtime.run()
     assert records[0].fired_at is not None
     assert result.recoveries == 1
@@ -58,7 +58,7 @@ def test_chained_plan_waits_for_recovery():
         FailureSpec(victim=2, hook=Hooks.LOCK_ACQUIRED, occurrence=1,
                     delay=0.4, chained=True),
     ])
-    plan.apply(runtime)
+    plan.apply(runtime.cluster)
     result = runtime.run()
     assert result.recoveries == 2
     assert sorted(runtime.cluster.live_nodes()) == [0, 1]
@@ -112,7 +112,7 @@ def test_random_plan_runs_are_bit_deterministic():
     def run():
         runtime = ft_runtime(rounds=12, num_nodes=4, seed=3)
         FaultPlan.random_plan(random.Random(11), num_nodes=4,
-                              failures=2).apply(runtime)
+                              failures=2).apply(runtime.cluster)
         result = runtime.run()
         return result.elapsed_us, result.recoveries
 
@@ -123,7 +123,7 @@ def test_random_plan_end_to_end():
     runtime = ft_runtime(rounds=16, num_nodes=5, seed=8)
     plan = FaultPlan.random_plan(random.Random(11), num_nodes=5,
                                  failures=2)
-    plan.apply(runtime)
+    plan.apply(runtime.cluster)
     result = runtime.run()  # verify() is the oracle
     assert result.recoveries <= 2
 
@@ -184,7 +184,7 @@ def test_during_recovery_plan_end_to_end():
         FailureSpec(victim=2, hook=Hooks.RECOVERY_START, occurrence=1,
                     delay=5.0, during=True),
     ])
-    records = plan.apply(runtime)
+    records = plan.apply(runtime.cluster)
     result = runtime.run()
     assert all(r.fired_at is not None for r in records)
     assert sorted(runtime.cluster.live_nodes()) == [0, 1]
@@ -202,7 +202,7 @@ def test_min_gap_delays_chained_arming():
         FailureSpec(victim=2, hook=Hooks.LOCK_ACQUIRED, occurrence=1,
                     delay=0.4, chained=True, min_gap=gap),
     ])
-    plan.apply(runtime)
+    plan.apply(runtime.cluster)
     done_at = {}
     runtime.cluster.hooks.on(
         Hooks.RECOVERY_DONE,

@@ -19,9 +19,10 @@ from repro.apps import (
     WaterNsquared,
     WaterSpatial,
 )
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.harness import SvmRuntime
+from repro.harness.faultplan import FaultPlan
 
 
 def ft_config(seed=3):
@@ -59,9 +60,8 @@ CASES = [
 def test_app_survives_node_failure(factory, hook, occurrence, delay):
     workload = factory()
     runtime = SvmRuntime(ft_config(), workload)
-    injector = FailureInjector(runtime.cluster)
-    record = injector.kill_on_hook(2, hook, occurrence=occurrence,
-                                   delay=delay)
+    [record] = FaultPlan.single(2, hook, occurrence,
+                                delay).apply(runtime.cluster)
     result = runtime.run()  # workload.verify() is the oracle
     assert record.fired_at is not None, \
         "injection never fired -- choose an earlier occurrence"
@@ -77,8 +77,8 @@ def test_volrend_no_tile_lost_or_duplicated_across_failure():
     import numpy as np
     workload = Volrend(image_size=8, tile=4, volume_size=8)
     runtime = SvmRuntime(ft_config(), workload)
-    FailureInjector(runtime.cluster).kill_on_hook(
-        1, Hooks.LOCK_RELEASED, occurrence=2, delay=0.5)
+    FaultPlan.single(1, Hooks.LOCK_RELEASED, occurrence=2,
+                     delay=0.5).apply(runtime.cluster)
     runtime.run()
     counter = runtime.debug_read_array(
         workload.counter.addr(0), np.int64, 1)[0]
@@ -97,8 +97,8 @@ def test_batched_diffs_with_failure():
         protocol=ProtocolParams(variant="ft", batch_diffs=True))
     workload = WaterNsquared(molecules=24, steps=1)
     runtime = SvmRuntime(config, workload)
-    record = FailureInjector(runtime.cluster).kill_on_hook(
-        2, Hooks.RELEASE_COMMITTED, occurrence=3, delay=2.0)
+    [record] = FaultPlan.single(2, Hooks.RELEASE_COMMITTED, occurrence=3,
+                                delay=2.0).apply(runtime.cluster)
     result = runtime.run()
     assert record.fired_at is not None
     assert result.recoveries == 1

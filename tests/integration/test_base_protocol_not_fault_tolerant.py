@@ -9,10 +9,11 @@ against a real baseline, not assumed.
 
 import pytest
 
-from repro.cluster import FailureInjector, Hooks
+from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.errors import ProtocolError, RemoteNodeFailure
 from repro.harness import SvmRuntime
+from repro.harness.faultplan import FaultPlan
 from tests.protocol.test_base_integration import (
     MigratoryData,
     NeighborExchange,
@@ -32,8 +33,8 @@ def test_base_protocol_halts_on_failure():
     a communication error surfaces, or the run never completes within
     a generous simulated-time budget."""
     runtime = SvmRuntime(base_config(), MigratoryData(rounds=10))
-    FailureInjector(runtime.cluster).kill_on_hook(
-        2, Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.4)
+    FaultPlan.single(2, Hooks.LOCK_ACQUIRED, occurrence=2,
+                     delay=0.4).apply(runtime.cluster)
     with pytest.raises((ProtocolError, RemoteNodeFailure)):
         runtime.run(max_sim_us=200_000.0)
 
@@ -41,8 +42,8 @@ def test_base_protocol_halts_on_failure():
 def test_base_protocol_halts_on_barrier_participant_death():
     runtime = SvmRuntime(base_config(), NeighborExchange(
         ints_per_thread=64))
-    FailureInjector(runtime.cluster).kill_on_hook(
-        3, Hooks.BARRIER_ENTER, occurrence=2, delay=0.2)
+    FaultPlan.single(3, Hooks.BARRIER_ENTER, occurrence=2,
+                     delay=0.2).apply(runtime.cluster)
     with pytest.raises((ProtocolError, RemoteNodeFailure)):
         runtime.run(max_sim_us=200_000.0)
 
@@ -55,7 +56,7 @@ def test_same_scenario_survives_under_ft():
         memory=MemoryParams(page_size=512),
         protocol=ProtocolParams(variant="ft"))
     runtime = SvmRuntime(config, MigratoryData(rounds=10))
-    FailureInjector(runtime.cluster).kill_on_hook(
-        2, Hooks.LOCK_ACQUIRED, occurrence=2, delay=0.4)
+    FaultPlan.single(2, Hooks.LOCK_ACQUIRED, occurrence=2,
+                     delay=0.4).apply(runtime.cluster)
     result = runtime.run(max_sim_us=200_000.0)
     assert result.recoveries == 1

@@ -77,7 +77,7 @@ def test_random_program_random_faults(program_seed, cluster_seed,
     runtime = make_runtime(program_seed, cluster_seed, "ft")
     plan = FaultPlan.random_plan(_random.Random(plan_seed),
                                  num_nodes=4, failures=failures)
-    plan.apply(runtime)
+    plan.apply(runtime.cluster)
     result = run_checked(runtime)  # analytic verify inside
     assert result.recoveries <= failures
 
@@ -96,7 +96,7 @@ def test_random_program_targeted_fault_matrix():
                              (Hooks.BARRIER_ENTER, 2),
                              (Hooks.LOCK_ACQUIRED, 3)):
         runtime = make_runtime(99, 5, "ft")
-        FaultPlan.single(2, hook, occurrence, 1.0).apply(runtime)
+        FaultPlan.single(2, hook, occurrence, 1.0).apply(runtime.cluster)
         run_checked(runtime)
 
 
@@ -114,5 +114,5 @@ def test_random_program_targeted_fault_matrix():
 def test_model_check_regressions(ps, cs, plan_seed, failures):
     runtime = make_runtime(ps, cs, "ft")
     FaultPlan.random_plan(_random.Random(plan_seed), 4,
-                          failures).apply(runtime)
+                          failures).apply(runtime.cluster)
     run_checked(runtime)

@@ -40,7 +40,7 @@ def test_regression_145_1_533_checkpoint_atomicity():
     """The 145/1/533 divergence: slot (3, 4) must survive two failures."""
     runtime = make_runtime(145, 1, "ft")
     plan = FaultPlan.random_plan(random.Random(533), 4, failures=2)
-    plan.apply(runtime)
+    plan.apply(runtime.cluster)
     checker = RecoveryInvariantChecker(runtime)
     result = runtime.run()  # analytic verify inside
     checker.finalize()
@@ -102,7 +102,7 @@ SWEPT_DIVERGENT = [
 def test_swept_divergent_seeds(ps, cs, plan_seed, failures):
     runtime = make_runtime(ps, cs, "ft")
     FaultPlan.random_plan(random.Random(plan_seed), 4,
-                          failures).apply(runtime)
+                          failures).apply(runtime.cluster)
     checker = RecoveryInvariantChecker(runtime)
     # A regression back into deadlock would generate poll events
     # forever; the cap turns it into a deterministic failure.

@@ -85,7 +85,7 @@ def test_three_sequential_failures_on_five_nodes():
         program_seed=145, cluster_seed=1, plan_seed=None, failures=0,
         num_nodes=5))
     FaultPlan.random_plan(random.Random(434), num_nodes=5,
-                          failures=3).apply(runtime)
+                          failures=3).apply(runtime.cluster)
     checker = RecoveryInvariantChecker(runtime)
     result = runtime.run(max_sim_us=200_000.0)
     checker.finalize()
@@ -109,7 +109,7 @@ def test_backup_of_resumed_threads_dying_next_is_survivable():
         FailureSpec(victim=first_backup, hook=Hooks.LOCK_ACQUIRED,
                     occurrence=1, delay=0.4, chained=True),
     ])
-    plan.apply(runtime)
+    plan.apply(runtime.cluster)
     checker = RecoveryInvariantChecker(runtime)
     result = runtime.run(max_sim_us=200_000.0)
     checker.finalize()
@@ -120,3 +120,31 @@ def test_backup_of_resumed_threads_dying_next_is_survivable():
     # the first backup, then again when that backup died.
     twice = [rec for rec in runtime.threads if rec.resumptions == 2]
     assert twice, "no thread survived both failures via re-resume"
+
+
+def test_reprotection_audit_reports_one_broken_replica_per_kind():
+    """Break one replica of each kind after a clean run: a page and a
+    lock whose secondary is elected onto their primary, and a ward whose
+    backup lost the records the node's self-mirror claims durable. The
+    audit reports each one, once, in ring order."""
+    runtime = build_runtime(ReplayScenario(program_seed=145,
+                                           cluster_seed=1))
+    checker = RecoveryInvariantChecker(runtime, strict=False)
+    runtime.run(max_sim_us=200_000.0)
+    checker._audit_reprotection()
+    assert checker.violations == []
+
+    homes = runtime.homes
+    page = homes.allocated_pages()[0]
+    homes.pages._elected[page] = homes.primary_home(page)
+    homes.locks._elected[0] = homes.lock_primary(0)
+    ward = 1
+    assert runtime.agents[ward].ckpt_mirror.max_valid_seq(ward) > 0
+    runtime.agents[homes.backup_node(ward)].ckpt_store.forget_ward(ward)
+    checker._audit_reprotection()
+    details = [f.detail for f in checker.violations
+               if f.invariant == "re-protection"]
+    assert len(checker.violations) == len(details) == 3
+    assert details[0].startswith(f"page {page} lacks two distinct live")
+    assert details[1].startswith("lock 0 lacks two distinct live")
+    assert details[2].startswith(f"node {ward}'s backup")

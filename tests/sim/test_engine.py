@@ -75,7 +75,8 @@ def test_negative_delay_rejected():
 
 
 def test_schedule_at_absolute_time():
-    # How FailureInjector.kill_at_time reaches an absolute instant.
+    # How FaultPlan.apply arms a time-based FailureSpec at an absolute
+    # instant.
     engine = Engine()
     seen = []
     engine.schedule(2.0, lambda: engine.schedule(
