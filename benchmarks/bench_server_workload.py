@@ -13,7 +13,6 @@ from benchmarks.conftest import run_once, save_result
 from repro.apps import KVStore
 from repro.harness.experiments import evaluation_config, run_app
 from repro.harness.runner import SvmRuntime
-from repro.metrics.latency import LOCK_WAIT
 
 
 def _run_kv(variant, threads_per_node=1):
@@ -40,7 +39,7 @@ def _server_table():
         # histograms (the same pipeline the SLO evaluator reads), not
         # ad-hoc means: the transactional workload's viability question
         # is about the tail, where two-phase commits queue behind locks.
-        pct = ft.latency.histogram(LOCK_WAIT).percentiles()
+        pct = ft.latency.histogram("lock_acquire").percentiles()
         rows.append(f"{name:14s} {base.elapsed_us:10.0f} "
                     f"{ft.elapsed_us:10.0f} {overhead:8.1f}% "
                     f"{ft.counters.home_diff_fraction:10.2f} "

@@ -22,16 +22,15 @@ def _latency_table(base, extended):
     """Average operation latencies, base vs extended -- the paper's
     'average lock wait time presents more than a two-fold increase'
     (Water-Nsquared) and 'the average wait time per page increases'."""
-    from repro.metrics.latency import LOCK_WAIT, PAGE_FAULT
     rows = [f"{'app':12s} {'lockwait_0':>11s} {'lockwait_1':>11s} "
             f"{'x':>6s} {'fault_0':>9s} {'fault_1':>9s} {'x':>6s}",
             "-" * 70]
     stats = {}
     for app in APP_ORDER:
-        b_lock = base[app].latency.histogram(LOCK_WAIT)
-        e_lock = extended[app].latency.histogram(LOCK_WAIT)
-        b_fault = base[app].latency.histogram(PAGE_FAULT)
-        e_fault = extended[app].latency.histogram(PAGE_FAULT)
+        b_lock = base[app].latency.histogram("lock_acquire")
+        e_lock = extended[app].latency.histogram("lock_acquire")
+        b_fault = base[app].latency.histogram("page_fault")
+        e_fault = extended[app].latency.histogram("page_fault")
         lock_x = (e_lock.mean_us / b_lock.mean_us
                   if b_lock.mean_us else float("nan"))
         fault_x = (e_fault.mean_us / b_fault.mean_us

@@ -14,7 +14,6 @@ from repro.cluster import Hooks
 from repro.config import ClusterConfig, MemoryParams, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.metrics import ProtocolTrace, stacked_bars
-from repro.metrics.latency import LOCK_WAIT, PAGE_FAULT
 
 
 def main() -> None:
@@ -53,8 +52,8 @@ def main() -> None:
         ("compute", "data_wait", "synchronization", "diffs",
          "protocol", "checkpointing")))
 
-    lock = result.latency.histogram(LOCK_WAIT)
-    fault = result.latency.histogram(PAGE_FAULT)
+    lock = result.latency.histogram("lock_acquire")
+    fault = result.latency.histogram("page_fault")
     print(f"\nmean lock wait {lock.mean_us:.1f}us over {lock.count} "
           f"acquires; mean fault {fault.mean_us:.1f}us over "
           f"{fault.count} faults")

@@ -245,7 +245,7 @@ def _cmd_report(args) -> int:
         counters=(sampler.to_chrome_counters(recorder.cluster_pid)
                   + tracer.flow_events()))
     metrics_path = _write_json(outdir / "metrics.json",
-                               tracer.metrics.to_dict())
+                               runtime.latency.to_dict())
     exported = perf_counter()
     html_path = outdir / "report.html"
     html_path.write_text(render_run_report(
@@ -288,7 +288,7 @@ def _cmd_trace_op(args) -> int:
     print(f"{len(tracer)} traced operations")
     classes = ([args.op_class] if args.op_class else
                sorted({tracer.op(i).op_class for i in tracer.op_ids()}))
-    by_class = latency_by_class(tracer.metrics)
+    by_class = latency_by_class(runtime.latency)
     for op_class in classes:
         hist = by_class.get(op_class)
         if hist is not None:
@@ -315,7 +315,7 @@ def _cmd_slo(args) -> int:
     result = runtime.run(max_sim_us=args.max_sim_us)
     spec = (SloSpec.load(args.spec) if args.spec
             else default_slo_spec())
-    report = evaluate_slo(spec, tracer.metrics,
+    report = evaluate_slo(spec, result.latency,
                           elapsed_us=result.elapsed_us,
                           exposed_window_us=result.exposed_window_us)
     print(f"{title} -- {subtitle}")
@@ -324,7 +324,7 @@ def _cmd_slo(args) -> int:
         outdir = _outdir(args.output)
         print("wrote", _write_json(outdir / "slo.json", report))
         print("wrote", _write_json(outdir / "metrics.json",
-                                   tracer.metrics.to_dict()))
+                                   result.latency.to_dict()))
     if not report["ok"]:
         # Fail loudly: attach the worst exemplar causal tree for every
         # violated operation class so the p999 attribution is in the log.

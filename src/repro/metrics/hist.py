@@ -125,23 +125,11 @@ class Log2Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms, mergeable across workers.
-
-    Counters and histograms merge by addition; a gauge keeps the value
-    from the merge operand that set it last (document order), which is
-    deterministic because sweep summaries are merged in spec order.
-    """
+    """Named latency histograms, mergeable across workers (elementwise
+    addition, so any merge order gives the same book)."""
 
     def __init__(self) -> None:
-        self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Log2Histogram] = {}
-
-    def counter_add(self, name: str, delta: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + delta
-
-    def gauge_set(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def histogram(self, name: str) -> Log2Histogram:
         hist = self.histograms.get(name)
@@ -153,9 +141,6 @@ class MetricsRegistry:
         self.histogram(name).record(value_us)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        for name, value in other.counters.items():
-            self.counter_add(name, value)
-        self.gauges.update(other.gauges)
         for name, hist in other.histograms.items():
             self.histogram(name).merge(hist)
 
@@ -168,22 +153,14 @@ class MetricsRegistry:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {name: hist.to_dict() for name, hist
-                           in sorted(self.histograms.items())},
-        }
+        return {"histograms": {name: hist.to_dict() for name, hist
+                               in sorted(self.histograms.items())}}
 
     @classmethod
     def from_dict(cls, data: Optional[Mapping]) -> "MetricsRegistry":
         out = cls()
         if not data:
             return out
-        out.counters.update({k: int(v) for k, v
-                             in data.get("counters", {}).items()})
-        out.gauges.update({k: float(v) for k, v
-                           in data.get("gauges", {}).items()})
         for name, hist in data.get("histograms", {}).items():
             out.histograms[name] = Log2Histogram.from_dict(hist)
         return out

@@ -33,16 +33,9 @@ QUANTILES = ("p50", "p99", "p999")
 
 def latency_by_class(metrics: MetricsRegistry) -> Dict[str, Log2Histogram]:
     """Operation class -> its non-empty latency histogram, in name
-    order. A class is the histogram's name: the agents' always-on
-    operations (:mod:`repro.metrics.latency`) as they stand, the
-    tracer's ``optrace.<class>.latency_us`` unwrapped. What SLO specs
-    target and both HTML reports tabulate."""
-    by_class = {}
-    for name, hist in sorted(metrics.histograms.items()):
-        if hist.count:
-            by_class[name.removeprefix("optrace.")
-                     .removesuffix(".latency_us")] = hist
-    return by_class
+    order: what SLO specs target and both HTML reports tabulate."""
+    return {name: hist for name, hist in sorted(metrics.histograms.items())
+            if hist.count}
 
 
 class SloSpec:

@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.apps.base import AppContext
 from repro.cluster import Hooks
 from repro.errors import RecoveryError, UnrecoverableFailure
+from repro.protocol.agent import Operation
 from repro.protocol.ft.checkpoint import encode_thread_state
 from repro.protocol.ft.protocol import STAGE_PHASE1, STAGE_POINT_B
 from repro.protocol.locks import PollingLocks
@@ -240,8 +241,7 @@ class RecoveryManager:
         runtime = self.runtime
         yield self._quiescent
         t_start = self.engine.now
-        tracer = runtime.cluster.optrace
-        wave_ops: Dict[int, int] = {}
+        wave_ops: Dict[int, Operation] = {}
         #: tid -> (rec, used_seq, backup_id, ward, max_seq). Keyed so a
         #: thread resumed onto a node that then dies itself is simply
         #: re-resumed by the later wave (latest entry wins).
@@ -252,10 +252,9 @@ class RecoveryManager:
             victim = self._victim_queue[len(processed)]
             self.active = victim
             runtime.cluster.hooks.fire(Hooks.RECOVERY_START, victim)
-            if tracer is not None:
-                wave_ops[victim] = tracer.mint(
-                    "recovery_wave", victim,
-                    f"recovery wave (node {victim})")
+            wave_ops[victim] = Operation(
+                runtime, "recovery_wave", victim,
+                "recovery wave (node %s)", (victim,))
             # Exclude every queued-but-unexcluded victim in one batch
             # (snapshotting the map each saw at exclusion) before
             # reconciling any of them: a near-simultaneous pair must
@@ -284,8 +283,7 @@ class RecoveryManager:
             if len(processed) < len(self._victim_queue):
                 # Intermediate victim: protection is restored, but the
                 # rendezvous stays held for the next victim's wave.
-                if tracer is not None and victim in wave_ops:
-                    tracer.finish(wave_ops[victim])
+                wave_ops[victim].end()
                 runtime.cluster.hooks.fire(
                     Hooks.RECOVERY_DONE, victim,
                     duration_us=self.engine.now - t_start, final=False)
@@ -307,8 +305,7 @@ class RecoveryManager:
         done, self._done_event = self._done_event, None
         self._quiescent = None
         done.succeed(None)
-        if tracer is not None and last in wave_ops:
-            tracer.finish(wave_ops[last])
+        wave_ops[last].end()
         runtime.cluster.hooks.fire(Hooks.RECOVERY_DONE, last,
                                    duration_us=self.last_recovery_us,
                                    final=True)
@@ -598,12 +595,8 @@ class RecoveryManager:
         # is running but one-copy-exposed, which is the metric the
         # paper's availability argument cares about.
         yield Delay(reconcile_cost)
-        tracer = runtime.cluster.optrace
-        rerep_op = None
-        if tracer is not None:
-            rerep_op = tracer.mint(
-                "rereplicate", failed,
-                f"re-replicate (node {failed})")
+        rerep_op = Operation(runtime, "rereplicate", failed,
+                             "re-replicate (node %s)", (failed,))
         runtime.cluster.hooks.fire(
             Hooks.REREPLICATE_START, failed,
             pages=len(moved_pages), locks=len(moved_locks),
@@ -612,8 +605,7 @@ class RecoveryManager:
         exposed_us = self.engine.now - self._detected_at.get(
             failed, self.engine.now)
         self.exposed_windows.append(exposed_us)
-        if rerep_op is not None:
-            tracer.finish(rerep_op)
+        rerep_op.end()
         runtime.cluster.hooks.fire(
             Hooks.REREPLICATE_DONE, failed,
             duration_us=rereplicate_cost, exposed_us=exposed_us)

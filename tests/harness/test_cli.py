@@ -74,7 +74,7 @@ def test_profile_command(capsys):
     assert main(["profile", "Volrend", "--scale", "test"]) == 0
     out = capsys.readouterr().out
     assert "sharing profile" in out
-    assert "lock_wait" in out
+    assert "lock_acquire" in out
 
 
 def _cli_surface():

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import FlightRecorder
-from repro.obs.optrace import OP_CLASSES, OpTracer
+from repro.metrics.latency import OP_CLASSES
+from repro.obs.optrace import OpTracer
 from repro.parallel import model_check_spec, run_specs
 from repro.verify.replay import ReplayScenario, build_runtime
 
@@ -132,10 +133,9 @@ def test_render_shows_branches_and_timing(tracer):
 
 def test_metrics_registry_feeds_slo_pipeline(tracer):
     for op_class in OP_CLASSES:
-        hist = tracer.metrics.histograms[f"optrace.{op_class}.latency_us"]
+        hist = tracer.metrics.histograms[op_class]
         assert hist.count > 0
-        assert hist.count <= tracer.metrics.counters[
-            f"optrace.{op_class}.ops"]
+        assert hist.count <= len(tracer.op_ids(op_class))
         pct = hist.percentiles()
         assert pct["p50"] <= pct["p99"] <= pct["p999"]
 

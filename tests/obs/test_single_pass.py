@@ -24,7 +24,7 @@ from repro.obs import (
     StallWatchdog,
     TimeSeriesSampler,
 )
-from repro.obs.optrace import OP_CLASSES
+from repro.metrics.latency import OP_CLASSES
 from repro.obs.report import render_run_report
 from repro.verify.replay import ReplayScenario, build_runtime
 
