@@ -28,10 +28,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster import Hooks
 from repro.metrics.trace import FULL_EVENTS, STALL
 from repro.obs import instrumentation
+from repro.protocol.ft import protocol as ft_protocol
 from repro.sim import metronome
 
-_STAGES = {0: "PREP", 1: "PHASE1", 2: "POINT_B",
-           3: "LOCK_RELEASE", 4: "PHASE2"}
+#: Release-pipeline stage number -> name, read off the ``STAGE_*``
+#: constants of the FT protocol.
+_STAGES = {value: name.removeprefix("STAGE_")
+           for name, value in vars(ft_protocol).items()
+           if name.startswith("STAGE_")}
 
 _LOCK_WAIT = re.compile(r"lock(\d+)\.localwait$")
 _QLOCK_WAIT = re.compile(r"qlock(\d+)\.")

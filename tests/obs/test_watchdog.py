@@ -110,3 +110,13 @@ def test_format_waitfor_renders_live_runtime():
     text = format_waitfor(graph, horizon_us=1000.0)
     assert "wait-for graph" in text
     assert "thread 0" in text
+
+
+def test_inflight_stage_names_follow_the_pipeline_constants():
+    from repro.obs.watchdog import _STAGES
+    from repro.protocol.ft import protocol
+    assert _STAGES == {protocol.STAGE_PREP: "PREP",
+                       protocol.STAGE_PHASE1: "PHASE1",
+                       protocol.STAGE_POINT_B: "POINT_B",
+                       protocol.STAGE_LOCK_RELEASE: "LOCK_RELEASE",
+                       protocol.STAGE_PHASE2: "PHASE2"}
