@@ -209,6 +209,8 @@ def _build_observed_runtime(args):
 def _cmd_report(args) -> int:
     """Run once with full observability attached and write a Perfetto
     trace plus a self-contained HTML report."""
+    import resource
+    from itertools import chain
     from time import perf_counter
 
     from repro.obs import (
@@ -240,10 +242,11 @@ def _cmd_report(args) -> int:
     # Causal-trace flow events ride the extra-events parameter so the
     # flight recorder's own digest (computed without extras) is
     # untouched; Perfetto draws them as arrows between node processes.
+    # They are encoded as the tracer's walk produces them.
     events = recorder.export(
         trace_path,
-        counters=(sampler.to_chrome_counters(recorder.cluster_pid)
-                  + tracer.flow_events()))
+        counters=chain(sampler.to_chrome_counters(recorder.cluster_pid),
+                       tracer.iter_flow_events()))
     metrics_path = _write_json(outdir / "metrics.json",
                                runtime.latency.to_dict())
     exported = perf_counter()
@@ -257,10 +260,13 @@ def _cmd_report(args) -> int:
           "ui.perfetto.dev)")
     print(f"wrote {metrics_path} ({len(tracer)} traced ops)")
     print(f"wrote {html_path}")
-    # The cost of observing, on the host clock; printed only, so the
-    # artifacts stay a function of the seeds.
+    # The cost of observing, on the host clock and in the process's
+    # peak resident memory (ru_maxrss is in KB on Linux); printed only,
+    # so the artifacts stay a function of the seeds.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"host time: run {ran - started:.2f} s (observers attached), "
-          f"export {exported - ran:.2f} s, render {rendered - exported:.2f} s")
+          f"export {exported - ran:.2f} s, render {rendered - exported:.2f} s"
+          f"; peak RSS {peak_mb:.1f} MB")
     if sampler.times:
         from repro.metrics import timeseries_panel
         times, rates = sampler.rates()

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import islice
 from typing import (Deque, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 from repro.cluster import Hooks
 
@@ -163,14 +164,19 @@ canonical_json = json.JSONEncoder(sort_keys=True,
                                   separators=(",", ":")).encode
 
 
-def canonical_items(items: Sequence, sep: str = "",
-                    size: int = 1024) -> Iterator[bytes]:
-    """``canonical_json(items)`` without its brackets, ``size`` elements
-    a chunk, so a file and a hash can be fed without the whole array
-    ever being one string. ``sep`` (``","`` when continuing an array)
-    goes before the first element."""
-    for at in range(0, len(items), size):
-        yield (sep + canonical_json(items[at:at + size])[1:-1]).encode()
+def canonical_items(items: Iterable, sep: str = "",
+                    size: int = 1024) -> Iterator[Tuple[int, bytes]]:
+    """``canonical_json(list(items))`` without its brackets, ``size``
+    elements a chunk, so a file and a hash can be fed without the whole
+    array ever being one list or one string. Yields (elements in the
+    chunk, chunk); ``items`` is consumed as the chunks are. ``sep``
+    (``","`` when continuing an array) goes before the first element."""
+    items = iter(items)
+    while True:
+        batch = list(islice(items, size))
+        if not batch:
+            return
+        yield len(batch), (sep + canonical_json(batch)[1:-1]).encode()
         sep = ","
 
 

@@ -27,7 +27,8 @@ exportable as canonical JSON (:meth:`OpTracer.to_dict` /
 :meth:`OpTracer.digest` -- deterministic: message ids are normalized to
 per-operation dense indices so process history never leaks in), and
 linkable into a flight-recorder export as Chrome/Perfetto **flow
-events** (:meth:`OpTracer.flow_events`, ``ph``: ``s``/``f``).
+events** (:meth:`OpTracer.iter_flow_events`, ``ph``: ``s``/``f``),
+yielded by the same walk that leaves the digest behind.
 
 Zero-cost when off: the tracer attaches itself as ``cluster.optrace``
 and ``nic.optrace``; both default to ``None`` and every touch point is
@@ -49,6 +50,13 @@ from repro.metrics.trace import canonical_json
 from repro.obs import instrumentation
 
 
+#: Causal trees encoded at a time for the digest.
+_HASH_BATCH = 64
+
+#: Hop kinds stamped against a message (the rest are service hops).
+_MESSAGE_HOPS = frozenset(("send", "recv", "applied"))
+
+
 class _Op:
     """One traced logical operation: identity plus its raw hop log."""
 
@@ -63,10 +71,10 @@ class _Op:
         self.label = label
         self.start_us = start_us
         self.end_us: Optional[float] = None
-        #: ``(t, kind, node, msg_id, detail)`` in capture order. For
-        #: message hops detail is ``(msg_kind, src, dst, wire_bytes)``;
-        #: for service hops it is the service name.
-        self.hops: List[Tuple[float, str, int, Optional[int], object]] = []
+        #: Flat tuples in capture order: ``(t, kind, node, msg_id,
+        #: msg_kind, src, dst, wire_bytes)`` for a message hop,
+        #: ``(t, kind, node, req_msg_id, service)`` for a service hop.
+        self.hops: List[tuple] = []
 
     @property
     def duration_us(self) -> Optional[float]:
@@ -89,9 +97,13 @@ class OpTracer:
         self.engine = runtime.engine
         self._next_id = 1
         self._ops: Dict[int, _Op] = {}
-        #: The digest as of the last :meth:`_walk`; None again once
-        #: anything is recorded.
+        #: The digest as of the last walk (:meth:`iter_flow_events`;
+        #: "" while one is under way); None again once anything is
+        #: recorded.
         self._digest: Optional[str] = None
+        #: Id of the first operation minted inside the timed region:
+        #: it and every later one are what ``runtime.latency`` books.
+        self._first_booked: Optional[int] = None
         #: The run's latency book (``runtime.latency``).
         self.metrics = runtime.latency
         cluster = runtime.cluster
@@ -123,6 +135,8 @@ class OpTracer:
         instrumentation.bump("optrace")
         op_id = self._next_id
         self._next_id += 1
+        if self._first_booked is None and self.runtime.timing_started:
+            self._first_booked = op_id
         self._ops[op_id] = _Op(op_id, op_class, node, label,
                                self.engine.now)
         self._digest = None
@@ -140,9 +154,8 @@ class OpTracer:
         instrumentation.bump("optrace")
         op = self._ops.get(msg.op)
         if op is not None:
-            op.hops.append((t, kind, node, msg.msg_id,
-                            (msg.kind, msg.src, msg.dst,
-                             msg.wire_bytes)))
+            op.hops.append((t, kind, node, msg.msg_id, msg.kind,
+                            msg.src, msg.dst, msg.wire_bytes))
             self._digest = None
 
     def service_hop(self, op_id: int, kind: str, node: int, t: float,
@@ -174,11 +187,12 @@ class OpTracer:
         order: List[int] = []
         services: List[dict] = []
         open_begin: Dict[Tuple[Optional[int], int], dict] = {}
-        for t, kind, node, msg_id, detail in op.hops:
-            if kind in ("send", "recv", "applied"):
+        for hop in op.hops:
+            kind = hop[1]
+            if kind in _MESSAGE_HOPS:
+                t, _, _, msg_id, mkind, src, dst, wire_bytes = hop
                 rec = msgs.get(msg_id)
                 if rec is None:
-                    mkind, src, dst, wire_bytes = detail
                     rec = {"msg": norm[msg_id], "kind": mkind,
                            "src": src, "dst": dst,
                            "wire_bytes": wire_bytes,
@@ -192,8 +206,10 @@ class OpTracer:
                     rec["recv_us"] = t
                 else:
                     rec["apply_us"] = round(t - (rec["recv_us"] or t), 6)
-            elif kind == "svc_begin":
-                window = {"service": detail, "node": node,
+                continue
+            t, _, node, msg_id, service = hop
+            if kind == "svc_begin":
+                window = {"service": service, "node": node,
                           "begin_us": t, "end_us": None,
                           "req_msg": norm.get(msg_id),
                           "_req_msg_id": msg_id, "children": []}
@@ -259,7 +275,8 @@ class OpTracer:
         order), so exports never depend on how many messages earlier
         runs in the same process sent."""
         norm: Dict[int, int] = {}
-        for _t, _kind, _node, msg_id, _detail in op.hops:
+        for hop in op.hops:
+            msg_id = hop[3]
             if msg_id is not None and msg_id not in norm:
                 norm[msg_id] = len(norm)
         return norm
@@ -275,10 +292,12 @@ class OpTracer:
     def worst(self, n: int = 5,
               op_class: Optional[str] = None) -> List[int]:
         """The ``n`` slowest finished operations (optionally one
-        class), ids ordered by duration descending (ties: minting
-        order, so the result is deterministic)."""
+        class) of those the latency book counts -- begun inside the
+        timed region -- ids ordered by duration descending (ties:
+        minting order, so the result is deterministic)."""
+        first = self._first_booked or self._next_id  # None: none booked
         finished = [op for op in self._ops.values()
-                    if op.end_us is not None
+                    if op.op_id >= first and op.end_us is not None
                     and (op_class is None or op.op_class == op_class)]
         finished.sort(key=lambda op: (-op.duration_us, op.op_id))
         return [op.op_id for op in finished[:n]]
@@ -338,68 +357,62 @@ class OpTracer:
             "ops": [self.tree(op_id) for op_id in sorted(self._ops)],
         }
 
-    def _chunks(self, flows: Optional[List[dict]] = None
-                ) -> Iterator[bytes]:
-        """``to_dict()`` in canonical JSON, an operation at a time: each
-        tree is built once, gives ``flows`` its flow events and is
-        dropped after its turn."""
-        sep = b'{"num_ops":%d,"ops":[' % len(self._ops)
+    def iter_flow_events(self) -> Iterator[dict]:
+        """Chrome trace flow events (``ph`` ``s``/``f``) linking each
+        traced message's send point to its receive point across node
+        processes. Pass to ``FlightRecorder.export(counters=...)`` to
+        overlay causal arrows on the flight-recorder timeline.
+
+        This is the one walk a report needs: each causal tree is built
+        once, yields its flow events and is hashed into ``to_dict()``'s
+        canonical JSON with the next few (:data:`_HASH_BATCH`), then
+        dropped. Once exhausted, the walk leaves :meth:`digest` behind
+        unless something was recorded meanwhile."""
+        self._digest = ""  # walking; anything recorded resets it to None
+        sha = hashlib.sha256()
+        sha.update(b'{"num_ops":%d,"ops":[' % len(self._ops))
+        trees: List[dict] = []
+        sep = ""
+        flow_id = 0  # two events a flow, ids from 1
         for op_id in sorted(self._ops):
             tree = self.tree(op_id)
-            if flows is not None:
-                self._add_flows(tree, flows)
-            yield sep + canonical_json(tree).encode()
-            sep = b","
-        yield (b"" if self._ops else sep) + b"]}"
-
-    def _walk(self, flows: Optional[List[dict]] = None) -> None:
-        """The one walk a report needs: flow events and the digest."""
-        sha = hashlib.sha256()
-        for chunk in self._chunks(flows):
-            sha.update(chunk)
-        self._digest = sha.hexdigest()
+            trees.append(tree)
+            if len(trees) == _HASH_BATCH:
+                sha.update((sep + canonical_json(trees)[1:-1]).encode())
+                sep, trees = ",", []
+            name = f"{tree['class']} op {tree['op']}"
+            stack = list(tree["children"])
+            while stack:
+                node = stack.pop(0)
+                stack.extend(node["children"])
+                if ("service" in node or node["send_us"] is None
+                        or node["recv_us"] is None):
+                    continue
+                flow_id += 1
+                yield {"ph": "s", "cat": "optrace", "name": name,
+                       "id": flow_id, "pid": node["src"], "tid": 0,
+                       "ts": node["send_us"]}
+                yield {"ph": "f", "bp": "e", "cat": "optrace",
+                       "name": name, "id": flow_id, "pid": node["dst"],
+                       "tid": 0, "ts": node["recv_us"]}
+        if trees:
+            sha.update((sep + canonical_json(trees)[1:-1]).encode())
+        sha.update(b"]}")
+        if self._digest == "":
+            self._digest = sha.hexdigest()
 
     def to_json(self) -> str:
-        return b"".join(self._chunks()).decode()
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """sha256 over the canonical serialization -- the determinism
         fingerprint for causal traces (same seeds => same digest,
         regardless of host, job count or sim core)."""
-        if self._digest is None:
-            self._walk()
+        if not self._digest:
+            for _ in self.iter_flow_events():
+                pass
         return self._digest
 
-    # ------------------------------------------------------------------
-    # Perfetto flow events
-    # ------------------------------------------------------------------
-
     def flow_events(self) -> List[dict]:
-        """Chrome trace flow events (``ph`` ``s``/``f``) linking each
-        traced message's send point to its receive point across node
-        processes. Pass to ``FlightRecorder.export(counters=...)`` to
-        overlay causal arrows on the flight-recorder timeline."""
-        events: List[dict] = []
-        self._walk(events)
-        return events
-
-    @staticmethod
-    def _add_flows(tree: dict, events: List[dict]) -> None:
-        name = f"{tree['class']} op {tree['op']}"
-        flow_id = len(events) // 2  # two events a flow, ids from 1
-        stack = list(tree["children"])
-        while stack:
-            node = stack.pop(0)
-            stack.extend(node["children"])
-            if "service" in node:
-                continue
-            if node["send_us"] is None or node["recv_us"] is None:
-                continue
-            flow_id += 1
-            events.append({"ph": "s", "cat": "optrace", "name": name,
-                           "id": flow_id, "pid": node["src"],
-                           "tid": 0, "ts": node["send_us"]})
-            events.append({"ph": "f", "bp": "e", "cat": "optrace",
-                           "name": name, "id": flow_id,
-                           "pid": node["dst"], "tid": 0,
-                           "ts": node["recv_us"]})
+        """:meth:`iter_flow_events` as one list."""
+        return list(self.iter_flow_events())

@@ -18,18 +18,28 @@ sorted JSON keys and no wall-clock or id()-derived values, so the same
 seeded run always produces a byte-identical trace
 (:meth:`FlightRecorder.digest` pins that in tests).
 
-It is also single-pass: one walk over the log assembles the events,
-encodes them in chunks into the file and the hash, and tabulates the
-span inventory. Only those by-products are kept (recording anything
-drops them): a digest or a report after an export costs no second
-assembly, and no document waits with the observers for the collector.
+It is also streamed: one walk over the log makes the events a log
+entry at a time, encodes them 1024 a chunk and tallies the event
+count, the tracks touched and the span inventory on the way; extra
+events (sampler counters, causal flow arrows) are any iterable,
+encoded as they arrive. The head's ``otherData``
+(``auto_closed_spans``) and the track metadata precede the body but
+are known only after the walk, so the body is encoded first, into an
+anonymous temporary file, and the head is composed last and written
+ahead of it. Nothing proportional to the log is held besides the log.
+Only the by-products are kept (recording anything drops them): a
+digest or a report after an export costs no second walk, and no
+document waits with the observers for the collector.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from itertools import chain
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
 from repro.cluster import Hooks
 from repro.metrics.trace import (FULL_EVENTS, INSTANTS, PROTOCOL, RECOVERY,
@@ -45,6 +55,13 @@ PROTOCOL_LANE = 0
 #: Tracks inside the synthetic cluster process.
 RECOVERY_LANE = 0
 WATCHDOG_LANE = 1
+
+#: Body events the walk hands on at a time, at least (a log entry's
+#: events stay together).
+_BATCH = 1024
+
+#: Bytes read back at a time from the spilled body.
+_SPILL_BLOCK = 1 << 18
 
 #: The schema by event name: (spans it ends, instants, spans it begins).
 _PLAN: Dict[str, Tuple[list, list, list]] = {}
@@ -106,26 +123,38 @@ class FlightRecorder(ProtocolTrace):
     # Chrome trace-event assembly
     # ------------------------------------------------------------------
 
-    def to_chrome_trace(self, counters: Optional[List[dict]] = None) -> dict:
+    def to_chrome_trace(self,
+                        counters: Optional[Iterable[dict]] = None) -> dict:
         """Build the ``{"traceEvents": [...]}`` document.
 
-        ``counters`` (optional) are pre-built ``"ph": "C"`` events from
+        ``counters`` (optional) are pre-built extra events -- the
+        ``"ph": "C"`` gauges of
         :meth:`repro.obs.timeseries.TimeSeriesSampler.to_chrome_counters`,
-        appended so gauges render under the same timeline. Assembled
+        the flow arrows of :meth:`repro.obs.optrace.OpTracer.flow_events`
+        -- appended so they render under the same timeline. Assembled
         anew on every call: the caller owns the returned document.
         """
-        events, other_data = self._assemble()
-        return {"traceEvents": events + list(counters or ()),
-                "displayTimeUnit": "ms", "otherData": other_data}
+        tally = SimpleNamespace()
+        body = list(chain.from_iterable(self._assemble(tally)))
+        return {"traceEvents": (self._metadata(tally.tracks) + body
+                                + list(counters or ())),
+                "displayTimeUnit": "ms",
+                "otherData": self._other_data(tally)}
 
-    def _assemble(self) -> Tuple[List[dict], dict]:
-        """(metadata + body events, ``otherData``) from the log."""
+    def _assemble(self, tally: SimpleNamespace) -> Iterator[List[dict]]:
+        """Walk the log once, yielding the body events in lists of
+        about :data:`_BATCH` as the log entries make them. What only the
+        end of the walk knows is left in ``tally``: the ``tracks`` the
+        body touches, the span ``inventory`` and the ``auto_closed``
+        count."""
         out: List[dict] = []
-        # (pid, tid) -> stack of open slice names. Slices must nest per
-        # track; every emitter below goes through _begin/_end so a
-        # missing end (node death, recovery rewind) can be repaired
-        # instead of corrupting the track.
-        open_spans: Dict[Tuple[int, int], List[str]] = {}
+        # (pid, tid) -> stack of open (slice name, begin ts). Slices
+        # must nest per track; every emitter below goes through
+        # begin/end so a missing end (node death, recovery rewind) can
+        # be repaired instead of corrupting the track.
+        open_spans: Dict[Tuple[int, int], List[Tuple[str, float]]] = {}
+        tracks = set()
+        inventory: Dict[str, Dict[str, float]] = {}
         last_ts = 0.0
 
         def begin(pid, tid, ts, name, cat, args=None):
@@ -134,18 +163,26 @@ class FlightRecorder(ProtocolTrace):
             if args:
                 ev["args"] = _jsonable(args)
             out.append(ev)
-            open_spans.setdefault((pid, tid), []).append(name)
+            open_spans.setdefault((pid, tid), []).append((name, ts))
+
+        def close(pid, tid, ts, stack) -> str:
+            """End the innermost open slice and book it."""
+            name, t0 = stack.pop()
+            out.append({"ph": "E", "pid": pid, "tid": tid, "ts": ts,
+                        "name": name})
+            slot = inventory.get(name)
+            if slot is None:
+                slot = inventory[name] = {"count": 0, "total_us": 0.0}
+            slot["count"] += 1
+            slot["total_us"] += ts - t0
+            return name
 
         def end(pid, tid, ts, name):
             stack = open_spans.get((pid, tid))
-            if not stack or name not in stack:
+            if not stack or all(top != name for top, _ in stack):
                 return  # unmatched end (e.g. span opened pre-capture)
-            while stack:
-                top = stack.pop()
-                out.append({"ph": "E", "pid": pid, "tid": tid, "ts": ts,
-                            "name": top})
-                if top == name:
-                    break
+            while stack and close(pid, tid, ts, stack) != name:
+                pass
 
         def instant(pid, tid, ts, name, cat, args=None, scope="t"):
             ev = {"ph": "i", "pid": pid, "tid": tid, "ts": ts,
@@ -153,36 +190,38 @@ class FlightRecorder(ProtocolTrace):
             if args:
                 ev["args"] = _jsonable(args)
             out.append(ev)
+            tracks.add((pid, tid))
 
         def close_process(pid, ts):
             """A node died: every slice open on any of its tracks ends
             now (the work it represented stopped with the node)."""
             for (p, tid), stack in open_spans.items():
-                if p != pid:
-                    continue
-                while stack:
-                    out.append({"ph": "E", "pid": p, "tid": tid,
-                                "ts": ts, "name": stack.pop()})
+                if p == pid:
+                    while stack:
+                        close(p, tid, ts, stack)
 
         for ts, name, node, info in self._events:
             last_ts = max(last_ts, ts)
             if name not in _PLAN:
                 # A noted event the schema does not know: plain instant.
                 instant(node, PROTOCOL_LANE, ts, name, "misc", info)
-                continue
-            ends, instants, begins = _PLAN[name]
-            if name == Hooks.FAILURE_DETECTED:
-                close_process(node, ts)
-            for row in ends:
-                end(*self._track(row.lane, node, info), ts,
-                    _label(row, node, info))
-            for row in instants:
-                instant(*self._track(row.lane, node, info), ts,
-                        _label(row, node, info), row.cat,
-                        _args(row, info), row.scope)
-            for row in begins:
-                begin(*self._track(row.lane, node, info), ts,
-                      _label(row, node, info), row.cat, info)
+            else:
+                ends, instants, begins = _PLAN[name]
+                if name == Hooks.FAILURE_DETECTED:
+                    close_process(node, ts)
+                for row in ends:
+                    end(*self._track(row.lane, node, info), ts,
+                        _label(row, node, info))
+                for row in instants:
+                    instant(*self._track(row.lane, node, info), ts,
+                            _label(row, node, info), row.cat,
+                            _args(row, info), row.scope)
+                for row in begins:
+                    begin(*self._track(row.lane, node, info), ts,
+                          _label(row, node, info), row.cat, info)
+            if len(out) >= _BATCH:
+                yield out
+                out = []
 
         # Repair any slice still open at the end of capture (a thread
         # parked mid-operation when the run was capped, or a slice whose
@@ -190,22 +229,24 @@ class FlightRecorder(ProtocolTrace):
         auto_closed = 0
         for (pid, tid), stack in sorted(open_spans.items()):
             while stack:
-                out.append({"ph": "E", "pid": pid, "tid": tid,
-                            "ts": last_ts, "name": stack.pop()})
+                close(pid, tid, last_ts, stack)
                 auto_closed += 1
+        yield out
+        tally.tracks = tracks.union(open_spans)
+        tally.inventory = inventory
+        tally.auto_closed = auto_closed
 
-        return self._metadata(out) + out, {
-            "clock": "simulated_us",
-            "dropped_events": self.dropped,
-            "auto_closed_spans": auto_closed,
-            "num_nodes": self.runtime.config.num_nodes,
-        }
+    def _other_data(self, tally: SimpleNamespace) -> dict:
+        return {"clock": "simulated_us",
+                "dropped_events": self.dropped,
+                "auto_closed_spans": tally.auto_closed,
+                "num_nodes": self.runtime.config.num_nodes}
 
-    def _metadata(self, body: List[dict]) -> List[dict]:
+    def _metadata(self, tracks: Set[Tuple[int, int]]) -> List[dict]:
         """Process/track naming and ordering metadata for every (pid,
         tid) the body touches, emitted in sorted order so the document
         stays deterministic."""
-        tracks = sorted({(ev["pid"], ev["tid"]) for ev in body})
+        tracks = sorted(tracks)
         meta: List[dict] = []
         for pid in sorted({p for p, _ in tracks}):
             pname = ("cluster" if pid == self.cluster_pid
@@ -236,73 +277,76 @@ class FlightRecorder(ProtocolTrace):
         """Per span-name slice count and total duration (what the run
         report tabulates)."""
         if self._memo is None:
-            self._stream(None)
+            self._stream()
         return {name: dict(slot)
                 for name, slot in self._memo.inventory.items()}
-
-    @staticmethod
-    def _inventory(events: List[dict]) -> Dict[str, Dict[str, float]]:
-        open_at: Dict[Tuple[int, int], List[Tuple[str, float]]] = {}
-        stats: Dict[str, Dict[str, float]] = {}
-        for ev in events:
-            key = (ev["pid"], ev["tid"])
-            if ev["ph"] == "B":
-                open_at.setdefault(key, []).append((ev["name"], ev["ts"]))
-            elif ev["ph"] == "E" and open_at.get(key):
-                name, t0 = open_at[key].pop()
-                slot = stats.setdefault(name, {"count": 0, "total_us": 0.0})
-                slot["count"] += 1
-                slot["total_us"] += ev["ts"] - t0
-        return stats
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
 
-    def _stream(self, counters: Optional[List[dict]],
+    def _stream(self, counters: Optional[Iterable[dict]] = None,
                 write: Optional[Callable[[bytes], Any]] = None):
-        """Feed the canonical serialization to ``write`` chunk by chunk
-        and return its sha256. Assembling the body leaves by-products in
-        :attr:`_memo` (hash state after it, event ``count``, span
-        ``inventory``); with those and no ``write``, only ``counters``
-        are encoded."""
+        """Feed the canonical serialization to ``write`` chunk by chunk;
+        return its sha256 and its number of events. Walking the log
+        leaves by-products in :attr:`_memo` (hash state after the body,
+        event ``count``, span ``inventory``); with those and no
+        ``write``, only ``counters`` are encoded."""
         memo = self._memo
         resume = write is None and memo is not None
         sha = memo.sha.copy() if resume else hashlib.sha256()
 
-        def feed(chunks):
-            for chunk in chunks:
-                sha.update(chunk)
-                if write is not None:
-                    write(chunk)
+        def feed(chunk: bytes) -> None:
+            sha.update(chunk)
+            if write is not None:
+                write(chunk)
 
         if not resume:
-            events, other_data = self._assemble()
-            head = canonical_json({"displayTimeUnit": "ms",
-                                   "otherData": other_data})
-            feed([(head[:-1] + ',"traceEvents":[').encode()])
-            feed(canonical_items(events))
+            tally = SimpleNamespace()
+            in_body = 0
+            # The head and the track metadata precede the body but are
+            # known only after the walk, so the encoded body waits on
+            # disk. Metadata exists iff a body does: every body chunk
+            # continues the array.
+            with tempfile.TemporaryFile() as spill:
+                body = chain.from_iterable(self._assemble(tally))
+                for size, chunk in canonical_items(body, ","):
+                    spill.write(chunk)
+                    in_body += size
+                meta = self._metadata(tally.tracks)
+                head = canonical_json({
+                    "displayTimeUnit": "ms",
+                    "otherData": self._other_data(tally)})
+                feed((head[:-1] + ',"traceEvents":['
+                      + canonical_json(meta)[1:-1]).encode())
+                spill.seek(0)
+                for block in iter(lambda: spill.read(_SPILL_BLOCK), b""):
+                    feed(block)
             memo = self._memo = SimpleNamespace(
-                sha=sha.copy(), count=len(events),
-                inventory=self._inventory(events))
-            del events  # a few MB of dicts, not needed past this point
-        feed(canonical_items(counters or (), "," if memo.count else ""))
-        feed([b"]}"])
-        return sha
+                sha=sha.copy(), count=len(meta) + in_body,
+                inventory=tally.inventory)
+        count = memo.count
+        for size, chunk in canonical_items(counters or (),
+                                           "," if count else ""):
+            feed(chunk)
+            count += size
+        feed(b"]}")
+        return sha, count
 
-    def to_json(self, counters: Optional[List[dict]] = None) -> str:
+    def to_json(self, counters: Optional[Iterable[dict]] = None) -> str:
         """Deterministic serialization (sorted keys, no whitespace)."""
         chunks: List[bytes] = []
         self._stream(counters, chunks.append)
         return b"".join(chunks).decode()
 
-    def export(self, path, counters: Optional[List[dict]] = None) -> int:
-        """Write the trace JSON; returns the number of traceEvents."""
+    def export(self, path, counters: Optional[Iterable[dict]] = None) -> int:
+        """Write the trace JSON; returns the number of traceEvents.
+        ``counters`` may be any iterable of extra events, consumed as
+        they are written."""
         with open(path, "wb") as fh:
-            self._stream(counters, fh.write)
-        return self._memo.count + len(counters or ())
+            return self._stream(counters, fh.write)[1]
 
-    def digest(self, counters: Optional[List[dict]] = None) -> str:
+    def digest(self, counters: Optional[Iterable[dict]] = None) -> str:
         """sha256 of the serialized trace -- the determinism fingerprint
         (same seeds => same digest, regardless of host or job count)."""
-        return self._stream(counters).hexdigest()
+        return self._stream(counters)[0].hexdigest()

@@ -121,6 +121,18 @@ def test_worst_is_deterministic_and_sorted(tracer):
     assert worst == tracer.worst(5, "page_fault")
 
 
+def test_worst_ranks_only_what_the_latency_book_counts(tracer):
+    """Exemplars come from the book: an operation begun in the init
+    phase stays in the causal trace but is never listed as a worst."""
+    start = tracer.runtime._timing_start_us
+    assert any(tracer.op(op_id).start_us < start
+               for op_id in tracer.op_ids("page_fault"))
+    for op_class in OP_CLASSES:
+        worst = tracer.worst(len(tracer), op_class)
+        assert len(worst) == tracer.metrics.histograms[op_class].count
+        assert all(tracer.op(op_id).start_us >= start for op_id in worst)
+
+
 def test_render_shows_branches_and_timing(tracer):
     op_id = next(oid for oid in tracer.op_ids("page_fault")
                  if len(_tree_nodes(tracer.tree(oid))) >= 2)

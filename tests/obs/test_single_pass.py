@@ -1,15 +1,19 @@
 """The single-pass output pipeline: one materialisation, same bytes.
 
-``repro report`` assembles the trace-event list once and builds every
-causal tree once: the pass that writes the trace file also leaves the
-hash state and the span inventory behind, the pass that collects the
-flow events also leaves the digest. These tests pin what that must not
-change: the bytes, whatever the call order; that recording after an
-export is seen by the next one; that documents handed to a caller are
-the caller's; and the "once".
+``repro report`` walks the event log once and builds every causal tree
+once, streaming both into the trace file: the pass that writes the
+file also leaves the hash state and the span inventory behind, the
+pass that yields the flow events also leaves the digest. These tests
+pin what that must not change: the bytes, whatever the call order;
+that recording after an export is seen by the next one; that
+documents handed to a caller are the caller's; the "once"; and that
+the export holds nothing the size of what it writes.
 """
 
 import hashlib
+import json
+import tracemalloc
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -144,6 +148,28 @@ def test_outputs_equal_a_fresh_run_in_every_order_twice(pair, tmp_path):
                 f"{name} differs in order {order}")
 
 
+def test_export_memory_stays_below_what_it_writes(tmp_path):
+    """The export streams: the log is encoded a chunk at a time, the
+    flow events are drawn from the tracer's walk as they are written,
+    and nothing the size of the trace is ever held."""
+    obs = _observe(lambda: SvmRuntime(
+        evaluation_config("ft", 1, seed=2003),
+        KVStore(buckets=256, txns_per_thread=40, seed=2003)))
+    extras = chain(obs.sampler.to_chrome_counters(obs.recorder.cluster_pid),
+                   obs.tracer.iter_flow_events())
+    path = tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        count = obs.recorder.export(path, counters=extras)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+    text = path.read_text()
+    assert text == obs.recorder.to_json(_extras(obs))
+    assert count == len(json.loads(text)["traceEvents"])
+
+
 def test_capped_fault_run_has_auto_closed_spans():
     obs = _observe(*RUNS["145/1/533x2 capped"])
     assert obs.result is None
@@ -216,9 +242,9 @@ def test_one_report_is_one_assembly_and_one_tree_per_op(monkeypatch,
     assemblies, builds = [], []
     assemble, build = FlightRecorder._assemble, OpTracer.tree
 
-    def counting_assemble(self):
+    def counting_assemble(self, *args):
         assemblies.append(self)
-        return assemble(self)
+        return assemble(self, *args)
 
     def counting_build(self, op_id):
         builds.append(op_id)
