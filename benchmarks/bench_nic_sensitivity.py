@@ -19,7 +19,6 @@ from benchmarks.conftest import run_once, save_result
 from repro.apps import LU, SyntheticWorkload
 from repro.config import (
     ClusterConfig,
-    MemoryParams,
     NetworkParams,
     ProtocolParams,
 )
@@ -29,8 +28,8 @@ from repro.harness.runner import SvmRuntime
 def _config(variant, depth=32, latency=8.0, bandwidth=100.0):
     return ClusterConfig(
         num_nodes=8, threads_per_node=1, shared_pages=2048,
-        num_locks=512, num_barriers=8, seed=2003,
-        memory=MemoryParams(page_size=512),
+        num_locks=512, seed=2003,
+        page_size=512,
         network=NetworkParams(post_queue_depth=depth,
                               wire_latency_us=latency,
                               bandwidth_bytes_per_us=bandwidth),

@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import run_once, save_result
 from repro.apps import SyntheticWorkload
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness.faultplan import FaultPlan
 from repro.harness.runner import SvmRuntime
 
@@ -24,8 +24,8 @@ def _run(pages_per_thread, iterations, victim=2):
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1,
         shared_pages=max(64, 16 * pages_per_thread),
-        num_locks=64, num_barriers=8, seed=11,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=11,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"),
     )
     workload = SyntheticWorkload(iterations=iterations,

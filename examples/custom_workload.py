@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.apps.base import Workload
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import ApplicationError
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FaultPlan
@@ -94,8 +94,8 @@ class Pipeline(Workload):
 def main() -> None:
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=16, num_barriers=8,
-        memory=MemoryParams(page_size=512),
+        num_locks=16,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"),
     )
     runtime = SvmRuntime(config, Pipeline())

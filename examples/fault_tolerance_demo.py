@@ -20,7 +20,7 @@ Run:  python examples/fault_tolerance_demo.py
 
 from repro.apps import WaterNsquared
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FaultPlan
 from repro.metrics import ProtocolTrace
@@ -32,8 +32,7 @@ def main() -> None:
         threads_per_node=1,
         shared_pages=256,
         num_locks=128,
-        num_barriers=8,
-        memory=MemoryParams(page_size=512),
+        page_size=512,
         protocol=ProtocolParams(variant="ft", lock_algorithm="polling"),
     )
     workload = WaterNsquared(molecules=32, steps=2)

@@ -11,7 +11,7 @@ Run:  python examples/protocol_trace.py
 
 from repro.apps import KVStore
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.metrics import ProtocolTrace, stacked_bars
 
@@ -19,8 +19,8 @@ from repro.metrics import ProtocolTrace, stacked_bars
 def main() -> None:
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8,
-        memory=MemoryParams(page_size=512),
+        num_locks=64,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     runtime = SvmRuntime(config, KVStore(buckets=16, txns_per_thread=5))
     trace = ProtocolTrace(runtime.cluster)

@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.apps.base import Workload
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import ApplicationError
 from repro.harness import SvmRuntime
 
@@ -57,8 +57,7 @@ def run(variant: str):
         threads_per_node=1,
         shared_pages=64,
         num_locks=16,
-        num_barriers=8,
-        memory=MemoryParams(page_size=512),
+        page_size=512,
         protocol=ProtocolParams(variant=variant),
     )
     runtime = SvmRuntime(config, SharedCounter())

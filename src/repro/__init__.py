@@ -14,13 +14,7 @@ Top-level convenience re-exports; see the subpackages for detail:
 * :mod:`repro.harness` -- runtime and paper experiments
 """
 
-from repro.config import (
-    ClusterConfig,
-    CostModel,
-    MemoryParams,
-    NetworkParams,
-    ProtocolParams,
-)
+from repro.config import ClusterConfig, NetworkParams, ProtocolParams
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
@@ -29,8 +23,6 @@ __all__ = [
     "ClusterConfig",
     "ProtocolParams",
     "NetworkParams",
-    "MemoryParams",
-    "CostModel",
     "ReproError",
     "__version__",
 ]

@@ -56,6 +56,10 @@ from typing import Any, Dict, Iterator, Optional
 from repro.errors import ApplicationError
 from repro.protocol.api import SvmThread
 
+#: The barrier id the runtime reserves for its init/timed-region split;
+#: workloads use ids 0 .. INIT_BARRIER - 1.
+INIT_BARRIER = 7
+
 
 class AppContext:
     """Per-thread execution context handed to kernels."""
@@ -71,8 +75,7 @@ class AppContext:
 
     # -- resumable control flow ------------------------------------------------
 
-    def range(self, name, stop: int, start: int = 0,
-              step: int = 1) -> Iterator[int]:
+    def range(self, name, stop: int, start: int = 0) -> Iterator[int]:
         """A loop counter that persists across checkpoints.
 
         The live index is ``ctx.state[name]``; on completion it stays
@@ -93,12 +96,10 @@ class AppContext:
         body entry -- but per-instance names are preferred; stale
         counters of finished instances are just small state entries.)
         """
-        if step <= 0:
-            raise ApplicationError("ctx.range needs a positive step")
         i = self.state.get(name, start)
         while i < stop:
             yield i
-            i += step
+            i += 1
             self.state[name] = i
         self.state[name] = max(i, stop)
 
@@ -136,7 +137,20 @@ class AppContext:
         barrier id itself is the key, which is only correct for a
         barrier id used by **at most one call per kernel run** --
         never omit the key inside a loop.
+
+        Workload barrier ids are 0 .. ``INIT_BARRIER - 1``; any other id
+        raises :class:`ApplicationError` (id ``INIT_BARRIER`` would share
+        the runtime's init barrier and be skipped as already done).
         """
+        if not 0 <= barrier_id < INIT_BARRIER:
+            raise ApplicationError(
+                f"barrier id {barrier_id} is outside the workload range "
+                f"0..{INIT_BARRIER - 1}")
+        return self.runtime_barrier(barrier_id, key)
+
+    def runtime_barrier(self, barrier_id: int, key=None):
+        """Generator: :meth:`barrier` without the id check -- the
+        runtime's own path to :data:`INIT_BARRIER`."""
         count_key = ("__bar__", barrier_id)
         done_key = ("__bardone__", barrier_id,
                     key if key is not None else "@once")
@@ -166,8 +180,8 @@ class Workload:
 
     #: Human-readable name (matches the paper's figures).
     name = "workload"
-    #: Barrier ids 0..7 are free for workloads; the runtime reserves
-    #: the top ids of the configured barrier range.
+    #: Barrier ids 0..6 are free for workloads; the runtime reserves
+    #: id 7 (:data:`INIT_BARRIER`).
     BARRIER_A = 0
     BARRIER_B = 1
     BARRIER_C = 2

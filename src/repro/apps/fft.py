@@ -31,6 +31,8 @@ from repro.errors import ApplicationError
 COMPUTE_US_PER_POINT_LOG = 0.5
 #: Modelled cost of the twiddle multiplication per element.
 TWIDDLE_US_PER_POINT = 0.2
+#: Input seed: thread t's points come from ``default_rng(SEED + t)``.
+SEED = 42
 
 
 class FFT(Workload):
@@ -38,7 +40,7 @@ class FFT(Workload):
 
     name = "FFT"
 
-    def __init__(self, points: int = 16384, seed: int = 42) -> None:
+    def __init__(self, points: int = 16384) -> None:
         side = int(round(points ** 0.5))
         if side * side != points or side & (side - 1):
             raise ApplicationError(
@@ -46,7 +48,6 @@ class FFT(Workload):
                 f"power-of-two side); got {points}")
         self.n = points
         self.side = side
-        self.seed = seed
         self.src = None
         self.dst = None
 
@@ -63,7 +64,7 @@ class FFT(Workload):
         total = runtime.config.total_threads
         nodes = runtime.config.num_nodes
         nbytes = self.n * self._ITEM
-        page_size = runtime.config.memory.page_size
+        page_size = runtime.config.page_size
         pages = -(-nbytes // page_size)
 
         def owner_home(page_index: int) -> int:
@@ -80,7 +81,7 @@ class FFT(Workload):
         return seg.addr(row * self.side * self._ITEM)
 
     def init_kernel(self, ctx: AppContext):
-        rng = np.random.default_rng(self.seed + ctx.tid)
+        rng = np.random.default_rng(SEED + ctx.tid)
         rows = self._row_block(ctx.tid, ctx.nthreads)
         # Per-row draws keep the rng stream identical to the original
         # loop; the row block is contiguous, so one span write suffices.
@@ -188,7 +189,7 @@ class FFT(Workload):
         side = self.side
         matrix = np.empty((side, side), dtype=np.complex128)
         for tid in range(total):
-            rng = np.random.default_rng(self.seed + tid)
+            rng = np.random.default_rng(SEED + tid)
             for row in self._row_block(tid, total):
                 matrix[row] = (rng.standard_normal(side)
                                + 1j * rng.standard_normal(side))

@@ -26,6 +26,8 @@ from repro.errors import ApplicationError
 
 #: Modelled cost of one fused multiply-add at ~400 MHz, in us.
 FLOP_US = 0.04
+#: Seed of the generated input matrix.
+SEED = 7
 
 
 class LU(Workload):
@@ -33,14 +35,13 @@ class LU(Workload):
 
     name = "LU"
 
-    def __init__(self, n: int = 128, block: int = 16, seed: int = 7) -> None:
+    def __init__(self, n: int = 128, block: int = 16) -> None:
         if n % block:
             raise ApplicationError("matrix size must be a multiple of the "
                                    "block size")
         self.n = n
         self.b = block
         self.nb = n // block  # blocks per dimension
-        self.seed = seed
         self.seg = None
 
     _ITEM = 8  # float64
@@ -66,7 +67,7 @@ class LU(Workload):
         total = runtime.config.total_threads
         nodes = runtime.config.num_nodes
         block_bytes = self.b * self.b * self._ITEM
-        page_size = runtime.config.memory.page_size
+        page_size = runtime.config.page_size
 
         def home(page_index: int) -> int:
             block = page_index * page_size // block_bytes
@@ -80,7 +81,7 @@ class LU(Workload):
 
     def _matrix(self) -> np.ndarray:
         """The deterministic input matrix (diagonally dominant)."""
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         a = rng.standard_normal((self.n, self.n))
         a += np.eye(self.n) * self.n
         return a

@@ -24,6 +24,10 @@ from repro.errors import ApplicationError
 
 #: Modelled CPU cost of relaxing one grid point.
 POINT_US = 0.15
+#: SOR relaxation factor.
+OMEGA = 1.0
+#: Seed of the initial grid.
+SEED = 31
 
 
 class Ocean(Workload):
@@ -31,12 +35,9 @@ class Ocean(Workload):
 
     name = "Ocean"
 
-    def __init__(self, n: int = 32, sweeps: int = 4,
-                 omega: float = 1.0, seed: int = 31) -> None:
+    def __init__(self, n: int = 32, sweeps: int = 4) -> None:
         self.n = n
         self.sweeps = sweeps
-        self.omega = omega
-        self.seed = seed
         self.grid = None
 
     _ITEM = 8
@@ -55,7 +56,7 @@ class Ocean(Workload):
     def setup(self, runtime) -> None:
         total = runtime.config.total_threads
         nodes = runtime.config.num_nodes
-        page_size = runtime.config.memory.page_size
+        page_size = runtime.config.page_size
         row_bytes = self.n * self._ITEM
 
         def band_home(page_index: int) -> int:
@@ -72,7 +73,7 @@ class Ocean(Workload):
                                   home=band_home)
 
     def _initial_grid(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         grid = rng.uniform(0.0, 1.0, size=(self.n, self.n))
         # Fixed boundary conditions.
         grid[0, :] = 1.0
@@ -123,7 +124,7 @@ class Ocean(Workload):
                         local = row - halo_lo
                         band[local] = self._relax_row(
                             band[local - 1], band[local],
-                            band[local + 1], colour, row, self.omega)
+                            band[local + 1], colour, row, OMEGA)
                     # A colour-c update reads only colour-(1-c)
                     # neighbours, so updating ``band`` in place and
                     # writing the whole contiguous band back in one
@@ -147,7 +148,7 @@ class Ocean(Workload):
                     # colour-(1-c) neighbours, untouched this half.
                     grid[row] = self._relax_row(
                         grid[row - 1], grid[row], grid[row + 1],
-                        colour, row, self.omega)
+                        colour, row, OMEGA)
         return grid
 
     def verify(self, runtime) -> None:

@@ -130,7 +130,7 @@ class RandomProgram(Workload):
             "rand_blocks", total * self.slots * self._ITEM, home="block")
         # One page written by every thread in disjoint byte slices.
         self.shared_seg = runtime.alloc(
-            "rand_shared", runtime.config.memory.page_size, home=0)
+            "rand_shared", runtime.config.page_size, home=0)
 
     def _counter_addr(self, counter: int) -> int:
         return self.counters_seg.addr(counter * self._ITEM)

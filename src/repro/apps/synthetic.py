@@ -44,7 +44,7 @@ class SyntheticWorkload(Workload):
     def setup(self, runtime) -> None:
         total = runtime.config.total_threads
         nodes = runtime.config.num_nodes
-        page = runtime.config.memory.page_size
+        page = runtime.config.page_size
         span = self.pages_per_interval * page
         # One own-homed region and one remote-homed region per thread.
         self.own = runtime.alloc("syn_own", total * span,
@@ -81,7 +81,7 @@ class SyntheticWorkload(Workload):
 
     def verify(self, runtime) -> None:
         total = runtime.config.total_threads
-        page = runtime.config.memory.page_size
+        page = runtime.config.page_size
         span = self.pages_per_interval * page
         n_home = int(round(self.pages_per_interval * self.home_fraction))
         for tid in range(total):

@@ -35,7 +35,7 @@ class Volrend(Workload):
     name = "Volrend"
 
     def __init__(self, image_size: int = 16, tile: int = 4,
-                 volume_size: int = 12, seed: int = 17) -> None:
+                 volume_size: int = 12) -> None:
         if image_size % tile:
             raise ApplicationError("image size must be a tile multiple")
         self.size = image_size
@@ -43,7 +43,6 @@ class Volrend(Workload):
         self.tiles_per_row = image_size // tile
         self.ntiles = self.tiles_per_row ** 2
         self.vsize = volume_size
-        self.seed = seed
         self.volume = None
         self.image = None
         self.counter = None

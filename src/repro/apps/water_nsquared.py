@@ -33,6 +33,8 @@ from repro.errors import ApplicationError
 PAIR_FORCE_US = 12.0
 #: Modelled cost of one molecule's predict/correct update.
 UPDATE_US = 6.0
+#: Seed of the initial molecule positions.
+SEED = 11
 
 #: Global lock ids (after the per-molecule locks).
 ENERGY_LOCK_OFFSET = 0
@@ -44,11 +46,9 @@ class WaterNsquared(Workload):
 
     name = "WaterNsq"
 
-    def __init__(self, molecules: int = 64, steps: int = 2,
-                 seed: int = 11) -> None:
+    def __init__(self, molecules: int = 64, steps: int = 2) -> None:
         self.n = molecules
         self.steps = steps
-        self.seed = seed
         self.dt = 1e-3
         self.pos = None
         self.vel = None
@@ -83,7 +83,7 @@ class WaterNsquared(Workload):
         self.energy = runtime.alloc("water_energy", 8, home=0)
 
     def _initial_state(self):
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         pos = rng.uniform(0.0, 10.0, size=(self.n, 3))
         vel = rng.standard_normal((self.n, 3)) * 0.1
         return pos, vel

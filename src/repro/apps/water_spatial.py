@@ -23,6 +23,8 @@ from repro.errors import ApplicationError
 PAIR_FORCE_US = 12.0
 UPDATE_US = 6.0
 NUM_GLOBAL_LOCKS = 6
+#: Seed of the initial molecule positions.
+SEED = 13
 
 
 class WaterSpatial(Workload):
@@ -31,12 +33,11 @@ class WaterSpatial(Workload):
     name = "WaterSpFL"
 
     def __init__(self, molecules: int = 64, steps: int = 2,
-                 cutoff: float = 2.5, seed: int = 13) -> None:
+                 cutoff: float = 2.5) -> None:
         self.n = molecules
         self.steps = steps
         self.cutoff = cutoff
         self.box = 10.0
-        self.seed = seed
         self.pos = None
         self.vel = None
         self.forces = None
@@ -51,7 +52,7 @@ class WaterSpatial(Workload):
     # arrays are laid out band-contiguous so bands map to page ranges.
 
     def _initial_state(self):
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         pos = rng.uniform(0.0, self.box, size=(self.n, 3))
         vel = rng.standard_normal((self.n, 3)) * 0.05
         return pos, vel
@@ -82,7 +83,7 @@ class WaterSpatial(Workload):
         # share in the paper.
         total = runtime.config.total_threads
         nodes = runtime.config.num_nodes
-        page_size = runtime.config.memory.page_size
+        page_size = runtime.config.page_size
         _order, ranges, _pos, _vel = self._band_layout(total)
 
         def band_home(page_index: int) -> int:

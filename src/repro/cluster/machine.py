@@ -28,7 +28,7 @@ class Cluster:
         self.hooks = Hooks()
         self.network = Network(self.engine, config.network)
         self.address_space = AddressSpace(
-            config.shared_pages, config.memory.page_size, config.num_nodes)
+            config.shared_pages, config.page_size, config.num_nodes)
         self.nodes: List[Node] = []
         #: Ground-truth death observers (``fn(node_id)``), invoked the
         #: moment a node fail-stops. The recovery coordinator registers

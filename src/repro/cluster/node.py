@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, copy_time_us
 from repro.errors import SimulationError
 from repro.net import NIC, RegionTable, VMMC
 from repro.sim import Delay, Engine, Mutex, Process
@@ -37,9 +37,8 @@ class Node:
         self.regions = RegionTable(node_id)
         self.bus = Mutex(engine, name=f"node{node_id}.bus")
         self.nic = NIC(engine, node_id, config.network,
-                       regions=self.regions, dma_bus=self.bus,
-                       dma_bandwidth=config.memory.bus_bandwidth_bytes_per_us)
-        self.vmmc = VMMC(engine, self.nic, config.costs)
+                       regions=self.regions, dma_bus=self.bus)
+        self.vmmc = VMMC(engine, self.nic)
 
         #: Every simulated process running on this node (compute threads,
         #: protocol daemons); killed wholesale at fail-stop.
@@ -64,7 +63,7 @@ class Node:
         Holds the bus for the transfer, at the slower of copy bandwidth
         vs bus share.
         """
-        duration = self.config.memory.copy_time_us(nbytes)
+        duration = copy_time_us(nbytes)
         yield self.bus.acquire()
         try:
             yield Delay(duration)

@@ -28,7 +28,7 @@ from repro.apps import (
     WaterSpatial,
 )
 from repro.apps.base import Workload
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness.runner import RunResult, SvmRuntime
 
 #: The application suite in the paper's figure order.
@@ -93,9 +93,8 @@ def evaluation_config(variant: str,
         threads_per_node=threads_per_node,
         shared_pages=2048,
         num_locks=512,
-        num_barriers=8,
         seed=seed,
-        memory=MemoryParams(page_size=page_size),
+        page_size=page_size,
         protocol=ProtocolParams(variant=variant,
                                 lock_algorithm=lock_algorithm,
                                 **protocol_overrides),
@@ -130,7 +129,6 @@ def run_app(app_name: str, variant: str, *args, verify: bool = True,
 def run_suite(variant: str,
               threads_per_node: int = 1,
               scale: str = "bench",
-              apps=APP_ORDER,
               **kwargs) -> Dict[str, RunResult]:
     """Run the whole application suite under one protocol variant.
 
@@ -140,11 +138,10 @@ def run_suite(variant: str,
     (figures, sweeps) go through :func:`run_matrix` instead.
     """
     return {app: run_app(app, variant, threads_per_node, scale, **kwargs)
-            for app in apps}
+            for app in APP_ORDER}
 
 
-def run_matrix(specs, jobs=None, cache=True, progress=None,
-               cache_dir=None):
+def run_matrix(specs, jobs=None, cache=True, cache_dir=None):
     """Run a list of :class:`~repro.parallel.RunSpec` concurrently.
 
     The fan-out/caching entry point every multi-run benchmark routes
@@ -158,7 +155,7 @@ def run_matrix(specs, jobs=None, cache=True, progress=None,
     from repro.parallel import RunSummary, run_specs
 
     results = run_specs(specs, jobs=jobs, cache=cache,
-                        cache_dir=cache_dir, progress=progress)
+                        cache_dir=cache_dir)
     failed = [r for r in results if not r.ok]
     if failed:
         lines = "\n".join(f"  {r.spec.label}: {r.status}: "

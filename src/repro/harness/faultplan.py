@@ -29,6 +29,10 @@ INTERESTING_HOOKS = (
     Hooks.BARRIER_ENTER,
     Hooks.PAGE_FAULT,
 )
+#: A random plan's kill site is one of the first MAX_OCCURRENCE hits
+#: of its hook, MAX_DELAY_US or less after it.
+MAX_OCCURRENCE = 6
+MAX_DELAY_US = 20.0
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,6 @@ class FaultPlan:
     @classmethod
     def random_plan(cls, rng: random.Random, num_nodes: int,
                     failures: int = 1,
-                    hooks: Sequence[str] = INTERESTING_HOOKS,
-                    max_occurrence: int = 6,
-                    max_delay: float = 20.0,
                     spare: Sequence[int] = (),
                     during_recovery_prob: float = 0.0,
                     min_gap_us: float = 0.0) -> "FaultPlan":
@@ -206,9 +207,9 @@ class FaultPlan:
         victims = rng.sample(candidates, failures)
         specs = []
         for index, victim in enumerate(victims):
-            hook = rng.choice(list(hooks))
-            occurrence = rng.randint(1, max_occurrence)
-            delay = rng.uniform(0.0, max_delay)
+            hook = rng.choice(list(INTERESTING_HOOKS))
+            occurrence = rng.randint(1, MAX_OCCURRENCE)
+            delay = rng.uniform(0.0, MAX_DELAY_US)
             during = False
             if during_recovery_prob > 0.0 and index > 0:
                 during = rng.random() < during_recovery_prob

@@ -50,8 +50,8 @@ def overhead_summary(base, extended) -> Dict[str, float]:
             for app in base}
 
 
-def figure(number: int, scale: str = "bench", apps=APP_ORDER,
-           seed: int = 2003) -> Tuple[Dict, str]:
+def figure(number: int, scale: str = "bench",
+           apps=APP_ORDER) -> Tuple[Dict, str]:
     """One of the paper's Figures 7-10 (see :data:`FIGURES`).
 
     Every cell is an independent simulation, so the 2 x len(apps)
@@ -65,8 +65,7 @@ def figure(number: int, scale: str = "bench", apps=APP_ORDER,
     threads, components, title, overhead_caption = FIGURES[number]
     apps = tuple(apps)
     summaries = run_matrix([
-        app_spec(app, variant, threads_per_node=threads, scale=scale,
-                 seed=seed)
+        app_spec(app, variant, threads_per_node=threads, scale=scale)
         for variant in ("base", "ft") for app in apps])
     base = dict(zip(apps, summaries[:len(apps)]))
     extended = dict(zip(apps, summaries[len(apps):]))

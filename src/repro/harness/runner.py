@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.apps.base import AppContext, Workload
+from repro.apps.base import INIT_BARRIER, AppContext, Workload
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.errors import ProtocolError
@@ -33,9 +33,6 @@ from repro.metrics import (
 from repro.protocol.barrier import BarrierManager
 from repro.protocol.homes import HomeMap
 from repro.protocol.api import SvmThread
-
-#: The runtime reserves the highest barrier id for the init/timed split.
-INIT_BARRIER_OFFSET = 1
 
 
 @dataclass
@@ -164,9 +161,6 @@ class SvmRuntime:
                 tid=tid, home_node=node_id, current_node=node_id,
                 svm=svm, clock=clock, ctx=ctx))
 
-    def _init_barrier_id(self) -> int:
-        return self.config.num_barriers - INIT_BARRIER_OFFSET
-
     def _thread_main(self, rec: ThreadRecord):
         """Top-level generator for one thread: init, timed region, done."""
         ctx = rec.ctx
@@ -174,7 +168,7 @@ class SvmRuntime:
             init = self.workload.init_kernel(ctx)
             if init is not None:
                 yield from init
-            yield from ctx.barrier(self._init_barrier_id())
+            yield from ctx.runtime_barrier(INIT_BARRIER)
             ctx.done("__init_phase__")
             if self.config.protocol.is_ft:
                 # Seed checkpoint: a failure before the first release

@@ -7,8 +7,7 @@ from typing import Mapping, Sequence
 
 def format_breakdown_table(title: str,
                            rows: Mapping[str, Mapping[str, float]],
-                           components: Sequence[str],
-                           unit: str = "us") -> str:
+                           components: Sequence[str]) -> str:
     """Render one breakdown table.
 
     ``rows`` maps a row label (e.g. "FFT/base") to a component->time
@@ -26,7 +25,7 @@ def format_breakdown_table(title: str,
         cells = "".join(
             f"{comps.get(c, 0.0):>{col_w}.1f}" for c in components)
         lines.append(label.ljust(label_w) + cells + f"{total:>{col_w}.1f}")
-    lines.append(f"(times in {unit})")
+    lines.append("(times in us)")
     return "\n".join(lines)
 
 

@@ -27,6 +27,11 @@ from typing import Dict, List, Set
 from repro.cluster import Hooks
 
 
+#: Two writes of a page by different nodes less than this many us apart
+#: belong to one "burst" (see ``PageProfile.concurrent_writers``).
+BURST_WINDOW_US = 50.0
+
+
 @dataclass
 class PageProfile:
     """Observed behaviour of one page."""
@@ -57,9 +62,8 @@ class PageProfile:
 class SharingProfiler:
     """Attach before a run; read profiles afterwards."""
 
-    def __init__(self, runtime, burst_window_us: float = 50.0) -> None:
+    def __init__(self, runtime) -> None:
         self.runtime = runtime
-        self.burst_window_us = burst_window_us
         self.pages: Dict[int, PageProfile] = defaultdict(PageProfile)
         self._last_write: Dict[int, tuple] = {}
         runtime.cluster.hooks.on(Hooks.PAGE_FAULT, self._on_fault)
@@ -76,7 +80,7 @@ class SharingProfiler:
             if last is not None:
                 last_node, last_time = last
                 if last_node != node_id and \
-                        now - last_time < self.burst_window_us:
+                        now - last_time < BURST_WINDOW_US:
                     profile.concurrent_writers = True
             self._last_write[page] = (node_id, now)
         else:

@@ -164,16 +164,16 @@ canonical_json = json.JSONEncoder(sort_keys=True,
                                   separators=(",", ":")).encode
 
 
-def canonical_items(items: Iterable, sep: str = "",
-                    size: int = 1024) -> Iterator[Tuple[int, bytes]]:
-    """``canonical_json(list(items))`` without its brackets, ``size``
+def canonical_items(items: Iterable,
+                    sep: str = "") -> Iterator[Tuple[int, bytes]]:
+    """``canonical_json(list(items))`` without its brackets, 1024
     elements a chunk, so a file and a hash can be fed without the whole
     array ever being one list or one string. Yields (elements in the
     chunk, chunk); ``items`` is consumed as the chunks are. ``sep``
     (``","`` when continuing an array) goes before the first element."""
     items = iter(items)
     while True:
-        batch = list(islice(items, size))
+        batch = list(islice(items, 1024))
         if not batch:
             return
         yield len(batch), (sep + canonical_json(batch)[1:-1]).encode()
@@ -258,8 +258,7 @@ class ProtocolTrace:
                 return ev
         return None
 
-    def assert_ordering(self, earlier: str, later: str,
-                        node: Optional[int] = None) -> None:
+    def assert_ordering(self, earlier: str, later: str) -> None:
         """Raise AssertionError unless every ``later`` event on a node
         is preceded by at least as many ``earlier`` events there.
 
@@ -277,8 +276,6 @@ class ProtocolTrace:
                 f"on a truncated log -- raise the capacity")
         counts: dict = {}
         for ev in self:
-            if node is not None and ev.node != node:
-                continue
             slot = counts.setdefault(ev.node, [0, 0])
             if ev.event == earlier:
                 slot[0] += 1

@@ -47,7 +47,6 @@ class Message:
     def __init__(self, kind: str, src: int, dst: int, body_bytes: int,
                  payload: Any = None,
                  completion: Optional[Any] = None,
-                 msg_id: Optional[int] = None,
                  op: Optional[int] = None) -> None:
         self.kind = kind
         self.src = src
@@ -62,7 +61,7 @@ class Message:
         #: completion. Asynchronous senders leave it None and rely on
         #: FIFO ordering plus later synchronous ops.
         self.completion = completion
-        self.msg_id = _next_message_id() if msg_id is None else msg_id
+        self.msg_id = _next_message_id()
         self.wire_bytes = HEADER_BYTES + body_bytes
         #: Causal-trace operation id (repro.obs.optrace). None on every
         #: untraced message; the NIC copies it onto replies so one

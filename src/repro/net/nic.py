@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Set
 
-from repro.config import NetworkParams
+from repro.config import (BUS_BANDWIDTH_BYTES_PER_US, NIC_PER_MESSAGE_US,
+                          POST_OVERHEAD_US, NetworkParams)
 from repro.errors import NetworkError, RemoteNodeFailure
 from repro.net.message import Message, MessageKind
 from repro.net.regions import RegionTable
@@ -43,17 +44,15 @@ class NIC:
 
     def __init__(self, engine: Engine, node_id: int, params: NetworkParams,
                  regions: Optional[RegionTable] = None,
-                 dma_bus: Optional[Mutex] = None,
-                 dma_bandwidth: Optional[float] = None) -> None:
+                 dma_bus: Optional[Mutex] = None) -> None:
         self.engine = engine
         self.node_id = node_id
         self.params = params
         self.regions = regions if regions is not None else RegionTable(node_id)
         #: Memory-bus contention modelling: when ``dma_bus`` is set,
         #: every DMA transfer holds the bus for ``nbytes /
-        #: dma_bandwidth`` microseconds.
+        #: BUS_BANDWIDTH_BYTES_PER_US`` microseconds.
         self.dma_bus = dma_bus
-        self.dma_bandwidth = dma_bandwidth
         self.alive = True
         self.network = None  # attached by Network.attach()
         #: Causal-trace sink (repro.obs.optrace.OpTracer) or None. Every
@@ -86,8 +85,8 @@ class NIC:
         # Delay objects are immutable once built, so the fixed per-call
         # charges can reuse one instance instead of allocating ~2 per
         # message on the sender/receiver hot loops.
-        self._delay_post = Delay(params.post_overhead_us)
-        self._delay_per_msg = Delay(params.nic_per_message_us)
+        self._delay_post = Delay(POST_OVERHEAD_US)
+        self._delay_per_msg = Delay(NIC_PER_MESSAGE_US)
 
         self._sender_proc = engine.spawn(self._sender(), f"nic{node_id}.send")
         self._receiver_proc = engine.spawn(self._receiver(), f"nic{node_id}.recv")
@@ -198,7 +197,7 @@ class NIC:
         get = store.get
         delay_per_msg = self._delay_per_msg
         bus = self.dma_bus
-        bandwidth = self.dma_bandwidth
+        bandwidth = BUS_BANDWIDTH_BYTES_PER_US
         transfer_time_us = self.params.transfer_time_us
         while True:
             msg = get_nowait()
@@ -226,7 +225,7 @@ class NIC:
         get = store.get
         delay_per_msg = self._delay_per_msg
         bus = self.dma_bus
-        bandwidth = self.dma_bandwidth
+        bandwidth = BUS_BANDWIDTH_BYTES_PER_US
         dispatch = self._dispatch
         while True:
             msg = get_nowait()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import CostModel
+from repro.config import CONTROL_MESSAGE_BYTES, HEARTBEAT_TIMEOUT_US
 from repro.errors import RemoteNodeFailure
 from repro.net.message import Message, MessageKind
 from repro.net.nic import NIC
@@ -32,10 +32,9 @@ from repro.sim import Engine, Event, timeout_wait
 class VMMC:
     """Per-node communication endpoint."""
 
-    def __init__(self, engine: Engine, nic: NIC, costs: CostModel) -> None:
+    def __init__(self, engine: Engine, nic: NIC) -> None:
         self.engine = engine
         self.nic = nic
-        self.costs = costs
         self._reply_name = f"nic{nic.node_id}.reply"
         #: Failure-detector memory: nodes this endpoint has seen fail.
         self.known_dead: set[int] = set()
@@ -90,8 +89,7 @@ class VMMC:
         Generator returning the bytes. Raises :class:`RemoteNodeFailure`
         if the peer is dead (detected via the heart-beat mechanism).
         """
-        return self._send(MessageKind.FETCH_REQ, dst,
-                          self.nic.params.control_message_bytes,
+        return self._send(MessageKind.FETCH_REQ, dst, CONTROL_MESSAGE_BYTES,
                           (region, offset, size),
                           Event(self.engine, self._reply_name), op)
 
@@ -100,8 +98,8 @@ class VMMC:
                op: Optional[int] = None):
         """Send a small control message to a NIC-level handler on ``dst``."""
         return self._send(MessageKind.NOTIFY, dst,
-                          self.nic.params.control_message_bytes
-                          if body_bytes is None else body_bytes,
+                          CONTROL_MESSAGE_BYTES if body_bytes is None
+                          else body_bytes,
                           (channel, body),
                           Event(self.engine, "notify.wait") if wait
                           else None, op)
@@ -115,7 +113,7 @@ class VMMC:
         detection applies while waiting, as for fetches.
         """
         return self._send(MessageKind.SERVICE_REQ, dst,
-                          self.nic.params.control_message_bytes
+                          CONTROL_MESSAGE_BYTES
                           if request_bytes is None else request_bytes,
                           (service, body),
                           Event(self.engine, self._reply_name), op)
@@ -142,7 +140,7 @@ class VMMC:
             yield park
         try:
             ok, _value = yield from timeout_wait(
-                self.engine, ack, self.costs.heartbeat_timeout_us * 4)
+                self.engine, ack, HEARTBEAT_TIMEOUT_US * 4)
         except RemoteNodeFailure:
             ok = False  # the fabric failed the probe: destination is down
         if not ok:
@@ -160,7 +158,7 @@ class VMMC:
         while True:
             try:
                 ok, value = yield from timeout_wait(
-                    self.engine, event, self.costs.heartbeat_timeout_us)
+                    self.engine, event, HEARTBEAT_TIMEOUT_US)
             except RemoteNodeFailure:
                 self.known_dead.add(dst)
                 raise

@@ -123,21 +123,13 @@ class FlightRecorder(ProtocolTrace):
     # Chrome trace-event assembly
     # ------------------------------------------------------------------
 
-    def to_chrome_trace(self,
-                        counters: Optional[Iterable[dict]] = None) -> dict:
-        """Build the ``{"traceEvents": [...]}`` document.
-
-        ``counters`` (optional) are pre-built extra events -- the
-        ``"ph": "C"`` gauges of
-        :meth:`repro.obs.timeseries.TimeSeriesSampler.to_chrome_counters`,
-        the flow arrows of :meth:`repro.obs.optrace.OpTracer.flow_events`
-        -- appended so they render under the same timeline. Assembled
+    def to_chrome_trace(self) -> dict:
+        """Build the ``{"traceEvents": [...]}`` document. Assembled
         anew on every call: the caller owns the returned document.
         """
         tally = SimpleNamespace()
         body = list(chain.from_iterable(self._assemble(tally)))
-        return {"traceEvents": (self._metadata(tally.tracks) + body
-                                + list(counters or ())),
+        return {"traceEvents": self._metadata(tally.tracks) + body,
                 "displayTimeUnit": "ms",
                 "otherData": self._other_data(tally)}
 

@@ -205,10 +205,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _nice_ticks(peak: float, count: int = 4) -> List[float]:
+def _nice_ticks(peak: float) -> List[float]:
+    """About four round-numbered ticks from 0 to ``peak``."""
     if peak <= 0:
         return [0.0, 1.0]
-    raw = peak / count
+    raw = peak / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1, 2, 2.5, 5, 10) if s * mag >= raw)
     ticks = [0.0]
@@ -382,7 +383,7 @@ def _page(title: str, subtitle: str, body: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Operation latency / SLO sections (shared by run and sweep reports)
+# Operation latency (run and sweep reports) and SLO (sweep report)
 # ----------------------------------------------------------------------
 
 def _percentile_table(metrics: MetricsRegistry) -> str:
@@ -435,13 +436,13 @@ def _slo_section(slo: dict) -> List[str]:
     return body
 
 
-def _exemplar_sections(tracer, worst_n: int = 1) -> List[str]:
-    """Worst-N operations per class: a summary table whose rows link
-    to the rendered causal trees below it."""
+def _exemplar_sections(tracer) -> List[str]:
+    """The worst operation of each class: a summary table whose rows
+    link to the rendered causal trees below it."""
     entries = []
     for op_class in sorted({tracer.op(i).op_class
                             for i in tracer.op_ids()}):
-        for op_id in tracer.worst(worst_n, op_class):
+        for op_id in tracer.worst(1, op_class):
             entries.append((op_class, tracer.op(op_id)))
     if not entries:
         return []
@@ -468,7 +469,7 @@ def _exemplar_sections(tracer, worst_n: int = 1) -> List[str]:
 def render_run_report(title: str, subtitle: str = "", result=None,
                       recorder=None, sampler=None, watchdog=None,
                       trace_file: Optional[str] = None,
-                      tracer=None, slo: Optional[dict] = None) -> str:
+                      tracer=None) -> str:
     """Assemble the single-run HTML report; every section is optional
     so partial runs (deadlock caps, failed verification) still render."""
     body = []
@@ -493,8 +494,6 @@ def render_run_report(title: str, subtitle: str = "", result=None,
         tiles.append(("trace events", _fmt(len(recorder))))
     if tracer is not None:
         tiles.append(("traced ops", _fmt(len(tracer))))
-    if slo is not None:
-        tiles.append(("SLO", "PASS" if slo["ok"] else "FAIL"))
     if tiles:
         body.append(_stat_tiles(tiles))
 
@@ -503,8 +502,6 @@ def render_run_report(title: str, subtitle: str = "", result=None,
         if table:
             body.append("<h2>Operation latency percentiles</h2>")
             body.append(table)
-    if slo is not None:
-        body.extend(_slo_section(slo))
 
     if sampler is not None and len(sampler) > 1:
         times, rates = sampler.rates()

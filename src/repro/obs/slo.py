@@ -25,7 +25,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
+from repro.errors import ConfigError
 from repro.metrics.hist import Log2Histogram, MetricsRegistry
+from repro.metrics.latency import OP_CLASSES
 
 #: Quantile keys a spec may target, in report order.
 QUANTILES = ("p50", "p99", "p999")
@@ -39,11 +41,33 @@ def latency_by_class(metrics: MetricsRegistry) -> Dict[str, Log2Histogram]:
 
 
 class SloSpec:
-    """Latency + availability targets for a cluster configuration."""
+    """Latency + availability targets for a cluster configuration.
+
+    Every target must be one the evaluation can check: an operation
+    class of ``OP_CLASSES``, a quantile of ``QUANTILES`` and a positive
+    number of microseconds. Anything else raises :class:`ConfigError`
+    naming the key -- a misspelt class would otherwise pass vacuously
+    and an unknown quantile would be dropped without a check line.
+    """
 
     def __init__(self, name: str,
                  latency_targets_us: Dict[str, Dict[str, float]],
                  availability_min: Optional[float] = None) -> None:
+        for op_class, targets in latency_targets_us.items():
+            if op_class not in OP_CLASSES:
+                raise ConfigError(
+                    f"SLO {name!r}: unknown operation class {op_class!r} "
+                    f"(one of {', '.join(OP_CLASSES)})")
+            for quantile, target in targets.items():
+                if quantile not in QUANTILES:
+                    raise ConfigError(
+                        f"SLO {name!r}: {op_class}: unknown quantile "
+                        f"{quantile!r} (one of {', '.join(QUANTILES)})")
+                if isinstance(target, bool) or not (
+                        isinstance(target, (int, float)) and target > 0):
+                    raise ConfigError(
+                        f"SLO {name!r}: {op_class}.{quantile}: target "
+                        f"must be a positive number of us, not {target!r}")
         self.name = name
         #: op class -> {"p50": us, "p99": us, "p999": us} (any subset).
         self.latency_targets_us = latency_targets_us

@@ -19,14 +19,14 @@ nothing samples until :meth:`start` is called.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs import instrumentation
 from repro.sim import metronome
 
-#: NodeCounters fields sampled by default -- the protocol activity the
-#: report and the Perfetto counter tracks plot.
-DEFAULT_FIELDS = (
+#: NodeCounters fields sampled -- the protocol activity the report and
+#: the Perfetto counter tracks plot.
+FIELDS = (
     "page_faults",
     "diff_messages",
     "lock_acquires",
@@ -39,12 +39,10 @@ DEFAULT_FIELDS = (
 class TimeSeriesSampler:
     """Columnar sampler of per-node counters and engine/NIC gauges."""
 
-    def __init__(self, runtime, period_us: float = 500.0,
-                 fields: Sequence[str] = DEFAULT_FIELDS) -> None:
+    def __init__(self, runtime, period_us: float = 500.0) -> None:
         self.runtime = runtime
         self.engine = runtime.engine
         self.period_us = period_us
-        self.fields = tuple(fields)
         self.times: List[float] = []
         #: series name -> per-sample values. Counter series are named
         #: ``node{n}.{field}`` (cumulative); gauges are
@@ -73,7 +71,7 @@ class TimeSeriesSampler:
         put = self._put
         for n, agent in enumerate(self.runtime.agents):
             counters = agent.counters
-            for field in self.fields:
+            for field in FIELDS:
                 put(f"node{n}.{field}", getattr(counters, field))
         put("engine.queue_depth", self.engine.queue_depth)
         for n, node in enumerate(self.runtime.cluster.nodes):
@@ -98,7 +96,7 @@ class TimeSeriesSampler:
         """Cluster-wide cumulative value per sampled counter field."""
         num_nodes = self.runtime.config.num_nodes
         out: Dict[str, List[float]] = {}
-        for field in self.fields:
+        for field in FIELDS:
             cols = [self.series.get(f"node{n}.{field}")
                     for n in range(num_nodes)]
             cols = [c for c in cols if c]
@@ -149,7 +147,7 @@ class TimeSeriesSampler:
                 nic = self.series.get(f"node{n}.nic_queue")
                 if nic and i < len(nic):
                     args["nic_queue"] = nic[i]
-                for field in self.fields:
+                for field in FIELDS:
                     col = self.series.get(f"node{n}.{field}")
                     if col and i < len(col):
                         args[field] = col[i]

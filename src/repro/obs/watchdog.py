@@ -248,27 +248,27 @@ def format_waitfor(graph: dict, horizon_us: Optional[float] = None) -> str:
     return "\n".join(lines)
 
 
+#: Stall reports one watchdog prints at most.
+MAX_DUMPS = 8
+
+
 class StallWatchdog:
     """Fires :func:`build_waitfor` when the hook stream goes quiet.
 
     ``horizon_us`` is the zero-progress window; the check runs every
-    ``check_period_us`` (default: horizon / 4). Dumps go to ``stream``
-    (default stderr), into ``self.dumps``, and -- when a
+    horizon / 4. Dumps (at most :data:`MAX_DUMPS`) go to stderr, into
+    ``self.dumps``, and -- when a
     :class:`~repro.obs.recorder.FlightRecorder` is supplied -- onto the
     trace timeline as a global "stall detected" instant carrying the
     full report.
     """
 
     def __init__(self, runtime, horizon_us: float = 20_000.0,
-                 check_period_us: Optional[float] = None,
-                 recorder=None, stream=None, max_dumps: int = 8) -> None:
+                 recorder=None) -> None:
         self.runtime = runtime
         self.engine = runtime.engine
         self.horizon_us = horizon_us
-        self.check_period_us = check_period_us or horizon_us / 4.0
         self.recorder = recorder
-        self.stream = stream
-        self.max_dumps = max_dumps
         self.dumps: List[str] = []
         self.graphs: List[dict] = []
         self._last_progress = 0.0
@@ -291,7 +291,7 @@ class StallWatchdog:
             return
         self._started = True
         self._last_progress = self.engine.now
-        metronome(self.engine, self.check_period_us, self._check)
+        metronome(self.engine, self.horizon_us / 4.0, self._check)
 
     def detach(self) -> None:
         """Stop watching. A metronome cannot be unarmed, so the ticks
@@ -305,14 +305,14 @@ class StallWatchdog:
         instrumentation.bump("watchdog")
         if self.engine.now - self._last_progress < self.horizon_us:
             return
-        if self._in_stall or len(self.dumps) >= self.max_dumps:
+        if self._in_stall or len(self.dumps) >= MAX_DUMPS:
             return  # one dump per stall episode
         self._in_stall = True
         graph = build_waitfor(self.runtime, self._lock_holders)
         report = format_waitfor(graph, horizon_us=self.horizon_us)
         self.graphs.append(graph)
         self.dumps.append(report)
-        print(report, file=self.stream or sys.stderr)
+        print(report, file=sys.stderr)
         if self.recorder is not None:
             blocked = [t["tid"] for t in graph["threads"]
                        if not t["finished"]]

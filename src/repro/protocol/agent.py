@@ -24,6 +24,11 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, Hooks
+from repro.config import (ACQUIRE_BASE_US, BARRIER_PER_NODE_US,
+                          COMMIT_PER_PAGE_US, INVALIDATE_PER_PAGE_US,
+                          PAGE_FAULT_HANDLER_US, RELEASE_BASE_US,
+                          WRITE_NOTICE_PER_ENTRY_US, diff_apply_us,
+                          diff_compute_us)
 from repro.memory import (
     Access,
     Diff,
@@ -110,7 +115,6 @@ class SvmNodeAgent:
         self.node_id = node_id
         self.engine = cluster.engine
         self.config = cluster.config
-        self.costs = cluster.config.costs
         self.homes = homes
         self.runtime = runtime
         self.vmmc = self.node.vmmc
@@ -120,7 +124,7 @@ class SvmNodeAgent:
         self.counters = NodeCounters()
 
         num_pages = self.config.shared_pages
-        page_size = self.config.memory.page_size
+        page_size = self.config.page_size
         self.page_size = page_size
         self.working = PageStore("working", num_pages, page_size)
         self.node.regions.export_region(self.working)
@@ -347,7 +351,7 @@ class SvmNodeAgent:
                 fault_observed = True
                 with self._traced("page_fault", "fault page %s (%s)", page,
                                   "write" if write else "read") as fault_op:
-                    yield Delay(self.costs.page_fault_handler_us)
+                    yield Delay(PAGE_FAULT_HANDLER_US)
                     # FT: faults on pages locked by an outstanding release
                     # stall until the release completes (paper Fig 4).
                     yield from self._wait_page_unlocked(page)
@@ -514,14 +518,14 @@ class SvmNodeAgent:
         entries = [(i, log[i]) for i in range(first, last + 1) if i in log]
         size = sum(WRITE_NOTICE_BYTES * (1 + len(pages))
                    for _i, pages in entries) or 8
-        yield Delay(self.costs.write_notice_per_entry_us * len(entries))
+        yield Delay(WRITE_NOTICE_PER_ENTRY_US * len(entries))
         return entries, size
 
     def _on_diff(self, msg):
         """Apply an incoming diff at this (home) node. Generator run at
         NIC level so diffs from one writer apply in FIFO order."""
         writer, interval, diff = msg.payload[1]
-        yield Delay(self.costs.diff_apply_us(max(diff.changed_bytes, 1)))
+        yield Delay(diff_apply_us(max(diff.changed_bytes, 1)))
         apply_diff(self.working.page_view(diff.page_id), diff)
         self._bump_version(diff.page_id, writer, interval)
 
@@ -546,7 +550,7 @@ class SvmNodeAgent:
         pages = self._close_interval()
         if not pages:
             return pages
-        yield Delay(self.costs.commit_per_page_us * len(pages))
+        yield Delay(COMMIT_PER_PAGE_US * len(pages))
         for page in pages:
             if self.homes.primary_home(page) == self.node_id:
                 # Our working copy is the home copy: the committed
@@ -573,7 +577,7 @@ class SvmNodeAgent:
         return None
 
     def _compute_page_diff(self, page: int, entry):
-        yield Delay(self.costs.diff_compute_us(self.page_size))
+        yield Delay(diff_compute_us(self.page_size))
         if entry.twin is not None:
             twin, regions = entry.twin, entry.dirty_regions
         else:
@@ -623,7 +627,7 @@ class SvmNodeAgent:
     # ------------------------------------------------------------------
 
     def acquire_op(self, thread, lock_id: int):
-        yield Delay(self.costs.acquire_base_us)
+        yield Delay(ACQUIRE_BASE_US)
         self.hooks.fire(Hooks.ACQUIRE_START, self.node_id, lock=lock_id,
                         tid=thread.thread_id)
         with self._traced("lock_acquire", "lock %s acquire",
@@ -654,7 +658,7 @@ class SvmNodeAgent:
         a barrier leader runs it with no lock. Base: commit the
         interval, hand the lock over, then propagate diffs (version
         gating keeps fetches correct)."""
-        yield Delay(self.costs.release_base_us)
+        yield Delay(RELEASE_BASE_US)
         pages = yield from thread.clock.in_category(
             Category.PROTOCOL, self._commit_interval(thread))
         interval = self.interval_no
@@ -687,7 +691,7 @@ class SvmNodeAgent:
                 continue  # already applied
             for page in pages:
                 self.counters.write_notices += 1
-                yield Delay(self.costs.invalidate_per_page_us)
+                yield Delay(INVALIDATE_PER_PAGE_US)
                 self._invalidate_page(page, writer, interval)
         return None
 
@@ -729,7 +733,7 @@ class SvmNodeAgent:
             epoch = done
         if epoch < done:
             # Stale re-arrival: this generation completed earlier.
-            yield Delay(self.costs.barrier_per_node_us)
+            yield Delay(BARRIER_PER_NODE_US)
             return None
         self.hooks.fire(Hooks.BARRIER_ENTER, self.node_id,
                         barrier=barrier_id, thread=thread.thread_id)

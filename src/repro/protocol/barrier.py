@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.config import BARRIER_PER_NODE_US, HEARTBEAT_TIMEOUT_US
 from repro.protocol.timestamps import VectorTimestamp
 from repro.sim import Delay, Event
 
@@ -84,7 +85,7 @@ class BarrierManager:
             # otherwise never be detected (nobody talks to it).
             self.agent.node.spawn(self._watchdog(gen),
                                   f"barwatch{barrier_id}")
-        yield Delay(self.agent.costs.barrier_per_node_us)
+        yield Delay(BARRIER_PER_NODE_US)
         expected = self.runtime.expected_barrier_nodes()
         if len(gen.arrivals) >= expected and not gen.event.settled:
             self._release(barrier_id, gen)
@@ -97,8 +98,7 @@ class BarrierManager:
         from repro.sim import timeout_wait
         while not gen.event.settled:
             ok, _value = yield from timeout_wait(
-                self.engine, gen.event,
-                self.agent.costs.heartbeat_timeout_us * 3)
+                self.engine, gen.event, HEARTBEAT_TIMEOUT_US * 3)
             if ok or gen.event.settled:
                 return
             arrived = {node for node, _ts, _e in gen.arrivals}

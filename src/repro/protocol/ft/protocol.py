@@ -38,6 +38,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Hooks
+from repro.config import (CHECKPOINT_BASE_US, CHECKPOINT_STACK_BYTES,
+                          COMMIT_PER_PAGE_US, HEARTBEAT_TIMEOUT_US,
+                          PAGE_LOCK_US, RELEASE_BASE_US, THREAD_SUSPEND_US,
+                          checkpoint_us, diff_apply_us)
 from repro.errors import ProtocolError, RemoteNodeFailure
 from repro.memory import Access, Diff, PageStore, apply_diff
 from repro.metrics import Category
@@ -266,8 +270,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
             # lazily, so a writer whose diff lands during an earlier
             # probe is not probed.
             ok, _value = yield from timeout_wait(
-                self.engine, self._version_event(page),
-                self.costs.heartbeat_timeout_us)
+                self.engine, self._version_event(page), HEARTBEAT_TIMEOUT_US)
             if ok:
                 continue
             have = self.page_versions.get(page, {})
@@ -299,7 +302,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
                                         diff)
 
     def _apply_one_diff(self, phase, writer, interval, seq, diff):
-        yield Delay(self.costs.diff_apply_us(max(diff.changed_bytes, 1)))
+        yield Delay(diff_apply_us(max(diff.changed_bytes, 1)))
         if phase == "tent":
             self._record_undo(writer, seq, diff)
             apply_diff(self.tentative.page_view(diff.page_id), diff)
@@ -445,9 +448,9 @@ class FtSvmNodeAgent(SvmNodeAgent):
         """Checkpoint peers (point A), compute diffs, ship the pending
         record to the backup. Every step is idempotent so a recovery
         retry can safely re-run the stage."""
-        yield Delay(self.costs.release_base_us
-                    + self.costs.commit_per_page_us * len(fl.pages)
-                    + self.costs.page_lock_us * len(fl.pages))
+        yield Delay(RELEASE_BASE_US
+                    + COMMIT_PER_PAGE_US * len(fl.pages)
+                    + PAGE_LOCK_US * len(fl.pages))
         # Point A: suspend peers, ship their states to the backup.
         yield from thread.clock.in_category(
             Category.CHECKPOINT, self._point_a(thread, fl))
@@ -555,7 +558,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
                           fl.seq) as ck_op:
             peer_tids = sorted(tid for tid in fl.state_blobs
                                if tid != thread.thread_id)
-            yield Delay(self.costs.thread_suspend_us * len(peer_tids))
+            yield Delay(THREAD_SUSPEND_US * len(peer_tids))
             for tid in peer_tids:
                 yield from self._ship_thread_state(
                     tid, fl.seq, fl.state_blobs[tid], op=ck_op)
@@ -599,10 +602,10 @@ class FtSvmNodeAgent(SvmNodeAgent):
                            op: Optional[int] = None):
         # Accounted size includes the modelled native stack (the paper
         # ships context + stack; our explicit state is more compact).
-        size = len(blob) + self.costs.checkpoint_stack_bytes
+        size = len(blob) + CHECKPOINT_STACK_BYTES
         self.counters.checkpoints += 1
         self.counters.checkpoint_bytes += size
-        yield Delay(self.costs.checkpoint_us(size))
+        yield Delay(checkpoint_us(size))
         backup = self.homes.backup_node(self.node_id)
         record_body = ("state", self.node_id, tid, seq, blob)
         yield from self.notify(backup, CKPT_CHANNEL, record_body,
@@ -634,7 +637,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
             # frozen records (the paper's "no guarantee of success for
             # previous operations" case) -- drop it.
             return
-        yield Delay(self.costs.checkpoint_base_us * 0.2)
+        yield Delay(CHECKPOINT_BASE_US * 0.2)
         self.hooks.fire(Hooks.CHECKPOINT_STORED, self.node_id,
                         **self.ckpt_store.store(body))
 

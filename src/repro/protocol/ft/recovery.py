@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.apps.base import AppContext
 from repro.cluster import Hooks
+from repro.config import INVALIDATE_PER_PAGE_US, checkpoint_us, copy_time_us
 from repro.errors import RecoveryError, UnrecoverableFailure
 from repro.protocol.agent import Operation
 from repro.protocol.ft.checkpoint import encode_thread_state
@@ -369,10 +370,8 @@ class RecoveryManager:
         """
         runtime = self.runtime
         homes = runtime.homes
-        costs = runtime.config.costs
         net = runtime.config.network
-        mem = runtime.config.memory
-        page_size = mem.page_size
+        page_size = runtime.config.page_size
         reconcile_cost = 0.0
         rereplicate_cost = 0.0
 
@@ -384,7 +383,7 @@ class RecoveryManager:
         backup_id = old_map.backup_node(failed)
         store = agents[backup_id].ckpt_store
 
-        page_copy_us = mem.copy_time_us(page_size)
+        page_copy_us = copy_time_us(page_size)
         page_xfer_us = net.wire_latency_us + net.transfer_time_us(page_size)
 
         # -- 3a. rewind surviving nodes' un-published releases ------------
@@ -550,7 +549,7 @@ class RecoveryManager:
                         invalidations += 1
             agent.ts.merge(merged)
             agent.vmmc.known_dead.add(failed)
-        reconcile_cost += invalidations * costs.invalidate_per_page_us
+        reconcile_cost += invalidations * INVALIDATE_PER_PAGE_US
         # Record version claims so fetch gating cannot deadlock on
         # version knowledge that died with the node:
         # * the failed node's published updates are now present at
@@ -650,7 +649,7 @@ class RecoveryManager:
             # restored states would be lost again if next_backup dies.
             agents[backup_id].ckpt_mirror.store_thread_state(
                 backup_id, rec.tid, 0, blob)
-            ckpt_cost += (costs.checkpoint_us(len(blob))
+            ckpt_cost += (checkpoint_us(len(blob))
                           + net.wire_latency_us)
         store.forget_ward(failed)
         yield Delay(ckpt_cost)

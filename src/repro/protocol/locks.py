@@ -27,6 +27,7 @@ import enum
 from collections import deque
 from typing import Deque, Dict, Optional
 
+from repro.config import LOCK_BACKOFF_MAX_US, LOCK_BACKOFF_MIN_US, LOCK_OP_US
 from repro.errors import ProtocolError
 from repro.protocol.timestamps import VectorTimestamp
 from repro.sim import Delay, Event
@@ -78,7 +79,7 @@ class LockManagerBase:
         self.engine = agent.engine
         self._states: Dict[int, _NodeLockState] = {}
         # One immutable Delay per fixed charge instead of one per op.
-        self._delay_op = Delay(agent.costs.lock_op_us)
+        self._delay_op = Delay(LOCK_OP_US)
 
     def _state(self, lock_id: int) -> _NodeLockState:
         st = self._states.get(lock_id)
@@ -209,11 +210,10 @@ class PollingLocks(LockManagerBase):
 
     def _global_acquire(self, lock_id: int, op: Optional[int] = None):
         agent = self.agent
-        costs = agent.costs
         n = agent.config.num_nodes
         me = agent.node_id
         vec_base = self._vec_base(lock_id)
-        backoff = costs.lock_backoff_min_us
+        backoff = LOCK_BACKOFF_MIN_US
         while True:
             # The agent aborts synchronization when recovery is pending;
             # polling loops are the paper's natural abort points.
@@ -244,7 +244,7 @@ class PollingLocks(LockManagerBase):
                 agent.check_recovery_abort()
             jitter = 0.5 + agent.rng.random()
             yield Delay(backoff * jitter)
-            backoff = min(backoff * 2.0, costs.lock_backoff_max_us)
+            backoff = min(backoff * 2.0, LOCK_BACKOFF_MAX_US)
         # Acquired: replicate holder state, then read the lock timestamp.
         if self.replicate:
             secondary = agent.homes.lock_secondary(lock_id)

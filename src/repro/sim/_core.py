@@ -98,8 +98,8 @@ def timeout_wait(engine: Engine, event: Event, timeout: float):
     return False, None
 
 
-def metronome(engine: Engine, period: float, action: Callable[[], None],
-              priority: int = PRIORITY_LATE) -> None:
+def metronome(engine: Engine, period: float,
+              action: Callable[[], None]) -> None:
     """Run ``action()`` every ``period`` time units while the
     simulation is still live.
 
@@ -108,7 +108,7 @@ def metronome(engine: Engine, period: float, action: Callable[[], None],
     never keeps ``run()`` from draining the event list -- a plain
     self-rescheduling event would tick forever, and two metronomes
     gating only on "is the heap non-empty" would keep each other alive.
-    Ticks run at ``PRIORITY_LATE`` by default so samplers observe the
+    Ticks run at ``PRIORITY_LATE`` so samplers observe the
     state *after* the normal events of their timestamp. Each tick's
     entry is marked passive with a fifth ``True`` element (list
     compares stop at the unique seq, so mixed lengths never matter).
@@ -119,6 +119,6 @@ def metronome(engine: Engine, period: float, action: Callable[[], None],
     def tick() -> None:
         action()
         if engine.has_active_pending():
-            engine.schedule(period, tick, priority).append(True)
+            engine.schedule(period, tick, PRIORITY_LATE).append(True)
 
-    engine.schedule(period, tick, priority).append(True)
+    engine.schedule(period, tick, PRIORITY_LATE).append(True)

@@ -103,7 +103,7 @@ class RecoveryInvariantChecker:
         self.violations: List[Finding] = []
         config = runtime.config
         self.oracle = ShadowOracle(config.shared_pages,
-                                   config.memory.page_size)
+                                   config.page_size)
         self.audits_run = 0
 
         # -- tracking state --------------------------------------------

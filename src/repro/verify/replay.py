@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
 from repro.apps.randomprog import RandomProgram
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness.faultplan import FaultPlan
 from repro.harness.runner import SvmRuntime
 from repro.metrics.trace import FULL_EVENTS, ProtocolTrace, load_jsonl
@@ -65,7 +65,6 @@ class ReplayScenario:
     threads_per_node: int = 1
     shared_pages: int = 64
     num_locks: int = 64
-    num_barriers: int = 8
     page_size: int = 512
     phases: int = 3
     actions_per_phase: int = 4
@@ -89,9 +88,8 @@ def build_runtime(scenario: ReplayScenario) -> SvmRuntime:
         threads_per_node=scenario.threads_per_node,
         shared_pages=scenario.shared_pages,
         num_locks=scenario.num_locks,
-        num_barriers=scenario.num_barriers,
         seed=scenario.cluster_seed,
-        memory=MemoryParams(page_size=scenario.page_size),
+        page_size=scenario.page_size,
         protocol=ProtocolParams(variant=scenario.variant,
                                 lock_algorithm=scenario.lock_algorithm))
     workload = RandomProgram(
@@ -140,7 +138,6 @@ def run_capped(runtime, sim_budget_us: Optional[float]) -> dict:
 
 
 def record_trace(scenario: ReplayScenario, path,
-                 capacity: int = 500_000,
                  sim_budget_us: Optional[float] = DEFAULT_SIM_BUDGET_US
                  ) -> dict:
     """Run the scenario once, recording the full event trace to
@@ -148,7 +145,7 @@ def record_trace(scenario: ReplayScenario, path,
     :func:`run_capped` saw, and the event count."""
     runtime = build_runtime(scenario)
     trace = ProtocolTrace(runtime.cluster, events=FULL_EVENTS,
-                          capacity=capacity)
+                          capacity=500_000)
     header = {"scenario": scenario.to_dict(),
               **run_capped(runtime, sim_budget_us), "events": len(trace)}
     trace.export_jsonl(path, header=header)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import Ocean
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FaultPlan
 
@@ -13,8 +13,8 @@ from repro.harness.faultplan import FaultPlan
 def config_for(variant, threads_per_node=1):
     return ClusterConfig(
         num_nodes=4, threads_per_node=threads_per_node,
-        shared_pages=64, num_locks=16, num_barriers=8, seed=3,
-        memory=MemoryParams(page_size=512),
+        shared_pages=64, num_locks=16, seed=3,
+        page_size=512,
         protocol=ProtocolParams(variant=variant))
 
 

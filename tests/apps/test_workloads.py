@@ -18,7 +18,7 @@ from repro.apps import (
     WaterNsquared,
     WaterSpatial,
 )
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 
 
@@ -29,9 +29,8 @@ def config_for(workload, variant, num_nodes=4, threads_per_node=1,
         threads_per_node=threads_per_node,
         shared_pages=1024,
         num_locks=256,
-        num_barriers=8,
         seed=seed,
-        memory=MemoryParams(page_size=page_size),
+        page_size=page_size,
         protocol=ProtocolParams(variant=variant),
     )
 

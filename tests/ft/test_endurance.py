@@ -10,7 +10,7 @@ all of it.
 import pytest
 
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import UnrecoverableFailure
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FailureSpec, FaultPlan
@@ -20,8 +20,8 @@ from tests.protocol.test_base_integration import MigratoryData
 def make_runtime(num_nodes=6, rounds=24, seed=4):
     config = ClusterConfig(
         num_nodes=num_nodes, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=seed,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=seed,
+        page_size=512,
         protocol=ProtocolParams(variant="ft", lock_algorithm="polling"))
     return SvmRuntime(config, MigratoryData(rounds=rounds))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import UnrecoverableFailure
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FailureSpec, FaultPlan
@@ -30,9 +30,8 @@ def ft_config(num_nodes=4, threads_per_node=1, seed=3):
         threads_per_node=threads_per_node,
         shared_pages=64,
         num_locks=64,
-        num_barriers=8,
         seed=seed,
-        memory=MemoryParams(page_size=512),
+        page_size=512,
         protocol=ProtocolParams(variant="ft", lock_algorithm="polling"),
     )
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FailureSpec, FaultPlan
 from tests.protocol.test_base_integration import (
@@ -34,8 +34,8 @@ HOOKS = [
 def _config(seed):
     return ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=seed,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=seed,
+        page_size=512,
         protocol=ProtocolParams(variant="ft", lock_algorithm="polling"))
 
 

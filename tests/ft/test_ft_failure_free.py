@@ -8,7 +8,7 @@ these are the effects the paper's evaluation section quantifies.
 import numpy as np
 import pytest
 
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from tests.protocol.test_base_integration import (
     CounterWorkload,
@@ -25,9 +25,8 @@ def ft_config(num_nodes=4, threads_per_node=1, lock_algorithm="polling",
         threads_per_node=threads_per_node,
         shared_pages=64,
         num_locks=64,
-        num_barriers=8,
         seed=seed,
-        memory=MemoryParams(page_size=512),
+        page_size=512,
         protocol=ProtocolParams(variant="ft",
                                 lock_algorithm=lock_algorithm,
                                 **proto_kw),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.base import Workload
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.memory import Diff
 from repro.protocol.ft.protocol import _UndoRecord
@@ -14,8 +14,8 @@ from repro.protocol.ft.protocol import _UndoRecord
 def ft_config(threads_per_node=1, num_nodes=4, **proto):
     return ClusterConfig(
         num_nodes=num_nodes, threads_per_node=threads_per_node,
-        shared_pages=32, num_locks=32, num_barriers=8, seed=5,
-        memory=MemoryParams(page_size=512),
+        shared_pages=32, num_locks=32, seed=5,
+        page_size=512,
         protocol=ProtocolParams(variant="ft", **proto))
 
 
@@ -175,8 +175,8 @@ def test_page_locking_stalls_faults_during_release():
 
     config = ClusterConfig(
         num_nodes=2, threads_per_node=2, shared_pages=32,
-        num_locks=32, num_barriers=8, seed=5,
-        memory=MemoryParams(page_size=512),
+        num_locks=32, seed=5,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     runtime = SvmRuntime(config, Fig4())
     result = runtime.run()
@@ -203,8 +203,8 @@ def test_serialized_releases_counted():
 
     config = ClusterConfig(
         num_nodes=2, threads_per_node=2, shared_pages=32,
-        num_locks=32, num_barriers=8, seed=5,
-        memory=MemoryParams(page_size=512),
+        num_locks=32, seed=5,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     runtime = SvmRuntime(config, TwoReleases())
     result = runtime.run()

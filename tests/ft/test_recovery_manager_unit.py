@@ -3,7 +3,7 @@ signals, double reports)."""
 
 import pytest
 
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import RecoveryError, UnrecoverableFailure
 from repro.harness import SvmRuntime
 from tests.protocol.test_base_integration import MigratoryData
@@ -12,8 +12,8 @@ from tests.protocol.test_base_integration import MigratoryData
 def make_runtime(num_nodes=4):
     config = ClusterConfig(
         num_nodes=num_nodes, threads_per_node=1, shared_pages=32,
-        num_locks=16, num_barriers=8, seed=5,
-        memory=MemoryParams(page_size=512),
+        num_locks=16, seed=5,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     return SvmRuntime(config, MigratoryData(rounds=4))
 

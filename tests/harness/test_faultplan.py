@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import ConfigError
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FailureSpec, FaultPlan
@@ -15,8 +15,8 @@ from tests.protocol.test_base_integration import MigratoryData
 def ft_runtime(rounds=12, num_nodes=4, seed=3):
     config = ClusterConfig(
         num_nodes=num_nodes, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=seed,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=seed,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     return SvmRuntime(config, MigratoryData(rounds=rounds))
 

@@ -20,7 +20,7 @@ from repro.apps import (
     WaterSpatial,
 )
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FaultPlan
 
@@ -28,8 +28,8 @@ from repro.harness.faultplan import FaultPlan
 def ft_config(seed=3):
     return ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=1024,
-        num_locks=256, num_barriers=8, seed=seed,
-        memory=MemoryParams(page_size=1024),
+        num_locks=256, seed=seed,
+        page_size=1024,
         protocol=ProtocolParams(variant="ft", lock_algorithm="polling"))
 
 
@@ -92,8 +92,8 @@ def test_batched_diffs_with_failure():
     from repro.config import ProtocolParams
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=1024,
-        num_locks=256, num_barriers=8, seed=3,
-        memory=MemoryParams(page_size=1024),
+        num_locks=256, seed=3,
+        page_size=1024,
         protocol=ProtocolParams(variant="ft", batch_diffs=True))
     workload = WaterNsquared(molecules=24, steps=1)
     runtime = SvmRuntime(config, workload)

@@ -10,7 +10,7 @@ against a real baseline, not assumed.
 import pytest
 
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import ProtocolError, RemoteNodeFailure
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FaultPlan
@@ -23,8 +23,8 @@ from tests.protocol.test_base_integration import (
 def base_config(seed=3):
     return ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=seed,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=seed,
+        page_size=512,
         protocol=ProtocolParams(variant="base"))
 
 
@@ -52,8 +52,8 @@ def test_same_scenario_survives_under_ft():
     """The identical failure, extended protocol: completes & verifies."""
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=3,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=3,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     runtime = SvmRuntime(config, MigratoryData(rounds=10))
     FaultPlan.single(2, Hooks.LOCK_ACQUIRED, occurrence=2,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.apps.randomprog import RandomProgram
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FaultPlan
 import random as _random
@@ -30,8 +30,8 @@ def make_runtime(program_seed, cluster_seed, variant,
                  lock_algorithm="polling"):
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=cluster_seed,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=cluster_seed,
+        page_size=512,
         protocol=ProtocolParams(variant=variant,
                                 lock_algorithm=lock_algorithm))
     workload = RandomProgram(program_seed=program_seed, phases=3,

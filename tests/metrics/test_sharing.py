@@ -4,7 +4,7 @@ the real applications (whose patterns the paper's analysis names)."""
 import pytest
 
 from repro.apps import RadixSort, Volrend
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.metrics import SharingProfiler
 from repro.metrics.sharing import PageProfile
@@ -18,8 +18,8 @@ from tests.protocol.test_base_integration import (
 def profiled_run(workload, variant="base"):
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=3,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=3,
+        page_size=512,
         protocol=ProtocolParams(variant=variant))
     runtime = SvmRuntime(config, workload)
     profiler = SharingProfiler(runtime)

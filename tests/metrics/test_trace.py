@@ -4,7 +4,7 @@ of the two-phase protocol captured from real runs."""
 import pytest
 
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.metrics import ProtocolTrace
 from tests.protocol.test_base_integration import MigratoryData
@@ -13,8 +13,8 @@ from tests.protocol.test_base_integration import MigratoryData
 def ft_runtime(workload=None):
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, num_barriers=8, seed=3,
-        memory=MemoryParams(page_size=512),
+        num_locks=64, seed=3,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     return SvmRuntime(config, workload or MigratoryData(rounds=6))
 

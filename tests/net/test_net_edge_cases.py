@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import CostModel, NetworkParams
+from repro.config import NetworkParams
 from repro.errors import NetworkError, RemoteNodeFailure
 from repro.net import NIC, Network, VMMC
 from repro.sim import Delay, Engine
@@ -16,7 +16,7 @@ def make_net(num_nodes=3, params=None):
     for node_id in range(num_nodes):
         nic = NIC(engine, node_id, params)
         network.attach(nic)
-        endpoints.append(VMMC(engine, nic, CostModel()))
+        endpoints.append(VMMC(engine, nic))
     return engine, network, endpoints
 
 

@@ -2,23 +2,22 @@
 
 import pytest
 
-from repro.config import CostModel, NetworkParams
+from repro.config import HEARTBEAT_TIMEOUT_US, NetworkParams
 from repro.errors import MemoryError_, RemoteNodeFailure
 from repro.net import NIC, Network, VMMC
 from repro.sim import Delay, Engine
 
 
-def make_cluster_net(num_nodes=2, params=None, costs=None):
+def make_cluster_net(num_nodes=2, params=None):
     """Build engine + network + one (NIC, VMMC) pair per node."""
     engine = Engine()
     params = params or NetworkParams()
-    costs = costs or CostModel()
     network = Network(engine, params)
     endpoints = []
     for node_id in range(num_nodes):
         nic = NIC(engine, node_id, params)
         network.attach(nic)
-        endpoints.append(VMMC(engine, nic, costs))
+        endpoints.append(VMMC(engine, nic))
     return engine, network, endpoints
 
 
@@ -147,7 +146,7 @@ def test_node_dying_mid_request_detected_by_heartbeat():
     engine.run()
     assert outcome[0][0] == "detected"
     # Detection takes at least one heart-beat timeout.
-    assert outcome[0][1] >= CostModel().heartbeat_timeout_us
+    assert outcome[0][1] >= HEARTBEAT_TIMEOUT_US
 
 
 def test_subsequent_operations_to_dead_node_fail_immediately():

@@ -7,14 +7,15 @@ path can be stretched: a slow server, a reply from a server already
 declared dead, and a reply posted into a full post queue.
 """
 
-from repro.config import CostModel, NetworkParams
+import repro.net.vmmc as vmmc_mod
+from repro.config import HEARTBEAT_TIMEOUT_US, NetworkParams
 from repro.errors import RemoteNodeFailure
 from repro.net import MessageKind
 from repro.sim import Delay
 
 from tests.net.test_network import make_cluster_net
 
-HEARTBEAT_US = CostModel().heartbeat_timeout_us
+HEARTBEAT_US = HEARTBEAT_TIMEOUT_US
 
 
 def record_transmits(network):
@@ -110,10 +111,12 @@ def test_reply_from_a_shunned_server_is_dropped_until_the_probe_fails():
     assert 1 in a.known_dead
 
 
-def test_service_reply_into_a_full_post_queue_blocks_then_is_delivered():
+def test_service_reply_into_a_full_post_queue_blocks_then_is_delivered(
+        monkeypatch):
     params = NetworkParams(post_queue_depth=1, bandwidth_bytes_per_us=1.0)
-    costs = CostModel(heartbeat_timeout_us=1e6)  # no probes: one path
-    engine, network, (a, b) = make_cluster_net(params=params, costs=costs)
+    # No probes: one path.
+    monkeypatch.setattr(vmmc_mod, "HEARTBEAT_TIMEOUT_US", 1e6)
+    engine, network, (a, b) = make_cluster_net(params=params)
     network.nic(0).regions.export("buf", 1024)
     queue = network.nic(1).post_queue
     full_when_replying = []

@@ -11,7 +11,7 @@ must be indistinguishable in memory, simulated time and counters.
 import numpy as np
 
 from repro.apps.base import Workload
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness.runner import SvmRuntime
 
 PAGE = 512
@@ -38,8 +38,8 @@ def run_probe(kernel):
 
     config = ClusterConfig(
         num_nodes=2, threads_per_node=1, shared_pages=32,
-        num_locks=16, num_barriers=8, seed=5,
-        memory=MemoryParams(page_size=PAGE),
+        num_locks=16, seed=5,
+        page_size=PAGE,
         protocol=ProtocolParams(variant="ft"))
     runtime = SvmRuntime(config, Probe())
     return runtime, runtime.run()

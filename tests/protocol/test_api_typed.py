@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.base import Workload
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import ApplicationError
 from repro.harness import SvmRuntime
 
@@ -25,8 +25,8 @@ def run_kernel(body, variant="base", num_nodes=2):
 
     config = ClusterConfig(
         num_nodes=num_nodes, threads_per_node=1, shared_pages=32,
-        num_locks=16, num_barriers=8, seed=5,
-        memory=MemoryParams(page_size=512),
+        num_locks=16, seed=5,
+        page_size=512,
         protocol=ProtocolParams(variant=variant))
     runtime = SvmRuntime(config, Probe())
     runtime.run()
@@ -103,8 +103,8 @@ def test_out_of_segment_address_rejected():
     run_kernel(body)
 
 
-def test_checkpoint_stack_padding_accounted():
-    from repro.config import CostModel
+def test_checkpoint_stack_padding_accounted(monkeypatch):
+    import repro.protocol.ft.protocol as ft_protocol
     seen = {}
 
     class Padded(Workload):
@@ -121,11 +121,11 @@ def test_checkpoint_stack_padding_accounted():
             yield from ctx.barrier(self.BARRIER_A)
 
     def run(pad):
+        monkeypatch.setattr(ft_protocol, "CHECKPOINT_STACK_BYTES", pad)
         config = ClusterConfig(
             num_nodes=2, threads_per_node=1, shared_pages=32,
-            num_locks=16, num_barriers=8, seed=5,
-            memory=MemoryParams(page_size=512),
-            costs=CostModel(checkpoint_stack_bytes=pad),
+            num_locks=16, seed=5,
+            page_size=512,
             protocol=ProtocolParams(variant="ft"))
         runtime = SvmRuntime(config, Padded())
         return runtime.run()

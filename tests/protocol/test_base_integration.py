@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.apps.base import AppContext, Workload
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import ApplicationError
 from repro.harness import SvmRuntime
 from repro.metrics import Category
@@ -22,9 +22,8 @@ def small_config(num_nodes=4, threads_per_node=1, lock_algorithm="polling",
         threads_per_node=threads_per_node,
         shared_pages=64,
         num_locks=64,
-        num_barriers=8,
         seed=seed,
-        memory=MemoryParams(page_size=512),
+        page_size=512,
         protocol=ProtocolParams(variant="base",
                                 lock_algorithm=lock_algorithm),
     )
@@ -83,7 +82,7 @@ class NeighborExchange(Workload):
         total = runtime.config.total_threads
         nodes = runtime.config.num_nodes
         nbytes = total * self.n * 8
-        pages = -(-nbytes // runtime.config.memory.page_size)
+        pages = -(-nbytes // runtime.config.page_size)
         if self.home_policy == "shifted":
             home = lambda i: (min(i * nodes // pages, nodes - 1) + 1) % nodes
         else:

@@ -8,7 +8,7 @@ notice distribution makes trimming free. These tests pin that down.
 import pytest
 
 from repro.apps.base import Workload
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 
 
@@ -37,8 +37,8 @@ class BarrierChurn(Workload):
 def run_churn(variant, iterations=12):
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=32,
-        num_locks=16, num_barriers=8, seed=7,
-        memory=MemoryParams(page_size=512),
+        num_locks=16, seed=7,
+        page_size=512,
         protocol=ProtocolParams(variant=variant))
     runtime = SvmRuntime(config, BarrierChurn(iterations))
     result = runtime.run()
@@ -85,8 +85,8 @@ def test_gc_does_not_break_lock_based_sharing():
     from tests.protocol.test_base_integration import MigratoryData
     config = ClusterConfig(
         num_nodes=4, threads_per_node=1, shared_pages=32,
-        num_locks=16, num_barriers=8, seed=7,
-        memory=MemoryParams(page_size=512),
+        num_locks=16, seed=7,
+        page_size=512,
         protocol=ProtocolParams(variant="ft"))
     runtime = SvmRuntime(config, MigratoryData(rounds=10))
     runtime.run()  # verify() inside

@@ -7,7 +7,7 @@ lock behaviour is observable in isolation.
 import pytest
 
 from repro.apps.base import Workload
-from repro.config import ClusterConfig, MemoryParams, ProtocolParams
+from repro.config import ClusterConfig, ProtocolParams
 from repro.harness import SvmRuntime
 from repro.protocol.locks import LOCKTS_REGION, LOCKVEC_REGION
 from repro.protocol.timestamps import VectorTimestamp
@@ -17,8 +17,8 @@ def make_runtime(lock_algorithm="polling", variant="base", num_nodes=4,
                  threads_per_node=1, workload=None):
     config = ClusterConfig(
         num_nodes=num_nodes, threads_per_node=threads_per_node,
-        shared_pages=32, num_locks=32, num_barriers=8, seed=5,
-        memory=MemoryParams(page_size=512),
+        shared_pages=32, num_locks=32, seed=5,
+        page_size=512,
         protocol=ProtocolParams(variant=variant,
                                 lock_algorithm=lock_algorithm))
     return SvmRuntime(config, workload or _NullWorkload())
