@@ -235,6 +235,10 @@ def _cmd_report(args) -> int:
         result = runtime.run(max_sim_us=args.max_sim_us)
     except Exception as exc:  # noqa: BLE001 -- reported in the output
         error = f"{type(exc).__name__}: {exc}"
+    # Fills the sampler's grid to the run's end and checks the window
+    # the run ended in, so a run that ends stalled gets its dump.
+    sampler.detach()
+    watchdog.detach()
     ran = perf_counter()
 
     outdir = _outdir(args.output)

@@ -18,6 +18,7 @@ Components::
     dog = StallWatchdog(runtime, horizon_us=20_000.0, recorder=rec)
     sampler.start(); dog.start()
     runtime.run()
+    sampler.detach(); dog.detach()  # fill the grid to the end; last stall check
     rec.export("trace.json", counters=sampler.to_chrome_counters(rec.cluster_pid))
 
 The exported trace is Chrome/Perfetto JSON (open it at

@@ -1,7 +1,7 @@
 """Periodic time-series sampling of counters and queue depths.
 
-:class:`TimeSeriesSampler` rides a metronome: every
-``period_us`` of *simulated* time it snapshots the cumulative
+:class:`TimeSeriesSampler` samples on a grid of *simulated* time: at
+every ``period_us`` boundary it snapshots the cumulative
 :class:`~repro.metrics.counters.NodeCounters` fields of every node,
 the engine's pending-event count and each NIC's post-queue depth, into
 columnar arrays (one list per series, one shared time axis).
@@ -11,9 +11,13 @@ Two views: :meth:`totals` (cluster-wide cumulative counters) and
 the runtime swaps in fresh counter objects when the timed region
 starts, which would otherwise show up as one large negative delta).
 
-The sampler piggybacks on :func:`repro.sim.metronome`, which re-arms
-only while other events remain pending -- sampling never keeps a
-finished simulation alive. Like the whole obs package it is opt-in:
+The sampler schedules nothing: it reads the hook stream
+(:meth:`~repro.cluster.Hooks.tap`), and the first hook at or after a
+boundary takes that boundary's sample -- stamped at the boundary,
+holding the state at that hook (several boundaries crossed by one quiet
+stretch all hold the same state). :meth:`detach` fills the boundaries
+left up to the run's end. Attaching it therefore moves no simulated
+time and no event count. Like the whole obs package it is opt-in:
 nothing samples until :meth:`start` is called.
 """
 
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.metrics.trace import FULL_EVENTS
 from repro.obs import instrumentation
-from repro.sim import metronome
 
 #: NodeCounters fields sampled -- the protocol activity the report and
 #: the Perfetto counter tracks plot.
@@ -48,26 +52,44 @@ class TimeSeriesSampler:
         #: ``node{n}.{field}`` (cumulative); gauges are
         #: ``engine.queue_depth`` and ``node{n}.nic_queue``.
         self.series: Dict[str, List[float]] = {}
+        #: The first grid boundary not yet sampled.
+        self._next = 0.0
+        self._tap: list = []
         self._started = self._detached = False
 
     def start(self) -> None:
-        """Take one sample now and arm the metronome."""
+        """Sample now (the grid's origin) and start reading hooks."""
         if self._started:
             return
         self._started = True
-        self._sample()
-        metronome(self.engine, self.period_us, self._sample)
+        self._next = self.engine.now
+        self._fill()
+        self._tap = self.runtime.cluster.hooks.tap(FULL_EVENTS, self._on_hook)
 
     def detach(self) -> None:
-        """Stop sampling. A metronome cannot be unarmed, so the ticks
-        still to come return at once."""
+        """Stop sampling, after filling every boundary up to the run's
+        end (the engine's current time)."""
+        self.runtime.cluster.hooks.untap(self._tap)
+        if self._started and not self._detached:
+            self._fill()
         self._detached = True
 
-    def _sample(self) -> None:
-        if self._detached:
+    def _on_hook(self, name: str, node_id: int, info: dict) -> None:
+        if self.engine.now < self._next:
             return
+        self._fill()
+
+    def _fill(self) -> None:
+        """One sample per boundary at or before now, each stamped at
+        its boundary and holding the state of this instant."""
+        now = self.engine.now
+        while self._next <= now:
+            self._sample(self._next)
+            self._next += self.period_us
+
+    def _sample(self, time: float) -> None:
         instrumentation.bump("sampler")
-        self.times.append(self.engine.now)
+        self.times.append(time)
         put = self._put
         for n, agent in enumerate(self.runtime.agents):
             counters = agent.counters

@@ -3,9 +3,12 @@
 The simulator's two known deadlock classes (recovery rendezvous that
 never completes, lock handover lost across a failure) present as "the
 event list keeps polling but no protocol hook fires". The watchdog
-subscribes to the full hook stream as its progress signal and rides a
-metronome: when ``horizon_us`` of simulated time passes with no hook
-event, it dumps a **wait-for graph** -- every unfinished thread,
+subscribes to the full hook stream as its progress signal and schedules
+nothing: each hook first checks the quiet window that it ends, and
+:meth:`StallWatchdog.detach` checks the one the run ends in (drained,
+or stopped at its cap). When that window spans ``horizon_us`` of
+simulated time or more, it dumps a **wait-for graph**, stamped at the
+window's end -- every unfinished thread,
 the event it is parked on (decoded from the simulator's structured
 event names: ``lock{id}.localwait``, ``fault{page}.acquire``,
 ``bar{id}.{epoch}``, ``relslot{node}``, ``recovery.*``), the owner of
@@ -15,8 +18,8 @@ and NIC queue depths -- to stderr and onto the flight-recorder
 timeline, then runs a cycle search over the thread->thread edges so a
 true deadlock is named as one.
 
-One dump per stall episode: the watchdog re-arms only after progress
-resumes. Zero cost when not attached.
+One dump per quiet window, so a stall is reported once, when it ends.
+Zero cost when not attached.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.cluster import Hooks
 from repro.metrics.trace import FULL_EVENTS, STALL
 from repro.obs import instrumentation
 from repro.protocol.ft import protocol as ft_protocol
-from repro.sim import metronome
 
 #: Release-pipeline stage number -> name, read off the ``STAGE_*``
 #: constants of the FT protocol.
@@ -255,9 +257,9 @@ MAX_DUMPS = 8
 class StallWatchdog:
     """Fires :func:`build_waitfor` when the hook stream goes quiet.
 
-    ``horizon_us`` is the zero-progress window; the check runs every
-    horizon / 4. Dumps (at most :data:`MAX_DUMPS`) go to stderr, into
-    ``self.dumps``, and -- when a
+    ``horizon_us`` is the zero-progress window; it is checked on every
+    hook and once more on :meth:`detach`. Dumps (at most
+    :data:`MAX_DUMPS`) go to stderr, into ``self.dumps``, and -- when a
     :class:`~repro.obs.recorder.FlightRecorder` is supplied -- onto the
     trace timeline as a global "stall detected" instant carrying the
     full report.
@@ -272,15 +274,16 @@ class StallWatchdog:
         self.dumps: List[str] = []
         self.graphs: List[dict] = []
         self._last_progress = 0.0
-        self._in_stall = False
         self._started = self._detached = False
         self._lock_holders: Dict[int, Tuple[int, int]] = {}
-        self._tap = runtime.cluster.hooks.tap(FULL_EVENTS, self._progress)
+        self._tap: list = []
 
     def _progress(self, name: str, node_id: int, info: dict) -> None:
         instrumentation.bump("watchdog")
-        self._last_progress = self.engine.now
-        self._in_stall = False
+        now = self.engine.now
+        if now - self._last_progress >= self.horizon_us:
+            self._dump(now - self._last_progress)
+        self._last_progress = now
         if name == Hooks.LOCK_ACQUIRED and "lock" in info and "tid" in info:
             self._lock_holders[info["lock"]] = (node_id, info["tid"])
         elif name == Hooks.LOCK_RELEASED and "lock" in info:
@@ -291,25 +294,23 @@ class StallWatchdog:
             return
         self._started = True
         self._last_progress = self.engine.now
-        metronome(self.engine, self.horizon_us / 4.0, self._check)
+        self._tap = self.runtime.cluster.hooks.tap(FULL_EVENTS,
+                                                   self._progress)
 
     def detach(self) -> None:
-        """Stop watching. A metronome cannot be unarmed, so the ticks
-        still to come return at once."""
+        """Stop watching, after checking the window the run ends in."""
         self.runtime.cluster.hooks.untap(self._tap)
+        quiet = self.engine.now - self._last_progress
+        if self._started and not self._detached and quiet >= self.horizon_us:
+            self._dump(quiet)
         self._detached = True
 
-    def _check(self) -> None:
-        if self._detached:
+    def _dump(self, quiet: float) -> None:
+        """Report the quiet window of ``quiet`` us that ends now."""
+        if len(self.dumps) >= MAX_DUMPS:
             return
-        instrumentation.bump("watchdog")
-        if self.engine.now - self._last_progress < self.horizon_us:
-            return
-        if self._in_stall or len(self.dumps) >= MAX_DUMPS:
-            return  # one dump per stall episode
-        self._in_stall = True
         graph = build_waitfor(self.runtime, self._lock_holders)
-        report = format_waitfor(graph, horizon_us=self.horizon_us)
+        report = format_waitfor(graph, horizon_us=quiet)
         self.graphs.append(graph)
         self.dumps.append(report)
         print(report, file=sys.stderr)

@@ -19,11 +19,9 @@ from repro.sim._core import (
     Engine,
     Event,
     Process,
-    metronome,
     timeout_wait,
 )
 from repro.sim.engine import (
-    PRIORITY_LATE,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
@@ -38,10 +36,8 @@ __all__ = [
     "Event",
     "Delay",
     "timeout_wait",
-    "metronome",
     "Mutex",
     "Store",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
-    "PRIORITY_LATE",
 ]

@@ -14,9 +14,9 @@
  * the test suite pins this with golden trace digests and same-seed
  * fault sweeps run under both builds.
  *
- * Only what every event runs through is written twice.  Helpers built
- * from plain schedule calls (repro.sim.metronome, timeout_wait) are
- * Python in repro/sim/_core.py and serve both builds.
+ * Only what every event runs through is written twice.  The helper
+ * built from plain schedule calls (timeout_wait) is Python in
+ * repro/sim/_core.py and serves both builds.
  *
  * Selection happens in repro/sim/_core.py: the compiled module is
  * used when importable unless REPRO_PURE=1 forces the reference path.
@@ -1217,28 +1217,6 @@ Engine_dealloc(EngineObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* Is an *active* entry pending: one neither cancelled nor a passive
- * metronome tick (marked by a fifth element)?  repro.sim.metronome
- * re-arms only while one is, so ticks never keep run() alive. */
-static PyObject *
-Engine_has_active_pending(EngineObject *self, PyObject *noargs)
-{
-    Py_ssize_t n = PyList_GET_SIZE(self->heap);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *entry = PyList_GET_ITEM(self->heap, i);
-        if (PyList_GET_ITEM(entry, 3) != Py_None &&
-            PyList_GET_SIZE(entry) == 4)
-            Py_RETURN_TRUE;
-    }
-    for (Py_ssize_t i = 0; i < self->fifo_len; i++) {
-        PyObject *entry = self->fifo[(self->fifo_head + i) % self->fifo_cap];
-        if (PyList_GET_ITEM(entry, 3) != Py_None &&
-            PyList_GET_SIZE(entry) == 4)
-            Py_RETURN_TRUE;
-    }
-    Py_RETURN_FALSE;
-}
-
 static PyMethodDef Engine_methods[] = {
     {"schedule", (PyCFunction)Engine_schedule,
      METH_FASTCALL | METH_KEYWORDS,
@@ -1249,9 +1227,6 @@ static PyMethodDef Engine_methods[] = {
      "Create and start a Process running ``generator``."},
     {"run", (PyCFunction)Engine_run, METH_VARARGS | METH_KEYWORDS,
      "Run events until the list drains or ``until`` passes."},
-    {"has_active_pending", (PyCFunction)Engine_has_active_pending,
-     METH_NOARGS,
-     "Whether an entry that is neither cancelled nor passive is pending."},
     {NULL}
 };
 

@@ -33,12 +33,9 @@ PRIORITY_NORMAL = 10
 #: Priority used by failure injection so that a node death at time t is
 #: observed by every other event scheduled at t.
 PRIORITY_URGENT = 0
-#: Priority for bookkeeping that must run after normal events at a time.
-PRIORITY_LATE = 20
 
-# Scheduler entries are plain lists ``[time, priority, seq, action]``
-# (passive metronome ticks carry a fifth ``True`` element). Lists
-# heap-compare elementwise at C speed and ``seq`` is unique, so a
+# Scheduler entries are plain lists ``[time, priority, seq, action]``.
+# Lists heap-compare elementwise at C speed and ``seq`` is unique, so a
 # comparison never reaches the action. Cancellation clears slot 3 in
 # place (``entry[3] = None``) -- no per-event handle object exists at
 # all, which removes one allocation + two attribute writes from every
@@ -196,12 +193,3 @@ class Engine:
         by ``run``, so subtract them rather than scanning."""
         return sum(1 for entry in self._heap if entry[3] is not None) \
             + sum(1 for entry in self._fifo if entry[3] is not None)
-
-    def has_active_pending(self) -> bool:
-        """Whether an *active* entry is pending: one neither cancelled
-        nor a passive metronome tick (marked by a fifth ``True``
-        element). :func:`repro.sim.metronome` re-arms only while one
-        is, so ticks never keep ``run()`` alive."""
-        return any(entry[3] is not None and len(entry) == 4
-                   for queue in (self._heap, self._fifo)
-                   for entry in queue)

@@ -2,13 +2,14 @@
 
 ``repro report`` attaches a flight recorder, an op tracer, a time-series
 sampler (500 us) and a stall watchdog (20 000 us horizon) before it
-runs. The sampler and the watchdog tick on the engine's metronome, a
-passive scheduler entry that the run's own digests never see. This file
-pins what those observers record and how often they were called, plus
-the run's event count and simulated end time, for a model-check
-scenario with two recoveries and an application run. A change to the
-simulation kernel that claims to leave observed behaviour alone must
-leave these digests alone, under both the pure and the compiled build.
+runs. All four read the hook stream and schedule nothing, so an
+observed run executes the same events and ends at the same simulated
+time as an unobserved one; each case asserts that. This file pins what
+the observers record and how often they were called, plus the run's
+event count and simulated end time, for a model-check scenario with
+two recoveries and an application run. A change to the simulation
+kernel that claims to leave observed behaviour alone must leave these
+digests alone, under both the pure and the compiled build.
 Re-record on purpose with::
 
     PYTHONPATH=src python tests/obs/test_observed_fingerprint.py
@@ -80,7 +81,12 @@ GOLDEN = {'FFT/ft/1': {'series_sha256': '3508af6e21af1a255a29d74a27503a843dfdf9d
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_observed_fingerprint(case):
-    assert fingerprint(CASES[case]) == GOLDEN[case]
+    observed = fingerprint(CASES[case])
+    assert observed == GOLDEN[case]
+    runtime = CASES[case]()
+    plain = runtime.run()
+    assert (observed["elapsed_us"], observed["events_executed"]) == \
+        (plain.elapsed_us, runtime.engine.events_executed)
 
 
 if __name__ == "__main__":

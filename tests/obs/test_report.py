@@ -77,6 +77,7 @@ def test_run_report_includes_watchdog_dumps_when_stalled():
         if rec.tid != 3:
             runtime.spawn_thread(rec)
     runtime.engine.run(until=100_000.0)
+    dog.detach()
     recorder.detach()
     page = render_run_report("synthetic stall", "deadlock", None,
                              recorder, sampler, dog,

@@ -15,15 +15,17 @@ def _sampled(period_us=500.0, failures=0):
     return runtime, sampler
 
 
-def test_samples_on_the_metronome():
+def test_samples_sit_on_the_period_grid():
     runtime, sampler = _sampled(period_us=500.0)
+    end = runtime.engine.now
+    during = len(sampler)
+    sampler.detach()
     times = sampler.times
-    assert times[0] == 0.0
-    deltas = [b - a for a, b in zip(times, times[1:])]
-    assert deltas and all(abs(d - 500.0) < 1e-6 for d in deltas)
-    # The metronome is passive: it must not keep the engine alive past
-    # the workload, so sampling stops when the run does.
-    assert times[-1] <= runtime.engine.now
+    assert len(times) >= during > 2
+    # Every sample is stamped at its boundary, k * period from 0 ...
+    assert times == [500.0 * k for k in range(len(times))]
+    # ... and detach fills the grid up to the run's end, no further.
+    assert end - 500.0 < times[-1] <= end
 
 
 def test_series_are_columnar_and_aligned():

@@ -14,23 +14,31 @@ from repro.obs import StallWatchdog, build_waitfor, format_waitfor
 from repro.verify.replay import ReplayScenario, build_runtime
 
 
-def _run_stalled():
+def _run_stalled(victim_at=None):
     """Run with the last thread missing: everyone else ends up parked
     at the first barrier. Two threads per node so each node has a
     follower waiting on the named ``bar{id}.{epoch}`` event (with one
     thread per node every arrival is a leader, parked inside the
-    internode exchange instead)."""
+    internode exchange instead). With ``victim_at`` the missing thread
+    is spawned at that time, so the stall is transient; without it the
+    run stops at its cap, still stalled, and ``detach`` reports it."""
     runtime = build_runtime(ReplayScenario(
         program_seed=145, cluster_seed=1, threads_per_node=2))
     dog = StallWatchdog(runtime, horizon_us=20_000.0)
     dog.start()
     runtime.workload.setup(runtime)
     runtime._create_threads()
-    victim = runtime.threads[-1].tid
+    victim = runtime.threads[-1]
     for rec in runtime.threads:
-        if rec.tid != victim:
+        if rec is not victim:
             runtime.spawn_thread(rec)
-    runtime.engine.run(until=100_000.0)
+    if victim_at is None:
+        runtime.engine.run(until=100_000.0)
+    else:
+        runtime.engine.schedule(victim_at,
+                                lambda: runtime.spawn_thread(victim))
+        runtime.engine.run()
+    dog.detach()
     return runtime, dog
 
 
@@ -47,6 +55,17 @@ def test_watchdog_fires_on_stall():
                if t["waiting"] and not t["finished"]]
     assert waiting, "graph shows no blocked threads"
     assert any(t["kind"] == "barrier" for t in waiting)
+
+
+def test_watchdog_reports_a_transient_stall_when_it_ends():
+    runtime, dog = _run_stalled(victim_at=60_000.0)
+    # One quiet window, reported once, by the first hook that ends it.
+    assert len(dog.dumps) == 1
+    graph = dog.graphs[0]
+    assert graph["time_us"] >= 60_000.0
+    assert any(t["kind"] == "barrier" for t in graph["threads"]
+               if not t["finished"])
+    assert all(rec.finished for rec in runtime.threads)
 
 
 def test_waitfor_graph_shows_stalled_state():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, PRIORITY_URGENT, metronome
+from repro.sim import Engine, PRIORITY_URGENT
 from repro.sim.engine import ENTRY_ACTION
 
 
@@ -98,45 +98,3 @@ def test_events_scheduled_during_run_execute():
     assert order == ["first", "second"]
     assert engine.now == 2.0
 
-
-def test_metronome_ticks_while_work_remains():
-    engine = Engine()
-    ticks = []
-    metronome(engine, 10.0, lambda: ticks.append(engine.now))
-    engine.schedule(35.0, lambda: None)
-    engine.run()
-    # Ticks at 10/20/30 observe pending work; the tick that would land
-    # at 40 is armed (the 35us event was pending at t=30) but finds no
-    # work after it, so the metronome stops re-arming.
-    assert ticks[:3] == [10.0, 20.0, 30.0]
-    assert len(ticks) <= 4
-
-
-def test_metronome_never_keeps_engine_alive():
-    engine = Engine()
-    metronome(engine, 10.0, lambda: None)
-    engine.schedule(5.0, lambda: None)
-    engine.run()
-    assert engine.now <= 20.0
-
-
-def test_two_metronomes_do_not_sustain_each_other():
-    # Regression: two samplers gating re-arm on "heap non-empty" each
-    # saw the other's pending tick and ticked forever.
-    engine = Engine()
-    counts = [0, 0]
-
-    def bump(i):
-        return lambda: counts.__setitem__(i, counts[i] + 1)
-
-    metronome(engine, 10.0, bump(0))
-    metronome(engine, 15.0, bump(1))
-    engine.schedule(40.0, lambda: None)
-    # Bounded, so a regression fails instead of hanging.
-    engine.run(until=100_000.0)
-    assert sum(counts) < 20
-
-
-def test_metronome_rejects_nonpositive_period():
-    with pytest.raises(SimulationError):
-        metronome(Engine(), 0.0, lambda: None)

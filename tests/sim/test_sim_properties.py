@@ -96,14 +96,14 @@ def test_property_determinism(n_procs, base_delay):
 import heapq
 import itertools
 
-from repro.sim import PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT
+from repro.sim import PRIORITY_NORMAL, PRIORITY_URGENT
 from repro.sim.engine import ENTRY_ACTION
 
 _DELAYS = st.one_of(st.just(0.0), st.floats(0.0, 10.0,
                                             allow_nan=False,
                                             allow_infinity=False))
-_PRIORITIES = st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL,
-                               PRIORITY_LATE))
+#: A third priority after the normal one, so ties cross all three.
+_PRIORITIES = st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL, 20))
 
 #: (kind, delay, priority, cancelled, children). kind "now" uses
 #: schedule_now (deque path); "sched" uses schedule(), which routes to
