@@ -63,20 +63,20 @@ def fingerprint(make_runtime):
             "elapsed_us": result.elapsed_us}
 
 
-GOLDEN = {'FFT/ft/1': {'series_sha256': '3508af6e21af1a255a29d74a27503a843dfdf9dc144b2cab412f3dac159a4439',
+GOLDEN = {'FFT/ft/1': {'series_sha256': 'a93903db7953b7a782e86336e9de56416e1bc4d89ec41df7aaf43be670f66adf',
               'recorder': '47b32ca31b94cc64066e9b6febf178e0352213aac43c0141c19833bcaf7b82ac',
               'optrace': '317809427b6a5043ec65442c14a22119e6b43213790c677f10dd0a1177db6bc4',
-              'sampler_calls': 14,
-              'watchdog_calls': 3178,
-              'events_executed': 20804,
-              'elapsed_us': 9788.6935},
- 'replay/145/1/533/2': {'series_sha256': '1d75b55149248aaaf6efc09905fb15352821759488de0626c0af1e5b9a719b01',
+              'sampler_calls': 13,
+              'watchdog_calls': 3176,
+              'events_executed': 20789,
+              'elapsed_us': 5825.867249999958},
+ 'replay/145/1/533/2': {'series_sha256': 'd06a21916ccada5d9e0b7295bbb92b579a40217391f3e81463a4dcdbc431a957',
                         'recorder': 'df466545735a9889a1c90db7d65be41511c462f2a724182e26c67bf301757901',
                         'optrace': 'af1650272cff65ea2e8a6b5a74e9fbeb439680fec692532adfd66693bda0c4cb',
-                        'sampler_calls': 10,
-                        'watchdog_calls': 614,
-                        'events_executed': 3453,
-                        'elapsed_us': 4852.7029999999995}}
+                        'sampler_calls': 6,
+                        'watchdog_calls': 613,
+                        'events_executed': 3443,
+                        'elapsed_us': 4212.307520762189}}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
