@@ -54,14 +54,13 @@ class TimeSeriesSampler:
         self.series: Dict[str, List[float]] = {}
         #: The first grid boundary not yet sampled.
         self._next = 0.0
+        #: The hook subscription; empty while not attached.
         self._tap: list = []
-        self._started = self._detached = False
 
     def start(self) -> None:
         """Sample now (the grid's origin) and start reading hooks."""
-        if self._started:
+        if self._tap:
             return
-        self._started = True
         self._next = self.engine.now
         self._fill()
         self._tap = self.runtime.cluster.hooks.tap(FULL_EVENTS, self._on_hook)
@@ -69,10 +68,9 @@ class TimeSeriesSampler:
     def detach(self) -> None:
         """Stop sampling, after filling every boundary up to the run's
         end (the engine's current time)."""
-        self.runtime.cluster.hooks.untap(self._tap)
-        if self._started and not self._detached:
+        if self._tap:
+            self.runtime.cluster.hooks.untap(self._tap)
             self._fill()
-        self._detached = True
 
     def _on_hook(self, name: str, node_id: int, info: dict) -> None:
         if self.engine.now < self._next:

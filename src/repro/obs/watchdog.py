@@ -274,8 +274,8 @@ class StallWatchdog:
         self.dumps: List[str] = []
         self.graphs: List[dict] = []
         self._last_progress = 0.0
-        self._started = self._detached = False
         self._lock_holders: Dict[int, Tuple[int, int]] = {}
+        #: The hook subscription; empty while not attached.
         self._tap: list = []
 
     def _progress(self, name: str, node_id: int, info: dict) -> None:
@@ -290,20 +290,19 @@ class StallWatchdog:
             self._lock_holders.pop(info["lock"], None)
 
     def start(self) -> None:
-        if self._started:
+        if self._tap:
             return
-        self._started = True
         self._last_progress = self.engine.now
         self._tap = self.runtime.cluster.hooks.tap(FULL_EVENTS,
                                                    self._progress)
 
     def detach(self) -> None:
         """Stop watching, after checking the window the run ends in."""
-        self.runtime.cluster.hooks.untap(self._tap)
-        quiet = self.engine.now - self._last_progress
-        if self._started and not self._detached and quiet >= self.horizon_us:
-            self._dump(quiet)
-        self._detached = True
+        if self._tap:
+            self.runtime.cluster.hooks.untap(self._tap)
+            quiet = self.engine.now - self._last_progress
+            if quiet >= self.horizon_us:
+                self._dump(quiet)
 
     def _dump(self, quiet: float) -> None:
         """Report the quiet window of ``quiet`` us that ends now."""
