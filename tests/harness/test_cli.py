@@ -126,3 +126,13 @@ def test_sweep_flag_without_a_value_means_its_default(tmp_path, capsys,
     assert "sweep: 2 cells" in out
     assert "Volrend/base/t1/s2003" in out
     assert "Volrend/ft/t1/s2003" in out
+
+
+def test_report_checks_the_window_the_run_ends_in(tmp_path, capsys):
+    # The run's last hook comes ~1.6 ms before its end, and no quiet
+    # window inside the run reaches 1 ms: only the check that detaching
+    # the watchdog makes can put a wait-for graph in the report.
+    assert main(["report", "--program-seed", "145", "--cluster-seed", "1",
+                 "--plan-seed", "533", "--failures", "2",
+                 "--watchdog-us", "1000", "--output", str(tmp_path)]) == 0
+    assert "wait-for graph" in (tmp_path / "report.html").read_text()
