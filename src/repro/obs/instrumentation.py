@@ -1,11 +1,12 @@
 """Invocation counters proving observability is zero-cost when off.
 
 Every event the recorder or the watchdog is handed, every sample the
-sampler takes and every tracer call bumps a counter here. A run with observability disabled
-must leave all counters at zero -- that is the testable statement of
-"the flight recorder costs nothing unless attached" (see
-``tests/obs/test_overhead.py``), and ``benchmarks/e2e`` reports the same
-total for its unobserved cells as ``obs.calls_when_off``.
+sampler takes and every tracer call bumps a counter here. A run with
+observability disabled must leave all counters at zero -- that is the
+testable statement of "the flight recorder costs nothing unless
+attached" (see ``tests/obs/test_overhead.py``), and ``benchmarks/e2e``
+reports the same total for its unobserved cells as
+``obs.calls_when_off``.
 """
 
 from __future__ import annotations
