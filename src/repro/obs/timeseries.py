@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.errors import ConfigError
 from repro.metrics.trace import FULL_EVENTS
 from repro.obs import instrumentation
 
@@ -44,6 +45,11 @@ class TimeSeriesSampler:
     """Columnar sampler of per-node counters and engine/NIC gauges."""
 
     def __init__(self, runtime, period_us: float = 500.0) -> None:
+        # A period that is not positive would never move the grid past
+        # ``now``, and filling it would never end.
+        if not period_us > 0:
+            raise ConfigError(
+                f"sampling period must be > 0 us: {period_us}")
         self.runtime = runtime
         self.engine = runtime.engine
         self.period_us = period_us

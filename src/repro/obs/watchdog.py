@@ -29,6 +29,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Hooks
+from repro.errors import ConfigError
 from repro.metrics.trace import FULL_EVENTS, STALL
 from repro.obs import instrumentation
 from repro.protocol.ft import protocol as ft_protocol
@@ -267,6 +268,10 @@ class StallWatchdog:
 
     def __init__(self, runtime, horizon_us: float = 20_000.0,
                  recorder=None) -> None:
+        # A horizon that is not positive would call every hook a stall.
+        if not horizon_us > 0:
+            raise ConfigError(
+                f"watchdog horizon must be > 0 us: {horizon_us}")
         self.runtime = runtime
         self.engine = runtime.engine
         self.horizon_us = horizon_us

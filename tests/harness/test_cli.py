@@ -136,3 +136,48 @@ def test_report_checks_the_window_the_run_ends_in(tmp_path, capsys):
                  "--plan-seed", "533", "--failures", "2",
                  "--watchdog-us", "1000", "--output", str(tmp_path)]) == 0
     assert "wait-for graph" in (tmp_path / "report.html").read_text()
+
+
+@pytest.mark.parametrize("flag", ["--sample-us", "--watchdog-us"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_report_rejects_a_nonpositive_period(tmp_path, flag, value):
+    # A sampling period that is not positive never moves the grid past
+    # now; a watchdog horizon that is not positive calls every hook a
+    # stall. Both are refused before the run starts.
+    with pytest.raises(ConfigError, match="must be > 0"):
+        main(["report", "--program-seed", "145", "--cluster-seed", "1",
+              flag, value, "--output", str(tmp_path)])
+    assert not (tmp_path / "report.html").exists()
+
+
+def test_report_interrupted_hunt_still_prints_its_waitfor_graph(
+        tmp_path, capsys, monkeypatch):
+    # A stall with no hook after it and no cap is only seen when the
+    # run stops; Ctrl-C stops it with KeyboardInterrupt, which the
+    # report's error handling does not catch.
+    import repro.cli as cli
+    build = cli._build_observed_runtime
+
+    def stalled_then_interrupted(args):
+        runtime, title, subtitle = build(args)
+
+        def run(max_sim_us=None):
+            # The last thread is never spawned: everyone else parks at
+            # the first barrier, and the hook stream goes quiet.
+            runtime.workload.setup(runtime)
+            runtime._create_threads()
+            for rec in runtime.threads[:-1]:
+                runtime.spawn_thread(rec)
+            runtime.engine.run(until=100_000.0)
+            raise KeyboardInterrupt
+        runtime.run = run
+        return runtime, title, subtitle
+
+    monkeypatch.setattr(cli, "_build_observed_runtime",
+                        stalled_then_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["report", "--program-seed", "145", "--cluster-seed", "1",
+              "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "wait-for graph" in err
+    assert "barrier" in err
