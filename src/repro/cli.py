@@ -235,10 +235,12 @@ def _cmd_report(args) -> int:
         result = runtime.run(max_sim_us=args.max_sim_us)
     except Exception as exc:  # noqa: BLE001 -- reported in the output
         error = f"{type(exc).__name__}: {exc}"
-    # Fills the sampler's grid to the run's end and checks the window
-    # the run ended in, so a run that ends stalled gets its dump.
-    sampler.detach()
-    watchdog.detach()
+    finally:
+        # Fills the sampler's grid to the run's end and checks the
+        # window the run ended in, so a run that ends stalled -- at its
+        # cap, or interrupted (Ctrl-C) -- gets its dump on stderr.
+        sampler.detach()
+        watchdog.detach()
     ran = perf_counter()
 
     outdir = _outdir(args.output)
@@ -549,7 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False, parents=[variant, threads, scale])
     observed.add_argument("--app", choices=APP_ORDER, default="FFT")
     observed.add_argument("--max-sim-us", type=float, default=None,
-                          help="cap simulated time (deadlock hunts)")
+                          help="cap simulated time (deadlock hunts: "
+                               "report's watchdog sees a stall that "
+                               "never ends only once the run stops, at "
+                               "this cap or on Ctrl-C)")
 
     p_report = sub.add_parser(
         "report", help="run with observability on; write Perfetto "
@@ -562,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(simulated us)")
     p_report.add_argument("--watchdog-us", type=float, default=20_000.0,
                           help="stall watchdog zero-progress horizon "
-                               "(simulated us)")
+                               "(simulated us); a stall is reported when "
+                               "a hook ends it or the run stops")
     p_report.set_defaults(fn=_cmd_report)
 
     p_trace = sub.add_parser(

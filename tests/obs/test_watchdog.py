@@ -105,6 +105,7 @@ def test_watchdog_is_quiet_on_clean_run():
     dog = StallWatchdog(runtime, horizon_us=20_000.0)
     dog.start()
     runtime.run()
+    dog.detach()
     assert not dog.dumps
 
 
@@ -118,6 +119,7 @@ def test_watchdog_is_quiet_on_fixed_deadlock_plans():
         dog = StallWatchdog(runtime, horizon_us=20_000.0)
         dog.start()
         runtime.run()
+        dog.detach()
         assert not dog.dumps, f"plan {plan_seed} dumped a stall"
 
 
