@@ -5,9 +5,11 @@ Commands:
 * ``run`` -- one application under one protocol, with breakdown output;
 * ``suite`` -- the six-application comparison (Figure 7 style);
 * ``figures`` -- regenerate all four paper figures into a directory;
-* ``profile`` -- sharing fingerprint + operation latencies of one app;
 * ``sweep`` -- fan an experiment matrix out over the parallel
-  orchestrator with content-addressed result caching;
+  orchestrator with content-addressed result caching (exit 1 on a
+  failed cell or, with ``--slo``, a violated latency target);
+* ``report`` -- one observed run: Perfetto trace, metrics JSON and an
+  HTML report (with ``--spec``, an SLO gate: exit 1 on a violation);
 * ``recover`` -- fault-injection demo with a recovery timeline (exit 1
   when the kill never fired);
 * ``replay`` -- record / replay a model-check trace; on divergence,
@@ -51,8 +53,7 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     result = run_app(args.app, args.variant,
                      threads_per_node=args.threads,
-                     scale=args.scale,
-                     lock_algorithm=args.lock)
+                     scale=args.scale)
     print(f"{args.app} / {args.variant} / {args.threads} thread(s) per "
           f"node / scale={args.scale}")
     print(f"simulated execution time: {result.elapsed_us:.0f} us")
@@ -75,15 +76,13 @@ def _cmd_suite(args) -> int:
     rows = {}
     overheads = {}
     for app in APP_ORDER:
-        base = run_app(app, "base", threads_per_node=args.threads,
-                       scale=args.scale)
-        extended = run_app(app, "ft", threads_per_node=args.threads,
-                           scale=args.scale)
+        base = run_app(app, "base", scale=args.scale)
+        extended = run_app(app, "ft", scale=args.scale)
         rows[f"{app}/0"] = base.breakdown.four_component()
         rows[f"{app}/1"] = extended.breakdown.four_component()
         overheads[app] = (extended.elapsed_us / base.elapsed_us - 1) * 100
     print(format_breakdown_table(
-        f"SPLASH-2 suite, 8 nodes x {args.threads} thread(s)/node "
+        "SPLASH-2 suite, 8 nodes x 1 thread(s)/node "
         "(0 = base, 1 = extended)",
         rows, ("compute", "data_wait", "lock", "barrier")))
     print()
@@ -105,17 +104,18 @@ def _cmd_figures(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """Run an experiment matrix through the parallel orchestrator."""
+    from repro.obs import SloSpec, evaluate_slo, format_slo_report
+    from repro.obs.report import render_sweep_report, sweep_latency
+    from repro.obs.slo import latency_by_class
     from repro.parallel import app_spec, resolve_jobs, run_specs
 
-    # A flag given no value means its default, not an empty matrix.
-    specs = [app_spec(app, variant, threads_per_node=t,
-                      scale=args.scale, seed=args.seed)
-             for t in args.threads or [1]
-             for variant in args.variants or VARIANTS
+    # Load the spec before the matrix runs: a bad one fails in seconds.
+    spec = SloSpec.load(args.slo) if args.slo else None
+    specs = [app_spec(app, variant, scale=args.scale)
+             for variant in VARIANTS
              for app in args.apps or APP_ORDER]
     jobs = resolve_jobs(args.jobs)
-    use_cache = not args.no_cache
-    setup = f"{jobs} worker(s), cache {'on' if use_cache else 'off'}"
+    setup = f"{jobs} worker(s), cache on"
     print(f"sweep: {len(specs)} cells, {setup}")
 
     live = sys.stderr.isatty()
@@ -130,28 +130,21 @@ def _cmd_sweep(args) -> int:
         else:
             print(line, file=sys.stderr, flush=True)
 
-    results = run_specs(specs, jobs=args.jobs, cache=use_cache,
-                        progress=progress, timeout_s=args.timeout)
+    results = run_specs(specs, jobs=args.jobs, progress=progress)
     hits = sum(r.cached for r in results)
     failed = [r for r in results if not r.ok]
-    slo_report = None
+    latency = sweep_latency(results)
+    slo_report = evaluate_slo(spec, latency) if spec is not None else None
     if args.report:
-        from repro.obs.report import render_sweep_report, sweep_latency
-        from repro.obs.slo import latency_by_class
         outdir = _outdir(args.report)
         # Machine-readable merged latency histograms next to the sweep
         # report: per-op sparse buckets plus the derived percentiles.
-        latency = sweep_latency(results)
         merged = {"histograms": latency.to_dict()["histograms"],
                   "percentiles": {op: hist.percentiles() for op, hist
                                   in latency_by_class(latency).items()}}
         print(f"wrote {_write_json(outdir / 'metrics.json', merged)}")
-        if args.slo:
-            from repro.obs import SloSpec, evaluate_slo, format_slo_report
-            spec = SloSpec.load(args.slo)
-            slo_report = evaluate_slo(spec, latency)
+        if slo_report is not None:
             print(f"wrote {_write_json(outdir / 'slo.json', slo_report)}")
-            print(format_slo_report(slo_report))
         path = outdir / "sweep.html"
         path.write_text(render_sweep_report(
             f"Sweep report: {len(specs)} cells",
@@ -159,6 +152,8 @@ def _cmd_sweep(args) -> int:
             subtitle=f"scale={args.scale}, {setup}",
             slo=slo_report))
         print(f"wrote {path}")
+    if slo_report is not None:
+        print(format_slo_report(slo_report))
     print(f"{len(results) - len(failed)}/{len(results)} ok, "
           f"{hits} served from cache")
     width = max(len(r.spec.label) for r in results)
@@ -176,27 +171,31 @@ def _cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _scenario(args):
-    """The model-check scenario the scenario flag group describes."""
+def _scenario(args, **shape):
+    """The model-check scenario the scenario flag group describes;
+    ``shape`` sets the other :class:`ReplayScenario` fields."""
     from repro.verify.replay import ReplayScenario
     return ReplayScenario(
         program_seed=args.program_seed, cluster_seed=args.cluster_seed,
-        plan_seed=args.plan_seed, failures=args.failures,
-        during_recovery_prob=args.during_recovery_prob,
-        min_gap_us=args.min_gap_us)
+        plan_seed=args.plan_seed, failures=args.failures, **shape)
 
 
 def _build_observed_runtime(args):
-    """Runtime + (title, subtitle) for the observability commands: an
-    application run, or (with ``--program-seed``) a RandomProgram
-    model-check scenario."""
+    """Runtime + (title, subtitle) for ``repro report``: an application
+    run, or (with ``--program-seed``) a RandomProgram model-check
+    scenario."""
     if args.program_seed is not None:
         from repro.verify.replay import build_runtime
-        runtime = build_runtime(_scenario(args))
+        scenario = _scenario(args, variant=args.variant,
+                             threads_per_node=args.threads)
+        runtime = build_runtime(scenario)
         title = (f"RandomProgram {args.program_seed}/{args.cluster_seed}"
                  + (f", plan {args.plan_seed} x{args.failures} failure(s)"
                     if args.plan_seed is not None else ""))
-        subtitle = "ft protocol, model-check scenario"
+        threads = (f", {scenario.threads_per_node} threads per node"
+                   if scenario.threads_per_node != 1 else "")
+        subtitle = (f"{scenario.variant} protocol{threads}, "
+                    "model-check scenario")
     else:
         runtime = build_app(args.app, args.variant, args.threads,
                             args.scale)
@@ -208,7 +207,8 @@ def _build_observed_runtime(args):
 
 def _cmd_report(args) -> int:
     """Run once with full observability attached and write a Perfetto
-    trace plus a self-contained HTML report."""
+    trace plus a self-contained HTML report; with ``--spec``, also
+    gate on an SLO spec."""
     import resource
     from itertools import chain
     from time import perf_counter
@@ -216,18 +216,21 @@ def _cmd_report(args) -> int:
     from repro.obs import (
         FlightRecorder,
         OpTracer,
+        SloSpec,
         StallWatchdog,
         TimeSeriesSampler,
+        evaluate_slo,
+        format_slo_report,
     )
     from repro.obs.report import render_run_report
 
+    spec = SloSpec.load(args.spec) if args.spec else None
     runtime, title, subtitle = _build_observed_runtime(args)
     started = perf_counter()
     recorder = FlightRecorder(runtime)
     tracer = OpTracer(runtime)
-    sampler = TimeSeriesSampler(runtime, period_us=args.sample_us)
-    watchdog = StallWatchdog(runtime, horizon_us=args.watchdog_us,
-                             recorder=recorder)
+    sampler = TimeSeriesSampler(runtime)
+    watchdog = StallWatchdog(runtime, recorder=recorder)
     sampler.start()
     watchdog.start()
     result, error = None, None
@@ -255,16 +258,27 @@ def _cmd_report(args) -> int:
                        tracer.iter_flow_events()))
     metrics_path = _write_json(outdir / "metrics.json",
                                runtime.latency.to_dict())
+    slo = None
+    if spec is not None:
+        # A failed run has no end time: its availability is not judged.
+        slo = evaluate_slo(
+            spec, runtime.latency,
+            elapsed_us=result.elapsed_us if result else None,
+            exposed_window_us=result.exposed_window_us if result else 0.0)
+        slo_path = _write_json(outdir / "slo.json", slo)
     exported = perf_counter()
     html_path = outdir / "report.html"
     html_path.write_text(render_run_report(
         title, subtitle + (f" -- FAILED: {error}" if error else ""),
         result=result, recorder=recorder, sampler=sampler,
-        watchdog=watchdog, trace_file=trace_path.name, tracer=tracer))
+        watchdog=watchdog, trace_file=trace_path.name, tracer=tracer,
+        slo=slo))
     rendered = perf_counter()
     print(f"wrote {trace_path} ({events} events; open at "
           "ui.perfetto.dev)")
     print(f"wrote {metrics_path} ({len(tracer)} traced ops)")
+    if slo is not None:
+        print(f"wrote {slo_path}")
     print(f"wrote {html_path}")
     # The cost of observing, on the host clock and in the process's
     # peak resident memory (ru_maxrss is in KB on Linux); printed only,
@@ -284,89 +298,19 @@ def _cmd_report(args) -> int:
         if watchdog.dumps:
             print(watchdog.dumps[-1])
         return 1
-    return 0
-
-
-def _cmd_trace_op(args) -> int:
-    """Run with causal tracing on; print the worst-N operations of
-    each class as causal trees with per-hop timing."""
-    from repro.obs import OpTracer
-    from repro.obs.slo import latency_by_class
-
-    runtime, title, subtitle = _build_observed_runtime(args)
-    tracer = OpTracer(runtime)
-    runtime.run(max_sim_us=args.max_sim_us)
-    print(f"{title} -- {subtitle}")
-    print(f"{len(tracer)} traced operations")
-    classes = ([args.op_class] if args.op_class else
-               sorted({tracer.op(i).op_class for i in tracer.op_ids()}))
-    by_class = latency_by_class(runtime.latency)
-    for op_class in classes:
-        hist = by_class.get(op_class)
-        if hist is not None:
-            p = hist.percentiles()
-            print(f"\n== {op_class}: n={hist.count} "
-                  f"p50={p['p50']:.0f}us p99={p['p99']:.0f}us "
-                  f"p999={p['p999']:.0f}us ==")
-        else:
-            print(f"\n== {op_class} ==")
-        for op_id in tracer.worst(args.worst, op_class):
-            print(tracer.render(op_id))
-    return 0
-
-
-def _cmd_slo(args) -> int:
-    """Run with causal tracing on and evaluate an SLO spec; non-zero
-    exit (with the worst exemplar trace per violated class) on
-    violation."""
-    from repro.obs import OpTracer, SloSpec, evaluate_slo, format_slo_report
-    from repro.obs.slo import default_slo_spec
-
-    runtime, title, subtitle = _build_observed_runtime(args)
-    tracer = OpTracer(runtime)
-    result = runtime.run(max_sim_us=args.max_sim_us)
-    spec = (SloSpec.load(args.spec) if args.spec
-            else default_slo_spec())
-    report = evaluate_slo(spec, result.latency,
-                          elapsed_us=result.elapsed_us,
-                          exposed_window_us=result.exposed_window_us)
-    print(f"{title} -- {subtitle}")
-    print(format_slo_report(report))
-    if args.output:
-        outdir = _outdir(args.output)
-        print("wrote", _write_json(outdir / "slo.json", report))
-        print("wrote", _write_json(outdir / "metrics.json",
-                                   result.latency.to_dict()))
-    if not report["ok"]:
-        # Fail loudly: attach the worst exemplar causal tree for every
-        # violated operation class so the p999 attribution is in the log.
-        for op_class in sorted({c["op_class"] for c in report["checks"]
-                                if not c["ok"]}):
-            for op_id in tracer.worst(1, op_class):
-                print()
-                print(f"worst {op_class} exemplar:")
-                print(tracer.render(op_id))
-        return 1
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    from repro.metrics import SharingProfiler
-    from repro.metrics.latency import latency_table
-
-    runtime = build_app(args.app, args.variant, args.threads, args.scale)
-    profiler = SharingProfiler(runtime)
-    result = runtime.run()
-    print(f"{args.app} / {args.variant}: sharing profile by segment")
-    print(profiler.table())
-    print()
-    print("operation latencies:")
-    print(latency_table(result.latency))
-    totals = result.counters.total
-    print()
-    print(f"pages diffed {totals.pages_diffed} (home fraction "
-          f"{result.counters.home_diff_fraction:.2f}); faults "
-          f"{totals.page_faults}; checkpoints {totals.checkpoints}")
+    if slo is not None:
+        print()
+        print(format_slo_report(slo))
+        if not slo["ok"]:
+            # Fail loudly: the worst causal tree of every violated
+            # operation class, so the attribution is in the log.
+            for op_class in sorted({c["op_class"] for c in slo["checks"]
+                                    if not c["ok"]}):
+                for op_id in tracer.worst(1, op_class):
+                    print()
+                    print(f"worst {op_class} exemplar:")
+                    print(tracer.render(op_id))
+            return 1
     return 0
 
 
@@ -375,7 +319,7 @@ def _cmd_recover(args) -> int:
     from repro.harness.faultplan import FaultPlan
     from repro.metrics import ProtocolTrace
 
-    runtime = build_app(args.app, "ft", args.threads, args.scale)
+    runtime = build_app(args.app, "ft", scale=args.scale)
     [kill] = FaultPlan.single(args.victim, Hooks.RELEASE_COMMITTED,
                               args.occurrence, 1.0).apply(runtime.cluster)
     timeline = ProtocolTrace(runtime.cluster, events=(
@@ -403,8 +347,7 @@ def _cmd_replay(args) -> int:
     from repro.verify.replay import record_trace, replay_trace
 
     if args.record:
-        header = record_trace(_scenario(args), args.trace,
-                              sim_budget_us=args.sim_budget_us)
+        header = record_trace(_scenario(args), args.trace)
         status = header["outcome"]
         if header["error"]:
             status += f" ({header['error']})"
@@ -412,7 +355,7 @@ def _cmd_replay(args) -> int:
               f"({header['elapsed_us']:.0f}us simulated): {status}")
         return 0
 
-    outcome = replay_trace(args.trace, sim_budget_us=args.sim_budget_us)
+    outcome = replay_trace(args.trace)
     sc = outcome["scenario"]
     print(f"replaying program_seed={sc.program_seed} "
           f"cluster_seed={sc.cluster_seed} plan_seed={sc.plan_seed} "
@@ -450,14 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Fault-tolerant SVM cluster simulator (HPCA 2003 "
                     "reproduction)")
-    # Shared by every subcommand (a parent parser, so the flag sits
-    # after the subcommand: 'repro run FFT --profile 30').
-    profiled = argparse.ArgumentParser(add_help=False)
-    profiled.add_argument(
-        "--profile", type=int, nargs="?", const=25, default=None,
-        metavar="N",
-        help="run the command under cProfile and print the top N "
-             "functions by cumulative host time (default 25)")
 
     def flag(*names, **kwargs):
         """A parent parser holding one flag several commands share."""
@@ -480,128 +415,84 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--program-seed", type=int,
                            default=program_seed_default,
                            help="RandomProgram seed of a model-check "
-                                "scenario (report / trace-op / slo: "
-                                "observe it instead of an application)")
+                                "scenario (report: observe it instead "
+                                "of an application)")
         group.add_argument("--cluster-seed", type=int, default=1)
         group.add_argument("--plan-seed", type=int, default=None)
         group.add_argument("--failures", type=int, default=0)
-        group.add_argument("--during-recovery-prob", type=float,
-                           default=0.0,
-                           help="probability each failure after the "
-                                "first strikes during the previous "
-                                "recovery")
-        group.add_argument("--min-gap-us", type=float, default=0.0,
-                           help="minimum gap (us) between a completed "
-                                "recovery and the next chained failure")
         return group
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list applications and scales",
-                   parents=[profiled]).set_defaults(fn=_cmd_list)
+    sub.add_parser("list", help="list applications and scales"
+                   ).set_defaults(fn=_cmd_list)
 
     p_run = sub.add_parser("run", help="run one application",
-                           parents=[profiled, variant, threads, scale])
+                           parents=[variant, threads, scale])
     p_run.add_argument("app", choices=APP_ORDER)
-    p_run.add_argument("--lock", choices=("polling", "queueing"),
-                       default="polling")
+    p_run.add_argument(
+        "--profile", type=int, nargs="?", const=25, default=None,
+        metavar="N",
+        help="run under cProfile and print the top N functions by "
+             "cumulative host time (default 25)")
     p_run.set_defaults(fn=_cmd_run)
 
     sub.add_parser("suite", help="base-vs-extended suite table",
-                   parents=[profiled, threads, scale]
-                   ).set_defaults(fn=_cmd_suite)
+                   parents=[scale]).set_defaults(fn=_cmd_suite)
 
     p_fig = sub.add_parser("figures", help="regenerate paper figures",
-                           parents=[profiled, scale])
+                           parents=[scale])
     p_fig.add_argument("--output", default="results")
     p_fig.set_defaults(fn=_cmd_figures)
 
     p_sweep = sub.add_parser(
-        "sweep", help="parallel, cached experiment matrix",
-        parents=[profiled, scale])
+        "sweep", help="parallel, cached experiment matrix (base and "
+                      "ft, 1 thread per node)",
+        parents=[scale])
     p_sweep.add_argument("--apps", nargs="*", choices=APP_ORDER,
                          metavar="APP",
                          help="subset of applications (default: all)")
-    p_sweep.add_argument("--variants", nargs="*", choices=VARIANTS,
-                         default=VARIANTS)
-    p_sweep.add_argument("--threads", nargs="*", type=int, metavar="T",
-                         help="threads-per-node values (default: 1)")
-    p_sweep.add_argument("--seed", type=int, default=2003)
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help="worker processes (default: REPRO_JOBS "
                               "env var, else os.cpu_count())")
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         help="ignore and do not write the result cache")
-    p_sweep.add_argument("--timeout", type=float, default=None,
-                         metavar="SEC",
-                         help="per-cell wall-clock timeout")
     p_sweep.add_argument("--report", metavar="DIR", default=None,
                          help="also write a sweep-level HTML report "
                               "(orchestrator stats, per-spec timing) "
                               "plus merged metrics JSON into DIR")
     p_sweep.add_argument("--slo", metavar="SPEC", default=None,
-                         help="with --report: evaluate the merged "
-                              "latency histograms against an SLO spec "
-                              "JSON; non-zero exit on violation")
+                         help="evaluate the merged latency histograms "
+                              "against an SLO spec JSON; non-zero exit "
+                              "on violation (with --report, also write "
+                              "slo.json into DIR)")
     p_sweep.set_defaults(fn=_cmd_sweep)
-
-    # What the observability commands (report / trace-op / slo) run:
-    # an application, or with --program-seed a model-check scenario.
-    observed = argparse.ArgumentParser(
-        add_help=False, parents=[variant, threads, scale])
-    observed.add_argument("--app", choices=APP_ORDER, default="FFT")
-    observed.add_argument("--max-sim-us", type=float, default=None,
-                          help="cap simulated time (deadlock hunts: "
-                               "report's watchdog sees a stall that "
-                               "never ends only once the run stops, at "
-                               "this cap or on Ctrl-C)")
 
     p_report = sub.add_parser(
         "report", help="run with observability on; write Perfetto "
                        "trace + metrics JSON + HTML report",
-        parents=[profiled, observed, scenario(None)])
+        parents=[variant, threads, scenario(None)])
+    p_report.add_argument("--app", choices=APP_ORDER, default="FFT",
+                          help="application to observe (without "
+                               "--program-seed only)")
+    p_report.add_argument("--scale", default="bench",
+                          choices=("test", "bench", "large"),
+                          help="application scale (without "
+                               "--program-seed only)")
+    p_report.add_argument("--max-sim-us", type=float, default=None,
+                          help="cap simulated time (deadlock hunts: "
+                               "the watchdog sees a stall that never "
+                               "ends only once the run stops, at this "
+                               "cap or on Ctrl-C)")
     p_report.add_argument("--output", default="results/report",
                           metavar="DIR")
-    p_report.add_argument("--sample-us", type=float, default=500.0,
-                          help="time-series sampling period "
-                               "(simulated us)")
-    p_report.add_argument("--watchdog-us", type=float, default=20_000.0,
-                          help="stall watchdog zero-progress horizon "
-                               "(simulated us); a stall is reported when "
-                               "a hook ends it or the run stops")
+    p_report.add_argument("--spec", default=None, metavar="JSON",
+                          help="SLO spec file (e.g. "
+                               "results/slo_default.json): write "
+                               "slo.json, add the SLO section to the "
+                               "report, and exit 1 on a violation")
     p_report.set_defaults(fn=_cmd_report)
 
-    p_trace = sub.add_parser(
-        "trace-op", help="print worst-N causal operation trees with "
-                         "per-hop timing",
-        parents=[profiled, observed, scenario(None)])
-    p_trace.add_argument("--op-class", default=None,
-                         help="restrict to one operation class "
-                              "(default: all observed classes)")
-    p_trace.add_argument("--worst", type=int, default=3, metavar="N",
-                         help="trees per class, slowest first")
-    p_trace.set_defaults(fn=_cmd_trace_op)
-
-    p_slo = sub.add_parser(
-        "slo", help="evaluate per-operation latency percentiles and "
-                    "availability against an SLO spec",
-        parents=[profiled, observed, scenario(None)])
-    p_slo.add_argument("--spec", default=None, metavar="JSON",
-                       help="SLO spec file (default: the built-in "
-                            "generous spec, committed at "
-                            "results/slo_default.json)")
-    p_slo.add_argument("--output", default=None, metavar="DIR",
-                       help="write slo.json + metrics.json into DIR")
-    p_slo.set_defaults(fn=_cmd_slo)
-
-    p_prof = sub.add_parser("profile",
-                            help="sharing + latency profile of one app",
-                            parents=[profiled, variant, threads, scale])
-    p_prof.add_argument("app", choices=APP_ORDER)
-    p_prof.set_defaults(fn=_cmd_profile)
-
     p_rec = sub.add_parser("recover", help="fault-injection demo",
-                           parents=[profiled, threads, scale])
+                           parents=[scale])
     p_rec.add_argument("--app", choices=APP_ORDER, default="WaterNsq")
     p_rec.add_argument("--victim", type=int, default=3)
     p_rec.add_argument("--occurrence", type=int, default=4,
@@ -610,22 +501,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser(
         "replay", help="record / replay / bisect a model-check trace",
-        parents=[profiled, scenario(145)])
+        parents=[scenario(145)])
     p_rep.add_argument("trace", help="trace file (JSONL)")
     p_rep.add_argument("--record", action="store_true",
                        help="run the scenario and record the trace "
                             "instead of replaying one")
-    p_rep.add_argument("--sim-budget-us", type=float, default=1_000_000.0,
-                       help="per-run simulated-time budget; a run that "
-                            "exhausts it with unfinished threads is "
-                            "classified as a hang (default: 1e6)")
     p_rep.set_defaults(fn=_cmd_replay)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.profile is None:
+    if getattr(args, "profile", None) is None:
         return args.fn(args)
     # Host-side profiling: where does the simulator itself spend time?
     import cProfile

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.cluster import Cluster, Hooks
 from repro.errors import ConfigError
@@ -39,11 +39,11 @@ MAX_DELAY_US = 20.0
 class FailureSpec:
     """One fail-stop event.
 
-    Exactly one of ``at_time`` / ``hook`` must be set. ``chained`` means
-    the spec is armed only after the previous spec's recovery completes
-    (the paper's multiple-but-not-simultaneous regime); ``min_gap``
-    additionally delays that arming by the given microseconds, bounding
-    how soon after full recovery the next failure may land.
+    Exactly one of ``at_time`` / ``hook`` must be set; a hook-based kill
+    fires ``delay`` (>= 0) us after the ``occurrence``-th (>= 1) firing.
+    ``chained`` means the spec is armed only after the previous spec's
+    recovery completes (the paper's multiple-but-not-simultaneous
+    regime).
 
     ``during`` schedules the kill to land *while a previous spec's
     recovery is still in progress* (the regime the paper does not
@@ -60,7 +60,6 @@ class FailureSpec:
     delay: float = 0.0
     chained: bool = False
     during: bool = False
-    min_gap: float = 0.0
 
     def __post_init__(self) -> None:
         if (self.at_time is None) == (self.hook is None):
@@ -73,16 +72,19 @@ class FailureSpec:
             raise ConfigError(
                 "FailureSpec cannot be both chained (waits for recovery "
                 "to finish) and during (strikes before it finishes)")
-        if self.min_gap and not self.chained:
+        # Either would arm a kill that can never fire: the count starts
+        # at 1, and the engine refuses to schedule into the past.
+        if self.occurrence < 1:
             raise ConfigError(
-                "min_gap only applies to chained FailureSpecs")
+                f"FailureSpec occurrence must be >= 1: {self.occurrence}")
+        if self.delay < 0:
+            raise ConfigError(
+                f"FailureSpec delay must be >= 0 us: {self.delay}")
 
     def describe(self) -> str:
         where = (f"t={self.at_time}" if self.at_time is not None
                  else f"{self.hook}#{self.occurrence}+{self.delay}us")
         chain = " (chained)" if self.chained else ""
-        if self.chained and self.min_gap:
-            chain = f" (chained, gap {self.min_gap}us)"
         during = " (during recovery)" if self.during else ""
         return f"kill node {self.victim} at {where}{chain}{during}"
 
@@ -166,11 +168,7 @@ class FaultPlan:
                 return
             if not pending:
                 return
-            spec = pending.pop(0)
-            if spec.min_gap > 0.0:
-                engine.schedule(spec.min_gap, lambda: arm(spec))
-            else:
-                arm(spec)
+            arm(pending.pop(0))
 
         if pending:
             hooks.on(Hooks.RECOVERY_DONE, on_recovery_done)
@@ -185,26 +183,22 @@ class FaultPlan:
     @classmethod
     def random_plan(cls, rng: random.Random, num_nodes: int,
                     failures: int = 1,
-                    spare: Sequence[int] = (),
-                    during_recovery_prob: float = 0.0,
-                    min_gap_us: float = 0.0) -> "FaultPlan":
+                    during_recovery_prob: float = 0.0) -> "FaultPlan":
         """A reproducible random plan.
 
-        Victims are distinct and exclude ``spare`` nodes; failures
-        after the first are chained (armed when the previous recovery
-        fully completes, at least ``min_gap_us`` later) unless
+        Victims are distinct; failures after the first are chained
+        (armed when the previous recovery fully completes) unless
         ``during_recovery_prob`` turns them into during-recovery
         strikes that land ``delay`` us into the previous failure's
         recovery wave. At least two nodes survive.
 
-        Draw-order compatibility: with the new knobs at their defaults
+        Draw-order compatibility: with ``during_recovery_prob`` at 0
         this consumes exactly the same RNG draws as it always did, so
         existing seeded plans are bit-identical; ``during_recovery_prob
         > 0`` adds one draw per chained spec.
         """
-        candidates = [n for n in range(num_nodes) if n not in spare]
-        failures = min(failures, len(candidates), num_nodes - 2)
-        victims = rng.sample(candidates, failures)
+        failures = min(failures, num_nodes - 2)
+        victims = rng.sample(range(num_nodes), failures)
         specs = []
         for index, victim in enumerate(victims):
             hook = rng.choice(list(INTERESTING_HOOKS))
@@ -222,7 +216,5 @@ class FaultPlan:
             else:
                 specs.append(FailureSpec(
                     victim=victim, hook=hook, occurrence=occurrence,
-                    delay=delay, chained=index > 0,
-                    min_gap=min_gap_us if index > 0 else 0.0,
-                ))
+                    delay=delay, chained=index > 0))
         return cls(specs)

@@ -111,12 +111,6 @@ class AddressSpace:
                     f"outside [0, {self.num_nodes})")
             self.home_hint[seg.page(index)] = node
 
-    def segment(self, name: str) -> Segment:
-        try:
-            return self._segments[name]
-        except KeyError:
-            raise MemoryError_(f"no segment named {name!r}") from None
-
     def segments(self) -> Dict[str, Segment]:
         """All allocated segments by name (a copy; safe to iterate)."""
         return dict(self._segments)

@@ -110,7 +110,7 @@ def timeseries_panel(title: str,
     span = (t_hi - t_lo) or 1.0
     label_w = max(len(label) for label in series) + 2
     # Clamp the sparkline to what the terminal can hold: label, two
-    # pipes, the " peak 00.0M<unit>" suffix, one spare column.
+    # pipes, the " peak 00.0M<unit>" suffix, one free column.
     import shutil
     columns = shutil.get_terminal_size((80, 24)).columns
     suffix_w = len(" peak ") + 5 + len(unit)

@@ -98,29 +98,3 @@ class SharingProfiler:
         for profile in self.pages.values():
             counts[profile.classify()] += 1
         return dict(counts)
-
-    def segment_summary(self) -> Dict[str, Dict[str, int]]:
-        """Per-segment classification counts."""
-        space = self.runtime.cluster.address_space
-        out: Dict[str, Dict[str, int]] = {}
-        for name in space._segments:
-            seg = space.segment(name)
-            counts: Dict[str, int] = defaultdict(int)
-            for index in range(seg.num_pages):
-                page = seg.page(index)
-                profile = self.pages.get(page)
-                kind = profile.classify() if profile else "untouched"
-                counts[kind] += 1
-            out[name] = dict(counts)
-        return out
-
-    def table(self) -> str:
-        kinds = ("private", "read_shared", "migratory", "false_shared",
-                 "untouched")
-        lines = [f"{'segment':20s}" + "".join(f"{k:>14s}"
-                                               for k in kinds)]
-        lines.append("-" * len(lines[0]))
-        for name, counts in self.segment_summary().items():
-            lines.append(f"{name:20s}" + "".join(
-                f"{counts.get(k, 0):14d}" for k in kinds))
-        return "\n".join(lines)

@@ -22,7 +22,8 @@ From those hops :class:`OpTracer` reconstructs each operation as a
 **causal tree**: messages pair up by message id (send -> recv = wire
 time), service windows hang off the request message that triggered
 them, and any message sent from inside an open service window nests
-under that window. The tree is renderable as text (``repro trace-op``),
+under that window. The tree is renderable as text (:meth:`OpTracer.render`;
+``repro report`` shows the worst of each class),
 exportable as canonical JSON (:meth:`OpTracer.to_dict` /
 :meth:`OpTracer.digest` -- deterministic: message ids are normalized to
 per-operation dense indices so process history never leaks in), and

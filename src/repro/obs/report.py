@@ -383,7 +383,7 @@ def _page(title: str, subtitle: str, body: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Operation latency (run and sweep reports) and SLO (sweep report)
+# Operation latency and SLO (run and sweep reports)
 # ----------------------------------------------------------------------
 
 def _percentile_table(metrics: MetricsRegistry) -> str:
@@ -469,9 +469,10 @@ def _exemplar_sections(tracer) -> List[str]:
 def render_run_report(title: str, subtitle: str = "", result=None,
                       recorder=None, sampler=None, watchdog=None,
                       trace_file: Optional[str] = None,
-                      tracer=None) -> str:
+                      tracer=None, slo: Optional[dict] = None) -> str:
     """Assemble the single-run HTML report; every section is optional
-    so partial runs (deadlock caps, failed verification) still render."""
+    so partial runs (deadlock caps, failed verification) still render.
+    ``slo`` is an :func:`~repro.obs.slo.evaluate_slo` report."""
     body = []
 
     tiles: List[Tuple[str, str]] = []
@@ -494,6 +495,8 @@ def render_run_report(title: str, subtitle: str = "", result=None,
         tiles.append(("trace events", _fmt(len(recorder))))
     if tracer is not None:
         tiles.append(("traced ops", _fmt(len(tracer))))
+    if slo is not None:
+        tiles.append(("SLO", "PASS" if slo["ok"] else "FAIL"))
     if tiles:
         body.append(_stat_tiles(tiles))
 
@@ -502,6 +505,8 @@ def render_run_report(title: str, subtitle: str = "", result=None,
         if table:
             body.append("<h2>Operation latency percentiles</h2>")
             body.append(table)
+    if slo is not None:
+        body.extend(_slo_section(slo))
 
     if sampler is not None and len(sampler) > 1:
         times, rates = sampler.rates()

@@ -17,7 +17,8 @@ trivially 100% available.
 Everything here is deterministic and JSON-round-trippable: specs load
 from / dump to plain JSON (the committed default lives at
 ``results/slo_default.json`` and gates CI), and evaluation reports are
-written next to run artifacts by ``repro slo`` / ``repro sweep``.
+written next to run artifacts by ``repro report --spec`` /
+``repro sweep --slo``.
 """
 
 from __future__ import annotations
@@ -83,27 +84,6 @@ class SloSpec:
     def load(cls, path) -> "SloSpec":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def default_slo_spec() -> SloSpec:
-    """The committed generous baseline (``results/slo_default.json``).
-
-    Targets sit 8-32x above the percentiles measured on the default
-    4-node model-check scenario and the bench-scale applications, so a
-    pass asserts "no order-of-magnitude regression" rather than a tight
-    budget; CI gates on it.
-    """
-    return SloSpec("default-generous", {
-        "page_fault": {"p50": 1024, "p99": 4096, "p999": 8192},
-        "lock_acquire": {"p50": 4096, "p99": 16384, "p999": 32768},
-        "barrier": {"p50": 16384, "p99": 131072, "p999": 262144},
-        "diff_phase1": {"p99": 8192, "p999": 16384},
-        "diff_phase2": {"p99": 8192, "p999": 16384},
-        "checkpoint_a": {"p99": 4096, "p999": 8192},
-        "checkpoint_b": {"p99": 4096, "p999": 8192},
-        "recovery_wave": {"p999": 262144},
-        "rereplicate": {"p999": 262144},
-    }, availability_min=0.5)
 
 
 def evaluate_slo(spec: SloSpec, metrics: MetricsRegistry,

@@ -56,20 +56,10 @@ class ReplayScenario:
     #: failure's recovery instead of after it (0.0 keeps the historical
     #: draw order, so old scenarios replay bit-identically).
     during_recovery_prob: float = 0.0
-    #: Minimum gap (us) between a completed recovery and the arming of
-    #: the next chained failure.
-    min_gap_us: float = 0.0
     variant: str = "ft"
     lock_algorithm: str = "polling"
     num_nodes: int = 4
     threads_per_node: int = 1
-    shared_pages: int = 64
-    num_locks: int = 64
-    page_size: int = 512
-    phases: int = 3
-    actions_per_phase: int = 4
-    counters: int = 3
-    slots_per_thread: int = 6
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -81,30 +71,27 @@ class ReplayScenario:
 
 
 def build_runtime(scenario: ReplayScenario) -> SvmRuntime:
-    """A runtime + workload (+ fault plan) for the scenario; identical
-    construction to the random model check's ``make_runtime``."""
+    """A runtime + workload (+ fault plan) for the scenario: a small
+    cluster (64 pages of 512 bytes, 64 locks) running a three-phase
+    RandomProgram -- the shape of every model-check run."""
     config = ClusterConfig(
         num_nodes=scenario.num_nodes,
         threads_per_node=scenario.threads_per_node,
-        shared_pages=scenario.shared_pages,
-        num_locks=scenario.num_locks,
+        shared_pages=64, num_locks=64, page_size=512,
         seed=scenario.cluster_seed,
-        page_size=scenario.page_size,
         protocol=ProtocolParams(variant=scenario.variant,
                                 lock_algorithm=scenario.lock_algorithm))
     workload = RandomProgram(
-        program_seed=scenario.program_seed, phases=scenario.phases,
-        actions_per_phase=scenario.actions_per_phase,
-        counters=scenario.counters,
-        slots_per_thread=scenario.slots_per_thread,
+        program_seed=scenario.program_seed, phases=3,
+        actions_per_phase=4, counters=3, slots_per_thread=6,
         nthreads_hint=scenario.num_nodes * scenario.threads_per_node)
     runtime = SvmRuntime(config, workload)
     if scenario.plan_seed is not None and scenario.failures > 0:
         FaultPlan.random_plan(
             random.Random(scenario.plan_seed), scenario.num_nodes,
             scenario.failures,
-            during_recovery_prob=scenario.during_recovery_prob,
-            min_gap_us=scenario.min_gap_us).apply(runtime.cluster)
+            during_recovery_prob=scenario.during_recovery_prob
+        ).apply(runtime.cluster)
     return runtime
 
 

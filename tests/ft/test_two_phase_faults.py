@@ -15,8 +15,7 @@ import pytest
 from repro.cluster import Hooks
 from repro.harness.faultplan import FailureSpec, FaultPlan
 from repro.verify import RecoveryInvariantChecker
-
-from tests.integration.test_random_model_check import make_runtime
+from repro.verify.replay import ReplayScenario, build_runtime
 
 #: (kill hook, occurrence) covering each stage boundary of the
 #: two-phase pipeline, plus the lock-transfer edges around point B.
@@ -34,7 +33,7 @@ BOUNDARIES = (
 
 def run_with_kill(hook, occurrence, victim, delay=0.5,
                   program_seed=145, cluster_seed=1):
-    runtime = make_runtime(program_seed, cluster_seed, "ft")
+    runtime = build_runtime(ReplayScenario(program_seed, cluster_seed))
     FaultPlan([FailureSpec(victim=victim, hook=hook,
                            occurrence=occurrence, delay=delay)]) \
         .apply(runtime.cluster)
@@ -64,7 +63,7 @@ def test_kill_at_stage_boundary_keeps_invariants(hook, occurrence,
 def test_chained_kills_across_phases(first, second):
     hook1, occ1, victim1 = first
     hook2, occ2, victim2 = second
-    runtime = make_runtime(145, 1, "ft")
+    runtime = build_runtime(ReplayScenario(145, 1))
     FaultPlan([
         FailureSpec(victim=victim1, hook=hook1, occurrence=occ1,
                     delay=0.5),

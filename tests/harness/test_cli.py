@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import functools
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -70,13 +73,6 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_profile_command(capsys):
-    assert main(["profile", "Volrend", "--scale", "test"]) == 0
-    out = capsys.readouterr().out
-    assert "sharing profile" in out
-    assert "lock_acquire" in out
-
-
 def _cli_surface():
     """{subcommand: sorted (flags or dest, default, nargs, choices,
     type) of every argument it accepts}, read from the live parser."""
@@ -98,7 +94,7 @@ def _cli_surface():
 
 def test_cli_surface_is_pinned():
     """What a user can type -- option strings, defaults, nargs, choices
-    and types of all 88 arguments over the 11 subcommands -- as one
+    and types of all 34 arguments over the 8 subcommands -- as one
     literal. Parent parsers share their action objects, so a
     ``set_defaults`` on one subcommand can silently change another;
     this is the test that sees it."""
@@ -106,48 +102,88 @@ def test_cli_surface_is_pinned():
     import json
 
     surface = _cli_surface()
-    assert len(surface) == 11
-    assert sum(len(args) for args in surface.values()) == 88
+    assert len(surface) == 8
+    assert sum(len(args) for args in surface.values()) == 34
     digest = hashlib.sha256(
         json.dumps(surface, sort_keys=True).encode()).hexdigest()
     assert digest == (
-        "7bb7ce98bb2bc3f52cd41b3d6c1c38ae"
-        "19a40688b696a3c93a3ba1bdc9a9c564")
+        "b6e5bfdf7f2402e637ec827cb1827d6d"
+        "0f603a3599bd88002d9ff2f78b5ee423")
 
 
 def test_sweep_flag_without_a_value_means_its_default(tmp_path, capsys,
                                                       monkeypatch):
-    """``--variants`` / ``--threads`` / ``--apps`` given no value used
-    to build an empty matrix and crash in ``max()``."""
+    """``--apps`` given no value used to build an empty matrix and
+    crash in ``max()``. (One application stands in for all six.)"""
+    import repro.cli as cli
+    monkeypatch.setattr(cli, "APP_ORDER", ("Volrend",))
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert main(["sweep", "--scale", "test", "--jobs", "1", "--apps",
-                 "Volrend", "--variants", "--threads"]) == 0
+    assert main(["sweep", "--scale", "test", "--jobs", "1",
+                 "--apps"]) == 0
     out = capsys.readouterr().out
     assert "sweep: 2 cells" in out
     assert "Volrend/base/t1/s2003" in out
     assert "Volrend/ft/t1/s2003" in out
 
 
-def test_report_checks_the_window_the_run_ends_in(tmp_path, capsys):
+def test_sweep_slo_gates_without_report(tmp_path, capsys, monkeypatch):
+    # --slo used to be read only under --report: without it a violated
+    # spec exited 0. No page fault takes 1 us or less.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tight.json").write_text(json.dumps({
+        "name": "tight",
+        "latency_targets_us": {"page_fault": {"p50": 1}}}))
+    assert main(["sweep", "--scale", "test", "--apps", "FFT", "--jobs",
+                 "1", "--slo", "tight.json"]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out
+    # Without --report nothing is written.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache",
+                                                          "tight.json"]
+
+
+def test_report_checks_the_window_the_run_ends_in(tmp_path, capsys,
+                                                  monkeypatch):
     # The run's last hook comes ~1.6 ms before its end, and no quiet
     # window inside the run reaches 1 ms: only the check that detaching
     # the watchdog makes can put a wait-for graph in the report.
+    import repro.obs
+    monkeypatch.setattr(repro.obs, "StallWatchdog", functools.partial(
+        repro.obs.StallWatchdog, horizon_us=1000.0))
     assert main(["report", "--program-seed", "145", "--cluster-seed", "1",
                  "--plan-seed", "533", "--failures", "2",
-                 "--watchdog-us", "1000", "--output", str(tmp_path)]) == 0
+                 "--output", str(tmp_path)]) == 0
     assert "wait-for graph" in (tmp_path / "report.html").read_text()
 
 
-@pytest.mark.parametrize("flag", ["--sample-us", "--watchdog-us"])
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_report_rejects_a_nonpositive_period(tmp_path, flag, value):
-    # A sampling period that is not positive never moves the grid past
-    # now; a watchdog horizon that is not positive calls every hook a
-    # stall. Both are refused before the run starts.
-    with pytest.raises(ConfigError, match="must be > 0"):
-        main(["report", "--program-seed", "145", "--cluster-seed", "1",
-              flag, value, "--output", str(tmp_path)])
-    assert not (tmp_path / "report.html").exists()
+def test_report_spec_gates_and_explains(tmp_path, capsys):
+    # The flagship scenario against a spec it cannot meet: slo.json and
+    # the report's SLO section are written, the verdict and the worst
+    # page fault's causal tree are printed, and the exit code is 1.
+    spec = tmp_path / "tight.json"
+    spec.write_text(json.dumps({
+        "name": "tight",
+        "latency_targets_us": {"page_fault": {"p50": 1}}}))
+    out_dir = tmp_path / "out"
+    assert main(["report", "--program-seed", "145", "--cluster-seed", "1",
+                 "--spec", str(spec), "--output", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out
+    assert "worst page_fault exemplar:" in out
+    slo = json.loads((out_dir / "slo.json").read_text())
+    assert slo["spec"] == "tight" and not slo["ok"]
+    assert "SLO: tight" in (out_dir / "report.html").read_text()
+
+
+def test_report_observes_the_scenario_it_is_given(tmp_path, capsys):
+    assert main(["report", "--program-seed", "145", "--cluster-seed", "1",
+                 "--variant", "base", "--threads", "2",
+                 "--output", str(tmp_path)]) == 0
+    html = (tmp_path / "report.html").read_text()
+    assert "base protocol, 2 threads per node, model-check scenario" \
+        in html
+    assert "thread 7" in html  # 4 nodes x 2 threads
 
 
 def test_report_interrupted_hunt_still_prints_its_waitfor_graph(

@@ -30,6 +30,18 @@ def test_spec_requires_exactly_one_trigger():
     FailureSpec(victim=1, hook=Hooks.LOCK_ACQUIRED)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("occurrence", 0, "occurrence must be >= 1"),
+    ("occurrence", -2, "occurrence must be >= 1"),
+    ("delay", -0.5, "delay must be >= 0"),
+])
+def test_spec_rejects_a_kill_that_can_never_fire(field, value, message):
+    # Hook counts start at 1, so the 0th firing never comes; a negative
+    # delay used to pass here and fail mid-run, once the hook fired.
+    with pytest.raises(ConfigError, match=message):
+        FailureSpec(victim=1, hook=Hooks.LOCK_ACQUIRED, **{field: value})
+
+
 def test_describe_is_readable():
     plan = FaultPlan([
         FailureSpec(victim=2, hook=Hooks.RELEASE_COMMITTED,
@@ -75,12 +87,10 @@ def test_random_plan_reproducible_and_bounded():
     assert all(s.chained for s in a.specs[1:])
 
 
-def test_random_plan_respects_spares_and_minimum():
+def test_random_plan_leaves_two_survivors():
     plan = FaultPlan.random_plan(random.Random(1), num_nodes=4,
-                                 failures=5, spare=(0,))
-    victims = {s.victim for s in plan.specs}
-    assert 0 not in victims
-    assert len(victims) <= 2  # 4 nodes: at most 2 may die
+                                 failures=5)
+    assert len({s.victim for s in plan.specs}) == 2  # 4 nodes: 2 may die
 
 
 def test_random_plan_uses_only_the_passed_rng():
@@ -91,7 +101,7 @@ def test_random_plan_uses_only_the_passed_rng():
     expected_global = [random.random() for _ in range(4)]
     random.seed(1234)
     FaultPlan.random_plan(random.Random(99), num_nodes=6, failures=3,
-                          spare=(2,))
+                          during_recovery_prob=0.5)
     assert [random.random() for _ in range(4)] == expected_global
 
 
@@ -128,7 +138,7 @@ def test_random_plan_end_to_end():
     assert result.recoveries <= 2
 
 
-# -- during-recovery strikes and gaps -----------------------------------------
+# -- during-recovery strikes ---------------------------------------------------
 
 def test_during_spec_validation():
     with pytest.raises(ConfigError):  # during requires a hook trigger
@@ -136,23 +146,17 @@ def test_during_spec_validation():
     with pytest.raises(ConfigError):  # during and chained conflict
         FailureSpec(victim=1, hook=Hooks.RECOVERY_START, during=True,
                     chained=True)
-    with pytest.raises(ConfigError):  # min_gap needs chained
-        FailureSpec(victim=1, hook=Hooks.LOCK_ACQUIRED, min_gap=5.0)
     spec = FailureSpec(victim=1, hook=Hooks.RECOVERY_START, during=True)
     assert "during recovery" in spec.describe()
-    gapped = FailureSpec(victim=1, at_time=5.0, chained=True,
-                         min_gap=25.0)
-    assert "gap 25.0us" in gapped.describe()
 
 
 def test_random_plan_draw_order_stable_at_defaults():
-    """The new knobs must not consume RNG draws at their defaults, or
-    every pinned regression seed re-maps."""
+    """``during_recovery_prob`` must not consume RNG draws at its
+    default, or every pinned regression seed re-maps."""
     base = FaultPlan.random_plan(random.Random(533), num_nodes=4,
                                  failures=2)
     extended = FaultPlan.random_plan(random.Random(533), num_nodes=4,
-                                     failures=2, during_recovery_prob=0.0,
-                                     min_gap_us=0.0)
+                                     failures=2, during_recovery_prob=0.0)
     assert base.specs == extended.specs
 
 
@@ -164,14 +168,6 @@ def test_random_plan_during_prob_one_strikes_mid_recovery():
     assert second.during and not second.chained
     assert second.hook == Hooks.RECOVERY_START
     assert second.occurrence == 1  # the first victim's recovery wave
-
-
-def test_random_plan_min_gap_applies_to_chained_only():
-    plan = FaultPlan.random_plan(random.Random(533), num_nodes=4,
-                                 failures=2, min_gap_us=40.0)
-    first, second = plan.specs
-    assert first.min_gap == 0.0
-    assert second.chained and second.min_gap == 40.0
 
 
 def test_during_recovery_plan_end_to_end():
@@ -192,24 +188,3 @@ def test_during_recovery_plan_end_to_end():
     # recoveries, depending on timing), and memory verified clean.
     assert result.recoveries == 2
 
-
-def test_min_gap_delays_chained_arming():
-    runtime = ft_runtime(rounds=16)
-    gap = 200.0
-    plan = FaultPlan([
-        FailureSpec(victim=3, hook=Hooks.LOCK_ACQUIRED, occurrence=2,
-                    delay=0.4),
-        FailureSpec(victim=2, hook=Hooks.LOCK_ACQUIRED, occurrence=1,
-                    delay=0.4, chained=True, min_gap=gap),
-    ])
-    plan.apply(runtime.cluster)
-    done_at = {}
-    runtime.cluster.hooks.on(
-        Hooks.RECOVERY_DONE,
-        lambda node_id, **info: done_at.setdefault(
-            node_id, runtime.engine.now))
-    runtime.run()
-    assert 3 in done_at and 2 in done_at
-    # The second kill could not even *arm* until gap us after the
-    # first recovery completed.
-    assert done_at[2] >= done_at[3] + gap

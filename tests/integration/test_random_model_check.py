@@ -13,31 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.apps.randomprog import RandomProgram
 from repro.cluster import Hooks
-from repro.config import ClusterConfig, ProtocolParams
-from repro.harness import SvmRuntime
 from repro.harness.faultplan import FaultPlan
-import random as _random
+from repro.verify.replay import ReplayScenario, build_runtime
 
 #: With REPRO_CHECK_INVARIANTS=1 every ft run here additionally runs
 #: under the recovery invariant checker (CI's model-check job sets it;
 #: off by default so the checker's audits never distort perf numbers).
 CHECK_INVARIANTS = os.environ.get("REPRO_CHECK_INVARIANTS") == "1"
-
-
-def make_runtime(program_seed, cluster_seed, variant,
-                 lock_algorithm="polling"):
-    config = ClusterConfig(
-        num_nodes=4, threads_per_node=1, shared_pages=64,
-        num_locks=64, seed=cluster_seed,
-        page_size=512,
-        protocol=ProtocolParams(variant=variant,
-                                lock_algorithm=lock_algorithm))
-    workload = RandomProgram(program_seed=program_seed, phases=3,
-                             actions_per_phase=4, counters=3,
-                             slots_per_thread=6, nthreads_hint=4)
-    return SvmRuntime(config, workload)
 
 
 def run_checked(runtime):
@@ -61,8 +44,9 @@ def run_checked(runtime):
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_program_failure_free(program_seed, cluster_seed,
                                      variant, lock_algorithm):
-    runtime = make_runtime(program_seed, cluster_seed, variant,
-                           lock_algorithm)
+    runtime = build_runtime(ReplayScenario(
+        program_seed, cluster_seed, variant=variant,
+        lock_algorithm=lock_algorithm))
     run_checked(runtime)  # analytic verify inside
 
 
@@ -74,17 +58,15 @@ def test_random_program_failure_free(program_seed, cluster_seed,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_program_random_faults(program_seed, cluster_seed,
                                       plan_seed, failures):
-    runtime = make_runtime(program_seed, cluster_seed, "ft")
-    plan = FaultPlan.random_plan(_random.Random(plan_seed),
-                                 num_nodes=4, failures=failures)
-    plan.apply(runtime.cluster)
+    runtime = build_runtime(ReplayScenario(program_seed, cluster_seed,
+                                           plan_seed, failures))
     result = run_checked(runtime)  # analytic verify inside
     assert result.recoveries <= failures
 
 
 def test_random_program_deterministic():
-    a = make_runtime(42, 7, "ft").run()
-    b = make_runtime(42, 7, "ft").run()
+    a = build_runtime(ReplayScenario(42, 7)).run()
+    b = build_runtime(ReplayScenario(42, 7)).run()
     assert a.elapsed_us == b.elapsed_us
 
 
@@ -95,7 +77,7 @@ def test_random_program_targeted_fault_matrix():
                              (Hooks.DIFF_PHASE1_DONE, 2),
                              (Hooks.BARRIER_ENTER, 2),
                              (Hooks.LOCK_ACQUIRED, 3)):
-        runtime = make_runtime(99, 5, "ft")
+        runtime = build_runtime(ReplayScenario(99, 5))
         FaultPlan.single(2, hook, occurrence, 1.0).apply(runtime.cluster)
         run_checked(runtime)
 
@@ -112,7 +94,4 @@ def test_random_program_targeted_fault_matrix():
     (1377, 959, 1717, 2),
 ])
 def test_model_check_regressions(ps, cs, plan_seed, failures):
-    runtime = make_runtime(ps, cs, "ft")
-    FaultPlan.random_plan(_random.Random(plan_seed), 4,
-                          failures).apply(runtime.cluster)
-    run_checked(runtime)
+    run_checked(build_runtime(ReplayScenario(ps, cs, plan_seed, failures)))

@@ -16,17 +16,12 @@ Fixed by freezing thread state blobs atomically with the interval
 commit (see docs/RECOVERY.md).
 """
 
-import random
-
 import numpy as np
 import pytest
 
 from repro.errors import ApplicationError
-from repro.harness.faultplan import FaultPlan
 from repro.verify import RecoveryInvariantChecker
 from repro.verify.replay import ReplayScenario, build_runtime
-
-from tests.integration.test_random_model_check import make_runtime
 
 
 def run_checked(runtime):
@@ -38,9 +33,7 @@ def run_checked(runtime):
 
 def test_regression_145_1_533_checkpoint_atomicity():
     """The 145/1/533 divergence: slot (3, 4) must survive two failures."""
-    runtime = make_runtime(145, 1, "ft")
-    plan = FaultPlan.random_plan(random.Random(533), 4, failures=2)
-    plan.apply(runtime.cluster)
+    runtime = build_runtime(ReplayScenario(145, 1, 533, 2))
     checker = RecoveryInvariantChecker(runtime)
     result = runtime.run()  # analytic verify inside
     checker.finalize()
@@ -100,9 +93,7 @@ SWEPT_DIVERGENT = [
 
 @pytest.mark.parametrize("ps,cs,plan_seed,failures", SWEPT_DIVERGENT)
 def test_swept_divergent_seeds(ps, cs, plan_seed, failures):
-    runtime = make_runtime(ps, cs, "ft")
-    FaultPlan.random_plan(random.Random(plan_seed), 4,
-                          failures).apply(runtime.cluster)
+    runtime = build_runtime(ReplayScenario(ps, cs, plan_seed, failures))
     checker = RecoveryInvariantChecker(runtime)
     # A regression back into deadlock would generate poll events
     # forever; the cap turns it into a deterministic failure.

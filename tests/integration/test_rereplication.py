@@ -2,8 +2,8 @@
 
 The dynamic re-replication phase (recovery step 8, docs/RECOVERY.md)
 restores dual-copy protection after every recovery, so the cluster
-survives *sequences* of failures -- chained, gapped, and striking while
-a previous recovery is still running. These runs attach the strict
+survives *sequences* of failures -- chained, and striking while a
+previous recovery is still running. These runs attach the strict
 invariant checker, whose full re-protection audit fires at every final
 RECOVERY_DONE.
 """
@@ -63,18 +63,6 @@ def test_multi_victim_single_rendezvous_fires_final_done_once():
     assert len(dones) == 2  # one intermediate wave + the final one
     # Both victims are dead and the two survivors finish the workload.
     assert len(runtime.cluster.live_nodes()) == 2
-
-
-def test_gapped_failure_sequence_stays_clean():
-    # 50us is late enough to shift the second kill's arming point but
-    # early enough that the victim still acquires the trigger locks
-    # before the workload ends (a larger gap makes the kill miss).
-    runtime, result, checker = run_checked(ReplayScenario(
-        program_seed=145, cluster_seed=1, plan_seed=533, failures=2,
-        min_gap_us=50.0))
-    assert checker.violations == []
-    assert result.recoveries == 2
-    assert all(rec.finished for rec in runtime.threads)
 
 
 def test_three_sequential_failures_on_five_nodes():

@@ -20,8 +20,8 @@ from repro.metrics.hist import (
     bucket_index,
     bucket_upper_us,
 )
-from repro.metrics.latency import OP_CLASSES, latency_table
-from repro.obs.report import sweep_latency
+from repro.metrics.latency import OP_CLASSES
+from repro.obs.report import _percentile_table, sweep_latency
 from repro.parallel import RunSummary, app_spec, run_specs
 
 
@@ -127,16 +127,16 @@ def test_round_trip_preserves_everything():
 
 def test_restored_book_prints_the_same_table():
     # What sweeps and RunSummary.latency hand back is a registry
-    # rebuilt from its serialized form; its table (count / mean / max)
-    # must read like the live one.
+    # rebuilt from its serialized form; its table in the HTML reports
+    # (count / percentiles / mean) must read like the live one.
     book = MetricsRegistry()
     for seed, op in enumerate(OP_CLASSES, 1):
         for sample in _samples(seed, n=50):
             book.observe(op, sample)
     blob = json.dumps(book.to_dict(), sort_keys=True)
     restored = MetricsRegistry.from_dict(json.loads(blob))
-    assert latency_table(restored) == latency_table(book)
-    assert len(latency_table(book).splitlines()) == 1 + len(OP_CLASSES)
+    assert _percentile_table(restored) == _percentile_table(book)
+    assert _percentile_table(book).count("<tr>") == 1 + len(OP_CLASSES)
     for op in OP_CLASSES:
         assert (restored.histogram(op).max_us
                 == book.histogram(op).max_us > 0)

@@ -79,17 +79,15 @@ def test_neighbor_exchange_is_read_shared():
 def test_volrend_volume_read_shared():
     wl = Volrend(image_size=8, tile=4, volume_size=8)
     profiler = profiled_run(wl)
-    per_segment = profiler.segment_summary()
-    volume = per_segment["vol_data"]
+    segments = profiler.runtime.cluster.address_space.segments()
+    classes = profiler.classify_all()
+
+    def kinds(name):
+        seg = segments[name]
+        return [classes.get(seg.page(i)) for i in range(seg.num_pages)]
+
     # The volume is written once (by thread 0) and read by everyone.
-    assert volume.get("read_shared", 0) > 0
+    assert "read_shared" in kinds("vol_data")
     # The task counter bounces under the lock.
-    counter = per_segment["vol_tasks"]
-    assert counter.get("migratory", 0) == 1
+    assert kinds("vol_tasks").count("migratory") == 1
 
-
-def test_table_renders():
-    profiler = profiled_run(MigratoryData(rounds=6))
-    text = profiler.table()
-    assert "segment" in text
-    assert "migratory" in text.splitlines()[0]

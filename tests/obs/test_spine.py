@@ -19,7 +19,7 @@ from repro.metrics.trace import (DEFAULT_EVENTS, FULL_EVENTS, INSTANTS,
 from repro.obs import (FlightRecorder, OpTracer, SloSpec, StallWatchdog,
                        TimeSeriesSampler, evaluate_slo, instrumentation)
 from repro.obs.report import sweep_latency
-from repro.obs.slo import default_slo_spec, latency_by_class
+from repro.obs.slo import latency_by_class
 from repro.parallel import RunSummary, app_spec, run_specs
 from repro.verify.replay import ReplayScenario, build_runtime
 
@@ -197,7 +197,8 @@ def test_sweep_slo_gate_reads_every_class_it_names():
              for app in ("FFT", "WaterNsq") for variant in ("base", "ft")]
     results = run_specs(specs, jobs=1, cache=False)
     assert all(r.ok for r in results)
-    report = evaluate_slo(default_slo_spec(), sweep_latency(results))
+    spec = SloSpec.load(REPO / "results" / "slo_default.json")
+    report = evaluate_slo(spec, sweep_latency(results))
     for check in report["checks"]:
         if check["op_class"] not in ("recovery_wave", "rereplicate"):
             assert check["count"] > 0, check

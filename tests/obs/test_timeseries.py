@@ -1,5 +1,8 @@
 """Time-series sampler: cadence, columnar layout, and derived views."""
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.metrics import timeseries_panel
 from repro.obs import TimeSeriesSampler
 from repro.verify.replay import ReplayScenario, build_runtime
@@ -13,6 +16,15 @@ def _sampled(period_us=500.0, failures=0):
     sampler.start()
     runtime.run()
     return runtime, sampler
+
+
+@pytest.mark.parametrize("period_us", [0, -5])
+def test_sampler_rejects_a_nonpositive_period(period_us):
+    # A period that is not positive never moves the grid past now: the
+    # first hook would append samples forever.
+    runtime = build_runtime(ReplayScenario(145, 1))
+    with pytest.raises(ConfigError, match="must be > 0"):
+        TimeSeriesSampler(runtime, period_us=period_us)
 
 
 def test_samples_sit_on_the_period_grid():

@@ -10,6 +10,9 @@ hook stream with threads waiting on a barrier generation that cannot
 complete) without depending on a protocol bug staying broken.
 """
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.obs import StallWatchdog, build_waitfor, format_waitfor
 from repro.verify.replay import ReplayScenario, build_runtime
 
@@ -97,6 +100,14 @@ def test_waitfor_barrier_waiters_carry_epochs():
     report = format_waitfor(graph)
     assert "thread epoch" in report
     assert "node done" in report
+
+
+@pytest.mark.parametrize("horizon_us", [0, -5])
+def test_watchdog_rejects_a_nonpositive_horizon(horizon_us):
+    # A horizon that is not positive calls every hook a stall.
+    runtime = build_runtime(ReplayScenario(145, 1))
+    with pytest.raises(ConfigError, match="must be > 0"):
+        StallWatchdog(runtime, horizon_us=horizon_us)
 
 
 def test_watchdog_is_quiet_on_clean_run():

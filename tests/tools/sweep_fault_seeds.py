@@ -73,9 +73,6 @@ def main(argv=None) -> int:
                         help="probability that each failure after the "
                              "first strikes during the previous "
                              "recovery instead of after it")
-    parser.add_argument("--min-gap", type=float, default=0.0,
-                        help="minimum gap (us) between a completed "
-                             "recovery and the next chained failure")
     parser.add_argument("--ledger", default=None,
                         help="append the sweep summary (including "
                              "clamp warnings) to this ledger file")
@@ -111,8 +108,7 @@ def main(argv=None) -> int:
                               plan_seed, failures, check=args.check,
                               max_sim_us=args.max_sim_us,
                               num_nodes=args.num_nodes,
-                              during_recovery_prob=args.during_recovery_prob,
-                              min_gap_us=args.min_gap)
+                              during_recovery_prob=args.during_recovery_prob)
              for plan_seed in seeds for failures in failure_counts]
     total = len(specs)
     bad = []
@@ -147,10 +143,8 @@ def main(argv=None) -> int:
             break
 
     elapsed = time.time() - start
-    knobs = "".join(
-        f", {name}={value:g}" for name, value in (
-            ("during_recovery_prob", args.during_recovery_prob),
-            ("min_gap_us", args.min_gap)) if value)
+    knobs = (f", during_recovery_prob={args.during_recovery_prob:g}"
+             if args.during_recovery_prob else "")
     summary = (f"swept {done}/{total} cases "
                f"(program_seed={args.program_seed}, "
                f"cluster_seed={args.cluster_seed}, plan seeds "

@@ -46,17 +46,17 @@ PYTEST = "-m pytest -q -p no:cacheprovider --benchmark-disable "
 
 
 def commands(tmp: str) -> list:
-    """Every non-test entry point, at its smallest size (``--profile``
-    swaps in cProfile's hook, so it counts only for what starts it)."""
+    """Every non-test entry point, at its smallest size (``run
+    --profile`` swaps in cProfile's hook, so it counts only for what
+    starts it)."""
     repro = [
-        "list", "run WaterNsq --scale test --threads 2 --lock queueing",
+        "list", "run WaterNsq --scale test --threads 2",
         "run LU --scale test --profile 5", "suite --scale test",
         f"figures --scale test --output {tmp}/figs",
-        f"sweep --scale test --no-cache --report {tmp}/sweep "
+        f"sweep --scale test --report {tmp}/sweep "
         "--slo results/slo_default.json",
-        f"report {FLAGSHIP} --output {tmp}/report",
-        f"trace-op {FLAGSHIP} --worst 2", "profile Volrend --scale test",
-        f"slo {FLAGSHIP} --output {tmp}/slo",
+        f"report {FLAGSHIP} --spec results/slo_default.json "
+        f"--output {tmp}/report",
         "recover --scale test",
         f"replay {tmp}/t.jsonl --record --plan-seed 533 --failures 2",
         f"replay {tmp}/t.jsonl"]
