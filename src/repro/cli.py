@@ -12,9 +12,9 @@ Commands:
   HTML report (with ``--spec``, an SLO gate: exit 1 on a violation);
 * ``recover`` -- fault-injection demo with a recovery timeline (exit 1
   when the kill never fired);
-* ``replay`` -- record / replay a model-check trace; on divergence,
-  bisect to the first event where protocol state departs from the
-  shadow oracle;
+* ``replay`` -- run a model-check scenario under the invariant checker;
+  on divergence, bisect to the first event where protocol state
+  departs from the shadow oracle;
 * ``list`` -- available applications and scales.
 """
 
@@ -344,37 +344,26 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.verify.replay import record_trace, replay_trace
+    from repro.verify.replay import replay
 
-    if args.record:
-        header = record_trace(_scenario(args), args.trace)
-        status = header["outcome"]
-        if header["error"]:
-            status += f" ({header['error']})"
-        print(f"recorded {header['events']} events to {args.trace} "
-              f"({header['elapsed_us']:.0f}us simulated): {status}")
-        return 0
-
-    outcome = replay_trace(args.trace)
-    sc = outcome["scenario"]
-    print(f"replaying program_seed={sc.program_seed} "
-          f"cluster_seed={sc.cluster_seed} plan_seed={sc.plan_seed} "
-          f"failures={sc.failures}")
-    if outcome["outcome"] == "clean" and not outcome["findings"]:
+    scenario = _scenario(args)
+    print(f"replaying program_seed={scenario.program_seed} "
+          f"cluster_seed={scenario.cluster_seed} "
+          f"plan_seed={scenario.plan_seed} failures={scenario.failures}")
+    run, first = replay(scenario)
+    if run.outcome == "clean" and not run.findings:
         print("PASS: run completed and all recovery invariants held")
         return 0
-    if outcome["error"] is not None:
-        print(f"run failed: {outcome['error']}")
-    for finding in outcome["findings"]:
+    if run.error is not None:
+        print(f"run failed: {run.error}")
+    for finding in run.findings:
         print(f"  {finding.time_us:12.1f}us  {finding.invariant}: "
               f"{finding.detail}")
-    first = outcome["first_divergence"]
-    if outcome["outcome"] == "hang":
-        print(f"HANG: sim-time budget exhausted at "
-              f"{outcome['elapsed_us']:.0f}us with threads "
-              f"{outcome['unfinished']} unfinished -- liveness bug, "
-              f"not a state mismatch; run under the stall watchdog "
-              f"for wait-for edges")
+    if run.outcome == "hang":
+        print(f"HANG: sim-time cap reached with threads "
+              f"{run.unfinished} unfinished -- liveness bug, not a state "
+              f"mismatch; run under the stall watchdog for wait-for "
+              f"edges")
     elif first is None:
         print("bisection: no auditable stop diverges from the oracle "
               "(divergence is transient or end-state only)")
@@ -499,14 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kill at the victim's Nth release")
     p_rec.set_defaults(fn=_cmd_recover)
 
-    p_rep = sub.add_parser(
-        "replay", help="record / replay / bisect a model-check trace",
-        parents=[scenario(145)])
-    p_rep.add_argument("trace", help="trace file (JSONL)")
-    p_rep.add_argument("--record", action="store_true",
-                       help="run the scenario and record the trace "
-                            "instead of replaying one")
-    p_rep.set_defaults(fn=_cmd_replay)
+    sub.add_parser(
+        "replay", help="run a model-check scenario under the checker; "
+                       "bisect a divergence",
+        parents=[scenario(145)]).set_defaults(fn=_cmd_replay)
     return parser
 
 

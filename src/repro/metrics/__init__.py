@@ -15,7 +15,6 @@ from repro.metrics.trace import (
     FULL_EVENTS,
     ProtocolTrace,
     TraceEvent,
-    load_jsonl,
 )
 from repro.metrics.report import (
     format_breakdown_table,
@@ -38,7 +37,6 @@ __all__ = [
     "FULL_EVENTS",
     "ProtocolTrace",
     "TraceEvent",
-    "load_jsonl",
     "format_breakdown_table",
     "overhead_percent",
 ]

@@ -292,46 +292,3 @@ class ProtocolTrace:
         if self.dropped:
             lines.insert(0, f"... {self.dropped} earlier events dropped")
         return "\n".join(lines)
-
-    # -- structured persistence (the ``repro replay`` format) -----------
-
-    def export_jsonl(self, path, header: Optional[dict] = None) -> int:
-        """Write the trace as JSON lines: one header object
-        (``{"header": {...}}``) followed by one event per line.
-        Returns the number of events written.
-
-        Deque eviction is not silent: the header always carries a
-        ``dropped_events`` count so a consumer (``load_jsonl``, replay,
-        ordering checks) can tell a complete log from a truncated one.
-        """
-        count = 0
-        merged = dict(_jsonable(header)) if header is not None else {}
-        merged["dropped_events"] = self.dropped
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"header": merged}) + "\n")
-            for ev in self:
-                fh.write(json.dumps({
-                    "t": ev.time_us, "event": ev.event, "node": ev.node,
-                    "info": _jsonable(ev.info)}) + "\n")
-                count += 1
-        return count
-
-
-def load_jsonl(path) -> Tuple[Optional[dict], List[TraceEvent]]:
-    """Read a trace written by :meth:`ProtocolTrace.export_jsonl`.
-    Returns ``(header, events)``; header is None if absent."""
-    header: Optional[dict] = None
-    events: List[TraceEvent] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "header" in obj:
-                header = obj["header"]
-            elif "event" in obj:
-                events.append(TraceEvent(
-                    time_us=obj["t"], event=obj["event"],
-                    node=obj["node"], info=obj.get("info", {})))
-    return header, events

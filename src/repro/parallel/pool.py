@@ -7,8 +7,8 @@
   covers configuration *and* code, see :mod:`repro.parallel.cache`);
 * misses fan out over a ``ProcessPoolExecutor`` (``fork`` start method
   where available -- workers inherit the imported simulator);
-* a spec whose worker process dies, or that times out, is retried a
-  bounded number of times; a pool break only makes the specs in flight
+* a spec whose worker process dies is re-run alone once
+  (``CRASH_RETRIES``); a pool break only makes the specs in flight
   suspects, and a spec is ``crashed`` only if a worker died while
   running it alone. A deterministic in-spec exception is *not* retried
   (it would fail identically) but never stops the other specs;
@@ -36,8 +36,11 @@ from repro.parallel.spec import RunSpec
 #: status values a SpecResult can carry.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
-STATUS_TIMEOUT = "timeout"
 STATUS_CRASHED = "crashed"
+
+#: Times a suspect of a worker crash is re-run alone before it is
+#: marked ``crashed``.
+CRASH_RETRIES = 1
 
 ProgressFn = Callable[["SpecResult", int, int], None]
 
@@ -92,9 +95,7 @@ def run_specs(specs: Sequence[RunSpec],
               jobs: Optional[int] = None,
               cache: bool = True,
               cache_dir=None,
-              progress: Optional[ProgressFn] = None,
-              retries: int = 1,
-              timeout_s: Optional[float] = None) -> List[SpecResult]:
+              progress: Optional[ProgressFn] = None) -> List[SpecResult]:
     """Run ``specs``, concurrently and cache-aware. See module docs."""
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -124,8 +125,7 @@ def run_specs(specs: Sequence[RunSpec],
             settle(i, make_result(i, status=STATUS_OK,
                                   summary=entry["summary"], cached=True))
             continue
-        payload = {"spec": spec.to_dict(), "timeout_s": timeout_s}
-        pending.append(_Pending(index=i, payload=payload))
+        pending.append(_Pending(index=i, payload={"spec": spec.to_dict()}))
 
     def record(p: _Pending, outcome: Dict[str, Any]) -> None:
         status = outcome["status"]
@@ -143,21 +143,10 @@ def run_specs(specs: Sequence[RunSpec],
     if not pending:
         return [r for r in results if r is not None]
 
-    def wants_retry(p: _Pending, outcome: Dict[str, Any]) -> bool:
-        """Timeouts are load-sensitive, so they get the bounded retry
-        too; deterministic in-spec errors would fail identically and
-        are recorded immediately."""
-        return (outcome["status"] == STATUS_TIMEOUT
-                and p.attempts <= retries)
-
     if jobs == 1 or len(pending) == 1:
         for p in pending:
-            while True:
-                p.attempts += 1
-                outcome = execute_payload(p.payload)
-                if not wants_retry(p, outcome):
-                    record(p, outcome)
-                    break
+            p.attempts += 1
+            record(p, execute_payload(p.payload))
         return [r for r in results if r is not None]
 
     def run_pool(batch: List[_Pending], workers: int):
@@ -165,8 +154,7 @@ def run_specs(specs: Sequence[RunSpec],
         submitted at a time -- so an attempt is counted only against a
         spec that was started, and when a worker dies the unfinished
         futures are exactly the specs that were in flight. Returns
-        (specs to run again, specs in flight at a pool break)."""
-        again: List[_Pending] = []
+        (specs never started, specs in flight at a pool break)."""
         todo = list(batch)
         futures: Dict[Any, _Pending] = {}
         executor = ProcessPoolExecutor(max_workers=workers,
@@ -189,17 +177,13 @@ def run_specs(specs: Sequence[RunSpec],
                     except Exception as exc:  # noqa: BLE001
                         outcome = {"status": STATUS_ERROR,
                                    "error": f"{type(exc).__name__}: {exc}"}
-                    if wants_retry(p, outcome):
-                        again.append(p)
-                    else:
-                        record(p, outcome)
+                    record(p, outcome)
                 if broken:
                     # The pool is unusable: every future still pending
                     # fails with it, and so was in flight as well.
                     in_flight = broken + list(futures.values())
-                    return again + todo, sorted(in_flight,
-                                                key=lambda p: p.index)
-            return again, []
+                    return todo, sorted(in_flight, key=lambda p: p.index)
+            return [], []
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
 
@@ -211,12 +195,12 @@ def run_specs(specs: Sequence[RunSpec],
     shared, suspects = list(pending), []
     while shared or suspects:
         if suspects:
-            again, in_flight = run_pool([suspects.pop(0)], 1)
+            unstarted, in_flight = run_pool([suspects.pop(0)], 1)
         else:
             batch, shared = shared, []
-            again, in_flight = run_pool(batch, jobs)
-        shared.extend(again)
-        if len(in_flight) == 1 and in_flight[0].attempts > retries:
+            unstarted, in_flight = run_pool(batch, jobs)
+        shared.extend(unstarted)
+        if len(in_flight) == 1 and in_flight[0].attempts > CRASH_RETRIES:
             p = in_flight[0]
             record(p, {"status": STATUS_CRASHED,
                        "error": "worker process died "

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.verify.replay import CASE_CAP_US, ReplayScenario
+
 _ALLOWED_SCALARS = (str, int, float, bool, type(None))
 
 
@@ -102,14 +104,13 @@ def app_spec(app_name: str, variant: str, verify: bool = True,
 
 
 def model_check_spec(program_seed: int, cluster_seed: int,
-                     plan_seed: int, failures: int, check: bool = False,
-                     max_sim_us: float = 200_000.0,
+                     plan_seed: int, failures: int,
+                     max_sim_us: Optional[float] = CASE_CAP_US,
                      tag: Optional[str] = None, **scenario) -> RunSpec:
     """One fault-injection model-check case: a whole
     :class:`~repro.verify.replay.ReplayScenario` (``scenario`` names
-    any of its other fields) plus whether the invariant checker rides
-    along and the simulated-time cap."""
-    from repro.verify.replay import ReplayScenario
+    any of its other fields) plus the simulated-time cap. Every ft
+    case runs under the invariant checker."""
 
     case = ReplayScenario(program_seed, cluster_seed, plan_seed, failures,
                           **scenario)
@@ -121,5 +122,5 @@ def model_check_spec(program_seed: int, cluster_seed: int,
         if case.during_recovery_prob != 0.0:
             tag += f"/d{case.during_recovery_prob:g}"
     return RunSpec(kind="model_check",
-                   params={**case.to_dict(), "check": check,
-                           "max_sim_us": max_sim_us}, tag=tag)
+                   params={**case.to_dict(), "max_sim_us": max_sim_us},
+                   tag=tag)

@@ -9,13 +9,14 @@ protocol (see docs/RECOVERY.md):
 * :class:`RecoveryInvariantChecker` -- audits replica agreement,
   checkpoint/interval monotonicity, diff accounting, and checkpoint
   atomicity at configurable sync points;
-* :mod:`repro.verify.replay` -- records structured event traces and
-  bisects a diverging run to the first auditable departure from the
-  oracle.
+* :mod:`repro.verify.replay` -- runs and judges one model-check case
+  under the checker, and bisects a diverging run to the first
+  auditable departure from the oracle.
 
-Everything here is strictly opt-in: nothing is attached unless a test
-(or the ``repro replay`` CLI) constructs a checker, so the simulator's
-hot paths are unaffected in normal runs.
+Nothing here is attached to an application run: a checker rides only
+on model-check cases (the seed sweep, ``repro replay``) and on the
+tests that construct one, so the simulator's hot paths are unaffected
+in normal runs.
 """
 
 from repro.verify.invariants import (

@@ -153,10 +153,8 @@ class RecoveryInvariantChecker:
             observe(node_id, page, offset, data)
         return observer
 
-    def _on_commit(self, node_id: int, interval: int, pages,
-                   seq: Optional[int] = None, **info) -> None:
-        if seq is None:
-            return  # base-variant commit; nothing to track
+    def _on_commit(self, node_id: int, interval: int, pages, seq: int,
+                   **info) -> None:
         last = self._last_interval.get(node_id, 0)
         if interval < last:
             self._report("interval-monotonicity",
@@ -510,13 +508,3 @@ class RecoveryInvariantChecker:
                     f"{phase} diff of page {page} (writer {writer}, "
                     f"seq {seq}) was sent to live node {target} "
                     f"{sent}x but never applied")
-
-    def assert_clean(self) -> None:
-        """Finalize and fail loudly on any finding (strict or not)."""
-        strict, self.strict = self.strict, False
-        try:
-            findings = self.finalize()
-        finally:
-            self.strict = strict
-        if findings:
-            raise InvariantViolation(findings)

@@ -1,47 +1,52 @@
-"""Deterministic trace recording, replay, and divergence bisection.
+"""Model-check cases: build one, run it under the checker, and bisect
+a divergence.
 
 The simulator is bit-deterministic in its seeds, so a failing run can
-be replayed exactly -- and, because it can be replayed, it can be
+be re-run exactly -- and, because it can be re-run, it can be
 *bisected*: re-execute the same scenario up to successively chosen
-event timestamps from a recorded trace, audit protocol state against
-the shadow oracle at each stop, and binary-search for the first event
-at which the state departs from the oracle.
+event timestamps of the run's own event log, audit protocol state
+against the shadow oracle at each stop, and binary-search for the
+first event at which the state departs from the oracle.
 
 Workflow (also exposed as ``repro replay``)::
 
-    scenario = ReplayScenario(program_seed=145, cluster_seed=1,
-                              plan_seed=533, failures=2)
-    record_trace(scenario, "divergence.jsonl")     # full event trace
-    outcome = replay_trace("divergence.jsonl")     # re-run + bisect
-    print(outcome["first_divergence"])
+    run, first = replay(ReplayScenario(program_seed=145, cluster_seed=1,
+                                       plan_seed=533, failures=2))
+    print(run.outcome, first)
+
+:func:`run_case` is the one place a case is run, bounded and judged:
+the seed sweep's ``model_check`` runner and ``repro replay`` both call
+it. Every case runs under a simulated-time cap (:data:`CASE_CAP_US`):
+a regression back into deadlock generates poll events forever. A run
+that exhausts its cap with unfinished threads is a ``hang`` (reported
+with the stuck thread ids) instead of a state ``mismatch``; hangs skip
+the bisection, whose probes audit memory state, not liveness.
 
 Audits at an arbitrary stop time are *transient-aware*: pages of
 releases still in flight are excluded, and stops that land inside a
 recovery window (or between a silent death and its detection) report
 "not auditable" and are treated as clean for the search, so the
-bisection converges on the first *auditable* divergence.
-
-Every full re-execution runs under a per-run simulated-time budget
-(``sim_budget_us``): a regression back into deadlock generates poll
-events forever, and an event-starved hang would otherwise park the
-recorder indefinitely. A run that exhausts its budget with unfinished
-threads is classified as a ``hang`` (and reported with the stuck
-thread ids) instead of a state ``mismatch``; hangs skip the oracle
-bisection, whose probes audit memory state, not liveness.
+bisection converges on the first *auditable* divergence. A stop at or
+after which the run has raised is dirty.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, fields
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.apps.randomprog import RandomProgram
 from repro.config import ClusterConfig, ProtocolParams
+from repro.errors import ConfigError
 from repro.harness.faultplan import FaultPlan
-from repro.harness.runner import SvmRuntime
-from repro.metrics.trace import FULL_EVENTS, ProtocolTrace, load_jsonl
+from repro.harness.runner import RunResult, SvmRuntime
+from repro.metrics.trace import FULL_EVENTS, ProtocolTrace
 from repro.verify.invariants import Finding, RecoveryInvariantChecker
+
+#: Simulated-time cap of every model-check case. Clean cases finish in
+#: a few milliseconds of simulated time, so only genuine hangs trip it.
+CASE_CAP_US = 200_000.0
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,16 @@ class ReplayScenario:
     lock_algorithm: str = "polling"
     num_nodes: int = 4
     threads_per_node: int = 1
+
+    def __post_init__(self) -> None:
+        # A plan seed with no failures stays legal: it is the
+        # failure-free twin of a faulted case.
+        if self.failures < 0:
+            raise ConfigError(f"failures must be >= 0, got {self.failures}")
+        if self.failures and self.plan_seed is None:
+            raise ConfigError(
+                f"{self.failures} failure(s) need a plan seed: without "
+                "one no failure is injected")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -86,7 +101,7 @@ def build_runtime(scenario: ReplayScenario) -> SvmRuntime:
         actions_per_phase=4, counters=3, slots_per_thread=6,
         nthreads_hint=scenario.num_nodes * scenario.threads_per_node)
     runtime = SvmRuntime(config, workload)
-    if scenario.plan_seed is not None and scenario.failures > 0:
+    if scenario.failures:
         FaultPlan.random_plan(
             random.Random(scenario.plan_seed), scenario.num_nodes,
             scenario.failures,
@@ -95,48 +110,45 @@ def build_runtime(scenario: ReplayScenario) -> SvmRuntime:
     return runtime
 
 
-#: Default per-run simulated-time budget. Generously above any clean
-#: model-check run (they finish in tens of milliseconds of simulated
-#: time) so only genuine hangs trip it.
-DEFAULT_SIM_BUDGET_US = 1_000_000.0
+@dataclass(frozen=True)
+class CaseRun:
+    """What one checked, capped run came to."""
+
+    #: ``clean``, ``hang`` (the cap ran out with ``unfinished`` threads
+    #: still going) or ``mismatch`` (any other error).
+    outcome: str
+    #: The invariant checker's findings (none without one: base runs).
+    findings: List[Finding]
+    #: ``"Type: message"`` of what the run raised, or None.
+    error: Optional[str]
+    unfinished: List[int]
+    #: None when the run raised.
+    result: Optional[RunResult]
 
 
-def run_capped(runtime, sim_budget_us: Optional[float]) -> dict:
-    """Run to the end or to the budget, whichever comes first.
+def run_case(runtime: SvmRuntime,
+             max_sim_us: Optional[float] = CASE_CAP_US) -> CaseRun:
+    """Run a built (not yet started) runtime to its end or to the cap,
+    with the invariant checker attached when it runs the ft protocol.
 
-    An analytic-verify or protocol error is captured, not raised.
-    ``outcome`` is ``clean``, ``hang`` (the budget ran out with the
-    ``unfinished`` threads still going) or ``mismatch``."""
-    error = None
+    An analytic-verify or protocol error is captured, not raised."""
+    checker = (RecoveryInvariantChecker(runtime, strict=False)
+               if runtime.config.protocol.is_ft else None)
+    result, error = None, None
     try:
-        runtime.run(max_sim_us=sim_budget_us)
+        result = runtime.run(max_sim_us=max_sim_us)
     except Exception as exc:  # noqa: BLE001 -- reported, not hidden
         error = f"{type(exc).__name__}: {exc}"
+    findings = checker.finalize() if checker is not None else []
     unfinished = [rec.tid for rec in runtime.threads if not rec.finished]
     if error is None:
         outcome = "clean"
-    elif unfinished and sim_budget_us is not None \
-            and runtime.engine.now >= sim_budget_us:
+    elif unfinished and max_sim_us is not None \
+            and runtime.engine.now >= max_sim_us:
         outcome = "hang"
     else:
         outcome = "mismatch"
-    return {"error": error, "outcome": outcome, "unfinished": unfinished,
-            "elapsed_us": runtime.engine.now}
-
-
-def record_trace(scenario: ReplayScenario, path,
-                 sim_budget_us: Optional[float] = DEFAULT_SIM_BUDGET_US
-                 ) -> dict:
-    """Run the scenario once, recording the full event trace to
-    ``path`` (JSONL). Returns the header written: the scenario, what
-    :func:`run_capped` saw, and the event count."""
-    runtime = build_runtime(scenario)
-    trace = ProtocolTrace(runtime.cluster, events=FULL_EVENTS,
-                          capacity=500_000)
-    header = {"scenario": scenario.to_dict(),
-              **run_capped(runtime, sim_budget_us), "events": len(trace)}
-    trace.export_jsonl(path, header=header)
-    return header
+    return CaseRun(outcome, findings, error, unfinished, result)
 
 
 def probe(scenario: ReplayScenario,
@@ -146,11 +158,16 @@ def probe(scenario: ReplayScenario,
 
     Returns the findings (empty list == clean), or None when the
     stopped state is not auditable (mid-recovery, or a node has died
-    but its failure is not yet detected)."""
+    but its failure is not yet detected). A run that raises by the stop
+    returns what it raised as its one finding."""
     runtime = build_runtime(scenario)
     checker = RecoveryInvariantChecker(runtime, points=(), strict=False)
-    runtime.start()
-    runtime.engine.run(until=until_us)
+    try:
+        runtime.start()
+        runtime.engine.run(until=until_us)
+    except Exception as exc:  # noqa: BLE001 -- a dirty stop
+        return [Finding(runtime.engine.now, "raised",
+                        f"{type(exc).__name__}: {exc}")]
     manager = runtime.recovery_manager
     if manager is not None and manager.active is not None:
         return None
@@ -162,29 +179,27 @@ def probe(scenario: ReplayScenario,
 
 def bisect_divergence(scenario: ReplayScenario,
                       events) -> Optional[dict]:
-    """Find the first recorded event timestamp at which a deterministic
-    re-run fails the oracle audit.
+    """Find the first event timestamp at which a deterministic re-run
+    fails the oracle audit.
 
-    ``events`` is the recorded trace (TraceEvent list). Returns None if
-    even the final stop audits clean, else a dict with the divergence
-    time, the findings there, the trace events at that timestamp, and
-    the number of re-runs used."""
+    ``events`` is the run's event log (TraceEvent list). Returns None
+    if even the final stop audits clean, else a dict with the
+    divergence time, the findings there, the events at that timestamp,
+    and the number of re-runs used (at most ``ceil(log2 N) + 1`` for N
+    distinct timestamps)."""
     times = sorted({ev.time_us for ev in events})
     if not times:
         return None
-    probes = 0
+    found = {}
 
     def dirty(index: int) -> bool:
-        nonlocal probes
-        probes += 1
-        findings = probe(scenario, times[index])
-        return bool(findings)
+        if index not in found:
+            found[index] = probe(scenario, times[index]) or []
+        return bool(found[index])
 
     if not dirty(len(times) - 1):
         return None
     lo, hi = 0, len(times) - 1  # invariant: hi is dirty
-    if dirty(0):
-        hi = 0
     while lo < hi:
         mid = (lo + hi) // 2
         if dirty(mid):
@@ -192,41 +207,25 @@ def bisect_divergence(scenario: ReplayScenario,
         else:
             lo = mid + 1
     t = times[hi]
-    findings = probe(scenario, t) or []
     return {
         "time_us": t,
-        "findings": findings,
+        "findings": found[hi],
         "events": [ev for ev in events if ev.time_us == t],
-        "probes": probes,
+        "probes": len(found),
     }
 
 
-def replay_trace(path,
-                 sim_budget_us: Optional[float] = DEFAULT_SIM_BUDGET_US
-                 ) -> dict:
-    """Re-execute a recorded trace end to end with the invariant
-    checker attached; on divergence, bisect to the first bad event.
-
-    Returns ``{"scenario", "error", "outcome", "unfinished",
-    "elapsed_us", "findings", "first_divergence"}``. ``outcome`` is
-    ``clean``, ``mismatch``, or ``hang`` (the run exhausted its
-    sim-time budget with the listed threads unfinished). Only
-    mismatches are bisected: the probes audit memory against the
-    oracle, and a deadlocked run's memory state is typically
-    consistent -- what is wrong is liveness, which the stuck thread
-    ids and the stall watchdog localize instead."""
-    header, events = load_jsonl(path)
-    if header is None or "scenario" not in header:
-        raise ValueError(f"{path} has no scenario header; was it "
-                         "written by record_trace / repro replay "
-                         "--record?")
-    scenario = ReplayScenario.from_dict(header["scenario"])
+def replay(scenario: ReplayScenario
+           ) -> Tuple[CaseRun, Optional[dict]]:
+    """Run the scenario once under the checker with its full event log
+    attached; on a mismatch or a finding, bisect over that log's event
+    times to the first auditable divergence (None when there is none,
+    or when the run is clean or hung)."""
     runtime = build_runtime(scenario)
-    checker = RecoveryInvariantChecker(runtime, strict=False)
-    run = run_capped(runtime, sim_budget_us)
-    checker.finalize()
+    trace = ProtocolTrace(runtime.cluster, events=FULL_EVENTS,
+                          capacity=500_000)
+    run = run_case(runtime)
     first = None
-    if run["outcome"] == "mismatch" or checker.violations:
-        first = bisect_divergence(scenario, events)
-    return {"scenario": scenario, **run, "findings": checker.violations,
-            "first_divergence": first}
+    if run.outcome != "hang" and (run.error or run.findings):
+        first = bisect_divergence(scenario, trace.events())
+    return run, first

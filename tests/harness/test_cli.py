@@ -94,7 +94,7 @@ def _cli_surface():
 
 def test_cli_surface_is_pinned():
     """What a user can type -- option strings, defaults, nargs, choices
-    and types of all 34 arguments over the 8 subcommands -- as one
+    and types of all 32 arguments over the 8 subcommands -- as one
     literal. Parent parsers share their action objects, so a
     ``set_defaults`` on one subcommand can silently change another;
     this is the test that sees it."""
@@ -103,12 +103,12 @@ def test_cli_surface_is_pinned():
 
     surface = _cli_surface()
     assert len(surface) == 8
-    assert sum(len(args) for args in surface.values()) == 34
+    assert sum(len(args) for args in surface.values()) == 32
     digest = hashlib.sha256(
         json.dumps(surface, sort_keys=True).encode()).hexdigest()
     assert digest == (
-        "b6e5bfdf7f2402e637ec827cb1827d6d"
-        "0f603a3599bd88002d9ff2f78b5ee423")
+        "ce3f112fff37c53f890a73ba1afec6a8"
+        "b4f1594f0b3033a1203f7e9560337928")
 
 
 def test_sweep_flag_without_a_value_means_its_default(tmp_path, capsys,

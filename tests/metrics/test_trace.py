@@ -98,22 +98,6 @@ def test_dump_is_readable():
     assert "node=" in text
 
 
-def test_export_header_carries_drop_count(tmp_path):
-    from repro.metrics import load_jsonl
-    runtime = ft_runtime()
-    trace = ProtocolTrace(runtime.cluster, capacity=10)
-    runtime.run()
-    assert trace.dropped > 0
-    path = tmp_path / "trace.jsonl"
-    written = trace.export_jsonl(path, header={"seed": 3})
-    header, events = load_jsonl(path)
-    assert written == len(events) == 10
-    # A truncated log must say so: replay and ordering checks key off
-    # this field to refuse counting claims over lost history.
-    assert header["dropped_events"] == trace.dropped
-    assert header["seed"] == 3
-
-
 def test_ordering_assertions_refuse_truncated_log():
     runtime = ft_runtime()
     trace = ProtocolTrace(runtime.cluster, capacity=10)

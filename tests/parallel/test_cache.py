@@ -37,7 +37,7 @@ class TestSpecIdentity:
             RunSpec("app", {"bad": {1: "non-str key"}})
 
     def test_roundtrips_through_dict(self):
-        spec = model_check_spec(145, 1, 533, 1, check=True)
+        spec = model_check_spec(145, 1, 533, 1)
         again = RunSpec.from_dict(spec.to_dict())
         assert again == spec
         assert again.label == spec.label

@@ -3,7 +3,7 @@
 * results are deterministic and independent of ``--jobs``;
 * cache hits return bit-identical summaries and invalidate on both
   configuration changes and code-fingerprint changes;
-* one failing / crashing / timing-out spec never takes down the sweep.
+* one failing or crashing spec never takes down the sweep.
 """
 
 import os
@@ -162,7 +162,7 @@ class TestFailureIsolation:
     def test_worker_crash_is_isolated_and_retried(self, test_runners):
         specs = [RunSpec("_t_ok", {"x": i}) for i in range(4)]
         specs.insert(2, RunSpec("_t_crash", {}))
-        results = run_specs(specs, jobs=2, cache=False, retries=1)
+        results = run_specs(specs, jobs=2, cache=False)
         crash = results[2]
         assert crash.status == "crashed"
         assert crash.attempts == 2  # first run + one retry
@@ -177,28 +177,12 @@ class TestFailureIsolation:
         specs = [RunSpec("_t_sleep", {"seconds": 0.3, "n": i})
                  for i in range(4)]
         specs.insert(1, RunSpec("_t_crash", {}))
-        results = run_specs(specs, jobs=3, cache=False, retries=1)
+        results = run_specs(specs, jobs=3, cache=False)
         assert [r.status for r in results] == [
             "ok", "crashed", "ok", "ok", "ok"]
         assert results[1].attempts == 2
         # Never started before the break: run once, on the next pool.
         assert [r.attempts for r in results[3:]] == [1, 1]
-
-    def test_timeout_marks_spec_and_bounded_retry(self, test_runners):
-        specs = [RunSpec("_t_sleep", {"seconds": 30}),
-                 RunSpec("_t_ok", {"x": 5})]
-        results = run_specs(specs, jobs=2, cache=False, retries=1,
-                            timeout_s=0.2)
-        assert results[0].status == "timeout"
-        assert results[0].attempts == 2
-        assert results[1].ok and results[1].summary["value"] == 10
-
-    def test_timeout_in_process_path(self, test_runners):
-        results = run_specs([RunSpec("_t_sleep", {"seconds": 30})],
-                            jobs=1, cache=False, retries=0,
-                            timeout_s=0.2)
-        assert results[0].status == "timeout"
-        assert results[0].attempts == 1
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

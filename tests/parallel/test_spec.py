@@ -9,7 +9,7 @@ import pytest
 
 from repro.harness.experiments import build_app
 from repro.parallel import app_spec, model_check_spec
-from repro.verify.replay import ReplayScenario
+from repro.verify.replay import CASE_CAP_US, ReplayScenario
 
 SEEDS = ("program_seed", "cluster_seed", "plan_seed", "failures")
 
@@ -33,11 +33,12 @@ def test_model_check_spec_expresses_every_scenario_field(name):
 
 
 def test_model_check_spec_carries_the_seeds_and_run_options():
-    spec = model_check_spec(145, 1, 533, 2, check=True, max_sim_us=5e4)
+    spec = model_check_spec(145, 1, 533, 2, max_sim_us=5e4)
     assert ReplayScenario.from_dict(spec.params) == ReplayScenario(
         145, 1, 533, 2)
-    assert spec.params["check"] is True
     assert spec.params["max_sim_us"] == 5e4
+    assert model_check_spec(145, 1, 533, 2).params["max_sim_us"] \
+        == CASE_CAP_US
     assert spec.label == "mc/145/1/533x2"
 
 

@@ -11,9 +11,11 @@ demand::
 
     PYTHONPATH=src python tests/tools/sweep_fault_seeds.py \
         --program-seed 145 --cluster-seed 1 \
-        --plan-start 434 --plan-count 200 --failures 1,2 --check
+        --plan-start 434 --plan-count 200 --failures 1,2
 
-Cases fan out over the parallel orchestrator (``--jobs`` /
+Every case runs under the recovery invariant checker and the
+model-check cap (``repro.verify.replay.run_case``). Cases fan out over
+the parallel orchestrator (``--jobs`` /
 ``REPRO_JOBS``); completed cases are served from the content-addressed
 result cache, so re-sweeping an extended seed range only runs the new
 seeds. ``--no-cache`` forces every case to execute.
@@ -76,14 +78,6 @@ def main(argv=None) -> int:
     parser.add_argument("--ledger", default=None,
                         help="append the sweep summary (including "
                              "clamp warnings) to this ledger file")
-    parser.add_argument("--check", action="store_true",
-                        help="also attach the recovery invariant "
-                             "checker to every run")
-    parser.add_argument("--stop-after", type=int, default=None,
-                        help="stop after N divergences")
-    parser.add_argument("--max-sim-us", type=float, default=200_000.0,
-                        help="simulated-time cap per run; exceeding it "
-                             "counts as a divergence (deadlock)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: REPRO_JOBS env "
                              "var, else os.cpu_count())")
@@ -105,8 +99,7 @@ def main(argv=None) -> int:
         print(note, flush=True)
     seeds = range(args.plan_start, args.plan_start + args.plan_count)
     specs = [model_check_spec(args.program_seed, args.cluster_seed,
-                              plan_seed, failures, check=args.check,
-                              max_sim_us=args.max_sim_us,
+                              plan_seed, failures,
                               num_nodes=args.num_nodes,
                               during_recovery_prob=args.during_recovery_prob)
              for plan_seed in seeds for failures in failure_counts]
@@ -117,9 +110,9 @@ def main(argv=None) -> int:
           f"worker(s)", flush=True)
 
     def progress(res, done, _total):
-        # `summary["status"]` classifies the *simulated* outcome; the
-        # orchestrator status only goes non-ok on harness breakage.
-        if res.ok and res.summary["status"] != "ok":
+        # `summary["status"]` is the case's verdict; the orchestrator
+        # status only goes non-ok on harness breakage.
+        if res.ok and res.summary["status"] != "clean":
             p = res.spec.params
             print(f"DIVERGENT plan_seed={p['plan_seed']} "
                   f"failures={p['failures']}: {res.summary['status']}: "
@@ -130,22 +123,19 @@ def main(argv=None) -> int:
 
     results = run_specs(specs, jobs=args.jobs, cache=not args.no_cache,
                         progress=progress)
-    done = len(results)
     for res in results:
         p = res.spec.params
         if not res.ok:
             tail = res.error.strip().splitlines()[-1] if res.error else ""
             bad.append((p["plan_seed"], p["failures"], res.status, tail))
-        elif res.summary["status"] != "ok":
+        elif res.summary["status"] != "clean":
             bad.append((p["plan_seed"], p["failures"],
                         res.summary["status"], res.summary["detail"]))
-        if args.stop_after and len(bad) >= args.stop_after:
-            break
 
     elapsed = time.time() - start
     knobs = (f", during_recovery_prob={args.during_recovery_prob:g}"
              if args.during_recovery_prob else "")
-    summary = (f"swept {done}/{total} cases "
+    summary = (f"swept {total}/{total} cases "
                f"(program_seed={args.program_seed}, "
                f"cluster_seed={args.cluster_seed}, plan seeds "
                f"{args.plan_start}..{args.plan_start + args.plan_count - 1}, "

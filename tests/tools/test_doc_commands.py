@@ -6,8 +6,7 @@ a closing backtick. Lines holding a ``<placeholder>`` are skipped. Each
 command must parse under :func:`repro.cli.build_parser`, then run
 through :func:`repro.cli.main` at ``--scale test`` (where the command
 takes a scale) and exit 0 -- in document order, in a scratch working
-directory that holds ``results/slo_default.json``, so a ``replay``
-finds the trace a ``replay --record`` above it wrote.
+directory that holds ``results/slo_default.json``.
 """
 
 import pathlib
@@ -83,4 +82,5 @@ def test_the_scan_joins_lines_and_skips_placeholders():
         ["run", "WaterNsq", "--profile", "30"]]
     assert at_test_scale(["run", "FFT", "--scale", "bench"]) == [
         "run", "FFT", "--scale", "test"]
-    assert at_test_scale(["replay", "t.jsonl"]) == ["replay", "t.jsonl"]
+    assert at_test_scale(["replay", "--plan-seed", "533"]) == [
+        "replay", "--plan-seed", "533"]
