@@ -117,7 +117,16 @@ class FaultPlan:
         one counts the victim's firings of ``hook`` (any node's when
         ``during``) and schedules the kill ``delay`` us after the
         ``occurrence``-th. Kills run at urgent priority and skip a
-        victim that is already dead."""
+        victim that is already dead.
+
+        Recovery runs on polling locks only (the paper's choice, see
+        ``QueueingLocks``): a plan with a failure in it is refused on a
+        cluster running any other lock algorithm."""
+        lock_algorithm = cluster.config.protocol.lock_algorithm
+        if self.specs and lock_algorithm != "polling":
+            raise ConfigError(
+                f"cannot inject failures with {lock_algorithm} locks: "
+                "recovery needs polling locks")
         for spec in self.specs:
             if not 0 <= spec.victim < len(cluster.nodes):
                 raise ConfigError(

@@ -217,59 +217,17 @@ class SvmRuntime:
 
     def run(self, verify: bool = True,
             max_sim_us: Optional[float] = None) -> RunResult:
-        recorder = self._maybe_flight_record()
-        try:
-            self.start()
-            self.engine.run(until=max_sim_us)
-            self._detect_silent_failures(max_sim_us)
-            unfinished = [rec.tid for rec in self.threads
-                          if not rec.finished]
-            if unfinished:
-                raise ProtocolError(
-                    f"threads never finished: {unfinished} "
-                    f"(simulated time {self.engine.now:.0f}us)")
-            if verify:
-                self.workload.verify(self)
-            return self._collect()
-        except BaseException:
-            if recorder is not None:
-                self._export_crash_trace(recorder)
-            raise
-        finally:
-            if recorder is not None:
-                recorder.detach()
-
-    def _maybe_flight_record(self):
-        """Opt-in crash tracing: with ``REPRO_TRACE_DIR`` set, every
-        run records a flight-recorder timeline and, if the run raises,
-        exports it under that directory for post-mortem inspection --
-        how CI attaches Perfetto traces to failed tests. Off (the
-        default) this allocates nothing."""
-        import os
-        if not os.environ.get("REPRO_TRACE_DIR"):
-            return None
-        from repro.obs import FlightRecorder
-        return FlightRecorder(self)
-
-    def _export_crash_trace(self, recorder) -> None:
-        import os
-        outdir = os.environ["REPRO_TRACE_DIR"]
-        try:
-            os.makedirs(outdir, exist_ok=True)
-            name = (f"crash-{self.workload.__class__.__name__}"
-                    f"-pid{os.getpid()}-n{self._crash_trace_seq()}.json")
-            path = os.path.join(outdir, name)
-            recorder.export(path)
-            print(f"flight recorder: wrote {path}", flush=True)
-        except OSError:
-            pass  # never let trace export mask the original failure
-
-    _crash_traces = 0
-
-    @classmethod
-    def _crash_trace_seq(cls) -> int:
-        cls._crash_traces += 1
-        return cls._crash_traces
+        self.start()
+        self.engine.run(until=max_sim_us)
+        self._detect_silent_failures(max_sim_us)
+        unfinished = [rec.tid for rec in self.threads if not rec.finished]
+        if unfinished:
+            raise ProtocolError(
+                f"threads never finished: {unfinished} "
+                f"(simulated time {self.engine.now:.0f}us)")
+        if verify:
+            self.workload.verify(self)
+        return self._collect()
 
     def _detect_silent_failures(self, max_sim_us) -> None:
         """Eventual failure detection for nodes that die after all

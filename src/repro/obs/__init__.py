@@ -2,8 +2,8 @@
 
 All components are strictly opt-in: nothing in this package is imported
 or attached by the simulator unless a caller (the ``repro report``
-command, a test, or the ``REPRO_TRACE_DIR`` environment switch)
-asks for it, and the hook bus early-returns when no subscriber is
+command or a test) asks for it -- no environment variable attaches
+one -- and the hook bus early-returns when no subscriber is
 registered -- so a run with observability off executes zero recorder,
 sampler or watchdog code. :mod:`repro.obs.instrumentation` counts every
 obs-code invocation precisely so tests can prove that claim.

@@ -1,10 +1,12 @@
 """Worker-side execution of run specs.
 
 ``execute_payload`` is the function the pool pickles into workers: it
-looks up the spec's runner, applies deterministic per-spec seeding,
-and converts every outcome -- success or simulation error -- into a
-plain dict, so a bad spec never takes the worker (or the sweep) down
-with it.
+looks up the spec's runner and converts every outcome -- success or
+simulation error -- into a plain dict, so a bad spec never takes the
+worker (or the sweep) down with it. A runner's result is a function of
+its spec's params alone: the simulator draws only from its own seeded
+``random.Random`` instances, so serial and pooled runs agree without
+any per-worker seeding.
 
 Runners registered here:
 
@@ -21,7 +23,6 @@ Runners registered here:
 from __future__ import annotations
 
 import hashlib
-import random
 import time
 import traceback
 from typing import Any, Callable, Dict
@@ -59,37 +60,19 @@ def _run_app(params: Dict[str, Any]) -> Dict[str, Any]:
 def _run_model_check(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.verify.replay import ReplayScenario, build_runtime, run_case
 
-    # from_dict keeps the scenario's fields and ignores the rest of
-    # the params (max_sim_us, the digest probes below).
+    # from_dict keeps the scenario's fields and ignores max_sim_us.
     runtime = build_runtime(ReplayScenario.from_dict(params))
-    recorder = None
-    if params.get("trace_digest"):
-        # Observability determinism probe: the flight-recorder trace is
-        # a function of the seeds alone, so its digest must not depend
-        # on worker placement or job count.
-        from repro.obs import FlightRecorder
-        recorder = FlightRecorder(runtime)
-    tracer = None
-    if params.get("optrace_digest"):
-        # Same determinism contract for causal operation traces.
-        from repro.obs.optrace import OpTracer
-        tracer = OpTracer(runtime)
     run = run_case(runtime, params["max_sim_us"])
     if run.result is None:
         return {"status": run.outcome, "detail": run.error,
                 "elapsed_us": runtime.engine.now}
     result = run.result
-    summary = {"status": "invariant" if run.findings else run.outcome,
-               "detail": "; ".join(str(f) for f in run.findings[:3]),
-               "elapsed_us": result.elapsed_us,
-               "recoveries": result.recoveries,
-               "exposed_window_us": result.exposed_window_us,
-               "data_checksum": _data_checksum(runtime)}
-    if recorder is not None:
-        summary["trace_digest"] = recorder.digest()
-    if tracer is not None:
-        summary["optrace_digest"] = tracer.digest()
-    return summary
+    return {"status": "invariant" if run.findings else run.outcome,
+            "detail": "; ".join(str(f) for f in run.findings[:3]),
+            "elapsed_us": result.elapsed_us,
+            "recoveries": result.recoveries,
+            "exposed_window_us": result.exposed_window_us,
+            "data_checksum": _data_checksum(runtime)}
 
 
 RUNNERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
@@ -107,15 +90,6 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """
     spec = RunSpec.from_dict(payload["spec"])
     started = time.perf_counter()
-
-    # Deterministic per-spec seeding: the simulator draws only from its
-    # own seeded Random instances, but any library code that touches
-    # the global RNG sees the same stream regardless of worker
-    # placement or completion order.
-    seed = int(hashlib.sha256(
-        spec.canonical_json().encode()).hexdigest()[:16], 16)
-    random.seed(seed)
-
     runner = RUNNERS.get(spec.kind)
     if runner is None:
         return {"status": "error", "summary": None,

@@ -567,13 +567,13 @@ class SvmNodeAgent:
         for page in pages:
             entry = self.page_table.entry(page)
             home = self.homes.primary_home(page)
-            if home == self.node_id:
-                self._finish_page_release(page)
-                continue
-            yield from thread.clock.in_category(
-                Category.DIFF, self._diff_and_send(page, entry, home,
-                                                   interval, op=op))
+            if home != self.node_id:
+                yield from thread.clock.in_category(
+                    Category.DIFF, self._diff_and_send(page, entry, home,
+                                                       interval, op=op))
             self._finish_page_release(page)
+            if entry.access is Access.READ_WRITE:
+                entry.access = Access.READ_ONLY
         return None
 
     def _compute_page_diff(self, page: int, entry):
@@ -609,6 +609,7 @@ class SvmNodeAgent:
         return diff
 
     def _finish_page_release(self, page: int) -> None:
+        """The page's diff is taken: drop its twin and dirty state."""
         entry = self.page_table.entry(page)
         entry.dirty = False
         entry.twin = None
@@ -619,8 +620,6 @@ class SvmNodeAgent:
         # over a *fresh* copy at the next fetch, silently reverting any
         # remote writes landed in between (a lost-update divergence).
         self._pending_local_diffs.pop(page, None)
-        if entry.access is Access.READ_WRITE:
-            entry.access = Access.READ_ONLY
 
     # ------------------------------------------------------------------
     # Acquire / release / barrier operations (called by the thread API)

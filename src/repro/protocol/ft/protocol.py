@@ -290,16 +290,10 @@ class FtSvmNodeAgent(SvmNodeAgent):
     # Incoming diffs: phase selects the target copy --------------------------
 
     def _on_diff(self, msg):
-        body = msg.payload[1]
-        if body[0] == "batch":
-            _tag, phase, writer, interval, seq, diffs = body
-            for diff in diffs:
-                yield from self._apply_one_diff(phase, writer, interval,
-                                                seq, diff)
-            return
-        phase, writer, interval, seq, diff = body
-        yield from self._apply_one_diff(phase, writer, interval, seq,
-                                        diff)
+        phase, writer, interval, seq, group = msg.payload[1]
+        for diff in group:
+            yield from self._apply_one_diff(phase, writer, interval, seq,
+                                            diff)
 
     def _apply_one_diff(self, phase, writer, interval, seq, diff):
         yield Delay(diff_apply_us(max(diff.changed_bytes, 1)))
@@ -463,14 +457,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
             diff = yield from thread.clock.in_category(
                 Category.DIFF, self._compute_page_diff(page, entry))
             fl.diffs[page] = diff
-            entry.dirty = False
-            entry.twin = None
-            entry.dirty_regions = None
-            # The commit consumes any invalidate-while-dirty rebase
-            # record: its preserved runs are inside this diff. A stale
-            # record would be rebased over a later fetch and revert
-            # other writers' updates (see _finish_page_release).
-            self._pending_local_diffs.pop(page, None)
+            self._finish_page_release(page)
         # Encoded once: the backup and the mirror each store their own
         # dict of the same immutable blobs.
         blobs = {page: diff.encode() for page, diff in fl.diffs.items()}
@@ -528,14 +515,10 @@ class FtSvmNodeAgent(SvmNodeAgent):
                                     phase=phase, seq=fl.seq,
                                     interval=fl.interval,
                                     page=diff.page_id, target=target)
-                if batch:
-                    body = ("batch", phase, self.node_id, fl.interval,
-                            fl.seq, group)
-                else:
-                    body = (phase, self.node_id, fl.interval, fl.seq,
-                            group[0])
-                yield from self.notify(target, DIFF_CHANNEL, body,
-                                       body_bytes=size, op=op)
+                yield from self.notify(
+                    target, DIFF_CHANNEL,
+                    (phase, self.node_id, fl.interval, fl.seq, group),
+                    body_bytes=size, op=op)
         for target in sorted(by_target):
             if target != self.node_id:
                 yield from self.notify(target, "svm_diff_flush", None,

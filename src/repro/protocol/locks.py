@@ -282,8 +282,9 @@ class QueueingLocks(LockManagerBase):
     ``mirror=True`` (fault-tolerant variant) the home mirrors each state
     change to the lock's secondary home -- reproducing the messaging
     cost of the scheme the paper built and then abandoned for its
-    complexity (recovery with this algorithm is not supported here;
-    use PollingLocks for runs with failures, as the paper does).
+    complexity (recovery with this algorithm is not supported here:
+    ``FaultPlan.apply`` refuses to arm a failure on such a cluster; use
+    PollingLocks for runs with failures, as the paper does).
     """
 
     def __init__(self, agent, mirror: bool = False) -> None:

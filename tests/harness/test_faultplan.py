@@ -9,6 +9,7 @@ from repro.config import ClusterConfig, ProtocolParams
 from repro.errors import ConfigError
 from repro.harness import SvmRuntime
 from repro.harness.faultplan import FailureSpec, FaultPlan
+from repro.verify.replay import ReplayScenario, build_runtime
 from tests.protocol.test_base_integration import MigratoryData
 
 
@@ -188,3 +189,24 @@ def test_during_recovery_plan_end_to_end():
     # recoveries, depending on timing), and memory verified clean.
     assert result.recoveries == 2
 
+
+def test_plan_refuses_a_cluster_on_queueing_locks():
+    # Recovery runs on polling locks only: a kill armed on queueing
+    # locks used to hang or corrupt the run instead.
+    config = ClusterConfig(
+        num_nodes=4, shared_pages=64, num_locks=64, page_size=512,
+        protocol=ProtocolParams(variant="ft", lock_algorithm="queueing"))
+    runtime = SvmRuntime(config, MigratoryData(rounds=4))
+    with pytest.raises(ConfigError, match="queueing locks"):
+        FaultPlan.single(1, Hooks.LOCK_ACQUIRED, 2).apply(runtime.cluster)
+    assert FaultPlan().apply(runtime.cluster) == []  # nothing to refuse
+    runtime.run()
+
+
+def test_model_check_case_refuses_failures_on_queueing_locks():
+    with pytest.raises(ConfigError, match="queueing locks"):
+        build_runtime(ReplayScenario(1, 1, 434, 1,
+                                     lock_algorithm="queueing"))
+    # Its failure-free twin still runs.
+    build_runtime(ReplayScenario(1, 1, 434, 0,
+                                 lock_algorithm="queueing")).run()

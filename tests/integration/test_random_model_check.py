@@ -4,10 +4,9 @@ Every generated program computes its expected final memory
 analytically; any lost RMW, doubled replay, stale read, or broken
 recovery shows up as a verification failure. This is the broadest
 net in the suite -- the enumerated tests pin known cases, this one
-hunts unknown ones.
+hunts unknown ones. Every case is run and judged by ``run_case``, so
+every ft run is also audited by the recovery invariant checker.
 """
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,24 +15,7 @@ from hypothesis import strategies as st
 from repro.cluster import Hooks
 from repro.harness.faultplan import FaultPlan
 from repro.verify.replay import ReplayScenario, build_runtime
-
-#: With REPRO_CHECK_INVARIANTS=1 every ft run here additionally runs
-#: under the recovery invariant checker (CI's model-check job sets it;
-#: off by default so the checker's audits never distort perf numbers).
-CHECK_INVARIANTS = os.environ.get("REPRO_CHECK_INVARIANTS") == "1"
-
-
-def run_checked(runtime):
-    """``runtime.run()`` -- with the invariant checker attached first
-    when REPRO_CHECK_INVARIANTS=1 and the runtime is fault-tolerant."""
-    checker = None
-    if CHECK_INVARIANTS and runtime.config.protocol.is_ft:
-        from repro.verify import RecoveryInvariantChecker
-        checker = RecoveryInvariantChecker(runtime)
-    result = runtime.run()
-    if checker is not None:
-        checker.finalize()
-    return result
+from tests.integration.test_run_capped import run_clean
 
 
 @given(program_seed=st.integers(1, 10_000),
@@ -47,7 +29,7 @@ def test_random_program_failure_free(program_seed, cluster_seed,
     runtime = build_runtime(ReplayScenario(
         program_seed, cluster_seed, variant=variant,
         lock_algorithm=lock_algorithm))
-    run_checked(runtime)  # analytic verify inside
+    run_clean(runtime)
 
 
 @given(program_seed=st.integers(1, 10_000),
@@ -60,8 +42,7 @@ def test_random_program_random_faults(program_seed, cluster_seed,
                                       plan_seed, failures):
     runtime = build_runtime(ReplayScenario(program_seed, cluster_seed,
                                            plan_seed, failures))
-    result = run_checked(runtime)  # analytic verify inside
-    assert result.recoveries <= failures
+    assert run_clean(runtime).recoveries <= failures
 
 
 def test_random_program_deterministic():
@@ -79,7 +60,7 @@ def test_random_program_targeted_fault_matrix():
                              (Hooks.LOCK_ACQUIRED, 3)):
         runtime = build_runtime(ReplayScenario(99, 5))
         FaultPlan.single(2, hook, occurrence, 1.0).apply(runtime.cluster)
-        run_checked(runtime)
+        run_clean(runtime)
 
 
 @pytest.mark.parametrize("ps,cs,plan_seed,failures", [
@@ -94,4 +75,4 @@ def test_random_program_targeted_fault_matrix():
     (1377, 959, 1717, 2),
 ])
 def test_model_check_regressions(ps, cs, plan_seed, failures):
-    run_checked(build_runtime(ReplayScenario(ps, cs, plan_seed, failures)))
+    run_clean(build_runtime(ReplayScenario(ps, cs, plan_seed, failures)))

@@ -2,9 +2,9 @@
 
 Pins the exact fault-injection seed combinations that have diverged in
 the past, so the failures reproduce byte-for-byte without shrinking or
-database state. Each case runs with the recovery invariant checker
-attached: a regression must fail the protocol invariants, not just the
-workload's analytic verify.
+database state. Each case is run and judged by ``run_case``, with the
+recovery invariant checker attached: a regression must fail the
+protocol invariants, not just the workload's analytic verify.
 
 The flagship case is 145/1/533: node 0 committed interval 7 (release
 seq 9), thread 3 then ran on and completed its phase-1 write of slot
@@ -20,32 +20,20 @@ import numpy as np
 import pytest
 
 from repro.errors import ApplicationError
-from repro.verify import RecoveryInvariantChecker
 from repro.verify.replay import ReplayScenario, build_runtime
-
-
-def run_checked(runtime):
-    checker = RecoveryInvariantChecker(runtime)
-    result = runtime.run()
-    checker.finalize()
-    return result, checker
+from tests.integration.test_run_capped import run_clean
 
 
 def test_regression_145_1_533_checkpoint_atomicity():
     """The 145/1/533 divergence: slot (3, 4) must survive two failures."""
     runtime = build_runtime(ReplayScenario(145, 1, 533, 2))
-    checker = RecoveryInvariantChecker(runtime)
-    result = runtime.run()  # analytic verify inside
-    checker.finalize()
-    assert result.recoveries == 2
+    assert run_clean(runtime).recoveries == 2
     # The exact datum that used to be lost: thread 3's last write to
     # its slot 4 in the final phase.
     workload = runtime.workload
     slot = runtime.debug_read_array(workload._slot_addr(3, 4),
                                     np.int64, 1)[0]
     assert slot == 610432392
-    assert checker.violations == []
-    assert checker.audits_run > 0  # the checker actually looked
 
 
 @pytest.mark.parametrize("ps,cs,plan_seed,failures", [
@@ -59,10 +47,7 @@ def test_regression_145_1_533_checkpoint_atomicity():
 def test_known_seed_combinations_stay_clean(ps, cs, plan_seed, failures):
     scenario = ReplayScenario(program_seed=ps, cluster_seed=cs,
                               plan_seed=plan_seed, failures=failures)
-    runtime = build_runtime(scenario)
-    result, checker = run_checked(runtime)
-    assert result.recoveries <= failures
-    assert checker.violations == []
+    assert run_clean(build_runtime(scenario)).recoveries <= failures
 
 
 # Formerly-divergent combinations found by
@@ -93,13 +78,9 @@ SWEPT_DIVERGENT = [
 
 @pytest.mark.parametrize("ps,cs,plan_seed,failures", SWEPT_DIVERGENT)
 def test_swept_divergent_seeds(ps, cs, plan_seed, failures):
-    runtime = build_runtime(ReplayScenario(ps, cs, plan_seed, failures))
-    checker = RecoveryInvariantChecker(runtime)
     # A regression back into deadlock would generate poll events
-    # forever; the cap turns it into a deterministic failure.
-    runtime.run(max_sim_us=200_000.0)
-    checker.finalize()
-    assert checker.violations == []
+    # forever; run_case's cap turns it into a deterministic hang.
+    run_clean(build_runtime(ReplayScenario(ps, cs, plan_seed, failures)))
 
 
 # Open divergences: found by test_random_program_random_faults, not

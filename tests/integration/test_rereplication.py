@@ -3,9 +3,9 @@
 The dynamic re-replication phase (recovery step 8, docs/RECOVERY.md)
 restores dual-copy protection after every recovery, so the cluster
 survives *sequences* of failures -- chained, and striking while a
-previous recovery is still running. These runs attach the strict
-invariant checker, whose full re-protection audit fires at every final
-RECOVERY_DONE.
+previous recovery is still running. These runs are judged by
+``run_case``, whose invariant checker runs its full re-protection audit
+at every final RECOVERY_DONE.
 """
 
 import random
@@ -16,27 +16,18 @@ from repro.cluster import Hooks
 from repro.harness.faultplan import FailureSpec, FaultPlan
 from repro.verify import RecoveryInvariantChecker
 from repro.verify.replay import ReplayScenario, build_runtime
-
-
-def run_checked(scenario):
-    runtime = build_runtime(scenario)
-    checker = RecoveryInvariantChecker(runtime)
-    result = runtime.run(max_sim_us=200_000.0)
-    checker.finalize()
-    return runtime, result, checker
+from tests.integration.test_run_capped import run_clean
 
 
 @pytest.mark.parametrize("plan_seed", [533, 434, 500, 601, 612, 475])
 def test_during_recovery_strikes_stay_clean(plan_seed):
     """Every chained failure re-drawn as a mid-recovery strike: the
     coordinator absorbs the extra victim into the same rendezvous and
-    the strict checker (including the re-protection audit) stays
-    silent."""
-    runtime, result, checker = run_checked(ReplayScenario(
+    the checker (including the re-protection audit) stays silent."""
+    runtime = build_runtime(ReplayScenario(
         program_seed=145, cluster_seed=1, plan_seed=plan_seed,
         failures=2, during_recovery_prob=1.0))
-    assert checker.violations == []
-    assert checker.audits_run > 0
+    result = run_clean(runtime)
     assert all(rec.finished for rec in runtime.threads)
     manager = runtime.recovery_manager
     assert len(manager.exposed_windows) == manager.recoveries
@@ -49,15 +40,12 @@ def test_multi_victim_single_rendezvous_fires_final_done_once():
     runtime = build_runtime(ReplayScenario(
         program_seed=145, cluster_seed=1, plan_seed=533, failures=2,
         during_recovery_prob=1.0))
-    checker = RecoveryInvariantChecker(runtime)
     dones = []
     runtime.cluster.hooks.on(
         Hooks.RECOVERY_DONE,
         lambda node_id, **info: dones.append(
             (node_id, info.get("final", True))))
-    runtime.run(max_sim_us=200_000.0)
-    checker.finalize()
-    assert checker.violations == []
+    run_clean(runtime)
     finals = [node for node, final in dones if final]
     assert len(finals) == 1
     assert len(dones) == 2  # one intermediate wave + the final one
@@ -74,11 +62,7 @@ def test_three_sequential_failures_on_five_nodes():
         num_nodes=5))
     FaultPlan.random_plan(random.Random(434), num_nodes=5,
                           failures=3).apply(runtime.cluster)
-    checker = RecoveryInvariantChecker(runtime)
-    result = runtime.run(max_sim_us=200_000.0)
-    checker.finalize()
-    assert checker.violations == []
-    assert result.recoveries == 3
+    assert run_clean(runtime).recoveries == 3
     assert len(runtime.cluster.live_nodes()) == 2
     assert all(rec.finished for rec in runtime.threads)
 
@@ -98,11 +82,7 @@ def test_backup_of_resumed_threads_dying_next_is_survivable():
                     occurrence=1, delay=0.4, chained=True),
     ])
     plan.apply(runtime.cluster)
-    checker = RecoveryInvariantChecker(runtime)
-    result = runtime.run(max_sim_us=200_000.0)
-    checker.finalize()
-    assert checker.violations == []
-    assert result.recoveries == 2
+    assert run_clean(runtime).recoveries == 2
     assert all(rec.finished for rec in runtime.threads)
     # The threads that lived on node 2 were resumed twice: once onto
     # the first backup, then again when that backup died.

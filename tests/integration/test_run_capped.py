@@ -12,7 +12,7 @@ from repro.errors import ApplicationError, ConfigError
 from repro.harness.runner import SvmRuntime
 from repro.metrics.trace import TraceEvent
 from repro.protocol.ft.protocol import FtSvmNodeAgent
-from repro.verify import replay
+from repro.verify import RecoveryInvariantChecker, replay
 from repro.verify.replay import (
     ReplayScenario,
     bisect_divergence,
@@ -75,10 +75,28 @@ def test_verify_failure_is_a_mismatch():
     assert run.error == "ApplicationError: final memory is wrong"
 
 
-def test_ft_case_runs_checked_and_returns_its_result():
-    run = run_case(build_runtime(ReplayScenario(145, 1, 533, 2)))
-    assert (run.outcome, run.findings, run.error) == ("clean", [], None)
-    assert run.result.recoveries == 2
+def run_clean(runtime):
+    """Run and judge a case with ``run_case`` -- the invariant checker
+    attached to an ft run, the workload's analytic verify inside -- and
+    demand a clean verdict; returns the run's result."""
+    run = run_case(runtime)
+    assert (run.outcome, run.error, run.findings) == ("clean", None, [])
+    return run.result
+
+
+def test_ft_case_runs_checked_and_returns_its_result(monkeypatch):
+    checkers = []
+
+    class Recorded(RecoveryInvariantChecker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            checkers.append(self)
+
+    monkeypatch.setattr(replay, "RecoveryInvariantChecker", Recorded)
+    assert run_clean(build_runtime(ReplayScenario(145, 1, 533, 2))
+                     ).recoveries == 2
+    [checker] = checkers
+    assert checker.audits_run > 0  # the checker actually looked
 
 
 def test_scenario_refuses_failures_it_cannot_inject():

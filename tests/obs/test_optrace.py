@@ -23,7 +23,8 @@ import pytest
 from repro.obs import FlightRecorder
 from repro.metrics.latency import OP_CLASSES
 from repro.obs.optrace import OpTracer
-from repro.parallel import model_check_spec, run_specs
+from repro.parallel import RunSpec, run_specs
+from repro.parallel.runners import RUNNERS
 from repro.verify.replay import ReplayScenario, build_runtime
 
 # Must match tests/obs/test_recorder.py -- the flagship scenario.
@@ -38,13 +39,17 @@ REPO = Path(__file__).resolve().parents[2]
 CCORE_BUILT = importlib.util.find_spec("repro.sim._ccore") is not None
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    runtime = build_runtime(ReplayScenario(**GOLDEN_SCENARIO))
+def _trace(scenario):
+    runtime = build_runtime(ReplayScenario(**scenario))
     t = OpTracer(runtime)
     runtime.run()
     t.detach()
     return t
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _trace(GOLDEN_SCENARIO)
 
 
 def _tree_nodes(tree):
@@ -158,14 +163,25 @@ def test_optrace_digest_matches_golden(tracer):
     assert tracer.digest() == GOLDEN_OPTRACE_DIGEST
 
 
-def test_optrace_digest_independent_of_jobs():
+def _t_optrace_digest(params):
+    return {"digest": _trace(params).digest()}
+
+
+@pytest.fixture
+def digest_runner():
+    # Fork workers inherit this registry.
+    RUNNERS["_t_optrace_digest"] = _t_optrace_digest
+    yield
+    RUNNERS.pop("_t_optrace_digest", None)
+
+
+def test_optrace_digest_independent_of_jobs(digest_runner):
     digests = []
     for jobs in (1, 2):
-        spec = model_check_spec(**GOLDEN_SCENARIO)
-        spec.params["optrace_digest"] = True
+        spec = RunSpec("_t_optrace_digest", GOLDEN_SCENARIO)
         (result,) = run_specs([spec], jobs=jobs, cache=False)
         assert result.ok, result.error
-        digests.append(result.summary["optrace_digest"])
+        digests.append(result.summary["digest"])
     assert digests[0] == digests[1] == GOLDEN_OPTRACE_DIGEST
 
 

@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro.obs import FlightRecorder
-from repro.parallel import model_check_spec, run_specs
+from repro.parallel import RunSpec, run_specs
+from repro.parallel.runners import RUNNERS
 from repro.verify.replay import ReplayScenario, build_runtime
 
 # Flagship fault-injection scenario: seed 145/1, plan 533, two failures,
@@ -40,14 +41,25 @@ def test_trace_digest_stable_across_runs():
     assert _record().to_json() == _record().to_json()
 
 
-def test_trace_digest_independent_of_jobs():
+def _t_trace_digest(params):
+    return {"digest": _record(params).digest()}
+
+
+@pytest.fixture
+def digest_runner():
+    # Fork workers inherit this registry.
+    RUNNERS["_t_trace_digest"] = _t_trace_digest
+    yield
+    RUNNERS.pop("_t_trace_digest", None)
+
+
+def test_trace_digest_independent_of_jobs(digest_runner):
     digests = []
     for jobs in (1, 2):
-        spec = model_check_spec(**GOLDEN_SCENARIO)
-        spec.params["trace_digest"] = True
+        spec = RunSpec("_t_trace_digest", GOLDEN_SCENARIO)
         (result,) = run_specs([spec], jobs=jobs, cache=False)
         assert result.ok, result.error
-        digests.append(result.summary["trace_digest"])
+        digests.append(result.summary["digest"])
     assert digests[0] == digests[1] == GOLDEN_DIGEST
 
 

@@ -4,7 +4,7 @@
 kernel and the optional compiled :mod:`repro.sim._ccore`.  The
 contract is *bit-identity of simulated results*: same golden trace
 digest, same same-seed figure inputs, same fault-sweep outcomes under
-``REPRO_CHECK_INVARIANTS=1``.  Each comparison here runs the same
+the recovery invariant checker.  Each comparison here runs the same
 scenario in two subprocesses -- one with ``REPRO_PURE=1`` (reference
 oracle), one without (compiled core when built) -- and demands
 byte-identical fingerprints.
@@ -37,12 +37,11 @@ GOLDEN_DIGEST = (
     "df466545735a9889a1c90db7d65be41511c462f2a724182e26c67bf301757901")
 
 
-def _run_snippet(snippet: str, pure: bool, extra_env=None) -> dict:
+def _run_snippet(snippet: str, pure: bool) -> dict:
     """Run ``snippet`` in a fresh interpreter and parse its JSON stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env["REPRO_PURE"] = "1" if pure else ""
-    env.update(extra_env or {})
     proc = subprocess.run([sys.executable, "-c", snippet],
                           capture_output=True, text=True, env=env,
                           cwd=str(REPO), timeout=600)
@@ -182,9 +181,8 @@ print(json.dumps({"accelerated": sim.ACCELERATED,
 
 @needs_ccore
 def test_fault_sweep_bit_identical_under_invariants():
-    env = {"REPRO_CHECK_INVARIANTS": "1"}
-    pure = _run_snippet(SWEEP_SNIPPET, pure=True, extra_env=env)
-    accel = _run_snippet(SWEEP_SNIPPET, pure=False, extra_env=env)
+    pure = _run_snippet(SWEEP_SNIPPET, pure=True)
+    accel = _run_snippet(SWEEP_SNIPPET, pure=False)
     assert pure["outcomes"] == accel["outcomes"]
     for outcome in pure["outcomes"]:
         assert outcome["violations"] == 0, outcome
