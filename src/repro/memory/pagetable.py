@@ -41,16 +41,17 @@ class PageTableEntry:
 
     def __init__(self) -> None:
         self.access = Access.INVALID
-        #: Twin snapshot taken at the first write of the current
-        #: interval; None when the page is clean.
+        #: Twin snapshot taken at the first write of an interval; the
+        #: page's diff is taken against it. None when the page is clean.
         self.twin: Optional[bytes] = None
-        #: True while the page sits in the current interval's update list.
+        #: True from the first write of an interval until the release
+        #: that commits the page is done with it.
         self.dirty = False
         #: Written ``[start, end)`` extents since the twin was taken,
-        #: kept in write order and coalesced opportunistically. ``None``
-        #: means tracking is off (no twin): diffs then scan the whole
-        #: page. Extents are conservative supersets of the real changes,
-        #: so diff computation restricted to them is exact.
+        #: kept in write order and coalesced opportunistically; ``None``
+        #: (tracking off) exactly when there is no twin. Extents are
+        #: conservative supersets of the real changes, so diff
+        #: computation restricted to them is exact.
         self.dirty_regions: Optional[List[List[int]]] = None
         #: FT protocol: page is locked during an outstanding release;
         #: page faults on it must stall (paper Fig 4).
@@ -89,30 +90,7 @@ class PageTable:
             return access is not Access.READ_WRITE
         return access is Access.INVALID
 
-    # -- protection management ----------------------------------------------
-
-    def set_access(self, page_id: int, access: Access) -> None:
-        self.entry(page_id).access = access
-
-    def invalidate(self, page_id: int) -> None:
-        ent = self.entry(page_id)
-        ent.access = Access.INVALID
-
-    def dirty_pages(self) -> list[int]:
-        return [pid for pid, ent in enumerate(self._entries)
-                if ent is not None and ent.dirty]
-
-    def clear_dirty(self, page_id: int) -> None:
-        ent = self.entry(page_id)
-        ent.dirty = False
-        ent.twin = None
-        ent.dirty_regions = None
-
     # -- dirty-region tracking ----------------------------------------------
-
-    def start_dirty_tracking(self, page_id: int) -> None:
-        """Begin recording written extents (called at twin creation)."""
-        self.entry(page_id).dirty_regions = []
 
     def record_write(self, page_id: int, start: int, end: int) -> None:
         """Record one written extent; a no-op when tracking is off.

@@ -29,6 +29,7 @@ from repro.config import (ACQUIRE_BASE_US, BARRIER_PER_NODE_US,
                           PAGE_FAULT_HANDLER_US, RELEASE_BASE_US,
                           WRITE_NOTICE_PER_ENTRY_US, diff_apply_us,
                           diff_compute_us)
+from repro.errors import ProtocolError
 from repro.memory import (
     Access,
     Diff,
@@ -358,7 +359,10 @@ class SvmNodeAgent:
                     if entry.access is Access.INVALID:
                         yield from self._load_page(thread, page,
                                                    op=fault_op)
-                    if write:
+                    # A commit that locked the page during the fetch
+                    # owns its twin until that release takes its diff:
+                    # the write faults again and stalls above.
+                    if write and not entry.locked:
                         yield from self._make_writable(thread, page)
             finally:
                 mtx.release()
@@ -421,19 +425,24 @@ class SvmNodeAgent:
         pending = self._pending_local_diffs.pop(page, None)
         if pending is not None:
             # The page was dirty when invalidated: rebase our
-            # un-released writes onto the fresh home copy. The page
-            # must re-enter the current update list -- its previous
-            # membership was consumed by an earlier commit.
+            # un-released writes onto the fresh home copy, which
+            # becomes the twin (the rebased runs are the only changed
+            # extents). No diff of the page has been taken since --
+            # taking one pops the pending record -- so the next one
+            # carries the runs.
             buf = bytearray(data)
             apply_diff(buf, pending)
             self.working.write_page(page, bytes(buf))
             entry.twin = bytes(data)
             entry.dirty = True
-            # Fresh twin: the rebased runs are the only changed extents.
             entry.dirty_regions = [
                 [offset, offset + len(run)] for offset, run in pending.runs]
-            self.update_list[page] = None
-            entry.access = Access.READ_WRITE
+            # FT: unless a release has committed that interval and
+            # locked the page. Its diff carries the runs; until it is
+            # taken the page stays read-only, so the next write faults
+            # and takes a fresh twin after the unlock.
+            entry.access = (Access.READ_ONLY if entry.locked
+                            else Access.READ_WRITE)
         else:
             self.working.write_page(page, data)
             entry.access = Access.READ_ONLY
@@ -577,16 +586,15 @@ class SvmNodeAgent:
         return None
 
     def _compute_page_diff(self, page: int, entry):
+        if entry.twin is None:
+            raise ProtocolError(
+                f"node {self.node_id}: page {page} is diffed with no twin")
         yield Delay(diff_compute_us(self.page_size))
-        if entry.twin is not None:
-            twin, regions = entry.twin, entry.dirty_regions
-        else:
-            twin, regions = bytes(self.page_size), None
         # page_view, not read_page: compute_diff only reads the page
         # and copies the changed runs out, so the 4 KiB snapshot copy
         # is pure overhead.
-        diff = compute_diff(page, twin, self.working.page_view(page),
-                            regions=regions)
+        diff = compute_diff(page, entry.twin, self.working.page_view(page),
+                            regions=entry.dirty_regions)
         self.counters.pages_diffed += 1
         if self.homes.primary_home(page) == self.node_id:
             self.counters.home_pages_diffed += 1

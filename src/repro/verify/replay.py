@@ -220,12 +220,14 @@ def replay(scenario: ReplayScenario
     """Run the scenario once under the checker with its full event log
     attached; on a mismatch or a finding, bisect over that log's event
     times to the first auditable divergence (None when there is none,
-    or when the run is clean or hung)."""
+    or when the run is clean or hung, or runs the base protocol: the
+    bisection audits with the checker, which only the ft variant has)."""
     runtime = build_runtime(scenario)
     trace = ProtocolTrace(runtime.cluster, events=FULL_EVENTS,
                           capacity=500_000)
     run = run_case(runtime)
     first = None
-    if run.outcome != "hang" and (run.error or run.findings):
+    if runtime.config.protocol.is_ft and run.outcome != "hang" \
+            and (run.error or run.findings):
         first = bisect_divergence(scenario, trace.events())
     return run, first

@@ -175,3 +175,14 @@ def test_a_hang_is_not_bisected(monkeypatch):
     run, first = replay.replay(ReplayScenario(0, 0))
     assert run.outcome == "hang" and run.unfinished == [1, 3]
     assert first is None
+
+
+def test_a_base_run_is_judged_not_bisected():
+    # Base runs have no invariant checker, so there is nothing to audit
+    # a probe with: replay returns run_case's verdict and no divergence
+    # (350/1 on two threads a node is one of base's SMP mismatches).
+    run, first = replay.replay(
+        ReplayScenario(350, 1, variant="base", threads_per_node=2))
+    assert run.outcome in ("clean", "mismatch")
+    assert run.findings == []
+    assert first is None

@@ -32,7 +32,7 @@ def test_record_write_noop_when_tracking_off():
 
 def test_record_write_extends_last_extent_in_place():
     pt = PageTable(4)
-    pt.start_dirty_tracking(0)
+    pt.entry(0).dirty_regions = []   # what taking a twin does
     pt.record_write(0, 10, 20)
     pt.record_write(0, 20, 30)   # touching: extend
     pt.record_write(0, 5, 12)    # overlapping from below: extend
@@ -41,7 +41,7 @@ def test_record_write_extends_last_extent_in_place():
 
 def test_record_write_appends_disjoint_extents():
     pt = PageTable(4)
-    pt.start_dirty_tracking(0)
+    pt.entry(0).dirty_regions = []   # what taking a twin does
     pt.record_write(0, 10, 20)
     pt.record_write(0, 100, 110)
     pt.record_write(0, 40, 50)   # out of order: appended, not lost
@@ -50,7 +50,7 @@ def test_record_write_appends_disjoint_extents():
 
 def test_record_write_overflow_collapses_to_hull():
     pt = PageTable(4)
-    pt.start_dirty_tracking(0)
+    pt.entry(0).dirty_regions = []   # what taking a twin does
     for i in range(MAX_DIRTY_REGIONS + 1):
         pt.record_write(0, i * 4, i * 4 + 2)
     regions = pt.entry(0).dirty_regions
@@ -58,10 +58,13 @@ def test_record_write_overflow_collapses_to_hull():
 
 
 def test_clear_dirty_stops_tracking():
+    """Dropping the twin drops the extent list with it (what the
+    agent's _finish_page_release does): later stores record nothing."""
     pt = PageTable(4)
-    pt.start_dirty_tracking(0)
+    pt.entry(0).dirty_regions = []   # what taking a twin does
     pt.record_write(0, 0, 8)
-    pt.clear_dirty(0)
+    pt.entry(0).dirty_regions = None
+    pt.record_write(0, 8, 16)
     assert pt.entry(0).dirty_regions is None
 
 
