@@ -346,10 +346,13 @@ def _cmd_recover(args) -> int:
 def _cmd_replay(args) -> int:
     from repro.verify.replay import replay
 
-    scenario = _scenario(args)
+    scenario = _scenario(args, variant=args.variant,
+                         threads_per_node=args.threads)
     print(f"replaying program_seed={scenario.program_seed} "
           f"cluster_seed={scenario.cluster_seed} "
-          f"plan_seed={scenario.plan_seed} failures={scenario.failures}")
+          f"plan_seed={scenario.plan_seed} failures={scenario.failures} "
+          f"variant={scenario.variant} "
+          f"threads_per_node={scenario.threads_per_node}")
     run, first = replay(scenario)
     if run.outcome == "clean" and not run.findings:
         print("PASS: run completed and all recovery invariants held")
@@ -491,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "replay", help="run a model-check scenario under the checker; "
                        "bisect a divergence",
-        parents=[scenario(145)]).set_defaults(fn=_cmd_replay)
+        parents=[variant, threads, scenario(145)]
+    ).set_defaults(fn=_cmd_replay)
     return parser
 
 

@@ -11,27 +11,19 @@ The encoding here is real: diffs serialize to bytes, travel over the
 simulated wire, and are applied by patching the destination buffer.
 
 Diff computation is the protocol's dominant host cost (the paper's
-section 5.3 breakdown), so :func:`compute_diff` is vectorized: clean
-spans are dismissed with ``memcmp``-speed equality, run boundaries in
-short changed spans are found with a big-int XOR plus C-level
-``translate``/``find`` scans, and long spans (>=
-:data:`_NUMPY_SPAN_BYTES`) use a numpy boundary finder whose cost is
-independent of how fragmented the page is. The per-byte implementation is retained as
-:func:`compute_diff_reference`; property tests assert byte-for-byte
-equivalence between the two.
-
-When the caller has tracked which extents of the page were written
-since the twin was taken (dirty-region tracking in the page table), it
-passes them as ``regions`` and only those spans are scanned. The
-contract is that every twin/current difference lies inside the given
-regions; :mod:`tests.memory.test_dirty_tracking` guards it.
+section 5.3 breakdown), so :func:`compute_diff` is one scan over the
+whole page: a ``memcmp`` settles a clean page, otherwise numpy builds a
+0/1 changed-byte mask and C-level ``bytes.find``/``rfind`` walk it run
+by run. The per-byte implementation is retained as
+:func:`compute_diff_reference`, the oracle; property tests and a
+protocol guard assert byte-for-byte equivalence between the two.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -41,22 +33,6 @@ from repro.errors import MemoryError_
 _RUN_HEADER = struct.Struct("<II")
 #: Diff header: page id (u32) + run count (u32).
 _DIFF_HEADER = struct.Struct("<II")
-
-#: translate() table mapping zero bytes to 0x00 and every nonzero byte
-#: to 0x01, turning a XOR buffer into a changed-byte mask that C-level
-#: ``bytes.find`` can scan for run boundaries.
-_NONZERO = bytes([0]) + bytes([1]) * 255
-
-#: Spans at least this long are scanned with the numpy boundary finder
-#: instead of the big-int mask loop. The mask loop costs one Python
-#: iteration (a handful of C ``find``/``rfind`` calls) *per run*, which
-#: collapses on fragmented pages -- a 4 KB page with 128 separate runs
-#: spent more time walking runs than a clean page spends on its memcmp.
-#: The numpy path finds every run boundary with a fixed number of array
-#: operations regardless of run count; its constant setup cost only
-#: pays for itself on larger spans, so short spans (small pages, dirty
-#: region extents) keep the big-int path.
-_NUMPY_SPAN_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -125,145 +101,52 @@ class Diff:
         return cls(page_id, tuple(runs))
 
 
-def _normalize_regions(regions: Sequence[Sequence[int]],
-                       page_size: int) -> List[Tuple[int, int]]:
-    """Clip, sort, and merge overlapping/adjacent (start, end) extents."""
-    spans: List[Tuple[int, int]] = []
-    for start, end in regions:
-        start = max(0, start)
-        end = min(page_size, end)
-        if end > start:
-            spans.append((start, end))
-    if not spans:
-        return []
-    spans.sort()
-    merged: List[List[int]] = [list(spans[0])]
-    for start, end in spans[1:]:
-        if start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1][1] = end
-        else:
-            merged.append([start, end])
-    return [(s, e) for s, e in merged]
-
-
-def _changed_runs(twin, current, lo: int, hi: int, merge_gap: int,
-                  out: List[List[int]]) -> None:
-    """Append the changed runs of ``[lo, hi)`` to ``out``, already
-    coalesced under ``merge_gap``.
-
-    ``twin``/``current`` are buffers supporting slicing (bytes or
-    memoryview). A clean span costs one memcmp; otherwise a big-int XOR
-    turns the span into a changed-byte mask and run boundaries come
-    from C-level ``find``/``rfind``. Runs separated by at least
-    ``merge_gap`` unchanged bytes split exactly where a byte-by-byte
-    scan with the same policy would split, so scanning for the gap
-    pattern directly keeps dense pages (alternating changed bytes) at
-    a handful of C calls instead of one Python iteration per run.
-    """
-    if twin[lo:hi] == current[lo:hi]:  # one memcmp settles a clean span
-        return
-    if hi - lo >= _NUMPY_SPAN_BYTES:
-        _changed_runs_numpy(twin, current, lo, hi, merge_gap, out)
-        return
-    gap = b"\x00" * max(1, merge_gap)
-    xor = (int.from_bytes(twin[lo:hi], "little")
-           ^ int.from_bytes(current[lo:hi], "little"))
-    mask = xor.to_bytes(hi - lo, "little").translate(_NONZERO)
-    start = mask.find(1)
-    while start >= 0:
-        split = mask.find(gap, start)
-        if split < 0:
-            out.append([lo + start, lo + mask.rfind(1) + 1])
-            break
-        out.append([lo + start, lo + mask.rfind(1, start, split) + 1])
-        start = mask.find(1, split + len(gap))
-
-
-def _changed_runs_numpy(twin, current, lo: int, hi: int, merge_gap: int,
-                        out: List[List[int]]) -> None:
-    """Numpy variant of :func:`_changed_runs` for long spans.
-
-    All run boundaries are found with a constant number of vectorized
-    passes: the changed-byte indices, the places where consecutive
-    changed bytes are separated by an unchanged gap wide enough to
-    split runs, and one fancy-index gather of the resulting run
-    starts/ends. Two changed bytes at indices ``i < j`` belong to the
-    same run exactly when the unchanged gap ``j - i - 1`` is smaller
-    than ``merge_gap`` (and adjacent changed bytes, gap 0, always
-    share a run), matching the reference scan's policy.
-    """
-    a = np.frombuffer(twin, dtype=np.uint8)
-    b = np.frombuffer(current, dtype=np.uint8)
-    idx = np.flatnonzero(a[lo:hi] != b[lo:hi])
-    if idx.size == 0:
-        return
-    splits = np.flatnonzero(np.diff(idx) > max(merge_gap, 1))
-    k = splits.size
-    st = np.empty(k + 1, dtype=np.intp)
-    st[0] = 0
-    st[1:] = splits
-    st[1:] += 1
-    en = np.empty(k + 1, dtype=np.intp)
-    en[:k] = splits
-    en[k] = idx.size - 1
-    starts = (idx[st] + lo).tolist()
-    ends = (idx[en] + (lo + 1)).tolist()
-    for start, end in zip(starts, ends):
-        out.append([start, end])
-
-
 def compute_diff(page_id: int, twin: bytes, current: bytes,
-                 merge_gap: int = 8,
-                 regions: Optional[Sequence[Sequence[int]]] = None) -> Diff:
+                 merge_gap: int = 8) -> Diff:
     """Compare ``current`` against ``twin`` and return the changed runs.
 
     ``merge_gap``: adjacent changed runs separated by fewer than this
     many unchanged bytes are merged into one run -- real diff engines do
     this (word-granularity scans) and it keeps run counts realistic.
 
-    ``regions``: optional iterable of ``(start, end)`` written extents.
-    When given, only those spans are scanned -- the dirty-region fast
-    path. The caller guarantees every changed byte lies inside the
-    union of the regions; the result is then identical to a full scan.
+    The changed-byte mask is scanned for the gap pattern (``merge_gap``
+    zero bytes): runs split exactly where the byte-by-byte reference
+    splits and come out already coalesced, at three C-level
+    ``find``/``rfind`` calls per run. Gap bytes are unchanged, so a
+    merged run's payload (sliced from ``current``) is what the
+    reference produces.
     """
     n = len(twin)
     if n != len(current):
         raise MemoryError_(
             f"twin/page size mismatch: {n} vs {len(current)}")
-    if regions is None:
-        if twin == current:
-            return Diff(page_id, ())
-        spans: List[Tuple[int, int]] = [(0, n)]
-    else:
-        spans = _normalize_regions(regions, n)
-    raw: List[List[int]] = []
-    # memoryviews make the block compares and XOR slices zero-copy.
-    mv_twin, mv_cur = memoryview(twin), memoryview(current)
-    for lo, hi in spans:
-        _changed_runs(mv_twin, mv_cur, lo, hi, merge_gap, raw)
-    if not raw:
+    # The protocol passes a memoryview, which compares item by item:
+    # a bytes copy plus one memcmp is over 30x faster on a 4 KiB page.
+    current = bytes(current)
+    if twin == current:  # one memcmp settles a clean page
         return Diff(page_id, ())
-    # Coalesce across stretch/span boundaries (in-stretch coalescing
-    # already happened in _changed_runs). Gap bytes are unchanged, so
-    # a merged run's payload (sliced from current) is identical to what
-    # the byte-by-byte reference scan produces.
-    merged: List[List[int]] = [raw[0]]
-    for run in raw[1:]:
-        if run[0] - merged[-1][1] < merge_gap:
-            merged[-1][1] = run[1]
-        else:
-            merged.append(run)
-    return Diff(page_id, tuple(
-        (start, bytes(current[start:end])) for start, end in merged))
+    mask = (np.frombuffer(twin, np.uint8)
+            != np.frombuffer(current, np.uint8)).tobytes()
+    gap = b"\x00" * max(1, merge_gap)
+    runs: List[Tuple[int, bytes]] = []
+    start = mask.find(1)
+    while start >= 0:
+        split = mask.find(gap, start)
+        if split < 0:
+            split = n
+        end = mask.rfind(1, start, split) + 1
+        runs.append((start, current[start:end]))
+        start = mask.find(1, split)
+    return Diff(page_id, tuple(runs))
 
 
 def compute_diff_reference(page_id: int, twin: bytes, current: bytes,
                            merge_gap: int = 8) -> Diff:
     """Byte-by-byte reference implementation of :func:`compute_diff`.
 
-    Kept for the equivalence property tests and the perf-regression
-    harness (the vectorized engine's speedup is measured against this).
+    The oracle: kept for the equivalence property tests, the protocol
+    guard and the perf-regression harness (the scan's speedup is
+    measured against this).
     """
     if len(twin) != len(current):
         raise MemoryError_(

@@ -12,6 +12,10 @@ touch) rather than a dict: the access check on every touched page
 becomes plain list indexing, and
 :class:`PageTableEntry` is a ``__slots__`` class so each entry is a
 single compact allocation.
+
+A store records nothing here beyond the fault it may take: which bytes
+changed is found at diff time, by one scan of the whole page against
+its twin (:func:`repro.memory.diff.compute_diff`).
 """
 
 from __future__ import annotations
@@ -20,10 +24,6 @@ import enum
 from typing import List, Optional
 
 from repro.errors import MemoryError_
-
-#: Above this many tracked extents, dirty-region bookkeeping would cost
-#: more than it saves; the extents collapse to their convex hull.
-MAX_DIRTY_REGIONS = 64
 
 
 class Access(enum.Enum):
@@ -37,7 +37,7 @@ class Access(enum.Enum):
 class PageTableEntry:
     """Protection and protocol state of one page at one node."""
 
-    __slots__ = ("access", "twin", "dirty", "dirty_regions", "locked")
+    __slots__ = ("access", "twin", "dirty", "locked")
 
     def __init__(self) -> None:
         self.access = Access.INVALID
@@ -47,12 +47,6 @@ class PageTableEntry:
         #: True from the first write of an interval until the release
         #: that commits the page is done with it.
         self.dirty = False
-        #: Written ``[start, end)`` extents since the twin was taken,
-        #: kept in write order and coalesced opportunistically; ``None``
-        #: (tracking off) exactly when there is no twin. Extents are
-        #: conservative supersets of the real changes, so diff
-        #: computation restricted to them is exact.
-        self.dirty_regions: Optional[List[List[int]]] = None
         #: FT protocol: page is locked during an outstanding release;
         #: page faults on it must stall (paper Fig 4).
         self.locked = False
@@ -89,34 +83,3 @@ class PageTable:
         if write:
             return access is not Access.READ_WRITE
         return access is Access.INVALID
-
-    # -- dirty-region tracking ----------------------------------------------
-
-    def record_write(self, page_id: int, start: int, end: int) -> None:
-        """Record one written extent; a no-op when tracking is off.
-
-        Hot path: called on every store. The common sequential-write
-        pattern (extent touching or overlapping the last one) extends
-        in place; out-of-order extents append and are normalized when
-        the diff is computed. Overflow collapses to the convex hull so
-        bookkeeping stays O(1) per write.
-        """
-        ent = self._entries[page_id]
-        if ent is None:
-            return
-        regions = ent.dirty_regions
-        if regions is None:
-            return
-        if regions:
-            last = regions[-1]
-            if start <= last[1] and end >= last[0]:
-                if start < last[0]:
-                    last[0] = start
-                if end > last[1]:
-                    last[1] = end
-                return
-        regions.append([start, end])
-        if len(regions) > MAX_DIRTY_REGIONS:
-            lo = min(r[0] for r in regions)
-            hi = max(r[1] for r in regions)
-            ent.dirty_regions = [[lo, hi]]

@@ -24,11 +24,10 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, Hooks
-from repro.config import (ACQUIRE_BASE_US, BARRIER_PER_NODE_US,
-                          COMMIT_PER_PAGE_US, INVALIDATE_PER_PAGE_US,
-                          PAGE_FAULT_HANDLER_US, RELEASE_BASE_US,
-                          WRITE_NOTICE_PER_ENTRY_US, diff_apply_us,
-                          diff_compute_us)
+from repro.config import (ACQUIRE_BASE_US, COMMIT_PER_PAGE_US,
+                          INVALIDATE_PER_PAGE_US, PAGE_FAULT_HANDLER_US,
+                          RELEASE_BASE_US, WRITE_NOTICE_PER_ENTRY_US,
+                          diff_apply_us, diff_compute_us)
 from repro.errors import ProtocolError
 from repro.memory import (
     Access,
@@ -39,7 +38,8 @@ from repro.memory import (
     compute_diff,
 )
 from repro.metrics import Category, NodeCounters
-from repro.protocol.barrier import ABORTED, BARRIER_SERVICE, STALE_DONE
+from repro.protocol.barrier import (ABORTED, BARRIER_SERVICE,
+                                    DELAY_PER_NODE, STALE_DONE)
 from repro.protocol.homes import HomeMap
 from repro.protocol.signals import RecoverySignal
 from repro.protocol.locks import (
@@ -62,6 +62,14 @@ RETRY_SENTINEL = "__retry__"
 
 #: Wire size of one write notice (page id + interval tag).
 WRITE_NOTICE_BYTES = 8
+
+# Fixed-value charges, built once: a yielded Delay is only read, so one
+# object serves every yield (the invalidation loop would otherwise
+# build one per page).
+_DELAY_FAULT_HANDLER = Delay(PAGE_FAULT_HANDLER_US)
+_DELAY_INVALIDATE = Delay(INVALIDATE_PER_PAGE_US)
+_DELAY_ACQUIRE = Delay(ACQUIRE_BASE_US)
+_DELAY_RELEASE = Delay(RELEASE_BASE_US)
 
 
 class Operation:
@@ -307,8 +315,6 @@ class SvmNodeAgent:
             # is atomic with respect to concurrent releases downgrading
             # the page.
             self.working.write_span(page, offset, piece)
-            # Dirty-region tracking: diffs scan only written extents.
-            self.page_table.record_write(page, offset, offset + chunk)
             if self.write_observer is not None:
                 self.write_observer(page, offset, bytes(piece))
             addr += chunk
@@ -352,7 +358,7 @@ class SvmNodeAgent:
                 fault_observed = True
                 with self._traced("page_fault", "fault page %s (%s)", page,
                                   "write" if write else "read") as fault_op:
-                    yield Delay(PAGE_FAULT_HANDLER_US)
+                    yield _DELAY_FAULT_HANDLER
                     # FT: faults on pages locked by an outstanding release
                     # stall until the release completes (paper Fig 4).
                     yield from self._wait_page_unlocked(page)
@@ -427,7 +433,7 @@ class SvmNodeAgent:
             # The page was dirty when invalidated: rebase our
             # un-released writes onto the fresh home copy, which
             # becomes the twin (the rebased runs are the only changed
-            # extents). No diff of the page has been taken since --
+            # bytes). No diff of the page has been taken since --
             # taking one pops the pending record -- so the next one
             # carries the runs.
             buf = bytearray(data)
@@ -435,8 +441,6 @@ class SvmNodeAgent:
             self.working.write_page(page, bytes(buf))
             entry.twin = bytes(data)
             entry.dirty = True
-            entry.dirty_regions = [
-                [offset, offset + len(run)] for offset, run in pending.runs]
             # FT: unless a release has committed that interval and
             # locked the page. Its diff carries the runs; until it is
             # taken the page stays read-only, so the next write faults
@@ -460,7 +464,6 @@ class SvmNodeAgent:
             if entry.twin is None:
                 yield from self.node.mem_copy(self.page_size)
                 entry.twin = self.working.read_page(page)
-                entry.dirty_regions = []
                 self.counters.twins_created += 1
         entry.dirty = True
         self.update_list[page] = None
@@ -590,11 +593,7 @@ class SvmNodeAgent:
             raise ProtocolError(
                 f"node {self.node_id}: page {page} is diffed with no twin")
         yield Delay(diff_compute_us(self.page_size))
-        # page_view, not read_page: compute_diff only reads the page
-        # and copies the changed runs out, so the 4 KiB snapshot copy
-        # is pure overhead.
-        diff = compute_diff(page, entry.twin, self.working.page_view(page),
-                            regions=entry.dirty_regions)
+        diff = compute_diff(page, entry.twin, self.working.page_view(page))
         self.counters.pages_diffed += 1
         if self.homes.primary_home(page) == self.node_id:
             self.counters.home_pages_diffed += 1
@@ -621,7 +620,6 @@ class SvmNodeAgent:
         entry = self.page_table.entry(page)
         entry.dirty = False
         entry.twin = None
-        entry.dirty_regions = None
         # A pending rebase record saved by an invalidate-while-dirty is
         # satisfied by this commit (the diff just computed contains the
         # very runs it preserved). Keeping it would rebase stale bytes
@@ -634,7 +632,7 @@ class SvmNodeAgent:
     # ------------------------------------------------------------------
 
     def acquire_op(self, thread, lock_id: int):
-        yield Delay(ACQUIRE_BASE_US)
+        yield _DELAY_ACQUIRE
         self.hooks.fire(Hooks.ACQUIRE_START, self.node_id, lock=lock_id,
                         tid=thread.thread_id)
         with self._traced("lock_acquire", "lock %s acquire",
@@ -665,7 +663,7 @@ class SvmNodeAgent:
         a barrier leader runs it with no lock. Base: commit the
         interval, hand the lock over, then propagate diffs (version
         gating keeps fetches correct)."""
-        yield Delay(RELEASE_BASE_US)
+        yield _DELAY_RELEASE
         pages = yield from thread.clock.in_category(
             Category.PROTOCOL, self._commit_interval(thread))
         interval = self.interval_no
@@ -698,13 +696,15 @@ class SvmNodeAgent:
                 continue  # already applied
             for page in pages:
                 self.counters.write_notices += 1
-                yield Delay(INVALIDATE_PER_PAGE_US)
+                yield _DELAY_INVALIDATE
                 self._invalidate_page(page, writer, interval)
         return None
 
     def _invalidate_page(self, page: int, writer: int,
                          interval: int) -> None:
-        required = self.required_versions.setdefault(page, {})
+        required = self.required_versions.get(page)
+        if required is None:
+            required = self.required_versions[page] = {}
         if required.get(writer, 0) < interval:
             required[writer] = interval
         entry = self.page_table.entry(page)
@@ -714,8 +714,7 @@ class SvmNodeAgent:
             # writes as a pending diff, rebased after the re-fetch.
             if entry.twin is not None:
                 pending = compute_diff(
-                    page, entry.twin, self.working.page_view(page),
-                    regions=entry.dirty_regions)
+                    page, entry.twin, self.working.page_view(page))
                 existing = self._pending_local_diffs.get(page)
                 if existing is not None:
                     merged_runs = existing.runs + pending.runs
@@ -740,7 +739,7 @@ class SvmNodeAgent:
             epoch = done
         if epoch < done:
             # Stale re-arrival: this generation completed earlier.
-            yield Delay(BARRIER_PER_NODE_US)
+            yield DELAY_PER_NODE
             return None
         self.hooks.fire(Hooks.BARRIER_ENTER, self.node_id,
                         barrier=barrier_id, thread=thread.thread_id)

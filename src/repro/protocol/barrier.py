@@ -23,6 +23,10 @@ from repro.sim import Delay, Event
 
 BARRIER_SERVICE = "svm_barrier"
 
+#: The per-arrival charge, one object for every yield (a Delay is only
+#: read once yielded).
+DELAY_PER_NODE = Delay(BARRIER_PER_NODE_US)
+
 #: Reply payload marker for aborted barrier generations.
 ABORTED = "aborted"
 #: Reply payload marker: the caller's generation already completed
@@ -85,7 +89,7 @@ class BarrierManager:
             # otherwise never be detected (nobody talks to it).
             self.agent.node.spawn(self._watchdog(gen),
                                   f"barwatch{barrier_id}")
-        yield Delay(BARRIER_PER_NODE_US)
+        yield DELAY_PER_NODE
         expected = self.runtime.expected_barrier_nodes()
         if len(gen.arrivals) >= expected and not gen.event.settled:
             self._release(barrier_id, gen)

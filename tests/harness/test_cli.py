@@ -94,7 +94,7 @@ def _cli_surface():
 
 def test_cli_surface_is_pinned():
     """What a user can type -- option strings, defaults, nargs, choices
-    and types of all 32 arguments over the 8 subcommands -- as one
+    and types of all 34 arguments over the 8 subcommands -- as one
     literal. Parent parsers share their action objects, so a
     ``set_defaults`` on one subcommand can silently change another;
     this is the test that sees it."""
@@ -103,12 +103,31 @@ def test_cli_surface_is_pinned():
 
     surface = _cli_surface()
     assert len(surface) == 8
-    assert sum(len(args) for args in surface.values()) == 32
+    assert sum(len(args) for args in surface.values()) == 34
     digest = hashlib.sha256(
         json.dumps(surface, sort_keys=True).encode()).hexdigest()
     assert digest == (
-        "ce3f112fff37c53f890a73ba1afec6a8"
-        "b4f1594f0b3033a1203f7e9560337928")
+        "23bb59c8d3256562158e5fa18edcabae"
+        "53226542f7ae02d97b37722430f511df")
+
+
+def test_replay_builds_the_variant_and_threads_it_is_given(capsys,
+                                                          monkeypatch):
+    import repro.verify.replay as replay_mod
+    seen = []
+    real = replay_mod.replay
+
+    def spy(scenario):
+        seen.append(scenario)
+        return real(scenario)
+
+    monkeypatch.setattr(replay_mod, "replay", spy)
+    assert main(["replay", "--program-seed", "145", "--cluster-seed", "1",
+                 "--variant", "base", "--threads", "2"]) == 0
+    assert seen == [replay_mod.ReplayScenario(
+        program_seed=145, cluster_seed=1, variant="base",
+        threads_per_node=2)]
+    assert "variant=base threads_per_node=2" in capsys.readouterr().out
 
 
 def test_sweep_flag_without_a_value_means_its_default(tmp_path, capsys,

@@ -1,11 +1,12 @@
-"""Property tests: the vectorized diff engine is byte-for-byte
-equivalent to the retained byte-loop reference implementation.
+"""Property tests: the diff engine is byte-for-byte equivalent to the
+retained byte-loop reference implementation (the oracle).
 
-The vectorized :func:`compute_diff` (memcmp spans, big-int XOR mask,
-C-level gap scans) replaced a per-byte Python loop; these tests pin the
-two to identical output -- same run boundaries, same payloads, every
-merge-gap policy -- across random pages, structured sparse/dense
-patterns, and region-restricted scans.
+:func:`compute_diff` (one memcmp, a whole-page numpy changed-byte
+mask, C-level gap scans) replaced a per-byte Python loop; these tests
+pin the two to identical output -- same run boundaries, same payloads,
+every merge-gap policy -- across random pages, structured sparse/dense
+patterns, runs at the page edges and gaps at the merge threshold, and
+every diff the protocol takes in four application runs.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.memory.diff as diff_mod
+from repro.harness.experiments import run_app
 from repro.memory.diff import (
     Diff,
     compute_diff,
@@ -28,21 +29,8 @@ MERGE_GAPS = (0, 1, 2, 3, 8, 17, PAGE)
 
 
 def assert_matches_reference(twin, cur, merge_gap):
-    """compute_diff == reference under BOTH span scanners.
-
-    The scanner picks its strategy by span length (>= _NUMPY_SPAN_BYTES
-    goes to the numpy boundary finder); 256-byte test pages would only
-    ever exercise the big-int path, so equivalence is asserted once per
-    strategy by forcing the threshold either way.
-    """
-    ref = compute_diff_reference(0, twin, cur, merge_gap=merge_gap)
-    orig = diff_mod._NUMPY_SPAN_BYTES
-    try:
-        for threshold in (0, 1 << 30):
-            diff_mod._NUMPY_SPAN_BYTES = threshold
-            assert compute_diff(0, twin, cur, merge_gap=merge_gap) == ref
-    finally:
-        diff_mod._NUMPY_SPAN_BYTES = orig
+    assert (compute_diff(0, twin, cur, merge_gap=merge_gap)
+            == compute_diff_reference(0, twin, cur, merge_gap=merge_gap))
 
 
 @st.composite
@@ -85,9 +73,9 @@ def test_vectorized_matches_reference_striped(stride, width, merge_gap):
        st.sampled_from((1, 4, 8, 16, 33)))
 @settings(max_examples=80)
 def test_fragmented_large_pages_match_reference(stride, width, merge_gap):
-    """4 KB pages cross the real numpy threshold: striped fragmentation
-    at every gap/width relation (the BENCH_hotpaths fragmented regime
-    is stride 16 / width 16 here)."""
+    """4 KB pages, striped fragmentation at every gap/width relation
+    (the BENCH_hotpaths fragmented regime is stride 16 / width 16
+    here)."""
     big = 4096
     rng = random.Random(stride * 131 + width)
     twin = bytes(rng.randrange(256) for _ in range(big))
@@ -95,19 +83,77 @@ def test_fragmented_large_pages_match_reference(stride, width, merge_gap):
     for start in range(0, big, stride + width):
         for i in range(start, min(start + width, big)):
             cur[i] ^= 0xA5
-    cur = bytes(cur)
-    # Default threshold: full pages take the numpy path for real.
-    assert (compute_diff(0, twin, cur, merge_gap=merge_gap) ==
-            compute_diff_reference(0, twin, cur, merge_gap=merge_gap))
+    assert_matches_reference(twin, bytes(cur), merge_gap)
+
+
+@st.composite
+def edge_page(draw):
+    """(twin, current, merge_gap): a 64-4096 byte page whose changed
+    runs are separated by gaps drawn around the merge threshold
+    (``merge_gap - 1``, ``merge_gap``, or anything), with the first run
+    at byte 0 and the last ending at the last byte when drawn so."""
+    size = draw(st.integers(64, 4096))
+    merge_gap = draw(st.sampled_from((1, 8, 16)))
+    gaps = st.one_of(st.sampled_from((merge_gap - 1, merge_gap)),
+                     st.integers(1, 64))
+    layout = draw(st.lists(st.tuples(gaps, st.integers(1, 32)),
+                           min_size=1, max_size=40))
+    twin = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(size)
+    changed = bytearray(size)
+    pos = 0 if draw(st.booleans()) else layout[0][0]
+    for i, (gap, width) in enumerate(layout):
+        if i:
+            pos += max(gap, 1)
+        if pos >= size:
+            break
+        changed[pos:pos + width] = b"\x01" * min(width, size - pos)
+        pos += width
+    if draw(st.booleans()):
+        changed[-1] = 1
+    cur = bytes(t ^ 0xFF if c else t for t, c in zip(twin, changed))
+    return twin, cur, merge_gap
+
+
+@given(edge_page())
+@settings(max_examples=300)
+def test_runs_at_page_edges_and_gap_threshold_match_reference(case):
+    twin, cur, merge_gap = case
+    assert_matches_reference(twin, cur, merge_gap)
+
+
+@pytest.mark.parametrize("size", [64, 4096])
+@pytest.mark.parametrize("merge_gap", [1, 8, 16])
+def test_edge_runs_and_threshold_gaps_split_where_the_reference_does(
+        size, merge_gap):
+    """Byte 0 and the last byte changed; a gap of ``merge_gap - 1``
+    unchanged bytes merges, a gap of exactly ``merge_gap`` splits."""
+    twin = bytes(size)
+    cur = bytearray(size)
+    cur[0] = 1
+    second = 1 + (merge_gap - 1)          # merged into the first run
+    cur[second] = 2
+    third = second + 1 + merge_gap        # a run of its own
+    cur[third] = 3
+    cur[-1] = 4
+    diff = compute_diff(0, twin, bytes(cur), merge_gap=merge_gap)
+    assert diff == compute_diff_reference(0, twin, bytes(cur),
+                                          merge_gap=merge_gap)
+    assert [offset for offset, _data in diff.runs] == [0, third, size - 1]
+    assert diff.runs[0][1] == bytes(cur[:second + 1])
 
 
 def test_both_span_scanners_agree_on_hotpath_regimes():
-    """The four BENCH_hotpaths page regimes, both scanners, exactly."""
+    """The four BENCH_hotpaths page regimes equal the reference, and
+    the fragmented page splits into its 128 runs whenever its 16-byte
+    gaps reach the merge threshold."""
     from benchmarks.bench_hotpaths import _make_pages
     twin, pages = _make_pages()
     for cur in pages.values():
-        for merge_gap in (1, 8, 64):
+        for merge_gap in (1, 8, 16, 64):
             assert_matches_reference(twin, cur, merge_gap)
+    for merge_gap in (1, 8, 16):
+        assert len(compute_diff(0, twin, pages["fragmented"],
+                                merge_gap=merge_gap).runs) == 128
 
 
 @given(page_pair(), st.sampled_from(MERGE_GAPS))
@@ -134,24 +180,35 @@ def test_stored_sizes_leave_identity_and_encoding_alone(pair, merge_gap):
         diff.changed_bytes = 0
 
 
-@given(page_pair(), st.sampled_from((1, 8, 16)))
-@settings(max_examples=200)
-def test_region_restricted_scan_equals_full_scan(pair, merge_gap):
-    """When the given regions cover every changed byte, restricting the
-    scan to them must not change the result -- the dirty-region
-    contract."""
-    twin, cur = pair
-    full = compute_diff(0, twin, cur, merge_gap=merge_gap)
-    # Exact covering regions, one per changed byte (maximally
-    # fragmented input exercises normalization hardest).
-    regions = [(i, i + 1) for i in range(PAGE) if twin[i] != cur[i]]
-    restricted = compute_diff(0, twin, cur, merge_gap=merge_gap,
-                              regions=regions)
-    assert restricted == full
-    # Conservative supersets must give the same answer too.
-    padded = [(max(0, s - 3), min(PAGE, e + 5)) for s, e in regions]
-    assert compute_diff(0, twin, cur, merge_gap=merge_gap,
-                        regions=padded) == full
-    # The whole page as one region degenerates to the full scan.
-    assert compute_diff(0, twin, cur, merge_gap=merge_gap,
-                        regions=[(0, PAGE)]) == full
+@pytest.mark.parametrize("app,variant", [
+    ("WaterNsq", "base"),  # lock-heavy app: base protocol diffs too
+    ("WaterNsq", "ft"),
+    # FFT base takes no diff (each node writes only pages it is home
+    # of); RadixLocal is the base run with the most.
+    ("RadixLocal", "base"),
+    ("FFT", "ft"),
+])
+def test_protocol_diffs_equal_the_reference(monkeypatch, app, variant):
+    """Every diff the protocol takes in a real application run -- at a
+    release and at an invalidation of a dirty page -- equals the
+    byte-loop oracle's diff of the same twin and page."""
+    import repro.protocol.agent as agent_mod
+
+    checked = {"diffs": 0, "runs": 0}
+
+    def checking_compute_diff(page_id, twin, current, merge_gap=8):
+        got = compute_diff(page_id, twin, current, merge_gap=merge_gap)
+        assert got == compute_diff_reference(
+            page_id, twin, bytes(current), merge_gap=merge_gap), (
+            f"page {page_id}: diff differs from the reference")
+        checked["diffs"] += 1
+        checked["runs"] += len(got.runs)
+        return got
+
+    # Both variants diff through the agent module's compute_diff.
+    monkeypatch.setattr(agent_mod, "compute_diff", checking_compute_diff)
+
+    result = run_app(app, variant, scale="test")
+    assert result.counters.total.page_faults > 0
+    # Guards nothing unless real, non-empty diffs went through it.
+    assert checked["diffs"] > 0 and checked["runs"] > 0

@@ -36,12 +36,10 @@ def test_invalidate_resets_protection():
 
 def test_dirty_page_tracking():
     """Each page keeps its own protocol state: a clean entry has no
-    twin and no extent list, and marking one page dirty touches no
-    other."""
+    twin, and marking one page dirty touches no other."""
     table = PageTable(8)
     clean = table.entry(1)
-    assert (clean.dirty, clean.twin, clean.dirty_regions,
-            clean.locked) == (False, None, None, False)
+    assert (clean.dirty, clean.twin, clean.locked) == (False, None, False)
     table.entry(4).dirty = True
     assert [pid for pid in range(8) if table.entry(pid).dirty] == [4]
 

@@ -144,8 +144,6 @@ def test_multi_page_write_reports_page_relative_chunks_in_order():
             agent.write_observer = None
             seen["chunks"] = chunks
             seen["faults"] = agent.counters.write_faults - faults
-            seen["dirty"] = [agent.page_table.entry(first + i).dirty_regions
-                             for i in range(3)]
         yield from ctx.barrier(Workload.BARRIER_A)
 
     runtime, _result = run_probe(kernel)
@@ -154,8 +152,6 @@ def test_multi_page_write_reports_page_relative_chunks_in_order():
     assert [(page, offset) for page, offset, _data in chunks] == \
         [(0, start), (1, 0), (2, 0)]
     assert b"".join(data for _page, _offset, data in chunks) == payload
-    assert seen["dirty"] == [[[offset, offset + len(data)]]
-                             for _page, offset, data in chunks]
     assert runtime.debug_read(start, len(payload)) == payload
 
 

@@ -87,14 +87,12 @@ def test_a_rebase_onto_a_locked_page_rides_the_release():
     agent._install_fetched(page, fresh)
     assert entry.access is Access.READ_ONLY
     assert page not in agent.update_list
-    assert (entry.twin, entry.dirty, entry.dirty_regions) == (
-        fresh, True, [[8, 10]])
+    assert (entry.twin, entry.dirty) == (fresh, True)
     working = agent.working.read_page(page)
     assert working[8:10] == b"\x07\x07" and working[10:] == fresh[10:]
     # The release's diff is exactly the rebased runs; taking it leaves
     # the page clean and read-only, so the next write takes a new twin.
-    diff = compute_diff(page, entry.twin, agent.working.page_view(page),
-                        regions=entry.dirty_regions)
+    diff = compute_diff(page, entry.twin, agent.working.page_view(page))
     assert diff.runs == ((8, b"\x07\x07"),)
     agent._finish_page_release(page)
     assert (entry.twin, entry.dirty, entry.access) == (
