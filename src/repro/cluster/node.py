@@ -20,7 +20,7 @@ from typing import List
 from repro.config import ClusterConfig, copy_time_us
 from repro.errors import SimulationError
 from repro.net import NIC, RegionTable, VMMC
-from repro.sim import Delay, Engine, Mutex, Process
+from repro.sim import Engine, Mutex, Process
 
 
 class Node:
@@ -66,7 +66,7 @@ class Node:
         duration = copy_time_us(nbytes)
         yield self.bus.acquire()
         try:
-            yield Delay(duration)
+            yield duration
         finally:
             self.bus.release()
 

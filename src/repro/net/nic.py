@@ -24,7 +24,7 @@ from repro.config import (BUS_BANDWIDTH_BYTES_PER_US, NIC_PER_MESSAGE_US,
 from repro.errors import NetworkError, RemoteNodeFailure
 from repro.net.message import Message, MessageKind
 from repro.net.regions import RegionTable
-from repro.sim import Delay, Engine, Event, Mutex, Store
+from repro.sim import Engine, Event, Mutex, Store
 from repro.sim.resources import EMPTY
 
 # Hoisted enum members: ``_dispatch`` runs per received message, and a
@@ -82,19 +82,13 @@ class NIC:
         self.bytes_sent = 0
         self.post_queue_stalls = 0
 
-        # Delay objects are immutable once built, so the fixed per-call
-        # charges can reuse one instance instead of allocating ~2 per
-        # message on the sender/receiver hot loops.
-        self._delay_post = Delay(POST_OVERHEAD_US)
-        self._delay_per_msg = Delay(NIC_PER_MESSAGE_US)
-
         self._sender_proc = engine.spawn(self._sender(), f"nic{node_id}.send")
         self._receiver_proc = engine.spawn(self._receiver(), f"nic{node_id}.recv")
 
     # -- host-side API -----------------------------------------------------
 
-    def post_charge(self) -> Delay:
-        """Host-side cost of one post; yield the returned Delay.
+    def post_charge(self) -> float:
+        """Host-side cost of one post in microseconds; yield it.
 
         Split from :meth:`post_enqueue` so hot callers can post without
         a delegated generator: ``yield nic.post_charge()`` then check
@@ -102,7 +96,7 @@ class NIC:
         """
         if not self.alive:
             raise NetworkError(f"node {self.node_id}: NIC is down")
-        return self._delay_post
+        return POST_OVERHEAD_US
 
     def post_enqueue(self, msg: Message) -> Optional[Event]:
         """Enqueue a message after the post charge was paid.
@@ -191,11 +185,11 @@ class NIC:
         # ``get_nowait`` skips the Event allocation whenever a message
         # is already queued; the DMA bus charge is inlined (acquire /
         # hold for the transfer / release) instead of delegating to a
-        # per-message generator.
+        # per-message generator. Each charge is a bare number of
+        # microseconds yielded straight to the kernel.
         store = self.post_queue
         get_nowait = store.get_nowait
         get = store.get
-        delay_per_msg = self._delay_per_msg
         bus = self.dma_bus
         bandwidth = BUS_BANDWIDTH_BYTES_PER_US
         transfer_time_us = self.params.transfer_time_us
@@ -203,14 +197,13 @@ class NIC:
             msg = get_nowait()
             if msg is EMPTY:
                 msg = yield get()
-            yield delay_per_msg
+            yield NIC_PER_MESSAGE_US
             if bus is not None:
                 ev = bus.acquire()
                 if not ev._settled:
                     yield ev
                 try:
-                    # Bare float yield == Delay(float): skips the
-                    # Delay allocation on the per-message hot path.
+                    # Hold the bus for the transfer at its bandwidth.
                     yield msg.wire_bytes / bandwidth
                 finally:
                     bus.release()
@@ -223,7 +216,6 @@ class NIC:
         store = self.incoming
         get_nowait = store.get_nowait
         get = store.get
-        delay_per_msg = self._delay_per_msg
         bus = self.dma_bus
         bandwidth = BUS_BANDWIDTH_BYTES_PER_US
         dispatch = self._dispatch
@@ -231,14 +223,13 @@ class NIC:
             msg = get_nowait()
             if msg is EMPTY:
                 msg = yield get()
-            yield delay_per_msg
+            yield NIC_PER_MESSAGE_US
             if bus is not None:
                 ev = bus.acquire()
                 if not ev._settled:
                     yield ev
                 try:
-                    # Bare float yield == Delay(float): skips the
-                    # Delay allocation on the per-message hot path.
+                    # Hold the bus for the transfer at its bandwidth.
                     yield msg.wire_bytes / bandwidth
                 finally:
                     bus.release()

@@ -24,10 +24,11 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, Hooks
-from repro.config import (ACQUIRE_BASE_US, COMMIT_PER_PAGE_US,
-                          INVALIDATE_PER_PAGE_US, PAGE_FAULT_HANDLER_US,
-                          RELEASE_BASE_US, WRITE_NOTICE_PER_ENTRY_US,
-                          diff_apply_us, diff_compute_us)
+from repro.config import (ACQUIRE_BASE_US, BARRIER_PER_NODE_US,
+                          COMMIT_PER_PAGE_US, INVALIDATE_PER_PAGE_US,
+                          PAGE_FAULT_HANDLER_US, RELEASE_BASE_US,
+                          WRITE_NOTICE_PER_ENTRY_US, diff_apply_us,
+                          diff_compute_us)
 from repro.errors import ProtocolError
 from repro.memory import (
     Access,
@@ -38,8 +39,7 @@ from repro.memory import (
     compute_diff,
 )
 from repro.metrics import Category, NodeCounters
-from repro.protocol.barrier import (ABORTED, BARRIER_SERVICE,
-                                    DELAY_PER_NODE, STALE_DONE)
+from repro.protocol.barrier import ABORTED, BARRIER_SERVICE, STALE_DONE
 from repro.protocol.homes import HomeMap
 from repro.protocol.signals import RecoverySignal
 from repro.protocol.locks import (
@@ -48,7 +48,7 @@ from repro.protocol.locks import (
     make_lock_manager,
 )
 from repro.protocol.timestamps import VectorTimestamp
-from repro.sim import Delay, Event, Mutex
+from repro.sim import Event, Mutex
 
 #: Notify channel carrying encoded diffs to home nodes.
 DIFF_CHANNEL = "svm_diff"
@@ -62,15 +62,6 @@ RETRY_SENTINEL = "__retry__"
 
 #: Wire size of one write notice (page id + interval tag).
 WRITE_NOTICE_BYTES = 8
-
-# Fixed-value charges, built once: a yielded Delay is only read, so one
-# object serves every yield (the invalidation loop would otherwise
-# build one per page).
-_DELAY_FAULT_HANDLER = Delay(PAGE_FAULT_HANDLER_US)
-_DELAY_INVALIDATE = Delay(INVALIDATE_PER_PAGE_US)
-_DELAY_ACQUIRE = Delay(ACQUIRE_BASE_US)
-_DELAY_RELEASE = Delay(RELEASE_BASE_US)
-
 
 class Operation:
     """One protocol operation of ``op_class``, begun when built.
@@ -358,7 +349,7 @@ class SvmNodeAgent:
                 fault_observed = True
                 with self._traced("page_fault", "fault page %s (%s)", page,
                                   "write" if write else "read") as fault_op:
-                    yield _DELAY_FAULT_HANDLER
+                    yield PAGE_FAULT_HANDLER_US
                     # FT: faults on pages locked by an outstanding release
                     # stall until the release completes (paper Fig 4).
                     yield from self._wait_page_unlocked(page)
@@ -530,14 +521,14 @@ class SvmNodeAgent:
         entries = [(i, log[i]) for i in range(first, last + 1) if i in log]
         size = sum(WRITE_NOTICE_BYTES * (1 + len(pages))
                    for _i, pages in entries) or 8
-        yield Delay(WRITE_NOTICE_PER_ENTRY_US * len(entries))
+        yield WRITE_NOTICE_PER_ENTRY_US * len(entries)
         return entries, size
 
     def _on_diff(self, msg):
         """Apply an incoming diff at this (home) node. Generator run at
         NIC level so diffs from one writer apply in FIFO order."""
         writer, interval, diff = msg.payload[1]
-        yield Delay(diff_apply_us(max(diff.changed_bytes, 1)))
+        yield diff_apply_us(max(diff.changed_bytes, 1))
         apply_diff(self.working.page_view(diff.page_id), diff)
         self._bump_version(diff.page_id, writer, interval)
 
@@ -562,7 +553,7 @@ class SvmNodeAgent:
         pages = self._close_interval()
         if not pages:
             return pages
-        yield Delay(COMMIT_PER_PAGE_US * len(pages))
+        yield COMMIT_PER_PAGE_US * len(pages)
         for page in pages:
             if self.homes.primary_home(page) == self.node_id:
                 # Our working copy is the home copy: the committed
@@ -592,7 +583,7 @@ class SvmNodeAgent:
         if entry.twin is None:
             raise ProtocolError(
                 f"node {self.node_id}: page {page} is diffed with no twin")
-        yield Delay(diff_compute_us(self.page_size))
+        yield diff_compute_us(self.page_size)
         diff = compute_diff(page, entry.twin, self.working.page_view(page))
         self.counters.pages_diffed += 1
         if self.homes.primary_home(page) == self.node_id:
@@ -632,7 +623,7 @@ class SvmNodeAgent:
     # ------------------------------------------------------------------
 
     def acquire_op(self, thread, lock_id: int):
-        yield _DELAY_ACQUIRE
+        yield ACQUIRE_BASE_US
         self.hooks.fire(Hooks.ACQUIRE_START, self.node_id, lock=lock_id,
                         tid=thread.thread_id)
         with self._traced("lock_acquire", "lock %s acquire",
@@ -663,7 +654,7 @@ class SvmNodeAgent:
         a barrier leader runs it with no lock. Base: commit the
         interval, hand the lock over, then propagate diffs (version
         gating keeps fetches correct)."""
-        yield _DELAY_RELEASE
+        yield RELEASE_BASE_US
         pages = yield from thread.clock.in_category(
             Category.PROTOCOL, self._commit_interval(thread))
         interval = self.interval_no
@@ -696,7 +687,7 @@ class SvmNodeAgent:
                 continue  # already applied
             for page in pages:
                 self.counters.write_notices += 1
-                yield _DELAY_INVALIDATE
+                yield INVALIDATE_PER_PAGE_US
                 self._invalidate_page(page, writer, interval)
         return None
 
@@ -739,7 +730,7 @@ class SvmNodeAgent:
             epoch = done
         if epoch < done:
             # Stale re-arrival: this generation completed earlier.
-            yield DELAY_PER_NODE
+            yield BARRIER_PER_NODE_US
             return None
         self.hooks.fire(Hooks.BARRIER_ENTER, self.node_id,
                         barrier=barrier_id, thread=thread.thread_id)

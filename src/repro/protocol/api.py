@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.metrics import Category, ThreadClock
-from repro.sim import Delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.agent import SvmNodeAgent
@@ -49,7 +48,7 @@ class SvmThread:
     def compute(self, us: float):
         """Charge ``us`` microseconds of application CPU time."""
         if us > 0:
-            yield Delay(us)
+            yield us
         return None
 
     # -- shared memory ------------------------------------------------------

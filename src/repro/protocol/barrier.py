@@ -19,13 +19,9 @@ from typing import Dict, List, Tuple
 
 from repro.config import BARRIER_PER_NODE_US, HEARTBEAT_TIMEOUT_US
 from repro.protocol.timestamps import VectorTimestamp
-from repro.sim import Delay, Event
+from repro.sim import Event
 
 BARRIER_SERVICE = "svm_barrier"
-
-#: The per-arrival charge, one object for every yield (a Delay is only
-#: read once yielded).
-DELAY_PER_NODE = Delay(BARRIER_PER_NODE_US)
 
 #: Reply payload marker for aborted barrier generations.
 ABORTED = "aborted"
@@ -89,7 +85,7 @@ class BarrierManager:
             # otherwise never be detected (nobody talks to it).
             self.agent.node.spawn(self._watchdog(gen),
                                   f"barwatch{barrier_id}")
-        yield DELAY_PER_NODE
+        yield BARRIER_PER_NODE_US
         expected = self.runtime.expected_barrier_nodes()
         if len(gen.arrivals) >= expected and not gen.event.settled:
             self._release(barrier_id, gen)

@@ -51,7 +51,7 @@ from repro.protocol.ft.checkpoint import (
     encode_thread_state,
 )
 from repro.protocol.signals import RecoverySignal
-from repro.sim import Delay, Event, timeout_wait
+from repro.sim import Event, timeout_wait
 
 #: Notify channel carrying checkpoint traffic to backup nodes.
 CKPT_CHANNEL = "ft_ckpt"
@@ -296,7 +296,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
                                             diff)
 
     def _apply_one_diff(self, phase, writer, interval, seq, diff):
-        yield Delay(diff_apply_us(max(diff.changed_bytes, 1)))
+        yield diff_apply_us(max(diff.changed_bytes, 1))
         if phase == "tent":
             self._record_undo(writer, seq, diff)
             apply_diff(self.tentative.page_view(diff.page_id), diff)
@@ -442,9 +442,9 @@ class FtSvmNodeAgent(SvmNodeAgent):
         """Checkpoint peers (point A), compute diffs, ship the pending
         record to the backup. Every step is idempotent so a recovery
         retry can safely re-run the stage."""
-        yield Delay(RELEASE_BASE_US
-                    + COMMIT_PER_PAGE_US * len(fl.pages)
-                    + PAGE_LOCK_US * len(fl.pages))
+        yield (RELEASE_BASE_US
+               + COMMIT_PER_PAGE_US * len(fl.pages)
+               + PAGE_LOCK_US * len(fl.pages))
         # Point A: suspend peers, ship their states to the backup.
         yield from thread.clock.in_category(
             Category.CHECKPOINT, self._point_a(thread, fl))
@@ -541,7 +541,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
                           fl.seq) as ck_op:
             peer_tids = sorted(tid for tid in fl.state_blobs
                                if tid != thread.thread_id)
-            yield Delay(THREAD_SUSPEND_US * len(peer_tids))
+            yield THREAD_SUSPEND_US * len(peer_tids)
             for tid in peer_tids:
                 yield from self._ship_thread_state(
                     tid, fl.seq, fl.state_blobs[tid], op=ck_op)
@@ -588,7 +588,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
         size = len(blob) + CHECKPOINT_STACK_BYTES
         self.counters.checkpoints += 1
         self.counters.checkpoint_bytes += size
-        yield Delay(checkpoint_us(size))
+        yield checkpoint_us(size)
         backup = self.homes.backup_node(self.node_id)
         record_body = ("state", self.node_id, tid, seq, blob)
         yield from self.notify(backup, CKPT_CHANNEL, record_body,
@@ -620,7 +620,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
             # frozen records (the paper's "no guarantee of success for
             # previous operations" case) -- drop it.
             return
-        yield Delay(CHECKPOINT_BASE_US * 0.2)
+        yield CHECKPOINT_BASE_US * 0.2
         self.hooks.fire(Hooks.CHECKPOINT_STORED, self.node_id,
                         **self.ckpt_store.store(body))
 

@@ -69,7 +69,7 @@ from repro.protocol.ft.protocol import STAGE_PHASE1, STAGE_POINT_B
 from repro.protocol.locks import PollingLocks
 from repro.protocol.signals import RecoverySignal
 from repro.protocol.timestamps import VectorTimestamp
-from repro.sim import Delay, Event
+from repro.sim import Event
 
 
 class RecoveryManager:
@@ -366,7 +366,7 @@ class RecoveryManager:
         excluded; it locates the replicas that actually hold state.
         Everything between two ``yield`` points is atomic in simulated
         time, so a death during this wave (it can only land inside a
-        ``Delay``) always finds consistent, re-protected replicas.
+        timed wait) always finds consistent, re-protected replicas.
         """
         runtime = self.runtime
         homes = runtime.homes
@@ -593,14 +593,14 @@ class RecoveryManager:
         # REREPLICATE span brackets the time during which the cluster
         # is running but one-copy-exposed, which is the metric the
         # paper's availability argument cares about.
-        yield Delay(reconcile_cost)
+        yield reconcile_cost
         rerep_op = Operation(runtime, "rereplicate", failed,
                              "re-replicate (node %s)", (failed,))
         runtime.cluster.hooks.fire(
             Hooks.REREPLICATE_START, failed,
             pages=len(moved_pages), locks=len(moved_locks),
             wards=len(moved_wards))
-        yield Delay(rereplicate_cost)
+        yield rereplicate_cost
         exposed_us = self.engine.now - self._detected_at.get(
             failed, self.engine.now)
         self.exposed_windows.append(exposed_us)
@@ -652,7 +652,7 @@ class RecoveryManager:
             ckpt_cost += (checkpoint_us(len(blob))
                           + net.wire_latency_us)
         store.forget_ward(failed)
-        yield Delay(ckpt_cost)
+        yield ckpt_cost
 
         # -- 7b. barrier/lock state reconciliation --------------------------
         # Surviving nodes and restored checkpoints can disagree about

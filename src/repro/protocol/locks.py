@@ -30,7 +30,7 @@ from typing import Deque, Dict, Optional
 from repro.config import LOCK_BACKOFF_MAX_US, LOCK_BACKOFF_MIN_US, LOCK_OP_US
 from repro.errors import ProtocolError
 from repro.protocol.timestamps import VectorTimestamp
-from repro.sim import Delay, Event
+from repro.sim import Event
 
 #: Region names exported by every node (any node can be a lock home).
 LOCKVEC_REGION = "lockvec"
@@ -78,8 +78,6 @@ class LockManagerBase:
         self.agent = agent
         self.engine = agent.engine
         self._states: Dict[int, _NodeLockState] = {}
-        # One immutable Delay per fixed charge instead of one per op.
-        self._delay_op = Delay(LOCK_OP_US)
 
     def _state(self, lock_id: int) -> _NodeLockState:
         st = self._states.get(lock_id)
@@ -219,7 +217,7 @@ class PollingLocks(LockManagerBase):
             # polling loops are the paper's natural abort points.
             agent.check_recovery_abort()
             home = agent.homes.lock_primary(lock_id)
-            yield self._delay_op
+            yield LOCK_OP_US
             yield from agent.deposit(
                 home, LOCKVEC_REGION, vec_base + me,
                 b"\x01", wait=True, op=op)
@@ -243,7 +241,7 @@ class PollingLocks(LockManagerBase):
                     if other != me and vec[other])
                 agent.check_recovery_abort()
             jitter = 0.5 + agent.rng.random()
-            yield Delay(backoff * jitter)
+            yield backoff * jitter
             backoff = min(backoff * 2.0, LOCK_BACKOFF_MAX_US)
         # Acquired: replicate holder state, then read the lock timestamp.
         if self.replicate:
@@ -271,7 +269,7 @@ class PollingLocks(LockManagerBase):
                 home, LOCKTS_REGION, lock_id * self._ts_size(), blob)
             yield from agent.deposit(
                 home, LOCKVEC_REGION, self._vec_base(lock_id) + me, b"\x00")
-        yield self._delay_op
+        yield LOCK_OP_US
 
 
 class QueueingLocks(LockManagerBase):
@@ -308,7 +306,7 @@ class QueueingLocks(LockManagerBase):
     def _serve(self, body, src: int):
         op = body[0]
         agent = self.agent
-        yield self._delay_op
+        yield LOCK_OP_US
         if op == "req":
             _op, lock_id, requester = body
             entry = self._home_entry(lock_id)
@@ -380,7 +378,7 @@ class QueueingLocks(LockManagerBase):
         agent = self.agent
         st = self._state(lock_id)
         home = agent.homes.lock_primary(lock_id)
-        yield self._delay_op
+        yield LOCK_OP_US
         st.grant_event = Event(self.engine, f"qlock{lock_id}.grant")
         reply = yield from agent.call_service(
             home, QLOCK_SERVICE, ("req", lock_id, agent.node_id), op=op)

@@ -2,7 +2,10 @@
 
 Public surface::
 
-    from repro.sim import Engine, Process, Event, Delay, Mutex, Store
+    from repro.sim import Engine, Process, Event, Mutex, Store
+
+A process is a generator: it yields a number to wait that many
+microseconds of simulated time, or an :class:`Event` to wait for it.
 
 Two interchangeable implementations sit behind these names: the
 pure-Python reference (:mod:`repro.sim.engine` /
@@ -15,7 +18,6 @@ one is live.
 
 from repro.sim._core import (
     ACCELERATED,
-    Delay,
     Engine,
     Event,
     Process,
@@ -34,7 +36,6 @@ __all__ = [
     "Process",
     "ProcessKilled",
     "Event",
-    "Delay",
     "timeout_wait",
     "Mutex",
     "Store",

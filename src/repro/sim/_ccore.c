@@ -1,4 +1,4 @@
-/* Accelerated simulation core: Engine, Event, Process, Delay in C.
+/* Accelerated simulation core: Engine, Event, Process in C.
  *
  * This is a hand-written CPython extension mirroring the pure-Python
  * reference implementation in repro/sim/engine.py and
@@ -36,51 +36,6 @@ static PyObject *str_throw, *str_value, *str_send;
 static PyTypeObject EngineType;
 static PyTypeObject EventType;
 static PyTypeObject ProcessType;
-static PyTypeObject DelayType;
-
-/* ------------------------------------------------------------------ */
-/* Delay                                                               */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    double duration;
-} DelayObject;
-
-static int
-Delay_init(DelayObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"duration", NULL};
-    PyObject *dur;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &dur))
-        return -1;
-    double d = PyFloat_AsDouble(dur);
-    if (d == -1.0 && PyErr_Occurred())
-        return -1;
-    if (d < 0) {
-        PyErr_Format(SimulationError, "negative delay: %S", dur);
-        return -1;
-    }
-    self->duration = d;
-    return 0;
-}
-
-static PyMemberDef Delay_members[] = {
-    {"duration", T_DOUBLE, offsetof(DelayObject, duration), 0,
-     "suspend the current process for this much simulated time"},
-    {NULL}
-};
-
-static PyTypeObject DelayType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ccore.Delay",
-    .tp_basicsize = sizeof(DelayObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
-    .tp_doc = "Yieldable: suspend the current process for ``duration`` time.",
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)Delay_init,
-    .tp_members = Delay_members,
-};
 
 /* ------------------------------------------------------------------ */
 /* Engine: event list (binary heap + zero-delay ring) and clock        */
@@ -691,73 +646,66 @@ process_resume(ProcessObject *self)
                 return process_terminate(self);
         }
         PyTypeObject *tp = Py_TYPE(yielded);
-        if (tp == &DelayType) {
-            double duration = ((DelayObject *)yielded)->duration;
-            Py_DECREF(yielded);
-            PyObject *entry = engine_schedule_entry(
-                engine, duration, (PyObject *)self, PRIO_NORMAL);
-            if (entry == NULL)
-                return NULL;
-            Py_XSETREF(self->pending_resume, entry);
-            Py_RETURN_NONE;
-        }
-        if (tp == &EventType || PyType_IsSubtype(tp, &EventType)) {
-            EventObject *ev = (EventObject *)yielded;
-            if (ev->settled) {
-                if (ev->ok) {
-                    /* Trampoline: feed the settled value straight
-                     * back -- no event-list round trip. */
-                    payload = ev->value ? ev->value : Py_None;
-                    Py_INCREF(payload);
+        if (tp != &PyFloat_Type) {
+            if (tp == &EventType || PyType_IsSubtype(tp, &EventType)) {
+                EventObject *ev = (EventObject *)yielded;
+                if (ev->settled) {
+                    if (ev->ok) {
+                        /* Trampoline: feed the settled value straight
+                         * back -- no event-list round trip. */
+                        payload = ev->value ? ev->value : Py_None;
+                        Py_INCREF(payload);
+                        Py_DECREF(yielded);
+                        continue;
+                    }
+                    /* Settled failure: keep the scheduled throw path. */
+                    PyObject *v = ev->value ? ev->value : Py_None;
+                    Py_INCREF(v);
+                    Py_XSETREF(self->wake_value, v);
+                    self->wake_throw = 1;
                     Py_DECREF(yielded);
-                    continue;
+                    PyObject *entry = engine_schedule_now_entry(
+                        engine, (PyObject *)self);
+                    if (entry == NULL)
+                        return NULL;
+                    Py_XSETREF(self->pending_resume, entry);
+                    Py_RETURN_NONE;
                 }
-                /* Settled failure: keep the scheduled throw path. */
-                PyObject *v = ev->value ? ev->value : Py_None;
-                Py_INCREF(v);
-                Py_XSETREF(self->wake_value, v);
-                self->wake_throw = 1;
-                Py_DECREF(yielded);
-                PyObject *entry = engine_schedule_now_entry(
-                    engine, (PyObject *)self);
-                if (entry == NULL)
+                /* Park on the event (transfer our yielded ref). */
+                Py_XSETREF(self->waiting_on, yielded);
+                if (event_add_waiter(ev, (PyObject *)self) < 0)
                     return NULL;
-                Py_XSETREF(self->pending_resume, entry);
                 Py_RETURN_NONE;
             }
-            /* Park on the event (transfer our yielded ref). */
-            Py_XSETREF(self->waiting_on, yielded);
-            if (event_add_waiter(ev, (PyObject *)self) < 0)
-                return NULL;
-            Py_RETURN_NONE;
-        }
-        if (PyFloat_Check(yielded) || PyLong_Check(yielded)) {
-            double d = PyFloat_Check(yielded)
-                           ? PyFloat_AS_DOUBLE(yielded)
-                           : PyLong_AsDouble(yielded);
-            if (d == -1.0 && PyErr_Occurred()) {
-                Py_DECREF(yielded);
-                return NULL;
-            }
-            if (d < 0) {
+            if (!PyFloat_Check(yielded) && !PyLong_Check(yielded)) {
                 PyErr_Format(SimulationError,
-                             "cannot schedule in the past (delay=%S)",
-                             yielded);
+                             "%U yielded unsupported object %R",
+                             self->name, yielded);
                 Py_DECREF(yielded);
                 return NULL;
             }
+            /* float(yielded), as the pure path does. */
+            PyObject *f = PyNumber_Float(yielded);
             Py_DECREF(yielded);
-            PyObject *entry = engine_schedule_entry(
-                engine, d, (PyObject *)self, PRIO_NORMAL);
-            if (entry == NULL)
+            if (f == NULL)
                 return NULL;
-            Py_XSETREF(self->pending_resume, entry);
-            Py_RETURN_NONE;
+            yielded = f;
         }
-        PyErr_Format(SimulationError, "%U yielded unsupported object %R",
-                     self->name, yielded);
+        /* A timed wait. */
+        double d = PyFloat_AS_DOUBLE(yielded);
+        if (d < 0) {
+            PyErr_Format(SimulationError,
+                         "cannot schedule in the past (delay=%R)", yielded);
+            Py_DECREF(yielded);
+            return NULL;
+        }
         Py_DECREF(yielded);
-        return NULL;
+        PyObject *entry = engine_schedule_entry(
+            engine, d, (PyObject *)self, PRIO_NORMAL);
+        if (entry == NULL)
+            return NULL;
+        Py_XSETREF(self->pending_resume, entry);
+        Py_RETURN_NONE;
     }
 }
 
@@ -1267,7 +1215,7 @@ static PyTypeObject EngineType = {
 static struct PyModuleDef ccore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._ccore",
-    .m_doc = "Accelerated simulation core (Engine/Event/Process/Delay).",
+    .m_doc = "Accelerated simulation core (Engine/Event/Process).",
     .m_size = -1,
 };
 
@@ -1293,14 +1241,12 @@ PyInit__ccore(void)
     str_send = PyUnicode_InternFromString("send");
     if (str_throw == NULL || str_value == NULL || str_send == NULL)
         return NULL;
-    if (PyType_Ready(&DelayType) < 0 || PyType_Ready(&EventType) < 0 ||
-        PyType_Ready(&ProcessType) < 0 || PyType_Ready(&EngineType) < 0)
+    if (PyType_Ready(&EventType) < 0 || PyType_Ready(&ProcessType) < 0 ||
+        PyType_Ready(&EngineType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ccore_module);
     if (m == NULL)
         return NULL;
-    Py_INCREF(&DelayType);
-    PyModule_AddObject(m, "Delay", (PyObject *)&DelayType);
     Py_INCREF(&EventType);
     PyModule_AddObject(m, "Event", (PyObject *)&EventType);
     Py_INCREF(&ProcessType);

@@ -5,7 +5,7 @@ The pure-Python modules (:mod:`repro.sim.engine`,
 oracle every behavioural question defers to.  When the optional
 compiled extension :mod:`repro.sim._ccore` has been built (``python
 setup.py build_ext --inplace``), this module transparently swaps in the
-accelerated ``Engine``/``Event``/``Process``/``Delay``.  The two builds
+accelerated ``Engine``/``Event``/``Process``.  The two builds
 are bit-identical at the level of simulated behaviour: same event
 total order, same timestamps, same callback order, same exception
 types -- pinned by golden trace digests and same-seed fault sweeps run
@@ -25,7 +25,6 @@ import os
 
 __all__ = [
     "ACCELERATED",
-    "Delay",
     "Engine",
     "Event",
     "Process",
@@ -43,13 +42,12 @@ else:  # pragma: no branch - trivial selection
     ACCELERATED = _ccore is not None
 
 if _ccore is not None:
-    Delay = _ccore.Delay
     Engine = _ccore.Engine
     Event = _ccore.Event
     Process = _ccore.Process
 else:
     from repro.sim.engine import Engine
-    from repro.sim.process import Delay, Event, Process
+    from repro.sim.process import Event, Process
 
 
 def timeout_wait(engine: Engine, event: Event, timeout: float):

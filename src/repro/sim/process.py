@@ -3,8 +3,9 @@
 A process is a Python generator driven by the :class:`~repro.sim.engine.
 Engine`. The generator *yields* one of:
 
-* a ``float``/``int`` or :class:`Delay` -- suspend for that much
-  simulated time;
+* a number (``float`` or ``int``) -- suspend for that many
+  microseconds of simulated time (a negative number raises
+  :class:`~repro.errors.SimulationError`);
 * an :class:`Event` -- suspend until the event triggers; the event's
   value is sent back into the generator (or its exception thrown).
 
@@ -13,7 +14,7 @@ ordinary sequential code::
 
     def release(self):
         yield from self.compute_diffs()
-        yield Delay(cost)
+        yield cost
         yield from self.nic.remote_deposit(...)
 
 Processes can be *interrupted* (an exception is thrown at their current
@@ -38,17 +39,6 @@ class ProcessKilled(BaseException):
     Derives from ``BaseException`` so that ``except Exception`` handlers
     in protocol code cannot accidentally swallow a node death.
     """
-
-
-class Delay:
-    """Yieldable: suspend the current process for ``duration`` time."""
-
-    __slots__ = ("duration",)
-
-    def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise SimulationError(f"negative delay: {duration}")
-        self.duration = duration
 
 
 class Event:
@@ -184,7 +174,7 @@ class Process:
         boring. The compiled core implements the identical policy, so
         pure and accelerated runs stay bit-identical.
 
-        One shared thunk for every resume flavor (delay expiry, event
+        One shared thunk for every resume flavor (timer expiry, event
         success, event failure): the wake payload is stashed
         in ``_wake_value``/``_wake_throw`` by whoever schedules the
         resume, so each engine dispatch costs exactly one Python frame.
@@ -200,7 +190,6 @@ class Process:
         gen = self._gen
         send = gen.send
         engine = self.engine
-        schedule = engine.schedule
         resume = self._resume
         while True:
             try:
@@ -212,41 +201,37 @@ class Process:
             except BaseException as exc:
                 self._terminate(exc)
                 return
-            if yielded.__class__ is Delay:
-                # engine.schedule inlined (Delay already validated the
-                # duration as non-negative): one scheduler entry built
-                # in place, straight onto the right queue.
-                duration = yielded.duration
-                entry = [engine._now + duration, PRIORITY_NORMAL,
-                         engine._seq(), resume]
-                if duration == 0.0:
-                    engine._fifo.append(entry)
-                else:
-                    _heappush(engine._heap, entry)
-                self._pending_resume = entry
-                return
-            if isinstance(yielded, Event):
-                if yielded._settled:
-                    if yielded._ok:
-                        payload = yielded._value
-                        continue
-                    self._wake_value = yielded._value
-                    self._wake_throw = True
-                    self._pending_resume = engine.schedule_now(resume)
+            if yielded.__class__ is not float:
+                if isinstance(yielded, Event):
+                    if yielded._settled:
+                        if yielded._ok:
+                            payload = yielded._value
+                            continue
+                        self._wake_value = yielded._value
+                        self._wake_throw = True
+                        self._pending_resume = engine.schedule_now(resume)
+                        return
+                    self._waiting_on = yielded
+                    yielded.add_callback(self._event_cb)
                     return
-                self._waiting_on = yielded
-                yielded.add_callback(self._event_cb)
-                return
-            if isinstance(yielded, (int, float)):
-                # engine.schedule rejects negative delays just as the
-                # Delay constructor would.
-                self._pending_resume = schedule(float(yielded), resume)
-                return
-            if isinstance(yielded, Delay):  # pragma: no cover - subclasses
-                self._pending_resume = schedule(yielded.duration, resume)
-                return
-            raise SimulationError(
-                f"{self.name} yielded unsupported object {yielded!r}")
+                if not isinstance(yielded, (int, float)):
+                    raise SimulationError(
+                        f"{self.name} yielded unsupported object "
+                        f"{yielded!r}")
+                yielded = float(yielded)
+            # A timed wait: engine.schedule inlined, one scheduler
+            # entry built in place, straight onto the right queue.
+            if yielded < 0.0:
+                raise SimulationError(
+                    f"cannot schedule in the past (delay={yielded})")
+            entry = [engine._now + yielded, PRIORITY_NORMAL,
+                     engine._seq(), resume]
+            if yielded == 0.0:
+                engine._fifo.append(entry)
+            else:
+                _heappush(engine._heap, entry)
+            self._pending_resume = entry
+            return
 
     def _terminate(self, exc: BaseException) -> None:
         """Handle the generator ending (StopIteration), dying with the

@@ -6,7 +6,6 @@ from repro.config import ClusterConfig
 from repro.cluster import Cluster
 from repro.errors import ConfigError, RemoteNodeFailure, SimulationError
 from repro.harness.faultplan import FailureSpec, FaultPlan
-from repro.sim import Delay
 
 
 def small_config(**kw):
@@ -41,7 +40,7 @@ def test_fail_node_kills_its_processes():
 
     def worker():
         try:
-            yield Delay(100.0)
+            yield 100.0
             trace.append("survived")
         finally:
             trace.append("cleanup")
@@ -66,7 +65,7 @@ def test_communication_with_failed_node_errors():
     outcome = []
 
     def sender():
-        yield Delay(5.0)
+        yield 5.0
         try:
             yield from cluster.node(0).vmmc.remote_deposit(
                 3, "buf", 0, b"x", wait=True)
@@ -123,7 +122,7 @@ def test_failure_injector_hook_based():
 
     def firer():
         for _ in range(5):
-            yield Delay(10.0)
+            yield 10.0
             cluster.hooks.fire("my_hook", 2)
 
     cluster.node(0).spawn(firer(), "firer")  # fired on behalf of node 2
@@ -137,7 +136,7 @@ def test_hook_injection_ignores_other_nodes():
     [record] = FaultPlan.single(2, "my_hook").apply(cluster)
 
     def firer():
-        yield Delay(1.0)
+        yield 1.0
         cluster.hooks.fire("my_hook", 0)  # different node: no kill
 
     cluster.node(0).spawn(firer(), "firer")

@@ -127,7 +127,19 @@ def test_replay_builds_the_variant_and_threads_it_is_given(capsys,
     assert seen == [replay_mod.ReplayScenario(
         program_seed=145, cluster_seed=1, variant="base",
         threads_per_node=2)]
-    assert "variant=base threads_per_node=2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "variant=base threads_per_node=2" in out
+    # No invariant checker rides a base run: the verdict says what was
+    # checked, the run's end and its verified result.
+    assert "PASS: run completed and its result was verified" in out
+    assert "invariant" not in out
+
+
+def test_replay_of_an_ft_run_reports_its_invariants(capsys):
+    assert main(["replay", "--program-seed", "145", "--cluster-seed", "1",
+                 "--plan-seed", "533", "--failures", "2"]) == 0
+    assert "PASS: run completed and all recovery invariants held" \
+        in capsys.readouterr().out
 
 
 def test_sweep_flag_without_a_value_means_its_default(tmp_path, capsys,

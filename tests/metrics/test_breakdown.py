@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.metrics import Breakdown, Category, ThreadClock
-from repro.sim import Delay, Engine
+from repro.sim import Engine
 
 
 def run_clocked(script):
@@ -23,7 +23,7 @@ def run_clocked(script):
 
 def test_time_defaults_to_compute():
     def script(engine, clock):
-        yield Delay(10.0)
+        yield 10.0
 
     clock = run_clocked(script)
     assert clock.fine[Category.COMPUTE] == 10.0
@@ -35,9 +35,9 @@ def test_nested_categories_fine_vs_coarse():
     diff time in the 6-way view (the paper's two formats)."""
     def script(engine, clock):
         clock.push(Category.BARRIER)
-        yield Delay(3.0)
+        yield 3.0
         clock.push(Category.DIFF)
-        yield Delay(7.0)
+        yield 7.0
         clock.pop(Category.DIFF)
         clock.pop(Category.BARRIER)
 
@@ -51,12 +51,12 @@ def test_nested_categories_fine_vs_coarse():
 def test_totals_always_sum_to_elapsed():
     def script(engine, clock):
         clock.push(Category.LOCK)
-        yield Delay(2.0)
+        yield 2.0
         clock.push(Category.CHECKPOINT)
-        yield Delay(3.0)
+        yield 3.0
         clock.pop(Category.CHECKPOINT)
         clock.pop(Category.LOCK)
-        yield Delay(5.0)
+        yield 5.0
 
     clock = run_clocked(script)
     assert sum(clock.fine.values()) == pytest.approx(10.0)
@@ -79,9 +79,9 @@ def test_pop_empty_raises():
 
 def test_stop_freezes_accounting():
     def script(engine, clock):
-        yield Delay(4.0)
+        yield 4.0
         clock.stop()
-        yield Delay(6.0)  # after stop: not charged
+        yield 6.0  # after stop: not charged
 
     engine = Engine()
     clock = ThreadClock(engine)
@@ -99,9 +99,9 @@ def test_reset_zeroes_and_rebases():
     clock = ThreadClock(engine)
 
     def proc():
-        yield Delay(5.0)
+        yield 5.0
         clock.reset()
-        yield Delay(3.0)
+        yield 3.0
         clock.stop()
 
     engine.spawn(proc())
@@ -117,7 +117,7 @@ def test_restart_after_migration_resets_stack():
     assert clock.current is Category.COMPUTE
 
     def proc():
-        yield Delay(2.0)
+        yield 2.0
         clock.stop()
 
     engine.spawn(proc())
@@ -132,7 +132,7 @@ def test_breakdown_merge_averages_threads():
 
     def proc(clock, lock_time):
         clock.push(Category.LOCK)
-        yield Delay(lock_time)
+        yield lock_time
         clock.pop(Category.LOCK)
         clock.stop()
 
@@ -149,7 +149,7 @@ def test_four_component_folds_nested_protocol_time():
     def script(engine, clock):
         clock.push(Category.DATA_WAIT)
         clock.push(Category.PROTOCOL)
-        yield Delay(4.0)
+        yield 4.0
         clock.pop(Category.PROTOCOL)
         clock.pop(Category.DATA_WAIT)
 

@@ -5,7 +5,7 @@ import pytest
 from repro.config import NetworkParams
 from repro.errors import NetworkError, RemoteNodeFailure
 from repro.net import NIC, Network, VMMC
-from repro.sim import Delay, Engine
+from repro.sim import Engine
 
 
 def make_net(num_nodes=3, params=None):

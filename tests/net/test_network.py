@@ -5,7 +5,7 @@ import pytest
 from repro.config import HEARTBEAT_TIMEOUT_US, NetworkParams
 from repro.errors import MemoryError_, RemoteNodeFailure
 from repro.net import NIC, Network, VMMC
-from repro.sim import Delay, Engine
+from repro.sim import Engine
 
 
 def make_cluster_net(num_nodes=2, params=None):
@@ -89,7 +89,7 @@ def test_deposit_to_dead_node_raises_when_waiting():
     outcome = []
 
     def sender():
-        yield Delay(1.0)
+        yield 1.0
         try:
             yield from a.remote_deposit(1, "buf", 0, b"data", wait=True)
             outcome.append("ok")
@@ -131,7 +131,7 @@ def test_node_dying_mid_request_detected_by_heartbeat():
     # its reply is transmitted, so the requester sees silence rather
     # than a fabric error and must fall back to heart-beat probing.
     def killer():
-        yield Delay(11.5)
+        yield 11.5
         network.nic(1).fail()
 
     def reader():
@@ -244,10 +244,9 @@ def test_message_counters():
 
 def test_service_call_roundtrip():
     engine, network, (a, b) = make_cluster_net()
-    from repro.sim import Delay as _Delay
 
     def handler(body, src):
-        yield _Delay(2.0)
+        yield 2.0
         return {"echo": body, "from": src}, 16
 
     network.nic(1).register_service("echo", handler)

@@ -11,7 +11,6 @@ import repro.net.vmmc as vmmc_mod
 from repro.config import HEARTBEAT_TIMEOUT_US, NetworkParams
 from repro.errors import RemoteNodeFailure
 from repro.net import MessageKind
-from repro.sim import Delay
 
 from tests.net.test_network import make_cluster_net
 
@@ -36,7 +35,7 @@ def test_slow_service_is_probed_and_answered_on_the_same_waiter():
     engine, network, (a, b) = make_cluster_net()
 
     def handler(body, src):
-        yield Delay(3 * HEARTBEAT_US)
+        yield 3 * HEARTBEAT_US
         return ("done", body), 16
 
     network.nic(1).register_service("slow", handler)

@@ -60,7 +60,6 @@ print(json.dumps({
     "engine_module": sim.Engine.__module__,
     "event_module": sim.Event.__module__,
     "process_module": sim.Process.__module__,
-    "delay_module": sim.Delay.__module__,
 }))
 """
 
@@ -76,8 +75,7 @@ def test_repro_pure_forces_reference_build():
 def test_default_build_selects_compiled_core():
     info = _run_snippet(SELECTOR_SNIPPET, pure=False)
     assert info["accelerated"] is True
-    for key in ("engine_module", "event_module", "process_module",
-                "delay_module"):
+    for key in ("engine_module", "event_module", "process_module"):
         assert info[key] == "repro.sim._ccore", info
 
 
@@ -88,11 +86,33 @@ def test_all_kernel_classes_come_from_one_build():
     for pure in (True, False):
         info = _run_snippet(SELECTOR_SNIPPET, pure=pure)
         modules = {info["engine_module"], info["event_module"],
-                   info["process_module"], info["delay_module"]}
+                   info["process_module"]}
         if info["accelerated"]:
             assert modules == {"repro.sim._ccore"}, info
         else:
             assert modules == {"repro.sim.engine", "repro.sim.process"}, info
+
+
+# -- timed yields ------------------------------------------------------------
+
+TIMED_WAIT_SNIPPET = """
+import json
+import repro.sim as sim
+from tests.sim.test_process import timed_wait_record
+print(json.dumps({"accelerated": sim.ACCELERATED,
+                  "record": timed_wait_record()}))
+"""
+
+
+@needs_ccore
+def test_timed_yields_bit_identical():
+    # Float, int and zero waits wake at the same times in the same
+    # order, and a negative or unsupported yield fails the same way.
+    pure = _run_snippet(TIMED_WAIT_SNIPPET, pure=True)
+    accel = _run_snippet(TIMED_WAIT_SNIPPET, pure=False)
+    assert pure["accelerated"] is False
+    assert accel["accelerated"] is True
+    assert accel["record"] == pure["record"]
 
 
 # -- golden trace digest -----------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import (
-    Delay,
     Engine,
     Event,
     ProcessKilled,
@@ -18,9 +17,9 @@ def test_delay_advances_time():
 
     def proc():
         trace.append(engine.now)
-        yield Delay(10.0)
+        yield 10.0
         trace.append(engine.now)
-        yield 5.0  # bare numbers also work
+        yield 5
         trace.append(engine.now)
 
     engine.spawn(proc())
@@ -28,11 +27,76 @@ def test_delay_advances_time():
     assert trace == [0.0, 10.0, 15.0]
 
 
+#: Timed waits of each kind -- float, int, zero -- with ties at every
+#: time, so the wake order also shows the FIFO order within a time.
+TIMED_WAITS = (2.5, 2, 0.0, 2.0, 0, 2.5)
+
+
+def _failure(value) -> str:
+    engine = Engine()
+
+    def proc():
+        yield value
+
+    engine.spawn(proc(), "bad")
+    with pytest.raises(SimulationError) as info:
+        engine.run()
+    return str(info.value)
+
+
+def timed_wait_record() -> dict:
+    """What the kernel does with yielded numbers, next to what
+    ``engine.schedule`` does with the same delays (JSON-ready; the
+    accel-identity test compares it across builds)."""
+    by_yield, by_schedule = Engine(), Engine()
+    woken, fired = [], []
+
+    def proc(tag, delay):
+        yield delay
+        woken.append([tag, by_yield.now])
+
+    for tag, delay in enumerate(TIMED_WAITS):
+        by_yield.spawn(proc(tag, delay))
+        by_schedule.schedule_now(
+            lambda tag=tag, delay=delay: by_schedule.schedule(
+                delay, lambda: fired.append([tag, by_schedule.now])))
+    by_yield.run()
+    by_schedule.run()
+    return {
+        "woken": woken,
+        "fired": fired,
+        "events": [by_yield.events_executed,
+                   by_schedule.events_executed],
+        "negative": _failure(-1.0),
+        "negative_int": _failure(-1),
+        "unsupported": _failure("soon"),
+    }
+
+
+def test_timed_yields_wake_as_engine_schedule_orders_them():
+    record = timed_wait_record()
+    assert record["woken"] == record["fired"] == [
+        [2, 0.0], [4, 0.0], [1, 2.0], [3, 2.0], [0, 2.5], [5, 2.5]]
+    assert all(type(now) is float for _tag, now in record["woken"])
+    assert record["events"] == [12, 12]
+
+
+def test_negative_timed_yield_raises_out_of_run():
+    record = timed_wait_record()
+    assert record["negative"] == "cannot schedule in the past (delay=-1.0)"
+    assert record["negative_int"] == record["negative"]
+
+
+def test_unsupported_yield_raises_out_of_run():
+    assert timed_wait_record()["unsupported"] == (
+        "bad yielded unsupported object 'soon'")
+
+
 def test_process_done_event_carries_return_value():
     engine = Engine()
 
     def proc():
-        yield Delay(1.0)
+        yield 1.0
         return 42
 
     p = engine.spawn(proc())
@@ -46,7 +110,7 @@ def test_yield_from_composes_suboperations():
     engine = Engine()
 
     def sub(n):
-        yield Delay(n)
+        yield n
         return n * 2
 
     def main():
@@ -137,7 +201,7 @@ def test_kill_runs_finally_blocks():
 
     def victim():
         try:
-            yield Delay(100.0)
+            yield 100.0
         finally:
             cleaned.append(True)
 
@@ -155,7 +219,7 @@ def test_killed_process_never_resumes():
     trace = []
 
     def victim():
-        yield Delay(10.0)
+        yield 10.0
         trace.append("should not happen")
 
     p = engine.spawn(victim())
@@ -188,7 +252,7 @@ def test_process_kill_is_idempotent():
     engine = Engine()
 
     def victim():
-        yield Delay(10.0)
+        yield 10.0
 
     p = engine.spawn(victim())
     engine.schedule(1.0, p.kill)
@@ -201,7 +265,7 @@ def test_unhandled_exception_propagates_from_run():
     engine = Engine()
 
     def buggy():
-        yield Delay(1.0)
+        yield 1.0
         raise RuntimeError("bug")
 
     engine.spawn(buggy())
@@ -249,7 +313,7 @@ def test_process_join_via_done_event():
     trace = []
 
     def worker():
-        yield Delay(7.0)
+        yield 7.0
         return "result"
 
     def parent():

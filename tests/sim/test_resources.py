@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Delay, Engine, Mutex, Store
+from repro.sim import Engine, Mutex, Store
 
 
 def test_mutex_provides_mutual_exclusion():
@@ -14,7 +14,7 @@ def test_mutex_provides_mutual_exclusion():
     def worker(tag, hold):
         yield mutex.acquire()
         trace.append(("in", tag, engine.now))
-        yield Delay(hold)
+        yield hold
         trace.append(("out", tag, engine.now))
         mutex.release()
 
@@ -35,7 +35,7 @@ def test_mutex_fifo_ordering():
     def worker(tag):
         yield mutex.acquire()
         order.append(tag)
-        yield Delay(1.0)
+        yield 1.0
         mutex.release()
 
     for tag in range(5):
@@ -62,7 +62,7 @@ def test_store_fifo_get_put():
 
     def producer():
         for i in range(3):
-            yield Delay(1.0)
+            yield 1.0
             yield store.put(i)
 
     engine.spawn(consumer())
@@ -83,7 +83,7 @@ def test_store_bounded_put_blocks_until_space():
         times.append(("b", engine.now))
 
     def consumer():
-        yield Delay(5.0)
+        yield 5.0
         item = yield store.get()
         times.append(("got-" + item, engine.now))
 

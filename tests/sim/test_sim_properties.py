@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Delay, Engine, Mutex, Store
+from repro.sim import Engine, Mutex, Store
 
 
 @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.integers(0, 100)),
@@ -29,7 +29,7 @@ def test_property_mutex_serializes_total_hold_time(holds):
 
     def worker(hold):
         yield mutex.acquire()
-        yield Delay(hold)
+        yield hold
         mutex.release()
         done.append(engine.now)
 
@@ -71,9 +71,9 @@ def test_property_determinism(n_procs, base_delay):
         trace = []
 
         def worker(tag):
-            yield Delay(base_delay * (tag % 5 + 1))
+            yield base_delay * (tag % 5 + 1)
             trace.append((engine.now, tag))
-            yield Delay(1.0)
+            yield 1.0
             trace.append((engine.now, tag))
 
         for tag in range(n_procs):
