@@ -58,6 +58,3 @@ class Cluster:
         self.node(node_id).fail()
         for callback in list(self.on_node_failed):
             callback(node_id)
-
-    def run(self, until=None) -> None:
-        self.engine.run(until=until)

@@ -26,11 +26,14 @@
 #include <Python.h>
 #include <structmember.h>
 
-/* PRIORITY_NORMAL -- must match repro/sim/engine.py. */
+/* PRIORITY_NORMAL and PRIORITY_STOP -- must match repro/sim/engine.py. */
 #define PRIO_NORMAL 10
+#define PRIO_STOP 2147483647L
 
 static PyObject *SimulationError;   /* repro.errors.SimulationError */
 static PyObject *ProcessKilledExc;  /* repro.sim.process.ProcessKilled */
+static PyObject *StopRunExc;        /* repro.sim.engine._StopRun */
+static PyObject *StopAction;        /* repro.sim.engine._stop_run */
 static PyObject *str_throw, *str_value, *str_send;
 
 static PyTypeObject EngineType;
@@ -207,22 +210,8 @@ make_entry(EngineObject *e, double time, long priority, PyObject *action)
     return entry;
 }
 
-/* schedule_now: zero-delay PRIORITY_NORMAL entry onto the ring.
- * Returns an owned ref to the entry (the ring holds its own). */
-static PyObject *
-engine_schedule_now_entry(EngineObject *e, PyObject *action)
-{
-    PyObject *entry = make_entry(e, e->now, PRIO_NORMAL, action);
-    if (entry == NULL)
-        return NULL;
-    if (ring_push(e, entry) < 0) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    return entry;
-}
-
-/* General schedule.  Returns owned ref. */
+/* Schedule; zero-delay PRIORITY_NORMAL entries go onto the ring.
+ * Returns an owned ref to the entry (the queue holds its own). */
 static PyObject *
 engine_schedule_entry(EngineObject *e, double delay, PyObject *action,
                       long priority)
@@ -370,27 +359,6 @@ Event_add_callback(EventObject *self, PyObject *cb)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-Event_discard_callback(EventObject *self, PyObject *cb)
-{
-    PyObject *cbs = self->callbacks;
-    if (cbs != NULL) {
-        Py_ssize_t n = PyList_GET_SIZE(cbs);
-        for (Py_ssize_t i = 0; i < n; i++) {
-            int eq = PyObject_RichCompareBool(PyList_GET_ITEM(cbs, i), cb,
-                                              Py_EQ);
-            if (eq < 0)
-                return NULL;
-            if (eq) {
-                if (PyList_SetSlice(cbs, i, i + 1, NULL) < 0)
-                    return NULL;
-                break;
-            }
-        }
-    }
-    Py_RETURN_NONE;
-}
-
 /* Park a process on an unsettled event (no bound-method allocation). */
 static int
 event_add_waiter(EventObject *self, PyObject *proc)
@@ -477,8 +445,6 @@ static PyMethodDef Event_methods[] = {
      "Settle the event with an exception."},
     {"add_callback", (PyCFunction)Event_add_callback, METH_O,
      "Register ``cb(event)``; called immediately if already settled."},
-    {"discard_callback", (PyCFunction)Event_discard_callback, METH_O,
-     "Remove a previously registered callback (no-op when absent)."},
     {NULL}
 };
 
@@ -543,8 +509,8 @@ process_wake(ProcessObject *proc, EventObject *ev)
     Py_XSETREF(proc->wake_value, v);
     if (!ev->ok)
         proc->wake_throw = 1;
-    PyObject *entry = engine_schedule_now_entry(
-        (EngineObject *)proc->engine, (PyObject *)proc);
+    PyObject *entry = engine_schedule_entry(
+        (EngineObject *)proc->engine, 0.0, (PyObject *)proc, PRIO_NORMAL);
     if (entry == NULL)
         return -1;
     Py_XSETREF(proc->pending_resume, entry);
@@ -664,8 +630,8 @@ process_resume(ProcessObject *self)
                     Py_XSETREF(self->wake_value, v);
                     self->wake_throw = 1;
                     Py_DECREF(yielded);
-                    PyObject *entry = engine_schedule_now_entry(
-                        engine, (PyObject *)self);
+                    PyObject *entry = engine_schedule_entry(
+                        engine, 0.0, (PyObject *)self, PRIO_NORMAL);
                     if (entry == NULL)
                         return NULL;
                     Py_XSETREF(self->pending_resume, entry);
@@ -723,20 +689,8 @@ process_detach(ProcessObject *self)
         PyList_SetItem(self->pending_resume, 3, Py_None);
         Py_CLEAR(self->pending_resume);
     }
-    if (self->waiting_on != NULL) {
-        EventObject *ev = (EventObject *)self->waiting_on;
-        PyObject *cbs = ev->callbacks;
-        if (cbs != NULL) {
-            Py_ssize_t n = PyList_GET_SIZE(cbs);
-            for (Py_ssize_t i = 0; i < n; i++) {
-                if (PyList_GET_ITEM(cbs, i) == (PyObject *)self) {
-                    PyList_SetSlice(cbs, i, i + 1, NULL);
-                    break;
-                }
-            }
-        }
-        Py_CLEAR(self->waiting_on);
-    }
+    /* The process stays parked on the event: process_wake checks alive. */
+    Py_CLEAR(self->waiting_on);
 }
 
 static PyObject *
@@ -813,8 +767,8 @@ Process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
     self->wake_throw = 0;
     self->alive = 1;
     /* Start at the current time, after already-queued events at now. */
-    PyObject *entry = engine_schedule_now_entry((EngineObject *)engine,
-                                                (PyObject *)self);
+    PyObject *entry = engine_schedule_entry((EngineObject *)engine, 0.0,
+                                            (PyObject *)self, PRIO_NORMAL);
     if (entry == NULL)
         return -1;
     self->pending_resume = entry;
@@ -941,13 +895,6 @@ Engine_schedule(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
         delay_obj = args[0];
         action = args[1];
     }
-    else if (nargs == 3 && nkw == 0) {
-        delay_obj = args[0];
-        action = args[1];
-        priority = PyLong_AsLong(args[2]);
-        if (priority == -1 && PyErr_Occurred())
-            return NULL;
-    }
     else if (nargs == 2 && nkw == 1 &&
              PyUnicode_CompareWithASCIIString(
                  PyTuple_GET_ITEM(kwnames, 0), "priority") == 0) {
@@ -959,7 +906,7 @@ Engine_schedule(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
     }
     else {
         PyErr_SetString(PyExc_TypeError,
-                        "schedule(delay, action, priority=10)");
+                        "schedule(delay, action, *, priority=10)");
         return NULL;
     }
     double delay = PyFloat_AsDouble(delay_obj);
@@ -971,12 +918,6 @@ Engine_schedule(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
         return NULL;
     }
     return engine_schedule_entry(self, delay, action, priority);
-}
-
-static PyObject *
-Engine_schedule_now(EngineObject *self, PyObject *action)
-{
-    return engine_schedule_now_entry(self, action);
 }
 
 static PyObject *
@@ -998,120 +939,82 @@ static PyObject *
 Engine_run(EngineObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"until", NULL};
-    PyObject *until_obj = Py_None;
+    PyObject *until_obj = Py_None, *stop = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O", kwlist, &until_obj))
         return NULL;
     if (self->running) {
         PyErr_SetString(SimulationError, "engine.run() is not reentrant");
         return NULL;
     }
-    double until = 0.0;
     if (until_obj != Py_None) {
-        until = PyFloat_AsDouble(until_obj);
+        /* The cap is one stop entry, as in the pure run. */
+        double until = PyFloat_AsDouble(until_obj);
         if (until == -1.0 && PyErr_Occurred())
             return NULL;
+        if (until < self->now) {
+            PyErr_Format(SimulationError, "run(until=%R) is before now",
+                         until_obj);
+            return NULL;
+        }
+        stop = make_entry(self, until, PRIO_STOP, StopAction);
+        if (stop == NULL || heap_push(self, stop) < 0) {
+            Py_XDECREF(stop);
+            return NULL;
+        }
     }
     self->running = 1;
-
-    if (until_obj == Py_None) {
-        /* Full-run case: the same loop minus the per-event bound
-         * check. */
-        for (;;) {
-            PyObject *entry;
-            if (self->fifo_len) {
-                if (PyList_GET_SIZE(self->heap) &&
-                    entry_lt(PyList_GET_ITEM(self->heap, 0),
-                             RING_PEEK(self))) {
-                    entry = heap_pop(self);
-                    if (entry == NULL)
-                        goto fail;
-                }
-                else
-                    entry = ring_pop(self);
-            }
-            else if (PyList_GET_SIZE(self->heap)) {
-                entry = heap_pop(self);
-                if (entry == NULL)
-                    goto fail;
-            }
-            else
-                break;
-            PyObject *action = PyList_GET_ITEM(entry, 3);
-            if (action == Py_None) {
-                Py_DECREF(entry);
-                continue;
-            }
-            double t = PyFloat_AsDouble(PyList_GET_ITEM(entry, 0));
-            if (t < self->now) {
-                Py_DECREF(entry);
-                PyErr_SetString(SimulationError,
-                                "event list went backwards in time");
-                goto fail;
-            }
-            self->now = t;
-            PyObject *res = (Py_TYPE(action) == &ProcessType)
-                                ? process_resume((ProcessObject *)action)
-                                : PyObject_CallNoArgs(action);
-            Py_DECREF(entry);
-            if (res == NULL)
-                goto fail;
-            Py_DECREF(res);
-            self->events_executed++;
+    int err = 0;
+    for (;;) {
+        PyObject *entry;
+        if (self->fifo_len &&
+            !(PyList_GET_SIZE(self->heap) &&
+              entry_lt(PyList_GET_ITEM(self->heap, 0), RING_PEEK(self))))
+            entry = ring_pop(self);
+        else if (PyList_GET_SIZE(self->heap))
+            entry = heap_pop(self);
+        else
+            break;
+        if (entry == NULL) {
+            err = -1;
+            break;
         }
-        self->running = 0;
-        Py_RETURN_NONE;
-    }
-
-    /* Bounded run: mirrors the pure loop (peek before popping so an
-     * entry past ``until`` stays queued). */
-    while (self->fifo_len || PyList_GET_SIZE(self->heap)) {
-        int use_fifo =
-            self->fifo_len &&
-            (!PyList_GET_SIZE(self->heap) ||
-             entry_lt(RING_PEEK(self), PyList_GET_ITEM(self->heap, 0)));
-        PyObject *head = use_fifo ? RING_PEEK(self)
-                                  : PyList_GET_ITEM(self->heap, 0);
-        PyObject *action = PyList_GET_ITEM(head, 3);
+        PyObject *action = PyList_GET_ITEM(entry, 3);
         if (action == Py_None) {
-            PyObject *dead = use_fifo ? ring_pop(self) : heap_pop(self);
-            if (dead == NULL)
-                goto fail;
-            Py_DECREF(dead);
+            Py_DECREF(entry);
             continue;
         }
-        double t = PyFloat_AsDouble(PyList_GET_ITEM(head, 0));
-        if (t > until) {
-            self->now = until;
-            self->running = 0;
-            Py_RETURN_NONE;
-        }
-        PyObject *entry = use_fifo ? ring_pop(self) : heap_pop(self);
-        if (entry == NULL)
-            goto fail;
+        double t = PyFloat_AsDouble(PyList_GET_ITEM(entry, 0));
         if (t < self->now) {
             Py_DECREF(entry);
             PyErr_SetString(SimulationError,
                             "event list went backwards in time");
-            goto fail;
+            err = -1;
+            break;
         }
         self->now = t;
         PyObject *res = (Py_TYPE(action) == &ProcessType)
                             ? process_resume((ProcessObject *)action)
                             : PyObject_CallNoArgs(action);
         Py_DECREF(entry);
-        if (res == NULL)
-            goto fail;
+        if (res == NULL) {
+            if (PyErr_ExceptionMatches(StopRunExc))
+                PyErr_Clear();
+            else
+                err = -1;
+            break;
+        }
         Py_DECREF(res);
         self->events_executed++;
     }
-    if (until > self->now)
-        self->now = until;
     self->running = 0;
+    if (stop != NULL) {
+        Py_INCREF(Py_None);
+        PyList_SetItem(stop, 3, Py_None);
+        Py_DECREF(stop);
+    }
+    if (err < 0)
+        return NULL;
     Py_RETURN_NONE;
-
-fail:
-    self->running = 0;
-    return NULL;
 }
 
 static PyObject *
@@ -1119,9 +1022,11 @@ Engine_get_queue_depth(EngineObject *self, void *closure)
 {
     Py_ssize_t count = 0;
     Py_ssize_t n = PyList_GET_SIZE(self->heap);
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (PyList_GET_ITEM(PyList_GET_ITEM(self->heap, i), 3) != Py_None)
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *action = PyList_GET_ITEM(PyList_GET_ITEM(self->heap, i), 3);
+        if (action != Py_None && action != StopAction)
             count++;
+    }
     for (Py_ssize_t i = 0; i < self->fifo_len; i++) {
         PyObject *entry = self->fifo[(self->fifo_head + i) % self->fifo_cap];
         if (PyList_GET_ITEM(entry, 3) != Py_None)
@@ -1169,8 +1074,6 @@ static PyMethodDef Engine_methods[] = {
     {"schedule", (PyCFunction)Engine_schedule,
      METH_FASTCALL | METH_KEYWORDS,
      "Schedule ``action()`` to run ``delay`` time units from now."},
-    {"schedule_now", (PyCFunction)Engine_schedule_now, METH_O,
-     "schedule(0.0, action) without the generic checks."},
     {"spawn", (PyCFunction)Engine_spawn, METH_VARARGS | METH_KEYWORDS,
      "Create and start a Process running ``generator``."},
     {"run", (PyCFunction)Engine_run, METH_VARARGS | METH_KEYWORDS,
@@ -1228,6 +1131,14 @@ PyInit__ccore(void)
     SimulationError = PyObject_GetAttrString(errors, "SimulationError");
     Py_DECREF(errors);
     if (SimulationError == NULL)
+        return NULL;
+    PyObject *engmod = PyImport_ImportModule("repro.sim.engine");
+    if (engmod == NULL)
+        return NULL;
+    StopRunExc = PyObject_GetAttrString(engmod, "_StopRun");
+    StopAction = PyObject_GetAttrString(engmod, "_stop_run");
+    Py_DECREF(engmod);
+    if (StopRunExc == NULL || StopAction == NULL)
         return NULL;
     PyObject *procmod = PyImport_ImportModule("repro.sim.process");
     if (procmod == NULL)

@@ -33,6 +33,10 @@ PRIORITY_NORMAL = 10
 #: Priority used by failure injection so that a node death at time t is
 #: observed by every other event scheduled at t.
 PRIORITY_URGENT = 0
+#: Priority of the stop entry a capped ``run`` schedules at its cap:
+#: above any priority a caller passes, so every entry at the cap runs
+#: first.
+PRIORITY_STOP = 2**31 - 1
 
 # Scheduler entries are plain lists ``[time, priority, seq, action]``.
 # Lists heap-compare elementwise at C speed and ``seq`` is unique, so a
@@ -48,6 +52,14 @@ PRIORITY_URGENT = 0
 ENTRY_ACTION = 3
 
 
+class _StopRun(Exception):
+    """Raised by the stop entry's action to end a capped ``run``."""
+
+
+def _stop_run() -> None:
+    raise _StopRun
+
+
 class Engine:
     """The simulation clock and event list.
 
@@ -58,7 +70,7 @@ class Engine:
         engine.run()
         print(engine.now)
 
-    ``schedule``/``schedule_now`` return the scheduler entry itself;
+    ``schedule`` returns the scheduler entry itself;
     clearing its action slot (``entry[ENTRY_ACTION] = None``) cancels it.
     """
 
@@ -89,7 +101,7 @@ class Engine:
         """Current simulated time (microseconds by library convention)."""
         return self._now
 
-    def schedule(self, delay: float, action: Callable[[], None],
+    def schedule(self, delay: float, action: Callable[[], None], *,
                  priority: int = PRIORITY_NORMAL) -> List[Any]:
         """Schedule ``action()`` to run ``delay`` time units from now.
 
@@ -104,7 +116,7 @@ class Engine:
             _heappush(self._heap, entry)
         return entry
 
-    def schedule_now(self, action: Callable[[], None]) -> List[Any]:
+    def _schedule_now(self, action: Callable[[], None]) -> List[Any]:
         """``schedule(0.0, action)`` without the generic checks.
 
         The zero-delay PRIORITY_NORMAL resume is the single most common
@@ -125,10 +137,19 @@ class Engine:
     def run(self, until: Optional[float] = None) -> None:
         """Run events until the list drains or ``until`` passes.
 
-        ``until`` is inclusive: events scheduled exactly at ``until`` run.
+        ``until`` is inclusive: events scheduled exactly at ``until``
+        run, and a capped run ends with ``now == until``. The cap is one
+        stop entry at ``until`` that sorts after every real priority;
+        its action ends the loop, and any exit cancels it.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        stop = None
+        if until is not None:
+            if until < self._now:
+                raise SimulationError(f"run(until={until!r}) is before now")
+            stop = [until, PRIORITY_STOP, self._seq(), _stop_run]
+            _heappush(self._heap, stop)
         self._running = True
         # Hot loop: localize the queues and heappop to dodge repeated
         # attribute/global lookups (measurable at millions of events).
@@ -137,59 +158,40 @@ class Engine:
         heappop = heapq.heappop
         popleft = fifo.popleft
         try:
-            if until is None:
-                # Full-run case (every application run): the same loop
-                # minus the per-event bound check.
-                while True:
-                    # Two sorted sources: take whichever head has the
-                    # smaller (time, priority, seq) -- seq is unique,
-                    # so the compare never reaches the actions.
-                    if fifo:
-                        if heap and heap[0] < fifo[0]:
-                            entry = heappop(heap)
-                        else:
-                            entry = popleft()
-                    elif heap:
+            while True:
+                # Two sorted sources: take whichever head has the
+                # smaller (time, priority, seq) -- seq is unique, so the
+                # compare never reaches the actions.
+                if fifo:
+                    if heap and heap[0] < fifo[0]:
                         entry = heappop(heap)
                     else:
-                        break
-                    action = entry[3]
-                    if action is None:
-                        continue
-                    time = entry[0]
-                    if time < self._now:
-                        raise SimulationError(
-                            "event list went backwards in time")
-                    self._now = time
-                    action()
-                    self.events_executed += 1
-                return
-            while heap or fifo:
-                use_fifo = bool(fifo) and (not heap or fifo[0] < heap[0])
-                entry = fifo[0] if use_fifo else heap[0]
+                        entry = popleft()
+                elif heap:
+                    entry = heappop(heap)
+                else:
+                    break
                 action = entry[3]
                 if action is None:
-                    popleft() if use_fifo else heappop(heap)
                     continue
                 time = entry[0]
-                if time > until:
-                    self._now = until
-                    return
-                popleft() if use_fifo else heappop(heap)
                 if time < self._now:
                     raise SimulationError("event list went backwards in time")
                 self._now = time
                 action()
                 self.events_executed += 1
-            self._now = max(self._now, until)
+        except _StopRun:
+            pass
         finally:
             self._running = False
+            if stop is not None:
+                stop[3] = None
 
     @property
     def queue_depth(self) -> int:
-        """Number of pending (non-cancelled) entries in the event list.
-
-        An observability gauge: cancelled entries are lazily discarded
-        by ``run``, so subtract them rather than scanning."""
-        return sum(1 for entry in self._heap if entry[3] is not None) \
+        """Number of pending entries in the event list (an observability
+        gauge): neither cancelled ones, which ``run`` discards lazily,
+        nor a capped run's stop entry."""
+        return sum(1 for entry in self._heap
+                   if entry[3] is not None and entry[3] is not _stop_run) \
             + sum(1 for entry in self._fifo if entry[3] is not None)

@@ -17,10 +17,8 @@ ordinary sequential code::
         yield cost
         yield from self.nic.remote_deposit(...)
 
-Processes can be *interrupted* (an exception is thrown at their current
-suspension point -- used for timeout-style control flow) or *killed*
-(used by fail-stop failure injection; ``finally`` blocks still run, but
-the process never resumes).
+A process can be *killed* (used by fail-stop failure injection;
+``finally`` blocks still run, but the process never resumes).
 """
 
 from __future__ import annotations
@@ -114,10 +112,6 @@ class Event:
         else:
             self._callbacks.append(cb)
 
-    def discard_callback(self, cb: Callable[["Event"], None]) -> None:
-        if self._callbacks is not None and cb in self._callbacks:
-            self._callbacks.remove(cb)
-
 
 class Process:
     """Drives a generator through the engine.
@@ -150,7 +144,7 @@ class Process:
         self._resume: Callable[[], None] = self._do_resume
         self._event_cb: Callable[[Event], None] = self._on_event_settled
         # Start at the current time, after already-queued events at `now`.
-        self._pending_resume = engine.schedule_now(self._resume)
+        self._pending_resume = engine._schedule_now(self._resume)
 
     @property
     def alive(self) -> bool:
@@ -209,7 +203,7 @@ class Process:
                             continue
                         self._wake_value = yielded._value
                         self._wake_throw = True
-                        self._pending_resume = engine.schedule_now(resume)
+                        self._pending_resume = engine._schedule_now(resume)
                         return
                     self._waiting_on = yielded
                     yielded.add_callback(self._event_cb)
@@ -254,7 +248,7 @@ class Process:
         self._wake_value = ev._value
         if not ev._ok:
             self._wake_throw = True
-        self._pending_resume = self.engine.schedule_now(self._resume)
+        self._pending_resume = self.engine._schedule_now(self._resume)
 
     # -- external control -------------------------------------------------
 
@@ -262,8 +256,7 @@ class Process:
         if self._pending_resume is not None:
             self._pending_resume[3] = None  # cancel the scheduler entry
             self._pending_resume = None
-        if self._waiting_on is not None:
-            self._waiting_on.discard_callback(self._event_cb)
+        # The settle callback stays on the event: it checks ``_alive``.
         self._waiting_on = None
 
     def kill(self) -> None:

@@ -30,7 +30,7 @@ def test_nodes_can_communicate_through_fabric():
             1, "buf", 0, b"ping", wait=True)
 
     cluster.node(0).spawn(sender(), "sender")
-    cluster.run()
+    cluster.engine.run()
     assert region.read(0, 4) == b"ping"
 
 
@@ -47,7 +47,7 @@ def test_fail_node_kills_its_processes():
 
     cluster.node(2).spawn(worker(), "worker")
     cluster.engine.schedule(10.0, lambda: cluster.fail_node(2))
-    cluster.run()
+    cluster.engine.run()
     assert trace == ["cleanup"]
     assert cluster.live_nodes() == [0, 1, 3]
 
@@ -74,7 +74,7 @@ def test_communication_with_failed_node_errors():
 
     cluster.node(0).spawn(sender(), "sender")
     cluster.engine.schedule(1.0, lambda: cluster.fail_node(3))
-    cluster.run()
+    cluster.engine.run()
     assert outcome == [3]
 
 
@@ -88,7 +88,7 @@ def test_mem_copy_charges_time():
         times.append(cluster.engine.now)
 
     cluster.node(0).spawn(copier(), "copier")
-    cluster.run()
+    cluster.engine.run()
     assert times[0] == pytest.approx(4096 / 400.0)
 
 
@@ -103,7 +103,7 @@ def test_bus_contention_serializes_copies():
 
     cluster.node(0).spawn(copier("a"), "a")
     cluster.node(0).spawn(copier("b"), "b")
-    cluster.run()
+    cluster.engine.run()
     # Second copy waits for the first: 10us then 20us.
     assert times == [pytest.approx(10.0), pytest.approx(20.0)]
 
@@ -111,7 +111,7 @@ def test_bus_contention_serializes_copies():
 def test_failure_injector_time_based():
     cluster = Cluster(small_config())
     [record] = FaultPlan([FailureSpec(1, at_time=42.0)]).apply(cluster)
-    cluster.run()
+    cluster.engine.run()
     assert record.fired_at == 42.0
     assert not cluster.node(1).alive
 
@@ -126,7 +126,7 @@ def test_failure_injector_hook_based():
             cluster.hooks.fire("my_hook", 2)
 
     cluster.node(0).spawn(firer(), "firer")  # fired on behalf of node 2
-    cluster.run()
+    cluster.engine.run()
     assert record.fired_at == pytest.approx(30.0)
     assert not cluster.node(2).alive
 
@@ -140,7 +140,7 @@ def test_hook_injection_ignores_other_nodes():
         cluster.hooks.fire("my_hook", 0)  # different node: no kill
 
     cluster.node(0).spawn(firer(), "firer")
-    cluster.run()
+    cluster.engine.run()
     assert record.fired_at is None
     assert cluster.node(2).alive
 
@@ -152,7 +152,7 @@ def test_fault_plan_rejects_a_victim_outside_the_cluster():
     with pytest.raises(ConfigError, match="cannot kill node 4"):
         plan.apply(cluster)
     # Nothing was armed: the valid first spec did not schedule its kill.
-    cluster.run()
+    cluster.engine.run()
     assert cluster.node(1).alive
 
 

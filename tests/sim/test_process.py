@@ -57,8 +57,8 @@ def timed_wait_record() -> dict:
 
     for tag, delay in enumerate(TIMED_WAITS):
         by_yield.spawn(proc(tag, delay))
-        by_schedule.schedule_now(
-            lambda tag=tag, delay=delay: by_schedule.schedule(
+        by_schedule.schedule(
+            0.0, lambda tag=tag, delay=delay: by_schedule.schedule(
                 delay, lambda: fired.append([tag, by_schedule.now])))
     by_yield.run()
     by_schedule.run()

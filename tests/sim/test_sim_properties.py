@@ -106,8 +106,10 @@ _DELAYS = st.one_of(st.just(0.0), st.floats(0.0, 10.0,
 _PRIORITIES = st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL, 20))
 
 #: (kind, delay, priority, cancelled, children). kind "now" uses
-#: schedule_now (deque path); "sched" uses schedule(), which routes to
-#: the deque exactly when delay == 0 and priority == PRIORITY_NORMAL.
+#: schedule(0.0, action), the deque path every event wakeup takes;
+#: "sched" uses schedule() with the drawn delay and priority, which
+#: routes to the deque exactly when delay == 0 and priority ==
+#: PRIORITY_NORMAL.
 _CHILD = st.tuples(st.sampled_from(("sched", "now")), _DELAYS,
                    _PRIORITIES, st.booleans(), st.just(()))
 _NODE = st.tuples(st.sampled_from(("sched", "now")), _DELAYS,
@@ -157,7 +159,7 @@ def _run_engine(roots):
         tag = next(tags)
         action = lambda t=tag, c=children: fire(t, c)
         if kind == "now":
-            handle = engine.schedule_now(action)
+            handle = engine.schedule(0.0, action)
         else:
             handle = engine.schedule(delay, action, priority=priority)
         if cancelled:
