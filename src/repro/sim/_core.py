@@ -15,13 +15,16 @@ Set ``REPRO_PURE=1`` to force the pure reference path even when the
 extension is importable.
 
 The one helper written once over whichever kernel is selected lives
-here: :func:`timeout_wait` (it *creates* events, so it must build them
-of the selected implementation).
+here: :func:`timeout_wait`, which yields ``(event, timeout)`` to the
+kernel and reads back the event's value or ``TIMED_OUT``.
 """
 
 from __future__ import annotations
 
 import os
+
+from repro.errors import SimulationError
+from repro.sim.process import TIMED_OUT
 
 __all__ = [
     "ACCELERATED",
@@ -56,35 +59,24 @@ def timeout_wait(engine: Engine, event: Event, timeout: float):
     A generator helper (use with ``yield from``). Returns ``(True,
     value)`` if the event succeeded in time, ``(False, None)`` on
     timeout. Event *failures* are re-raised.
+
+    The kernel does the waiting (``engine`` is the waiting process's
+    own): it takes the deadline's seq as ``engine.schedule(timeout,
+    ...)`` would, queues the deadline with every other deadline of
+    that length, and parks the process on ``event`` itself. The
+    deadline is cancelled when the process resumes; a failed wait
+    leaves it to fire later as a no-op event.
     """
-    # Hand-rolled two-way wait: one Event and two closures instead of
-    # a timer Event plus a first-of-many aggregate (this sits on the
-    # hot path of every synchronous remote operation).
     if event._settled:
-        # Same outcome add_callback would deliver synchronously, minus
-        # the timer entry (which would be cancelled before firing).
+        # What a wait would deliver, minus a deadline that would be
+        # cancelled before firing.
         if event._ok:
             return True, event._value
         raise event._value
-    combined = Event(engine, "timeout_wait")
-
-    def on_timer() -> None:
-        if not combined._settled:
-            combined.succeed((1, None))
-
-    handle = engine.schedule(timeout, on_timer)
-
-    def on_event(ev: Event) -> None:
-        if combined._settled:
-            return
-        if ev.failed:
-            combined.fail(ev.value)
-        else:
-            combined.succeed((0, ev.value))
-
-    event.add_callback(on_event)
-    index, value = yield combined
-    if index == 0:
-        handle[3] = None  # cancel the timer's scheduler entry
-        return True, value
-    return False, None
+    if timeout < 0:
+        raise SimulationError(
+            f"cannot schedule in the past (delay={timeout})")
+    value = yield (event, timeout)
+    if value is TIMED_OUT:
+        return False, None
+    return True, value
