@@ -206,3 +206,90 @@ def test_fault_sweep_bit_identical_under_invariants():
     assert pure["outcomes"] == accel["outcomes"]
     for outcome in pure["outcomes"]:
         assert outcome["violations"] == 0, outcome
+
+
+# -- the three event-free waits ----------------------------------------------
+
+WAIT_CONTRACT_SNIPPET = """
+import json
+import repro.sim as sim
+from tests.sim.test_waits import wait_contract_record
+print(json.dumps({"accelerated": sim.ACCELERATED,
+                  "record": wait_contract_record()}))
+"""
+
+
+@needs_ccore
+def test_wait_contract_bit_identical():
+    # Timed waits (success, timeout, failure, retry, kill) and blocking
+    # Store.get put the same entries on the event list in both builds.
+    pure = _run_snippet(WAIT_CONTRACT_SNIPPET, pure=True)
+    accel = _run_snippet(WAIT_CONTRACT_SNIPPET, pure=False)
+    assert pure["accelerated"] is False
+    assert accel["accelerated"] is True
+    assert accel["record"] == pure["record"]
+    record = accel["record"]
+    assert record["timeout"]["log"][-1][:4] == ["resumed", 10.0, False, None]
+    assert record["failed"]["log"][0][:3] == ["raised", 3.0, "boom"]
+    assert ["g2", 2.0, "c"] in record["store"]["log"]
+
+
+WAIT_REACH_SNIPPET = """
+import json
+import repro.net.vmmc as vmmc
+import repro.protocol.ft.protocol as ft_protocol
+import repro.sim as sim
+from repro.sim.resources import Store
+from repro.verify import RecoveryInvariantChecker
+from repro.verify.replay import ReplayScenario, build_runtime
+
+reached = {"timed_out": 0, "failed": 0, "parked_get": 0}
+plain_wait = sim.timeout_wait
+plain_get = Store.get
+
+def counted_wait(engine, event, timeout):
+    try:
+        ok, value = yield from plain_wait(engine, event, timeout)
+    except Exception:
+        reached["failed"] += 1
+        raise
+    if not ok:
+        reached["timed_out"] += 1
+    return ok, value
+
+def counted_get(store):
+    # The NIC loops call get() only once get_nowait() found nothing.
+    reached["parked_get"] += 1
+    return plain_get(store)
+
+sim.timeout_wait = vmmc.timeout_wait = ft_protocol.timeout_wait = counted_wait
+Store.get = counted_get
+outcomes = []
+for plan_seed in (11, 212, 3033):
+    runtime = build_runtime(ReplayScenario(
+        program_seed=91, cluster_seed=5, plan_seed=plan_seed, failures=2))
+    checker = RecoveryInvariantChecker(runtime)
+    result = runtime.run()
+    checker.finalize()
+    outcomes.append({"plan_seed": plan_seed,
+                     "elapsed_us": result.elapsed_us,
+                     "events_executed": runtime.engine.events_executed,
+                     "violations": len(checker.violations)})
+print(json.dumps({"accelerated": sim.ACCELERATED, "reached": reached,
+                  "outcomes": outcomes}, sort_keys=True))
+"""
+
+
+@needs_ccore
+def test_fault_runs_reach_every_wait_kind_bit_identically():
+    # Real fault runs take all three paths -- a timed-out wait, a
+    # failed wait and a parked Store.get -- the same way in both builds.
+    pure = _run_snippet(WAIT_REACH_SNIPPET, pure=True)
+    accel = _run_snippet(WAIT_REACH_SNIPPET, pure=False)
+    assert accel["accelerated"] is True
+    assert accel["outcomes"] == pure["outcomes"]
+    assert accel["reached"] == pure["reached"]
+    for kind, count in pure["reached"].items():
+        assert count > 0, kind
+    for outcome in pure["outcomes"]:
+        assert outcome["violations"] == 0, outcome
