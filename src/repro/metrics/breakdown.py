@@ -37,6 +37,11 @@ class Category(enum.Enum):
     CHECKPOINT = "checkpoint"     # thread-state checkpointing
     PROTOCOL = "protocol"         # remaining protocol processing
 
+    # Identity hash at C speed: Enum's own __hash__ is a Python-level
+    # call, and ThreadClock hashes a category four times per flush.
+    # Members are singletons, so equality is already identity.
+    __hash__ = object.__hash__
+
 
 class ThreadClock:
     """Two-level exclusive time accounting for one thread.

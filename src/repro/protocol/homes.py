@@ -15,7 +15,9 @@ After a failure the mapping is recomputed by walking the node ring and
 skipping dead nodes -- a pure function of (original hint, failed set),
 so every live node derives the identical new map independently, and the
 two replicas of any key are guaranteed to sit on distinct nodes under
-any sequence of (non-simultaneous) failures (section 4.5.1).
+any sequence of (non-simultaneous) failures (section 4.5.1). The walk
+is done once per reconfiguration, into a table of the first live node
+at or after each node, so a lookup is an index.
 
 Recovery's re-replication phase may *elect* a secondary off the ring
 (:meth:`ReplicaRing.reassign`): the ring piles every replica the dead
@@ -119,6 +121,7 @@ class HomeMap:
         # application allocates segments, and the map sees them live.
         self._page_hint = page_hint
         self._failed: set[int] = set()
+        self._reconfigure()
         #: Reconfiguration epoch: bumped on every exclusion and every
         #: election, so auditors can tell which map generation routed
         #: a message.
@@ -143,13 +146,30 @@ class HomeMap:
 
     # -- ring walking ---------------------------------------------------------
 
+    def _reconfigure(self) -> None:
+        """Rebuild what derives from the failed set: the frozen view
+        :attr:`failed` returns, and ``_live_from[start]``, the first
+        live node at or after ``start`` in ring order, for ``start`` in
+        ``0..num_nodes`` (empty once every node has failed)."""
+        n = self.num_nodes
+        failed = self._failed
+        self._failed_view = frozenset(failed)
+        table = []
+        if len(failed) < n:
+            for start in range(n + 1):
+                node = start % n
+                while node in failed:
+                    node = (node + 1) % n
+                table.append(node)
+        self._live_from = table
+
     def _next_live(self, start: int) -> int:
-        """First live node at or after ``start`` in ring order."""
-        for step in range(self.num_nodes):
-            node = (start + step) % self.num_nodes
-            if node not in self._failed:
-                return node
-        raise UnrecoverableFailure("all nodes have failed")
+        """First live node at or after ``start`` (``0..num_nodes``) in
+        ring order."""
+        try:
+            return self._live_from[start]
+        except IndexError:
+            raise UnrecoverableFailure("all nodes have failed") from None
 
     def live_count(self) -> int:
         return self.num_nodes - len(self._failed)
@@ -160,13 +180,14 @@ class HomeMap:
 
     @property
     def failed(self) -> FrozenSet[int]:
-        return frozenset(self._failed)
+        return self._failed_view
 
     def exclude(self, node: int) -> None:
         """Mark ``node`` dead and remap everything it was hosting."""
         if not 0 <= node < self.num_nodes:
             raise ProtocolError(f"no node {node}")
         self._failed.add(node)
+        self._reconfigure()
         self.epoch += 1
         if self.live_count() < 2:
             raise UnrecoverableFailure(
@@ -213,6 +234,7 @@ class HomeMap:
     def copy(self) -> "HomeMap":
         clone = HomeMap(self.num_nodes, self._page_hint, self.num_locks)
         clone._failed = set(self._failed)
+        clone._reconfigure()
         for ring, mine in zip(clone.rings, self.rings):
             ring._elected = dict(mine._elected)
         clone.epoch = self.epoch

@@ -77,6 +77,43 @@ def test_too_many_failures_unrecoverable():
         homes.exclude(1)
 
 
+def test_lookup_after_every_node_failed_is_unrecoverable():
+    homes, _ = make_map(num_nodes=2)
+    for node in (0, 1):
+        with pytest.raises(UnrecoverableFailure):
+            homes.exclude(node)
+    assert homes.failed == frozenset({0, 1})
+    for lookup in (lambda: homes.primary_home(0), homes.barrier_manager,
+                   lambda: homes.lock_primary(1)):
+        with pytest.raises(UnrecoverableFailure, match="all nodes"):
+            lookup()
+
+
+@given(st.integers(1, 9),
+       st.lists(st.integers(0, 8), min_size=0, max_size=9, unique=True))
+@settings(max_examples=200)
+def test_placement_table_matches_a_ring_walk(num_nodes, failures):
+    # Each reconfiguration rebuilds the table; every lookup must equal
+    # walking the ring from ``start`` and skipping dead nodes.
+    homes, _ = make_map(num_nodes=num_nodes)
+    for node in (f for f in failures if f < num_nodes):
+        try:
+            homes.exclude(node)
+        except UnrecoverableFailure:
+            pass
+        for view in (homes, homes.copy()):
+            assert view.failed == frozenset(view._failed)
+            for start in range(num_nodes + 1):
+                walk = [(start + step) % num_nodes
+                        for step in range(num_nodes)
+                        if (start + step) % num_nodes not in view.failed]
+                if walk:
+                    assert view._next_live(start) == walk[0]
+                else:
+                    with pytest.raises(UnrecoverableFailure):
+                        view._next_live(start)
+
+
 def test_unknown_page_rejected():
     homes, _ = make_map(num_pages=4)
     with pytest.raises(ProtocolError):
