@@ -101,8 +101,8 @@ def test_process_done_event_carries_return_value():
 
     p = engine.spawn(proc())
     engine.run()
-    assert p.done.settled and not p.done.failed
-    assert p.done.value == 42
+    assert p.done.settled and p.done._ok
+    assert p.done._value == 42
     assert not p.alive
 
 
@@ -120,7 +120,7 @@ def test_yield_from_composes_suboperations():
 
     p = engine.spawn(main())
     engine.run()
-    assert p.done.value == 14
+    assert p.done._value == 14
     assert engine.now == 7.0
 
 
@@ -210,8 +210,8 @@ def test_kill_runs_finally_blocks():
     engine.run()
     assert cleaned == [True]
     assert not p.alive
-    assert p.done.failed
-    assert isinstance(p.done.value, ProcessKilled)
+    assert p.done.settled and not p.done._ok
+    assert isinstance(p.done._value, ProcessKilled)
 
 
 def test_killed_process_never_resumes():
