@@ -92,8 +92,6 @@ class Diff:
                     f"diff runs out of order or overlapping: run at "
                     f"{offset} after run ending at {prev_end}")
             prev_end = offset + length
-            # One slice copy; the old code wrapped the slice in bytes()
-            # a second time.
             runs.append((offset, blob[pos:pos + length]))
             pos += length
         if pos != len(blob):

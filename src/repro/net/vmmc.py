@@ -139,8 +139,7 @@ class VMMC:
         if park is not None:
             yield park
         try:
-            ok, _value = yield from timeout_wait(
-                self.engine, ack, HEARTBEAT_TIMEOUT_US * 4)
+            ok, _value = yield from timeout_wait(ack, HEARTBEAT_TIMEOUT_US * 4)
         except RemoteNodeFailure:
             ok = False  # the fabric failed the probe: destination is down
         if not ok:
@@ -158,7 +157,7 @@ class VMMC:
         while True:
             try:
                 ok, value = yield from timeout_wait(
-                    self.engine, event, HEARTBEAT_TIMEOUT_US)
+                    event, HEARTBEAT_TIMEOUT_US)
             except RemoteNodeFailure:
                 self.known_dead.add(dst)
                 raise

@@ -98,7 +98,7 @@ class BarrierManager:
         from repro.sim import timeout_wait
         while not gen.event.settled:
             ok, _value = yield from timeout_wait(
-                self.engine, gen.event, HEARTBEAT_TIMEOUT_US * 3)
+                gen.event, HEARTBEAT_TIMEOUT_US * 3)
             if ok or gen.event.settled:
                 return
             arrived = {node for node, _ts, _e in gen.arrivals}

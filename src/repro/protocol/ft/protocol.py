@@ -270,7 +270,7 @@ class FtSvmNodeAgent(SvmNodeAgent):
             # lazily, so a writer whose diff lands during an earlier
             # probe is not probed.
             ok, _value = yield from timeout_wait(
-                self.engine, self._version_event(page), HEARTBEAT_TIMEOUT_US)
+                self._version_event(page), HEARTBEAT_TIMEOUT_US)
             if ok:
                 continue
             have = self.page_versions.get(page, {})

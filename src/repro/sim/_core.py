@@ -53,17 +53,17 @@ else:
     from repro.sim.process import Event, Process
 
 
-def timeout_wait(engine: Engine, event: Event, timeout: float):
+def timeout_wait(event: Event, timeout: float):
     """Wait on ``event`` for at most ``timeout`` time.
 
     A generator helper (use with ``yield from``). Returns ``(True,
     value)`` if the event succeeded in time, ``(False, None)`` on
     timeout. Event *failures* are re-raised.
 
-    The kernel does the waiting (``engine`` is the waiting process's
-    own): it takes the deadline's seq as ``engine.schedule(timeout,
-    ...)`` would, queues the deadline with every other deadline of
-    that length, and parks the process on ``event`` itself. The
+    The kernel does the waiting, on the waiting process's own engine:
+    it takes the deadline's seq as ``engine.schedule(timeout, ...)``
+    would, queues the deadline with every other deadline of that
+    length, and parks the process on ``event`` itself. The
     deadline is cancelled when the process resumes; a failed wait
     leaves it to fire later as a no-op event.
     """

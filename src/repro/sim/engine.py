@@ -44,9 +44,6 @@ PRIORITY_STOP = 2**31 - 1
 # place (``entry[3] = None``) -- no per-event handle object exists at
 # all, which removes one allocation + two attribute writes from every
 # schedule and a ``.cancelled`` attribute load from every dispatch.
-# (An earlier revision allocated a ``_ScheduledEvent`` handle per entry;
-# profiles of full runs showed the handle churn at ~125k allocations per
-# lock-handoff bench.)
 
 #: Index of the action slot in a scheduler entry (``None`` = cancelled).
 ENTRY_ACTION = 3

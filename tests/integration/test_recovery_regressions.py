@@ -53,7 +53,7 @@ def test_known_seed_combinations_stay_clean(ps, cs, plan_seed, failures):
 # Formerly-divergent combinations found by
 # tests/tools/sweep_fault_seeds.py (plan seeds 434..633 x failures
 # {1,2} at program/cluster seed 145/1). All four are fixed and pinned
-# here as strict regressions; docs/RECOVERY.md has the post-mortems.
+# here as strict regressions; docs/RECOVERY.md tables their fixes.
 SWEPT_DIVERGENT = [
     # Was a doubled RMW (counters [301, 67, 0] != [247, 67, 0]): the
     # ward's checkpoint history died with its backup, so its own later

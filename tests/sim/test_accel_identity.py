@@ -247,9 +247,9 @@ reached = {"timed_out": 0, "failed": 0, "parked_get": 0}
 plain_wait = sim.timeout_wait
 plain_get = Store.get
 
-def counted_wait(engine, event, timeout):
+def counted_wait(event, timeout):
     try:
-        ok, value = yield from plain_wait(engine, event, timeout)
+        ok, value = yield from plain_wait(event, timeout)
     except Exception:
         reached["failed"] += 1
         raise

@@ -285,7 +285,7 @@ def test_timeout_wait_success_path():
     results = []
 
     def waiter():
-        ok, value = yield from timeout_wait(engine, ev, timeout=10.0)
+        ok, value = yield from timeout_wait(ev, timeout=10.0)
         results.append((ok, value, engine.now))
 
     engine.spawn(waiter())
@@ -300,7 +300,7 @@ def test_timeout_wait_timeout_path():
     results = []
 
     def waiter():
-        ok, value = yield from timeout_wait(engine, ev, timeout=10.0)
+        ok, value = yield from timeout_wait(ev, timeout=10.0)
         results.append((ok, value, engine.now))
 
     engine.spawn(waiter())

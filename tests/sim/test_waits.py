@@ -21,7 +21,7 @@ def _success() -> dict:
     log = []
 
     def waiter():
-        ok, value = yield from timeout_wait(engine, ev, 10.0)
+        ok, value = yield from timeout_wait(ev, 10.0)
         log.append(["resumed", engine.now, ok, value, engine.queue_depth])
 
     def settle():
@@ -49,7 +49,7 @@ def _timeout() -> dict:
     log = []
 
     def waiter():
-        ok, value = yield from timeout_wait(engine, ev, 10.0)
+        ok, value = yield from timeout_wait(ev, 10.0)
         log.append(["resumed", engine.now, ok, value, engine.queue_depth])
 
     engine.spawn(waiter())
@@ -71,7 +71,7 @@ def _failed() -> dict:
 
     def waiter():
         try:
-            yield from timeout_wait(engine, ev, 10.0)
+            yield from timeout_wait(ev, 10.0)
         except ValueError as exc:
             log.append(["raised", engine.now, str(exc), engine.queue_depth])
 
@@ -92,7 +92,7 @@ def _retry() -> dict:
 
     def retrier():
         while True:
-            ok, value = yield from timeout_wait(engine, ev, 5.0)
+            ok, value = yield from timeout_wait(ev, 5.0)
             log.append(["retrier", engine.now, ok, value])
             if ok:
                 return
@@ -120,7 +120,7 @@ def _killed(settle_first: bool) -> dict:
 
     def waiter():
         try:
-            ok, value = yield from timeout_wait(engine, ev, 10.0)
+            ok, value = yield from timeout_wait(ev, 10.0)
             log.append(["resumed", engine.now, ok, value])
         finally:
             log.append(["finally", engine.now])

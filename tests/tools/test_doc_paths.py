@@ -1,7 +1,7 @@
 """Every file path the documentation names exists.
 
-Scans README.md, DESIGN.md, EXPERIMENTS.md and ``docs/*.md`` for
-backticked or linked paths: a span with a ``/`` whose last component
+Scans the documents of :mod:`tests.tools.doc_scan` for backticked or
+linked paths: a span with a ``/`` whose last component
 has a file extension. Each must resolve against the repo root,
 ``src/``, ``src/repro/`` or the document's own directory. Templates
 (holding ``*``, ``<`` or ``{``) and URLs are skipped; a ``::test``
@@ -11,10 +11,8 @@ suffix, a ``:line`` suffix and a ``#anchor`` are cut off first.
 import pathlib
 import re
 
-REPO = pathlib.Path(__file__).resolve().parents[2]
-DOCS = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
-        *sorted((REPO / "docs").glob("*.md"))]
-SPANS = re.compile(r"`([^`\n]+)`|\]\(([^)\s]+)\)")
+from tests.tools.doc_scan import DOCS, REPO, SPANS
+
 PATH = re.compile(r"[\w.\-/]*/[\w.\-]*\.[A-Za-z0-9]+")
 
 
