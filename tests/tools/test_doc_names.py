@@ -35,8 +35,7 @@ from tests.tools.doc_scan import DOCS, REPO, SPANS
 
 SRC = REPO / "src"
 NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?")
-FILE_EXTENSIONS = {"c", "html", "json", "jsonl", "md", "py", "sha256",
-                   "so", "txt", "yml"}
+FILE_EXTENSIONS = {"c", "html", "json", "md", "py"}
 ALLOWED = {
     "otherData.dropped_events": "a key of the exported trace JSON",
     "vm.max_map_count": "a Linux sysctl",

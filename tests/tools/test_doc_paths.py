@@ -1,9 +1,9 @@
 """Every file path the documentation names exists.
 
 Scans the documents of :mod:`tests.tools.doc_scan` for backticked or
-linked paths: a span with a ``/`` whose last component
-has a file extension. Each must resolve against the repo root,
-``src/``, ``src/repro/`` or the document's own directory. Templates
+linked paths: a span with a ``/`` whose last component has a file
+extension. Each must resolve against the repo root, ``src/``,
+``src/repro/`` or the document's own directory. Templates
 (holding ``*``, ``<`` or ``{``) and URLs are skipped; a ``::test``
 suffix, a ``:line`` suffix and a ``#anchor`` are cut off first.
 """
